@@ -1,0 +1,224 @@
+// The century scenario's model (see theseus.h), written once and shared by
+// its three time-advance engines: serial (theseus.cc), sampled
+// (theseus_sampled.cc) and sharded (theseus_shard.cc).
+//
+// CenturyModel owns the fleet of sites, the state transitions (each at an
+// explicit time), the availability integral, the `century` snapshot chunks
+// and report assembly. An engine keeps only how time advances: which
+// events it arms where, how it draws a unit's life, and how it closes a
+// unit's alive time. Sites never interact, so the model can cover a whole
+// fleet or one shard lane's contiguous column range.
+
+#ifndef SRC_CORE_CENTURY_MODEL_H_
+#define SRC_CORE_CENTURY_MODEL_H_
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "src/core/fleet.h"
+#include "src/core/theseus.h"
+#include "src/sim/flight_recorder.h"
+#include "src/sim/simulation.h"
+#include "src/snapshot/timer_table.h"
+
+namespace centsim {
+
+// One category per transition kind: the profiler's event category in every
+// engine, and the flight-recorder category.
+inline constexpr const char* kCenturySiteFail = "century.site_failure";
+inline constexpr const char* kCenturyVisit = "century.zone_visit";
+
+// Domain timer tags of the `century` snapshot format (TimerRecord.tag).
+// Operands: visit a=zone b=cycle; site failure a=site b=the unit's sampled
+// life in micros (the failure feeds it to the survival estimator).
+inline constexpr uint64_t kCenturyTimerVisit = 1;
+inline constexpr uint64_t kCenturyTimerSiteFail = 2;
+
+// Alive site-seconds, over the whole run and per year. The serial engine
+// integrates at every alive-count transition (AccumulateTo); the sampled
+// engine, whose walk advances one site at a time, adds each closed alive
+// interval instead (AddSpan), keeping multi-decade spans O(1) with a
+// difference array of full-year weights that Yearly() folds back in.
+struct AliveSeconds {
+  explicit AliveSeconds(uint32_t years) : yearly(years, 0.0), yearly_weight_diff(years + 1, 0.0) {}
+
+  void AccumulateTo(SimTime now, uint64_t alive) {
+    if (now <= last_change) {
+      return;
+    }
+    const double span = (now - last_change).ToSeconds();
+    const double alive_count = static_cast<double>(alive);
+    total += span * alive_count;
+    double t0 = last_change.ToSeconds();
+    const double t1 = now.ToSeconds();
+    const double year_s = SimTime::Years(1).ToSeconds();
+    while (t0 < t1) {
+      const uint32_t y = std::min<uint32_t>(years() - 1, static_cast<uint32_t>(t0 / year_s));
+      const double year_end = (y + 1) * year_s;
+      const double seg = std::min(t1, year_end) - t0;
+      yearly[y] += seg * alive_count;
+      t0 += seg;
+    }
+    last_change = now;
+  }
+
+  // Adds `weight` alive sites over [start, end).
+  void AddSpan(SimTime start, SimTime end, double weight);
+
+  // Per-year integrals: `yearly` with the full-year weights folded in.
+  std::vector<double> Yearly() const;
+
+  uint32_t years() const { return static_cast<uint32_t>(yearly.size()); }
+
+  SimTime last_change;  // AccumulateTo's integration point.
+  double total = 0.0;
+  std::vector<double> yearly;              // AddSpan: partial years only.
+  std::vector<double> yearly_weight_diff;  // AddSpan's full-year weights.
+};
+
+class CenturyModel {
+ public:
+  // The model over sites [begin, end) of the config's fleet: the whole
+  // fleet, or one shard lane's range (local slot = site index - begin).
+  // Rare transitions go to `recorder` (the run's, or a lane's; may be null).
+  CenturyModel(Simulation& sim, const CenturyConfig& config, CenturyReport& report,
+               uint32_t begin, uint32_t end, FlightRecorder* recorder);
+  CenturyModel(const CenturyModel&) = delete;
+  CenturyModel& operator=(const CenturyModel&) = delete;
+
+  CenturyReport& report() { return report_; }
+  DeviceFleet& fleet() { return fleet_; }
+  const DeviceFleet& fleet() const { return fleet_; }
+  const SeriesSystem& hardware() const { return fleet_.class_spec(cls_).hardware; }
+  uint32_t size() const { return end_ - begin_; }
+  uint32_t zone_count() const { return std::max(1u, config_.batch.zone_count); }
+  AliveSeconds& alive() { return alive_; }
+
+  // --- Transitions at an explicit time ----------------------------------
+
+  // Deploys a new unit at the site; the engine then draws its life from
+  // SiteStream(idx), scaled by LifeScaleAt(at), and arms its failure.
+  void DeployAt(uint32_t idx, SimTime at) {
+    fleet_.DeployAt(idx, at);
+    ++report_.units_deployed;
+  }
+
+  // The unit's life stream, keyed by (site, unit generation): the same
+  // draw whichever engine, lane or window placement takes it.
+  RandomStream SiteStream(uint32_t idx) const {
+    return rng_.Derive((static_cast<uint64_t>(begin_ + idx) << 20) +
+                       fleet_.unit_generation(idx));
+  }
+
+  // Later generations last longer (technology improvement per decade).
+  double LifeScaleAt(SimTime at) const {
+    return config_.life_improvement_per_decade == 1.0
+               ? 1.0
+               : std::pow(config_.life_improvement_per_decade, at.ToYears() / 10.0);
+  }
+
+  // The unit fails `life` after its deployment. The engine has already
+  // closed its alive time.
+  void SiteFailAt(uint32_t idx, SimTime at, SimTime life) {
+    fleet_.MarkFailedAt(idx, at);
+    ++report_.total_failures;
+    report_.unit_survival.Observe(life, /*failed=*/true);
+    if (recorder_ != nullptr) {
+      recorder_->Record(kCenturySiteFail, at, begin_ + idx);
+    }
+  }
+
+  // The site's turn in its zone's maintenance round: a dead unit is
+  // replaced; a working one past the proactive refresh age is retired and
+  // replaced. `engine` supplies two steps: RetireSiteAt(idx, at) releases
+  // the unit's pending failure and closes its alive time, DeploySiteAt(idx,
+  // at) deploys a unit and arms its failure.
+  template <typename Engine>
+  void VisitSiteAt(uint32_t idx, SimTime at, Engine& engine) {
+    if (!fleet_.alive(idx)) {
+      ++report_.total_replacements;
+      engine.DeploySiteAt(idx, at);
+      return;
+    }
+    if (config_.proactive_refresh_age.micros() > 0 &&
+        at - fleet_.deployed_at(idx) >= config_.proactive_refresh_age) {
+      engine.RetireSiteAt(idx, at);
+      report_.unit_survival.Observe(at - fleet_.deployed_at(idx), /*failed=*/false);
+      fleet_.RetireAt(idx);
+      ++report_.proactive_replacements;
+      engine.DeploySiteAt(idx, at);
+    }
+  }
+
+  // A batch project reaches `zone` (site index modulo zone count): every
+  // site of the zone in this model's range, ascending, gets its visit.
+  template <typename Engine>
+  void ZoneVisitAt(uint32_t zone, SimTime at, Engine& engine) {
+    if (recorder_ != nullptr) {
+      recorder_->Record(kCenturyVisit, at, zone);
+    }
+    const uint32_t zones = zone_count();
+    for (uint32_t idx = (zone + zones - begin_ % zones) % zones; idx < size(); idx += zones) {
+      VisitSiteAt(idx, at, engine);
+    }
+  }
+
+  // --- Checkpoint/restore (`century` snapshots; whole-fleet models) -------
+
+  // Writes a `century` checkpoint at the quiescent `barrier`: `alive` is
+  // the availability integral as of the barrier, `timers` the engine's
+  // pending timers.
+  void SaveCheckpoint(SimTime barrier, const AliveSeconds& alive,
+                      const std::vector<TimerRecord>& timers);
+
+  // Restores from the plan's resume snapshot, if there is one: overlays the
+  // fleet, integral, counters and survival observations, restores the
+  // clock, hands the pending timer records to `rearm` (false + error
+  // refuses them) and applies the branch salt. Dies on a bad snapshot.
+  // Returns false on a fresh start.
+  using RearmFn = std::function<bool(const std::vector<TimerRecord>&, std::string* error)>;
+  bool Resume(const RearmFn& rearm);
+
+  // Censors the surviving units at the horizon and fills the report's
+  // results from the availability integral.
+  void Finish();
+
+ private:
+  bool Restore(const std::string& path, const RearmFn& rearm, std::string* error);
+
+  Simulation& sim_;
+  const CenturyConfig& config_;
+  CenturyReport& report_;
+  const uint32_t begin_;
+  const uint32_t end_;
+  FlightRecorder* recorder_;
+  DeviceFleet fleet_;
+  uint32_t cls_ = 0;
+  RandomStream rng_;
+  AliveSeconds alive_;
+};
+
+// Runs a serial or sampled engine on a fresh simulation of the config's
+// seed, with the config's run control attached for the run's duration.
+template <typename Engine>
+CenturyReport RunCenturyEngine(const CenturyConfig& config) {
+  Simulation sim(config.seed);
+  sim.trace().set_min_level(TraceLevel::kFailure);
+  sim.trace().EnableRetention(false);  // Fleet-scale: counts, not records.
+  sim.scheduler().AttachRunControl(config.control);
+  CenturyReport report;
+  Engine engine(sim, config, report);
+  engine.Run();
+  // Slot cleared first: no status/watchdog thread can reach the scheduler
+  // past this line.
+  sim.scheduler().DetachRunControl(config.control);
+  return report;
+}
+
+}  // namespace centsim
+
+#endif  // SRC_CORE_CENTURY_MODEL_H_

@@ -82,7 +82,7 @@ EdgeDevice::~EdgeDevice() {
 }
 
 void EdgeDevice::Deploy() {
-  fleet_.DeployAt(slot_);
+  fleet_.DeployAt(slot_, sim_.Now());
   if (!load_registered_) {
     fabric_.AddOfferedLoadAt(config_.tech, PacketsPerHour(), config_.x_m, config_.y_m);
     load_registered_ = true;
@@ -104,7 +104,7 @@ void EdgeDevice::ReplaceUnit() {
     sim_.scheduler().Cancel(failure);
     fleet_.set_failure_event(slot_, kInvalidEventId);
   }
-  fleet_.DeployAt(slot_);
+  fleet_.DeployAt(slot_, sim_.Now());
   fleet_.CountReplacementAt(slot_);
   if (sim_.TraceEnabled(TraceLevel::kMaintenance)) {
     sim_.Maint(config_.name, "unit replaced (generation " +
@@ -128,7 +128,7 @@ void EdgeDevice::ScheduleHardwareFailure() {
       draw.life,
       [this, draw] {
         fleet_.set_failure_event(slot_, kInvalidEventId);
-        fleet_.MarkFailedAt(slot_);
+        fleet_.MarkFailedAt(slot_, sim_.Now());
         if (report_event_ != kInvalidEventId) {
           sim_.scheduler().Cancel(report_event_);
           report_event_ = kInvalidEventId;

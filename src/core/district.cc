@@ -1,138 +1,54 @@
 #include "src/core/district.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <filesystem>
 
-#include "src/city/deployment.h"
-#include "src/core/fleet.h"
-#include "src/core/fleet_codec.h"
-#include "src/reliability/component.h"
+#include "src/core/district_model.h"
 #include "src/sim/ensemble.h"
-#include "src/sim/flight_recorder.h"
-#include "src/sim/simulation.h"
-#include "src/snapshot/codec.h"
-#include "src/snapshot/snapshot.h"
-#include "src/snapshot/timer_table.h"
-#include "src/telemetry/run_manifest.h"
 
 namespace centsim {
 namespace {
 
-// Domain timer tags (TimerRecord.tag) — the district's event-reconstruction
-// registry. Operand meanings: visit a=zone b=cycle; gateway timers a=g;
-// device failure a=slot.
-constexpr uint64_t kTimerVisit = 1;
-constexpr uint64_t kTimerGatewayFail = 2;
-constexpr uint64_t kTimerGatewayRepair = 3;
-constexpr uint64_t kTimerDeviceFail = 4;
-
-// Snapshot chunk tags.
-constexpr uint32_t kFleetChunk = SnapshotTag('f', 'l', 'e', 't');
-constexpr uint32_t kGatewayChunk = SnapshotTag('g', 'w', 's', 't');
-constexpr uint32_t kAccumChunk = SnapshotTag('a', 'c', 'c', 'u');
-constexpr uint32_t kTimerChunk = SnapshotTag('t', 'i', 'm', 'r');
-constexpr uint32_t kSchedChunk = SnapshotTag('s', 'c', 'h', 'd');
-constexpr uint32_t kMetricsChunk = SnapshotTag('m', 'e', 't', 'r');
-
-// District driver over DeviceFleet columns. Device hot state (alive flag,
-// operational-gateways-covering count, zone) lives in the fleet's SoA
-// columns; coverage is a CSR built with a spatial grid instead of the old
-// quadratic all-pairs scan; zone membership is precomputed as ascending
-// per-zone site lists so a batch visit walks its own zone instead of the
-// whole fleet. Scheduled closures capture [this, index] — two words, well
-// inside the event core's inline buffer.
-//
-// All domain timers route through a TimerTable, so a checkpoint at a
-// quiescent barrier can save every pending timer as a plain record and a
-// restored run can re-arm them in (time, seq) order — the registry pattern
-// that makes save-at-year-N/restore runs bit-identical to straight runs.
-class DistrictRun {
+// The serial engine: one scheduler, every domain timer routed through a
+// TimerTable so a checkpoint at a quiescent barrier saves each pending
+// timer as a plain record and a restored run re-arms them in (time, seq)
+// order — the registry pattern that makes save-at-year-N/restore runs
+// bit-identical to straight runs. Lifetime streams are keyed by running
+// counters (device replacements, gateway failures), so draws depend on the
+// global event order. Scheduled closures capture [this, index] — two
+// words, well inside the event core's inline buffer.
+class SerialDistrict {
  public:
-  DistrictRun(Simulation& sim, const DistrictConfig& config, DistrictReport& report)
+  SerialDistrict(Simulation& sim, const DistrictConfig& config, DistrictReport& report)
       : sim_(sim),
         config_(config),
-        report_(report),
-        fleet_(sim),
+        model_(sim, config, report),
         // Timer records exist only to be Save()d; a run that will never
         // write a checkpoint routes timers through untracked (free).
-        timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0),
-        rng_(sim.StreamFor(0x646973740002ULL)),
-        gateway_bom_(SeriesSystem::RaspberryPiGateway()),
-        years_(static_cast<uint32_t>(std::ceil(config.horizon.ToYears()))),
-        yearly_service_seconds_(years_, 0.0) {
-    // --- Geometry --------------------------------------------------------
-    DeploymentPlan::Params dp;
-    dp.site_count = config.device_count;
-    dp.area_km2 = config.area_km2;
-    dp.zone_grid = config.zone_grid;
-    DeploymentPlan plan(dp, sim.StreamFor(0x646973740001ULL));
-    gateway_sites_ = plan.PlanGatewayGrid(config.gateway_range_m);
-    report_.gateway_count = static_cast<uint32_t>(gateway_sites_.size());
-
-    DeviceClassSpec spec;
-    spec.name = "district-site";
-    spec.hardware = config.device_class == DeviceClassKind::kBatteryPowered
-                        ? SeriesSystem::BatteryPoweredNode()
-                        : SeriesSystem::EnergyHarvestingNode();
-    cls_ = fleet_.InternClass(spec);
-    fleet_.AddSites(plan, cls_, HarvesterModel());
-    if (config.metrics != nullptr) {
-      fleet_.EnableFleetMetrics();
-    }
-
-    zone_sites_.resize(plan.zone_count());
-    for (uint32_t d = 0; d < config.device_count; ++d) {
-      zone_sites_[fleet_.zone(d)].push_back(d);
-    }
-
-    coverage_ = BuildCoverageCsr(plan.sites(), gateway_sites_, config.gateway_range_m);
-    gateway_up_.assign(gateway_sites_.size(), 0);
-
-    std::vector<uint8_t> planned_cover(config.device_count, 0);
-    for (uint32_t d : coverage_.site_ids) {
-      planned_cover[d] = 1;
-    }
-    uint32_t covered_at_all = 0;
-    for (uint8_t c : planned_cover) {
-      covered_at_all += c;
-    }
-    report_.initial_coverage = static_cast<double>(covered_at_all) / config.device_count;
-  }
+        timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0) {}
 
   void Run() {
-    BatchProjectParams batch;
-    batch.zone_count = config_.zone_grid * config_.zone_grid;
-    batch.cycle_period = config_.batch_cycle;
-    BatchProjectScheduler batches(sim_, batch,
+    BatchProjectScheduler batches(sim_, DistrictBatches(config_),
                                   [this](uint32_t zone, uint32_t) { OnZoneVisit(zone); });
     batches.SetVisitScheduler(
         [this](SimTime at, uint32_t zone, uint32_t cycle) { ArmVisit(at, zone, cycle); });
     RegisterTimerRearms();
 
-    std::string resume_path = config_.snapshot.resume_from;
-    if (resume_path.empty() && config_.snapshot.resume_latest) {
-      resume_path = FindLatestValidSnapshot(config_.snapshot.checkpoint_dir);
-    }
-    if (!resume_path.empty()) {
-      const auto restore_start = std::chrono::steady_clock::now();
-      std::string error;
-      if (!RestoreFrom(resume_path, &error)) {
-        CheckConfigOrDie("district", {"cannot resume from " + resume_path + ": " + error});
-      }
-      report_.restore_seconds = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - restore_start)
-                                    .count();
-    } else {
+    const bool resumed =
+        model_.Resume([this](const std::vector<TimerRecord>& records, std::string* error) {
+          if (timers_.Restore(records) != 0) {
+            *error = "snapshot carries timer tags this driver does not register";
+            return false;
+          }
+          return true;
+        });
+    if (!resumed) {
       batches.ScheduleThrough(config_.horizon);
-      for (uint32_t g = 0; g < gateway_sites_.size(); ++g) {
-        SetGateway(g, true);
+      for (uint32_t g = 0; g < model_.gateway_count(); ++g) {
+        model_.SetGatewayAt(g, true, sim_.Now());
         ScheduleGatewayFailure(g);
       }
       for (uint32_t d = 0; d < config_.device_count; ++d) {
-        DeployDevice(d);
+        DeployDeviceAt(d, sim_.Now());
       }
     }
 
@@ -142,395 +58,94 @@ class DistrictRun {
       // where the run (re)started, so straight and resumed runs agree on
       // barrier times.
       const int64_t every = config_.snapshot.checkpoint_every.micros();
-      std::error_code ec;
-      std::filesystem::create_directories(config_.snapshot.checkpoint_dir, ec);
       for (int64_t next = (sim_.Now().micros() / every + 1) * every;
            next < config_.horizon.micros(); next += every) {
         sim_.scheduler().DrainToBarrier(SimTime::Micros(next));
-        SaveCheckpoint(SimTime::Micros(next));
+        model_.SaveCheckpoint(SimTime::Micros(next), timers_.Save());
       }
     }
     sim_.RunUntil(config_.horizon);
-    report_.wall_seconds =
+    DistrictReport& report = model_.report();
+    report.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count() -
-        report_.save_seconds;
-    AccumulateTo(config_.horizon);
-    report_.events_executed = sim_.scheduler().executed_count();
-    report_.fleet_bytes_per_device = fleet_.BytesPerDevice();
+        report.save_seconds;
+    model_.Finish();
+  }
 
-    const double total = config_.horizon.ToSeconds() * config_.device_count;
-    report_.mean_device_availability = alive_site_seconds_ / total;
-    report_.mean_service_availability = service_site_seconds_ / total;
-    report_.yearly_service.resize(years_);
-    const double year_total = SimTime::Years(1).ToSeconds() * config_.device_count;
-    for (uint32_t y = 0; y < years_; ++y) {
-      report_.yearly_service[y] = yearly_service_seconds_[y] / year_total;
-      report_.min_yearly_service =
-          std::min(report_.min_yearly_service, report_.yearly_service[y]);
-    }
+  // Model hook: deploys the site's unit at `at` (== Now) and arms its
+  // failure from a counter-keyed life draw.
+  void DeployDeviceAt(uint32_t d, SimTime at) {
+    model_.DeployAt(d, at);
+    RandomStream dev_rng = model_.rng().Derive(0x64650000ULL + static_cast<uint64_t>(d) * 977 +
+                                               model_.report().device_replacements);
+    const SimTime life = model_.device_bom().SampleLife(dev_rng).life;
+    ArmDeviceFailure(at + life, d);
   }
 
  private:
-  bool InService(uint32_t d) const { return fleet_.alive(d) && fleet_.covering(d) > 0; }
-
-  void AccumulateTo(SimTime now) {
-    if (now <= last_change_) {
-      return;
-    }
-    const double span = (now - last_change_).ToSeconds();
-    alive_site_seconds_ += span * static_cast<double>(fleet_.alive_count());
-    service_site_seconds_ += span * static_cast<double>(service_count_);
-    double t0 = last_change_.ToSeconds();
-    const double t1 = now.ToSeconds();
-    const double year_s = SimTime::Years(1).ToSeconds();
-    while (t0 < t1) {
-      const uint32_t y = std::min<uint32_t>(years_ - 1, static_cast<uint32_t>(t0 / year_s));
-      const double seg = std::min(t1, (y + 1) * year_s) - t0;
-      yearly_service_seconds_[y] += seg * static_cast<double>(service_count_);
-      t0 += seg;
-    }
-    last_change_ = now;
-  }
-
-  // Gateway up/down transitions adjust every covered device's counter.
-  void SetGateway(uint32_t g, bool up) {
-    if ((gateway_up_[g] != 0) == up) {
-      return;
-    }
-    AccumulateTo(sim_.Now());
-    gateway_up_[g] = up ? 1 : 0;
-    const int delta = up ? 1 : -1;
-    for (uint32_t k = coverage_.begin(g); k < coverage_.end(g); ++k) {
-      const uint32_t d = coverage_.site_ids[k];
-      const bool was = InService(d);
-      fleet_.AddCoveringAt(d, delta);
-      const bool is = InService(d);
-      if (was && !is) {
-        --service_count_;
-      } else if (!was && is) {
-        ++service_count_;
-      }
-    }
-  }
-
   // --- Domain timers (all routed through the TimerTable) ------------------
 
   void ArmVisit(SimTime at, uint32_t zone, uint32_t cycle) {
-    timers_.Schedule(at, kTimerVisit, zone, cycle, 0.0,
-                     [this, zone] { OnZoneVisit(zone); });
+    timers_.Schedule(at, kDistrictTimerVisit, zone, cycle, 0.0,
+                     [this, zone] { OnZoneVisit(zone); }, kDistrictVisit);
   }
 
   void ArmGatewayFailure(SimTime at, uint32_t g) {
-    timers_.Schedule(at, kTimerGatewayFail, g, 0, 0.0, [this, g] { OnGatewayFailure(g); });
+    timers_.Schedule(at, kDistrictTimerGatewayFail, g, 0, 0.0,
+                     [this, g] { OnGatewayFailure(g); }, kDistrictGatewayFail);
   }
 
   void ArmGatewayRepair(SimTime at, uint32_t g) {
-    timers_.Schedule(at, kTimerGatewayRepair, g, 0, 0.0, [this, g] { OnGatewayRepair(g); });
+    timers_.Schedule(at, kDistrictTimerGatewayRepair, g, 0, 0.0,
+                     [this, g] { OnGatewayRepair(g); }, kDistrictGatewayRepair);
   }
 
   void ArmDeviceFailure(SimTime at, uint32_t d) {
-    timers_.Schedule(at, kTimerDeviceFail, d, 0, 0.0, [this, d] { OnDeviceFailure(d); });
+    timers_.Schedule(at, kDistrictTimerDeviceFail, d, 0, 0.0,
+                     [this, d] { model_.DeviceFailAt(d, sim_.Now()); }, kDistrictDeviceFail);
   }
 
   void RegisterTimerRearms() {
-    timers_.Register(kTimerVisit, [this](const TimerRecord& r) {
+    timers_.Register(kDistrictTimerVisit, [this](const TimerRecord& r) {
       ArmVisit(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a),
                static_cast<uint32_t>(r.b));
     });
-    timers_.Register(kTimerGatewayFail, [this](const TimerRecord& r) {
+    timers_.Register(kDistrictTimerGatewayFail, [this](const TimerRecord& r) {
       ArmGatewayFailure(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a));
     });
-    timers_.Register(kTimerGatewayRepair, [this](const TimerRecord& r) {
+    timers_.Register(kDistrictTimerGatewayRepair, [this](const TimerRecord& r) {
       ArmGatewayRepair(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a));
     });
-    timers_.Register(kTimerDeviceFail, [this](const TimerRecord& r) {
+    timers_.Register(kDistrictTimerDeviceFail, [this](const TimerRecord& r) {
       ArmDeviceFailure(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a));
     });
   }
 
+  // --- Gateway transitions: the model's, plus counter-keyed draws ---------
+
   void ScheduleGatewayFailure(uint32_t g) {
-    RandomStream gw_rng = rng_.Derive(0x67770000ULL + g * 131 + report_.gateway_failures);
-    const SimTime life = gateway_bom_.SampleLife(gw_rng).life;
+    RandomStream gw_rng =
+        model_.rng().Derive(0x67770000ULL + g * 131 + model_.report().gateway_failures);
+    const SimTime life = model_.gateway_bom().SampleLife(gw_rng).life;
     ArmGatewayFailure(sim_.Now() + life, g);
   }
 
   void OnGatewayFailure(uint32_t g) {
-    ++report_.gateway_failures;
-    RecordControl("district.gateway_fail", g);
-    SetGateway(g, false);
+    model_.GatewayFailAt(g, sim_.Now());
     ArmGatewayRepair(sim_.Now() + config_.gateway_repair_delay, g);
   }
 
   void OnGatewayRepair(uint32_t g) {
-    ++report_.gateway_repairs;
-    RecordControl("district.gateway_repair", g);
-    SetGateway(g, true);
+    model_.GatewayRepairAt(g, sim_.Now());
     ScheduleGatewayFailure(g);
   }
 
-  void DeployDevice(uint32_t d) {
-    AccumulateTo(sim_.Now());
-    if (!fleet_.alive(d)) {
-      fleet_.DeployAt(d);
-      if (InService(d)) {
-        ++service_count_;
-      }
-    }
-    RandomStream dev_rng = rng_.Derive(0x64650000ULL + static_cast<uint64_t>(d) * 977 +
-                                       report_.device_replacements);
-    const SimTime life = fleet_.class_spec(cls_).hardware.SampleLife(dev_rng).life;
-    ArmDeviceFailure(sim_.Now() + life, d);
-  }
-
-  void OnDeviceFailure(uint32_t d) {
-    AccumulateTo(sim_.Now());
-    if (InService(d)) {
-      --service_count_;
-    }
-    fleet_.MarkFailedAt(d);
-    ++report_.device_failures;
-  }
-
-  void OnZoneVisit(uint32_t zone) {
-    RecordControl("district.zone_visit", zone);
-    for (uint32_t d : zone_sites_[zone]) {
-      if (!fleet_.alive(d)) {
-        ++report_.device_replacements;
-        DeployDevice(d);
-      }
-    }
-  }
-
-  // --- Checkpoint/restore -------------------------------------------------
-
-  // Canonical encoding of everything the constructor rebuilds from config.
-  // Two runs with equal digests rebuild identical geometry, coverage, zone
-  // lists, and RNG derivation roots, so overlaying a snapshot's mutable
-  // state is sound. Policy fields consumed at event time (repair delay) are
-  // deliberately absent — those are what branches vary.
-  std::string StructuralDigest() const {
-    ByteWriter w;
-    w.U64(config_.seed);
-    w.U32(config_.device_count);
-    w.F64(config_.area_km2);
-    w.U32(config_.zone_grid);
-    w.I64(config_.horizon.micros());
-    w.F64(config_.gateway_range_m);
-    w.I64(config_.batch_cycle.micros());
-    w.U8(static_cast<uint8_t>(config_.device_class));
-    return StructuralDigestHex(w);
-  }
-
-  void SaveCheckpoint(SimTime barrier) {
-    const auto save_start = std::chrono::steady_clock::now();
-    SnapshotMeta meta;
-    meta.experiment = "district";
-    meta.library_version = kCentsimVersion;
-    meta.structural_digest = StructuralDigest();
-    meta.barrier_us = barrier.micros();
-    meta.seed = config_.seed;
-    SnapshotWriter writer(std::move(meta));
-
-    ByteWriter fleet;
-    fleet.U64(config_.device_count);
-    for (uint32_t d = 0; d < config_.device_count; ++d) {
-      EncodeFleetSlot(fleet_.SaveSlotState(d), fleet);
-    }
-    fleet.U64(fleet_.class_count());
-    for (uint32_t c = 0; c < fleet_.class_count(); ++c) {
-      fleet.U64(fleet_.class_replacements(c));
-    }
-    writer.Add(kFleetChunk, fleet);
-
-    ByteWriter gw;
-    gw.U64(gateway_up_.size());
-    for (uint8_t up : gateway_up_) {
-      gw.U8(up);
-    }
-    writer.Add(kGatewayChunk, gw);
-
-    ByteWriter acc;
-    acc.U64(service_count_);
-    acc.I64(last_change_.micros());
-    acc.F64(alive_site_seconds_);
-    acc.F64(service_site_seconds_);
-    acc.F64Vec(yearly_service_seconds_);
-    acc.U64(report_.device_failures);
-    acc.U64(report_.device_replacements);
-    acc.U64(report_.gateway_failures);
-    acc.U64(report_.gateway_repairs);
-    writer.Add(kAccumChunk, acc);
-
-    ByteWriter timers;
-    TimerTable::Encode(timers_.Save(), timers);
-    writer.Add(kTimerChunk, timers);
-
-    ByteWriter sched;
-    sched.I64(sim_.Now().micros());
-    sched.U64(sim_.scheduler().executed_count());
-    sched.U64(sim_.scheduler().late_schedule_count());
-    writer.Add(kSchedChunk, sched);
-
-    if (config_.metrics != nullptr) {
-      ByteWriter m;
-      EncodeMetrics(*config_.metrics, m);
-      writer.Add(kMetricsChunk, m);
-    }
-
-    const std::string path =
-        config_.snapshot.checkpoint_dir + "/" + CheckpointFileName(barrier.micros());
-    std::string error;
-    const uint64_t bytes = writer.Write(path, &error);
-    if (bytes == 0) {
-      std::fprintf(stderr, "[district] checkpoint write failed: %s\n", error.c_str());
-      return;
-    }
-    // Marker only after the snapshot is durable: readers of LATEST.json
-    // (resume, the run-status watchdog) always see a complete checkpoint.
-    WriteLatestMarker(config_.snapshot.checkpoint_dir, path, barrier.micros());
-    ++report_.checkpoints_written;
-    report_.last_checkpoint_bytes = bytes;
-    report_.last_checkpoint_path = path;
-    report_.save_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - save_start).count();
-    RecordControl("district.checkpoint", static_cast<uint64_t>(barrier.micros()));
-  }
-
-  bool RestoreFrom(const std::string& path, std::string* error) {
-    SnapshotReader reader;
-    if (!reader.Open(path, error)) {
-      return false;
-    }
-    if (reader.meta().experiment != "district") {
-      *error = "snapshot is for experiment '" + reader.meta().experiment + "', not district";
-      return false;
-    }
-    if (reader.meta().structural_digest != StructuralDigest()) {
-      *error =
-          "structural config mismatch (snapshot " + reader.meta().structural_digest +
-          ", this run " + StructuralDigest() +
-          "): seed/geometry/horizon must match the saving run; only policy fields may differ";
-      return false;
-    }
-
-    ByteReader fleet = reader.Chunk(kFleetChunk);
-    if (fleet.U64() != config_.device_count) {
-      *error = "snapshot fleet size does not match config";
-      return false;
-    }
-    for (uint32_t d = 0; d < config_.device_count && fleet.ok(); ++d) {
-      fleet_.RestoreSlotState(d, DecodeFleetSlot(fleet));
-    }
-    if (fleet.U64() != fleet_.class_count()) {
-      *error = "snapshot class count does not match config";
-      return false;
-    }
-    for (uint32_t c = 0; c < fleet_.class_count() && fleet.ok(); ++c) {
-      fleet_.RestoreClassReplacements(c, fleet.U64());
-    }
-    if (!fleet.ok()) {
-      *error = "fleet chunk truncated";
-      return false;
-    }
-
-    ByteReader gw = reader.Chunk(kGatewayChunk);
-    if (gw.U64() != gateway_up_.size()) {
-      *error = "snapshot gateway count does not match config";
-      return false;
-    }
-    for (size_t g = 0; g < gateway_up_.size() && gw.ok(); ++g) {
-      gateway_up_[g] = gw.U8();
-    }
-    if (!gw.ok()) {
-      *error = "gateway chunk truncated";
-      return false;
-    }
-
-    ByteReader acc = reader.Chunk(kAccumChunk);
-    service_count_ = acc.U64();
-    last_change_ = SimTime::Micros(acc.I64());
-    alive_site_seconds_ = acc.F64();
-    service_site_seconds_ = acc.F64();
-    const std::vector<double> yearly = acc.F64Vec();
-    report_.device_failures = acc.U64();
-    report_.device_replacements = acc.U64();
-    report_.gateway_failures = acc.U64();
-    report_.gateway_repairs = acc.U64();
-    if (!acc.ok() || yearly.size() != yearly_service_seconds_.size()) {
-      *error = "accumulator chunk truncated or mis-shaped";
-      return false;
-    }
-    yearly_service_seconds_ = yearly;
-
-    if (config_.metrics != nullptr && reader.HasChunk(kMetricsChunk)) {
-      ByteReader m = reader.Chunk(kMetricsChunk);
-      if (DecodeMetricsOverlay(m, *config_.metrics) == SIZE_MAX) {
-        *error = "metrics chunk undecodable";
-        return false;
-      }
-    }
-    fleet_.RecountAggregates();
-
-    ByteReader sched = reader.Chunk(kSchedChunk);
-    const SimTime now = SimTime::Micros(sched.I64());
-    const uint64_t executed = sched.U64();
-    const uint64_t late = sched.U64();
-    if (!sched.ok()) {
-      *error = "scheduler chunk truncated";
-      return false;
-    }
-    // Clock before timers: re-armed ScheduleAt calls must see the barrier
-    // as "now" so none of them count as late.
-    sim_.scheduler().RestoreClock(now, executed, late);
-
-    ByteReader tr = reader.Chunk(kTimerChunk);
-    const std::vector<TimerRecord> records = TimerTable::Decode(tr);
-    if (!tr.ok()) {
-      *error = "timer chunk truncated";
-      return false;
-    }
-    if (timers_.Restore(records) != 0) {
-      *error = "snapshot carries timer tags this driver does not register";
-      return false;
-    }
-
-    // What-if divergence: re-key the driver's RNG root so post-restore
-    // lifetime draws explore a different future than the parent run. The
-    // default (salt 0) keeps the parent's streams — common random numbers.
-    if (config_.snapshot.branch_salt != 0) {
-      rng_ = rng_.Derive(config_.snapshot.branch_salt);
-    }
-    return true;
-  }
-
-  // Subsystem flight-recorder append (no-op without a recorder): rare
-  // lifecycle transitions worth having in a stall/crash dump.
-  void RecordControl(const char* category, uint64_t arg) {
-    if (config_.control.recorder != nullptr) {
-      config_.control.recorder->Record(category, sim_.Now(), arg);
-    }
-  }
+  void OnZoneVisit(uint32_t zone) { model_.ZoneVisitAt(zone, sim_.Now(), *this); }
 
   Simulation& sim_;
   const DistrictConfig& config_;
-  DistrictReport& report_;
-  DeviceFleet fleet_;
-  uint32_t cls_ = 0;
+  DistrictModel model_;
   TimerTable timers_;
-  RandomStream rng_;
-  const SeriesSystem gateway_bom_;
-  const uint32_t years_;
-
-  std::vector<Site> gateway_sites_;
-  CoverageCsr coverage_;
-  std::vector<uint8_t> gateway_up_;
-  std::vector<std::vector<uint32_t>> zone_sites_;  // Ascending site indices.
-
-  uint64_t service_count_ = 0;  // Alive and covered.
-  SimTime last_change_;
-  double alive_site_seconds_ = 0.0;
-  double service_site_seconds_ = 0.0;
-  std::vector<double> yearly_service_seconds_;
 };
 
 }  // namespace
@@ -592,24 +207,7 @@ DistrictReport RunDistrictScenario(const DistrictConfig& config) {
     return RunShardedDistrictScenario(config);
   }
   CheckConfigOrDie("district", config.Validate());
-  Simulation sim(config.seed);
-  sim.trace().EnableRetention(false);
-  // Bind instruments before construction so class interning can grab them.
-  sim.SetMetrics(config.metrics);
-  sim.scheduler().AttachRunControl(config.control);
-
-  DistrictReport report;
-  const auto build_start = std::chrono::steady_clock::now();
-  DistrictRun run(sim, config, report);
-  report.build_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
-  run.Run();
-
-  // Slot cleared first inside DetachRunControl: after this line no
-  // watchdog thread can reach the scheduler we are about to destroy.
-  sim.scheduler().DetachRunControl(config.control);
-  sim.SetMetrics(nullptr);
-  return report;
+  return RunDistrictEngine<SerialDistrict>(config);
 }
 
 }  // namespace centsim

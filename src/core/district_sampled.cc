@@ -5,9 +5,10 @@
 // windows — device failures, gateway fail/repair cycles, and batch visits
 // armed on the real scheduler — with fast-forward spans where the same
 // transitions are advanced by a heap-merged walk in global time order.
-// Because the walk preserves global event order, the serial engine's
-// transition accumulator (span x service_count at every change) is reused
-// verbatim, so availability integration is exact in both levels.
+// Both levels drive the shared DistrictModel (district_model.h); because
+// the walk preserves global event order, its transition accumulator (span
+// x service_count at every change) integrates availability exactly in
+// both. This engine keeps only the windows, the walk and its keyed draws.
 //
 // RNG keying: the serial district derives lifetime streams from global
 // counters (gateway_failures, device_replacements), which makes draws
@@ -26,127 +27,50 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <queue>
 #include <tuple>
 #include <vector>
 
-#include "src/city/deployment.h"
-#include "src/core/district.h"
-#include "src/core/fleet.h"
-#include "src/core/fleet_codec.h"
-#include "src/reliability/component.h"
+#include "src/core/district_model.h"
 #include "src/reliability/survival.h"
 #include "src/sim/ensemble.h"
-#include "src/sim/flight_recorder.h"
-#include "src/sim/simulation.h"
-#include "src/snapshot/codec.h"
-#include "src/snapshot/snapshot.h"
-#include "src/snapshot/timer_table.h"
 
 namespace centsim {
 namespace {
 
-// Serial engine's timer tags (district.cc) — read when restoring from a
-// serial checkpoint.
-constexpr uint64_t kTimerVisit = 1;
-constexpr uint64_t kTimerGatewayFail = 2;
-constexpr uint64_t kTimerGatewayRepair = 3;
-constexpr uint64_t kTimerDeviceFail = 4;
-
-// Serial chunk tags.
-constexpr uint32_t kFleetChunk = SnapshotTag('f', 'l', 'e', 't');
-constexpr uint32_t kGatewayChunk = SnapshotTag('g', 'w', 's', 't');
-constexpr uint32_t kAccumChunk = SnapshotTag('a', 'c', 'c', 'u');
-constexpr uint32_t kTimerChunk = SnapshotTag('t', 'i', 'm', 'r');
-constexpr uint32_t kSchedChunk = SnapshotTag('s', 'c', 'h', 'd');
-constexpr uint32_t kMetricsChunk = SnapshotTag('m', 'e', 't', 'r');
-
-class DistrictSampledRun {
+class SampledDistrict {
  public:
-  DistrictSampledRun(Simulation& sim, const DistrictConfig& config,
-                     DistrictReport& report)
+  SampledDistrict(Simulation& sim, const DistrictConfig& config, DistrictReport& report)
       : sim_(sim),
         config_(config),
-        report_(report),
-        fleet_(sim),
-        rng_(sim.StreamFor(0x646973740002ULL)),  // Serial engine's root key.
-        dev_root_(rng_.Derive(1)),
-        gw_root_(rng_.Derive(2)),
-        gateway_bom_(SeriesSystem::RaspberryPiGateway()),
-        years_(static_cast<uint32_t>(std::ceil(config.horizon.ToYears()))),
-        yearly_service_seconds_(years_, 0.0) {
-    // Geometry, classes, coverage: identical to the serial constructor, so
-    // serial snapshots' structural digests match.
-    DeploymentPlan::Params dp;
-    dp.site_count = config.device_count;
-    dp.area_km2 = config.area_km2;
-    dp.zone_grid = config.zone_grid;
-    DeploymentPlan plan(dp, sim.StreamFor(0x646973740001ULL));
-    gateway_sites_ = plan.PlanGatewayGrid(config.gateway_range_m);
-    report_.gateway_count = static_cast<uint32_t>(gateway_sites_.size());
-
-    DeviceClassSpec spec;
-    spec.name = "district-site";
-    spec.hardware = config.device_class == DeviceClassKind::kBatteryPowered
-                        ? SeriesSystem::BatteryPoweredNode()
-                        : SeriesSystem::EnergyHarvestingNode();
-    cls_ = fleet_.InternClass(spec);
-    fleet_.AddSites(plan, cls_, HarvesterModel());
-    if (config.metrics != nullptr) {
-      fleet_.EnableFleetMetrics();
-    }
-
-    zone_sites_.resize(plan.zone_count());
-    for (uint32_t d = 0; d < config.device_count; ++d) {
-      zone_sites_[fleet_.zone(d)].push_back(d);
-    }
-
-    coverage_ = BuildCoverageCsr(plan.sites(), gateway_sites_, config.gateway_range_m);
-    gateway_up_.assign(gateway_sites_.size(), 0);
-
-    std::vector<uint8_t> planned_cover(config.device_count, 0);
-    for (uint32_t d : coverage_.site_ids) {
-      planned_cover[d] = 1;
-    }
-    uint32_t covered_at_all = 0;
-    for (uint8_t c : planned_cover) {
-      covered_at_all += c;
-    }
-    report_.initial_coverage = static_cast<double>(covered_at_all) / config.device_count;
-
-    const SeriesSystem& device_bom = fleet_.class_spec(cls_).hardware;
+        model_(sim, config, report),
+        dev_root_(model_.rng().Derive(1)),
+        gw_root_(model_.rng().Derive(2)) {
+    const SeriesSystem& device_bom = model_.device_bom();
     dev_table_ = SurvivalTable::Build(
         [&device_bom](SimTime t) { return device_bom.Survival(t); });
+    const SeriesSystem& gateway_bom = model_.gateway_bom();
     gw_table_ = SurvivalTable::Build(
-        [this](SimTime t) { return gateway_bom_.Survival(t); });
-
+        [&gateway_bom](SimTime t) { return gateway_bom.Survival(t); });
     dev_fail_at_.assign(config.device_count, SimTime::Max());
-    gw_next_at_.assign(gateway_sites_.size(), SimTime::Max());
-    gw_ordinal_.assign(gateway_sites_.size(), 0);
+    gw_next_at_.assign(model_.gateway_count(), SimTime::Max());
+    gw_ordinal_.assign(model_.gateway_count(), 0);
   }
 
   void Run() {
     RecordVisitSchedule();
-
-    std::string resume_path = config_.snapshot.resume_from;
-    if (resume_path.empty() && config_.snapshot.resume_latest) {
-      resume_path = FindLatestValidSnapshot(config_.snapshot.checkpoint_dir);
-    }
-    if (!resume_path.empty()) {
-      const auto restore_start = std::chrono::steady_clock::now();
-      std::string error;
-      if (!RestoreFrom(resume_path, &error)) {
-        CheckConfigOrDie("district-sampled",
-                         {"cannot resume from " + resume_path + ": " + error});
-      }
-      report_.restore_seconds = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - restore_start)
-                                    .count();
+    const bool resumed = model_.Resume(
+        [this](const std::vector<TimerRecord>& records, std::string* error) {
+          return TakeTimerRecords(records, error);
+        });
+    if (resumed) {
+      // Per-entity roots follow a branch salt's re-key of the model root.
+      dev_root_ = model_.rng().Derive(1);
+      gw_root_ = model_.rng().Derive(2);
     } else {
-      for (uint32_t g = 0; g < gateway_sites_.size(); ++g) {
-        SetGatewayAt(g, true, sim_.Now());
+      for (uint32_t g = 0; g < model_.gateway_count(); ++g) {
+        model_.SetGatewayAt(g, true, sim_.Now());
         gw_next_at_[g] = sim_.Now() + SampleGatewayLife(g);
       }
       for (uint32_t d = 0; d < config_.device_count; ++d) {
@@ -166,28 +90,23 @@ class DistrictSampledRun {
     controller.TrackMetric("device_failures_per_device_year", &fail_samples_);
     controller.AttachProgress(config_.control.progress);
     const SamplingOutcome outcome = controller.Run(config_.horizon);
-    report_.wall_seconds =
+    DistrictReport& report = model_.report();
+    report.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-    AccumulateTo(config_.horizon);
-    report_.events_executed = sim_.scheduler().executed_count();
-    report_.fleet_bytes_per_device = fleet_.BytesPerDevice();
+    model_.Finish();
 
-    const double total = config_.horizon.ToSeconds() * config_.device_count;
-    report_.mean_device_availability = alive_site_seconds_ / total;
-    report_.mean_service_availability = service_site_seconds_ / total;
-    report_.yearly_service.resize(years_);
-    const double year_total = SimTime::Years(1).ToSeconds() * config_.device_count;
-    for (uint32_t y = 0; y < years_; ++y) {
-      report_.yearly_service[y] = yearly_service_seconds_[y] / year_total;
-      report_.min_yearly_service =
-          std::min(report_.min_yearly_service, report_.yearly_service[y]);
-    }
+    report.sampled = true;
+    report.windows_measured = outcome.windows_measured;
+    report.sim_skipped_us = outcome.sim_skipped_us;
+    report.ci_converged = outcome.converged;
+    report.metric_cis = controller.MetricSummaries();
+  }
 
-    report_.sampled = true;
-    report_.windows_measured = outcome.windows_measured;
-    report_.sim_skipped_us = outcome.sim_skipped_us;
-    report_.ci_converged = outcome.converged;
-    report_.metric_cis = controller.MetricSummaries();
+  // Model hook: deploys the site's unit and arms its keyed failure draw.
+  void DeployDeviceAt(uint32_t d, SimTime at) {
+    model_.DeployAt(d, at);
+    dev_fail_at_[d] = at + SampleDeviceLife(d);
+    ArmNext(kDevFail, d, dev_fail_at_[d]);
   }
 
  private:
@@ -202,15 +121,8 @@ class DistrictSampledRun {
   enum class Phase : uint8_t { kIdle, kWindow, kWalk };
   using WalkEvent = std::tuple<int64_t, uint8_t, uint32_t>;  // (at_us, kind, entity).
 
-  bool InService(uint32_t d) const { return fleet_.alive(d) && fleet_.covering(d) > 0; }
-
-  uint32_t ZoneCount() const { return config_.zone_grid * config_.zone_grid; }
-
   void RecordVisitSchedule() {
-    BatchProjectParams batch;
-    batch.zone_count = ZoneCount();
-    batch.cycle_period = config_.batch_cycle;
-    BatchProjectScheduler batches(sim_, batch, [](uint32_t, uint32_t) {});
+    BatchProjectScheduler batches(sim_, DistrictBatches(config_), [](uint32_t, uint32_t) {});
     batches.SetVisitScheduler([this](SimTime at, uint32_t zone, uint32_t /*cycle*/) {
       visits_.push_back({at, zone});
     });
@@ -219,52 +131,42 @@ class DistrictSampledRun {
                      [](const Visit& a, const Visit& b) { return a.at < b.at; });
   }
 
-  // The serial engine's transition accumulator, verbatim: called before
-  // every alive/covered change with the change's time — sim_.Now() inside
-  // a window, the popped event time during the walk.
-  void AccumulateTo(SimTime now) {
-    if (now <= last_change_) {
-      return;
-    }
-    const double span = (now - last_change_).ToSeconds();
-    alive_site_seconds_ += span * static_cast<double>(fleet_.alive_count());
-    service_site_seconds_ += span * static_cast<double>(service_count_);
-    double t0 = last_change_.ToSeconds();
-    const double t1 = now.ToSeconds();
-    const double year_s = SimTime::Years(1).ToSeconds();
-    while (t0 < t1) {
-      const uint32_t y = std::min<uint32_t>(years_ - 1, static_cast<uint32_t>(t0 / year_s));
-      const double seg = std::min(t1, (y + 1) * year_s) - t0;
-      yearly_service_seconds_[y] += seg * static_cast<double>(service_count_);
-      t0 += seg;
-    }
-    last_change_ = now;
-  }
-
-  void SetGatewayAt(uint32_t g, bool up, SimTime at) {
-    if ((gateway_up_[g] != 0) == up) {
-      return;
-    }
-    AccumulateTo(at);
-    gateway_up_[g] = up ? 1 : 0;
-    const int delta = up ? 1 : -1;
-    for (uint32_t k = coverage_.begin(g); k < coverage_.end(g); ++k) {
-      const uint32_t d = coverage_.site_ids[k];
-      const bool was = InService(d);
-      fleet_.AddCoveringAt(d, delta);
-      const bool is = InService(d);
-      if (was && !is) {
-        --service_count_;
-      } else if (!was && is) {
-        ++service_count_;
+  // A serial checkpoint's pending timers become walk columns: visit
+  // records are redundant with the re-recorded schedule (keyed jitter
+  // draws), the rest carry each entity's next transition time.
+  bool TakeTimerRecords(const std::vector<TimerRecord>& records, std::string* error) {
+    for (const TimerRecord& r : records) {
+      const uint32_t entity = static_cast<uint32_t>(r.a);
+      switch (r.tag) {
+        case kDistrictTimerVisit:
+          break;
+        case kDistrictTimerGatewayFail:
+        case kDistrictTimerGatewayRepair:
+          if (entity >= gw_next_at_.size()) {
+            *error = "gateway timer record out of range";
+            return false;
+          }
+          gw_next_at_[entity] = SimTime::Micros(r.at_us);
+          break;
+        case kDistrictTimerDeviceFail:
+          if (entity >= config_.device_count) {
+            *error = "device timer record out of range";
+            return false;
+          }
+          dev_fail_at_[entity] = SimTime::Micros(r.at_us);
+          break;
+        default:
+          *error = "snapshot carries timer tags this driver does not register";
+          return false;
       }
     }
+    return true;
   }
 
   // Per-entity keyed draws (see file comment): one NextDouble per life.
   SimTime SampleDeviceLife(uint32_t d) {
     RandomStream stream = dev_root_.Derive((static_cast<uint64_t>(d) << 24) |
-                                           fleet_.unit_generation(d));
+                                           model_.fleet().unit_generation(d));
     return dev_table_.Sample(stream);
   }
 
@@ -283,22 +185,23 @@ class DistrictSampledRun {
   void ArmNext(Kind kind, uint32_t entity, SimTime at) {
     if (phase_ == Phase::kWindow) {
       if (at < win_w1_) {
+        Scheduler& sched = sim_.scheduler();
         switch (kind) {
           case kGwFail:
-            sim_.scheduler().ScheduleAt(
-                at, [this, entity] { GatewayFailAt(entity, sim_.Now()); });
+            sched.ScheduleAt(at, [this, entity] { GatewayFailAt(entity, sim_.Now()); },
+                             kDistrictGatewayFail);
             break;
           case kGwRepair:
-            sim_.scheduler().ScheduleAt(
-                at, [this, entity] { GatewayRepairAt(entity, sim_.Now()); });
+            sched.ScheduleAt(at, [this, entity] { GatewayRepairAt(entity, sim_.Now()); },
+                             kDistrictGatewayRepair);
             break;
           case kDevFail:
-            sim_.scheduler().ScheduleAt(
-                at, [this, entity] { DeviceFailAt(entity, sim_.Now()); });
+            sched.ScheduleAt(at, [this, entity] { model_.DeviceFailAt(entity, sim_.Now()); },
+                             kDistrictDeviceFail);
             break;
           case kVisit:
-            sim_.scheduler().ScheduleAt(
-                at, [this, entity] { ZoneVisitAt(entity, sim_.Now()); });
+            sched.ScheduleAt(at, [this, entity] { ZoneVisitAt(entity, sim_.Now()); },
+                             kDistrictVisit);
             break;
         }
       }
@@ -309,64 +212,31 @@ class DistrictSampledRun {
     }
   }
 
-  // --- Shared transitions (window handlers and walk) ----------------------
-
-  void DeployDeviceAt(uint32_t d, SimTime at) {
-    AccumulateTo(at);
-    if (!fleet_.alive(d)) {
-      fleet_.DeployAtTime(d, at);
-      if (InService(d)) {
-        ++service_count_;
-      }
-    }
-    dev_fail_at_[d] = at + SampleDeviceLife(d);
-    ArmNext(kDevFail, d, dev_fail_at_[d]);
-  }
-
-  void DeviceFailAt(uint32_t d, SimTime at) {
-    AccumulateTo(at);
-    if (InService(d)) {
-      --service_count_;
-    }
-    fleet_.MarkFailedAtTime(d, at);
-    ++report_.device_failures;
-  }
+  // --- Transitions: the model's, plus keyed successor draws ---------------
 
   void GatewayFailAt(uint32_t g, SimTime at) {
-    ++report_.gateway_failures;
-    RecordControl("district.gateway_fail", g, at);
-    SetGatewayAt(g, false, at);
+    model_.GatewayFailAt(g, at);
     gw_next_at_[g] = at + config_.gateway_repair_delay;
     ArmNext(kGwRepair, g, gw_next_at_[g]);
   }
 
   void GatewayRepairAt(uint32_t g, SimTime at) {
-    ++report_.gateway_repairs;
-    RecordControl("district.gateway_repair", g, at);
-    SetGatewayAt(g, true, at);
+    model_.GatewayRepairAt(g, at);
     gw_next_at_[g] = at + SampleGatewayLife(g);
     ArmNext(kGwFail, g, gw_next_at_[g]);
   }
 
-  void ZoneVisitAt(uint32_t zone, SimTime at) {
-    RecordControl("district.zone_visit", zone, at);
-    for (uint32_t d : zone_sites_[zone]) {
-      if (!fleet_.alive(d)) {
-        ++report_.device_replacements;
-        DeployDeviceAt(d, at);
-      }
-    }
-  }
+  void ZoneVisitAt(uint32_t zone, SimTime at) { model_.ZoneVisitAt(zone, at, *this); }
 
   // --- Detailed windows ---------------------------------------------------
 
   void BeginWindow(SimTime w0, SimTime w1) {
     phase_ = Phase::kWindow;
     win_w1_ = w1;
-    AccumulateTo(w0);
-    win_service_base_ = service_site_seconds_;
-    win_alive_base_ = alive_site_seconds_;
-    win_fail_base_ = report_.device_failures;
+    model_.AccumulateTo(w0);
+    win_service_base_ = model_.service_site_seconds();
+    win_alive_base_ = model_.alive_site_seconds();
+    win_fail_base_ = model_.report().device_failures;
 
     // Arm in kind order — the walk heap's equal-time tie-break.
     const auto first = std::lower_bound(
@@ -377,24 +247,24 @@ class DistrictSampledRun {
     }
     for (uint32_t g = 0; g < gw_next_at_.size(); ++g) {
       if (gw_next_at_[g] < w1) {
-        ArmNext(gateway_up_[g] != 0 ? kGwFail : kGwRepair, g, gw_next_at_[g]);
+        ArmNext(model_.gateway_up(g) ? kGwFail : kGwRepair, g, gw_next_at_[g]);
       }
     }
     for (uint32_t d = 0; d < config_.device_count; ++d) {
-      if (fleet_.alive(d) && dev_fail_at_[d] < w1) {
+      if (model_.fleet().alive(d) && dev_fail_at_[d] < w1) {
         ArmNext(kDevFail, d, dev_fail_at_[d]);
       }
     }
   }
 
   void EndWindow(SimTime w0, SimTime w1) {
-    AccumulateTo(w1);
+    model_.AccumulateTo(w1);
     const double device_seconds = (w1 - w0).ToSeconds() * config_.device_count;
     const double device_years = (w1 - w0).ToYears() * config_.device_count;
-    service_samples_.Add((service_site_seconds_ - win_service_base_) / device_seconds);
-    device_samples_.Add((alive_site_seconds_ - win_alive_base_) / device_seconds);
+    service_samples_.Add((model_.service_site_seconds() - win_service_base_) / device_seconds);
+    device_samples_.Add((model_.alive_site_seconds() - win_alive_base_) / device_seconds);
     fail_samples_.Add(
-        static_cast<double>(report_.device_failures - win_fail_base_) / device_years);
+        static_cast<double>(model_.report().device_failures - win_fail_base_) / device_years);
     phase_ = Phase::kIdle;
   }
 
@@ -414,11 +284,11 @@ class DistrictSampledRun {
     for (uint32_t g = 0; g < gw_next_at_.size(); ++g) {
       if (gw_next_at_[g] >= from && gw_next_at_[g] < to) {
         heap_.push({gw_next_at_[g].micros(),
-                    static_cast<uint8_t>(gateway_up_[g] != 0 ? kGwFail : kGwRepair), g});
+                    static_cast<uint8_t>(model_.gateway_up(g) ? kGwFail : kGwRepair), g});
       }
     }
     for (uint32_t d = 0; d < config_.device_count; ++d) {
-      if (fleet_.alive(d) && dev_fail_at_[d] >= from && dev_fail_at_[d] < to) {
+      if (model_.fleet().alive(d) && dev_fail_at_[d] >= from && dev_fail_at_[d] < to) {
         heap_.push({dev_fail_at_[d].micros(), kDevFail, d});
       }
     }
@@ -442,179 +312,18 @@ class DistrictSampledRun {
           GatewayRepairAt(entity, at);
           break;
         case kDevFail:
-          DeviceFailAt(entity, at);
+          model_.DeviceFailAt(entity, at);
           break;
       }
     }
     phase_ = Phase::kIdle;
   }
 
-  // --- Restore (from a serial "district" checkpoint) ----------------------
-
-  // Byte-identical to the serial engine's structural digest.
-  std::string StructuralDigest() const {
-    ByteWriter w;
-    w.U64(config_.seed);
-    w.U32(config_.device_count);
-    w.F64(config_.area_km2);
-    w.U32(config_.zone_grid);
-    w.I64(config_.horizon.micros());
-    w.F64(config_.gateway_range_m);
-    w.I64(config_.batch_cycle.micros());
-    w.U8(static_cast<uint8_t>(config_.device_class));
-    return StructuralDigestHex(w);
-  }
-
-  bool RestoreFrom(const std::string& path, std::string* error) {
-    SnapshotReader reader;
-    if (!reader.Open(path, error)) {
-      return false;
-    }
-    if (reader.meta().experiment != "district") {
-      *error = "snapshot is for experiment '" + reader.meta().experiment + "', not district";
-      return false;
-    }
-    if (reader.meta().structural_digest != StructuralDigest()) {
-      *error =
-          "structural config mismatch (snapshot " + reader.meta().structural_digest +
-          ", this run " + StructuralDigest() +
-          "): seed/geometry/horizon must match the saving run; only policy fields may differ";
-      return false;
-    }
-
-    ByteReader fleet = reader.Chunk(kFleetChunk);
-    if (fleet.U64() != config_.device_count) {
-      *error = "snapshot fleet size does not match config";
-      return false;
-    }
-    for (uint32_t d = 0; d < config_.device_count && fleet.ok(); ++d) {
-      fleet_.RestoreSlotState(d, DecodeFleetSlot(fleet));
-    }
-    if (fleet.U64() != fleet_.class_count()) {
-      *error = "snapshot class count does not match config";
-      return false;
-    }
-    for (uint32_t c = 0; c < fleet_.class_count() && fleet.ok(); ++c) {
-      fleet_.RestoreClassReplacements(c, fleet.U64());
-    }
-    if (!fleet.ok()) {
-      *error = "fleet chunk truncated";
-      return false;
-    }
-
-    ByteReader gw = reader.Chunk(kGatewayChunk);
-    if (gw.U64() != gateway_up_.size()) {
-      *error = "snapshot gateway count does not match config";
-      return false;
-    }
-    for (size_t g = 0; g < gateway_up_.size() && gw.ok(); ++g) {
-      gateway_up_[g] = gw.U8();
-    }
-    if (!gw.ok()) {
-      *error = "gateway chunk truncated";
-      return false;
-    }
-
-    ByteReader acc = reader.Chunk(kAccumChunk);
-    service_count_ = acc.U64();
-    last_change_ = SimTime::Micros(acc.I64());
-    alive_site_seconds_ = acc.F64();
-    service_site_seconds_ = acc.F64();
-    const std::vector<double> yearly = acc.F64Vec();
-    report_.device_failures = acc.U64();
-    report_.device_replacements = acc.U64();
-    report_.gateway_failures = acc.U64();
-    report_.gateway_repairs = acc.U64();
-    if (!acc.ok() || yearly.size() != yearly_service_seconds_.size()) {
-      *error = "accumulator chunk truncated or mis-shaped";
-      return false;
-    }
-    yearly_service_seconds_ = yearly;
-
-    if (config_.metrics != nullptr && reader.HasChunk(kMetricsChunk)) {
-      ByteReader m = reader.Chunk(kMetricsChunk);
-      if (DecodeMetricsOverlay(m, *config_.metrics) == SIZE_MAX) {
-        *error = "metrics chunk undecodable";
-        return false;
-      }
-    }
-    fleet_.RecountAggregates();
-
-    ByteReader sched = reader.Chunk(kSchedChunk);
-    const SimTime now = SimTime::Micros(sched.I64());
-    const uint64_t executed = sched.U64();
-    const uint64_t late = sched.U64();
-    if (!sched.ok()) {
-      *error = "scheduler chunk truncated";
-      return false;
-    }
-    sim_.scheduler().RestoreClock(now, executed, late);
-
-    // Pending timer records become walk columns: visit records are
-    // redundant with the re-recorded schedule (keyed jitter draws), the
-    // rest carry each entity's next transition time.
-    ByteReader tr = reader.Chunk(kTimerChunk);
-    const std::vector<TimerRecord> records = TimerTable::Decode(tr);
-    if (!tr.ok()) {
-      *error = "timer chunk truncated";
-      return false;
-    }
-    for (const TimerRecord& r : records) {
-      const uint32_t entity = static_cast<uint32_t>(r.a);
-      switch (r.tag) {
-        case kTimerVisit:
-          break;
-        case kTimerGatewayFail:
-        case kTimerGatewayRepair:
-          if (entity >= gw_next_at_.size()) {
-            *error = "gateway timer record out of range";
-            return false;
-          }
-          gw_next_at_[entity] = SimTime::Micros(r.at_us);
-          break;
-        case kTimerDeviceFail:
-          if (entity >= config_.device_count) {
-            *error = "device timer record out of range";
-            return false;
-          }
-          dev_fail_at_[entity] = SimTime::Micros(r.at_us);
-          break;
-        default:
-          *error = "snapshot carries timer tags this driver does not register";
-          return false;
-      }
-    }
-
-    if (config_.snapshot.branch_salt != 0) {
-      rng_ = rng_.Derive(config_.snapshot.branch_salt);
-      dev_root_ = rng_.Derive(1);
-      gw_root_ = rng_.Derive(2);
-    }
-    return true;
-  }
-
-  void RecordControl(const char* category, uint64_t arg, SimTime at) {
-    if (config_.control.recorder != nullptr) {
-      config_.control.recorder->Record(category, at, arg);
-    }
-  }
-
   Simulation& sim_;
   const DistrictConfig& config_;
-  DistrictReport& report_;
-  DeviceFleet fleet_;
-  uint32_t cls_ = 0;
-  RandomStream rng_;
+  DistrictModel model_;
   RandomStream dev_root_;
   RandomStream gw_root_;
-  const SeriesSystem gateway_bom_;
-  const uint32_t years_;
-
-  std::vector<Site> gateway_sites_;
-  CoverageCsr coverage_;
-  std::vector<uint8_t> gateway_up_;
-  std::vector<std::vector<uint32_t>> zone_sites_;
-
   SurvivalTable dev_table_;
   SurvivalTable gw_table_;
 
@@ -623,12 +332,6 @@ class DistrictSampledRun {
   std::vector<SimTime> dev_fail_at_;     // Valid while the device is alive.
   std::vector<SimTime> gw_next_at_;      // Fail when up, repair when down.
   std::vector<uint32_t> gw_ordinal_;     // Life draws consumed per gateway.
-
-  uint64_t service_count_ = 0;
-  SimTime last_change_;
-  double alive_site_seconds_ = 0.0;
-  double service_site_seconds_ = 0.0;
-  std::vector<double> yearly_service_seconds_;
 
   Phase phase_ = Phase::kIdle;
   SimTime win_w1_;
@@ -651,21 +354,7 @@ DistrictReport RunSampledDistrictScenario(const DistrictConfig& config) {
     CheckConfigOrDie("district-sampled",
                      {"RunSampledDistrictScenario requires sampling.mode == kSampled"});
   }
-  Simulation sim(config.seed);
-  sim.trace().EnableRetention(false);
-  sim.SetMetrics(config.metrics);
-  sim.scheduler().AttachRunControl(config.control);
-
-  DistrictReport report;
-  const auto build_start = std::chrono::steady_clock::now();
-  DistrictSampledRun run(sim, config, report);
-  report.build_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
-  run.Run();
-
-  sim.scheduler().DetachRunControl(config.control);
-  sim.SetMetrics(nullptr);
-  return report;
+  return RunDistrictEngine<SampledDistrict>(config);
 }
 
 }  // namespace centsim

@@ -34,26 +34,18 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/city/deployment.h"
-#include "src/core/fleet.h"
+#include "src/core/district_model.h"
 #include "src/core/fleet_codec.h"
 #include "src/mgmt/batch_project.h"
-#include "src/reliability/component.h"
 #include "src/sim/ensemble.h"
-#include "src/sim/flight_recorder.h"
 #include "src/sim/shard_bus.h"
 #include "src/sim/shard_coordinator.h"
-#include "src/sim/simulation.h"
 #include "src/sim/thread_pool.h"
-#include "src/snapshot/bytes.h"
-#include "src/snapshot/codec.h"
 #include "src/snapshot/snapshot.h"
 #include "src/telemetry/run_manifest.h"
 
@@ -76,7 +68,10 @@ inline uint64_t EntityKey(uint64_t index, uint32_t ordinal) {
   return (index << 24) | ordinal;
 }
 
-// Snapshot chunk tags ("district-shard" experiment).
+// Snapshot chunk tags ("district-shard" experiment). The structural
+// digest is the model's (DistrictStructuralDigest): the shard layout
+// (shards/workers/window) is deliberately absent, so a snapshot taken under
+// K shards restores under any K'.
 constexpr uint32_t kShardFleetChunk = SnapshotTag('f', 'l', 'e', 't');
 constexpr uint32_t kShardGatewayChunk = SnapshotTag('g', 'w', 'r', 'c');
 constexpr uint32_t kShardAccumChunk = SnapshotTag('a', 'c', 'c', 'u');
@@ -93,30 +88,6 @@ U128 ReadU128(ByteReader& r) {
 }
 
 double U128Seconds(U128 us) { return static_cast<double>(us) / 1e6; }
-
-// Same structural fields as the serial district digest (the geometry and
-// pre-scheduled visit grid both engines rebuild from config). The shard
-// layout (shards/workers/window) is deliberately absent: a snapshot taken
-// under K shards restores under any K'.
-std::string ShardStructuralDigest(const DistrictConfig& config) {
-  ByteWriter w;
-  w.U64(config.seed);
-  w.U32(config.device_count);
-  w.F64(config.area_km2);
-  w.U32(config.zone_grid);
-  w.I64(config.horizon.micros());
-  w.F64(config.gateway_range_m);
-  w.I64(config.batch_cycle.micros());
-  w.U8(static_cast<uint8_t>(config.device_class));
-  return StructuralDigestHex(w);
-}
-
-BatchProjectParams BatchParams(const DistrictConfig& config) {
-  BatchProjectParams batch;
-  batch.zone_count = config.zone_grid * config.zone_grid;
-  batch.cycle_period = config.batch_cycle;
-  return batch;
-}
 
 // Gateway fail/repair recurrence, advanced identically by the emission
 // cursor (through barrier + W), the committed cursor (through the barrier,
@@ -151,26 +122,6 @@ void AdvanceCursor(GatewayCursor& c, const RandomStream& gw_root, const SeriesSy
   }
 }
 
-// Geometry built once on the main thread and shared read-only by lanes.
-struct SharedGeometry {
-  SharedGeometry(const DistrictConfig& config, const RandomStream& geometry_stream)
-      : plan(PlanParams(config), geometry_stream),
-        gateway_sites(plan.PlanGatewayGrid(config.gateway_range_m)),
-        coverage(BuildCoverageCsr(plan.sites(), gateway_sites, config.gateway_range_m)) {}
-
-  static DeploymentPlan::Params PlanParams(const DistrictConfig& config) {
-    DeploymentPlan::Params dp;
-    dp.site_count = config.device_count;
-    dp.area_km2 = config.area_km2;
-    dp.zone_grid = config.zone_grid;
-    return dp;
-  }
-
-  DeploymentPlan plan;
-  std::vector<Site> gateway_sites;
-  CoverageCsr coverage;
-};
-
 // Order-free merged totals (integer microsecond-counts + counters).
 struct LaneTotals {
   U128 alive_us = 0;
@@ -197,7 +148,7 @@ struct RestoreState {
 
 class DistrictShardLane final : public ShardLane {
  public:
-  DistrictShardLane(const DistrictConfig& config, const SharedGeometry& geo, ShardBus& bus,
+  DistrictShardLane(const DistrictConfig& config, const DistrictGeometry& geo, ShardBus& bus,
                     uint32_t lane, uint32_t shards, uint32_t begin, uint32_t end,
                     const RestoreState* restore, FlightRecorder* recorder)
       : config_(config),
@@ -216,7 +167,7 @@ class DistrictShardLane final : public ShardLane {
         gateway_bom_(SeriesSystem::RaspberryPiGateway()),
         years_(static_cast<uint32_t>(std::ceil(config.horizon.ToYears()))),
         yearly_service_us_(years_, 0),
-        batches_(sim_, BatchParams(config),
+        batches_(sim_, DistrictBatches(config),
                  [this](uint32_t zone, uint32_t) { OnZoneVisit(zone); }) {
     sim_.trace().EnableRetention(false);
     // All lanes arm every zone's visits (identical jitter draws from the
@@ -226,7 +177,7 @@ class DistrictShardLane final : public ShardLane {
     // visits already ran in the saving run's DrainToBarrier.
     batches_.SetVisitScheduler([this](SimTime at, uint32_t zone, uint32_t) {
       if (at.micros() > restore_barrier_us_) {
-        sim_.scheduler().ScheduleAt(at, [this, zone] { OnZoneVisit(zone); }, "shard.visit");
+        sim_.scheduler().ScheduleAt(at, [this, zone] { OnZoneVisit(zone); }, kDistrictVisit);
       }
     });
     if (restore_ != nullptr && config_.snapshot.branch_salt != 0) {
@@ -238,13 +189,8 @@ class DistrictShardLane final : public ShardLane {
   // --- ShardLane ----------------------------------------------------------
 
   void Setup(SimTime cover) override {
-    DeviceClassSpec spec;
-    spec.name = "district-site";
-    spec.hardware = config_.device_class == DeviceClassKind::kBatteryPowered
-                        ? SeriesSystem::BatteryPoweredNode()
-                        : SeriesSystem::EnergyHarvestingNode();
-    cls_ = fleet_.InternClass(spec);
-    fleet_.AddSitesRange(geo_.plan, cls_, HarvesterModel(), begin_, end_);
+    cls_ = fleet_.InternClass(DistrictSiteClass(config_));
+    fleet_.AddSites(geo_.plan, cls_, HarvesterModel(), begin_, end_);
 
     const uint32_t count = end_ - begin_;
     zone_local_.resize(geo_.plan.zone_count());
@@ -294,7 +240,7 @@ class DistrictShardLane final : public ShardLane {
       const bool up = m.kind == kMsgGatewayUp;
       sim_.scheduler().ScheduleAt(SimTime::Micros(m.at_us),
                                   [this, g, up] { ApplyGateway(g, up, /*owned=*/false); },
-                                  "shard.gw");
+                                  up ? kDistrictGatewayRepair : kDistrictGatewayFail);
     });
     ExtendOwned(cover.micros());
     sim_.scheduler().DrainToBarrier(barrier);
@@ -437,7 +383,7 @@ class DistrictShardLane final : public ShardLane {
         const bool down = c.next_is_down != 0;
         sim_.scheduler().ScheduleAt(SimTime::Micros(at),
                                     [this, g, down] { ApplyGateway(g, !down, /*owned=*/true); },
-                                    "shard.gw");
+                                    down ? kDistrictGatewayFail : kDistrictGatewayRepair);
         ShardMessage m;
         m.at_us = at;
         m.kind = down ? kMsgGatewayDown : kMsgGatewayUp;
@@ -454,14 +400,11 @@ class DistrictShardLane final : public ShardLane {
     if (owned) {
       if (up) {
         ++gateway_repairs_;
-        if (recorder_ != nullptr) {
-          recorder_->Record("district.gateway_repair", sim_.Now(), g);
-        }
       } else {
         ++gateway_failures_;
-        if (recorder_ != nullptr) {
-          recorder_->Record("district.gateway_fail", sim_.Now(), g);
-        }
+      }
+      if (recorder_ != nullptr) {
+        recorder_->Record(up ? kDistrictGatewayRepair : kDistrictGatewayFail, sim_.Now(), g);
       }
     }
     if ((gateway_up_[g] != 0) == up) {
@@ -484,13 +427,13 @@ class DistrictShardLane final : public ShardLane {
   }
 
   void ArmDeviceFailure(uint32_t ld, SimTime at) {
-    sim_.scheduler().ScheduleAt(at, [this, ld] { OnDeviceFailure(ld); }, "shard.devfail");
+    sim_.scheduler().ScheduleAt(at, [this, ld] { OnDeviceFailure(ld); }, kDistrictDeviceFail);
   }
 
   void DeployDevice(uint32_t ld) {
     AccumulateTo(sim_.Now().micros());
     if (!fleet_.alive(ld)) {
-      fleet_.DeployAt(ld);
+      fleet_.DeployAt(ld, sim_.Now());
       if (InService(ld)) {
         ++service_count_;
       }
@@ -510,13 +453,13 @@ class DistrictShardLane final : public ShardLane {
     if (InService(ld)) {
       --service_count_;
     }
-    fleet_.MarkFailedAt(ld);
+    fleet_.MarkFailedAt(ld, sim_.Now());
     ++device_failures_;
   }
 
   void OnZoneVisit(uint32_t zone) {
     if (recorder_ != nullptr) {
-      recorder_->Record("district.zone_visit", sim_.Now(), zone);
+      recorder_->Record(kDistrictVisit, sim_.Now(), zone);
     }
     for (uint32_t ld : zone_local_[zone]) {
       if (!fleet_.alive(ld)) {
@@ -527,7 +470,7 @@ class DistrictShardLane final : public ShardLane {
   }
 
   const DistrictConfig& config_;
-  const SharedGeometry& geo_;
+  const DistrictGeometry& geo_;
   ShardBus& bus_;
   const uint32_t lane_;
   const uint32_t shards_;
@@ -563,7 +506,7 @@ class DistrictShardLane final : public ShardLane {
   uint64_t gateway_repairs_ = 0;
 };
 
-void SaveShardCheckpoint(const DistrictConfig& config, const SharedGeometry& geo,
+void SaveShardCheckpoint(const DistrictConfig& config, const DistrictGeometry& geo,
                          const std::vector<std::unique_ptr<DistrictShardLane>>& lanes,
                          const LaneTotals& base, uint64_t base_years, SimTime barrier,
                          DistrictReport& report) {
@@ -571,7 +514,7 @@ void SaveShardCheckpoint(const DistrictConfig& config, const SharedGeometry& geo
   SnapshotMeta meta;
   meta.experiment = "district-shard";
   meta.library_version = kCentsimVersion;
-  meta.structural_digest = ShardStructuralDigest(config);
+  meta.structural_digest = DistrictStructuralDigest(config);
   meta.barrier_us = barrier.micros();
   meta.seed = config.seed;
   SnapshotWriter writer(std::move(meta));
@@ -619,15 +562,12 @@ void SaveShardCheckpoint(const DistrictConfig& config, const SharedGeometry& geo
   acc.U64(executed);
   writer.Add(kShardAccumChunk, acc);
 
-  const std::string path =
-      config.snapshot.checkpoint_dir + "/" + CheckpointFileName(barrier.micros());
-  std::string error;
-  const uint64_t bytes = writer.Write(path, &error);
+  std::string path;
+  const uint64_t bytes =
+      WriteCheckpoint(writer, config.snapshot.checkpoint_dir, barrier.micros(), &path);
   if (bytes == 0) {
-    std::fprintf(stderr, "[district-shard] checkpoint write failed: %s\n", error.c_str());
     return;
   }
-  WriteLatestMarker(config.snapshot.checkpoint_dir, path, barrier.micros());
   ++report.checkpoints_written;
   report.last_checkpoint_bytes = bytes;
   report.last_checkpoint_path = path;
@@ -638,19 +578,7 @@ void SaveShardCheckpoint(const DistrictConfig& config, const SharedGeometry& geo
 bool LoadShardSnapshot(const std::string& path, const DistrictConfig& config, uint32_t n_gw,
                        uint32_t years, RestoreState& rs, std::string* error) {
   SnapshotReader reader;
-  if (!reader.Open(path, error)) {
-    return false;
-  }
-  if (reader.meta().experiment != "district-shard") {
-    *error = "snapshot is for experiment '" + reader.meta().experiment +
-             "', not district-shard";
-    return false;
-  }
-  if (reader.meta().structural_digest != ShardStructuralDigest(config)) {
-    *error = "structural config mismatch (snapshot " + reader.meta().structural_digest +
-             ", this run " + ShardStructuralDigest(config) +
-             "): seed/geometry/horizon must match the saving run; only policy fields and "
-             "the shard layout may differ";
+  if (!OpenCheckpoint(reader, path, "district-shard", DistrictStructuralDigest(config), error)) {
     return false;
   }
 
@@ -731,27 +659,14 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
   const auto build_start = std::chrono::steady_clock::now();
   const uint32_t shards = std::min(config.shard.shards, config.device_count);
 
-  const SharedGeometry geo(config, RandomStream(config.seed).Derive(0x646973740001ULL));
+  const DistrictGeometry geo(config);
   report.gateway_count = static_cast<uint32_t>(geo.gateway_sites.size());
-  {
-    std::vector<uint8_t> planned_cover(config.device_count, 0);
-    for (uint32_t d : geo.coverage.site_ids) {
-      planned_cover[d] = 1;
-    }
-    uint32_t covered_at_all = 0;
-    for (uint8_t c : planned_cover) {
-      covered_at_all += c;
-    }
-    report.initial_coverage = static_cast<double>(covered_at_all) / config.device_count;
-  }
+  report.initial_coverage = geo.InitialCoverage();
   const uint32_t years = static_cast<uint32_t>(std::ceil(config.horizon.ToYears()));
 
   RestoreState rs;
   bool restoring = false;
-  std::string resume_path = config.snapshot.resume_from;
-  if (resume_path.empty() && config.snapshot.resume_latest) {
-    resume_path = FindLatestValidSnapshot(config.snapshot.checkpoint_dir);
-  }
+  const std::string resume_path = ResolveResumePath(config.snapshot);
   if (!resume_path.empty()) {
     const auto restore_start = std::chrono::steady_clock::now();
     std::string error;
@@ -792,8 +707,6 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
   opts.progress = config.shard.shard_progress;
   opts.replica_progress = config.control.progress;
   if (config.snapshot.checkpoint_every.micros() > 0) {
-    std::error_code ec;
-    std::filesystem::create_directories(config.snapshot.checkpoint_dir, ec);
     opts.on_checkpoint = [&](SimTime barrier) {
       SaveShardCheckpoint(config, geo, lanes, restoring ? rs.base : LaneTotals{}, years,
                           barrier, report);

@@ -155,21 +155,8 @@ DeviceHandle DeviceFleet::Add(uint32_t cls, double x_m, double y_m, uint32_t zon
 }
 
 DeviceHandle DeviceFleet::AddSites(const DeploymentPlan& plan, uint32_t cls,
-                                   const HarvesterModel& harvester) {
-  DeviceHandle first = kInvalidDeviceHandle;
-  Reserve(capacity() + plan.sites().size());
-  for (const Site& site : plan.sites()) {
-    const DeviceHandle h = Add(cls, site.x_m, site.y_m, site.zone, harvester);
-    if (first == kInvalidDeviceHandle) {
-      first = h;
-    }
-  }
-  return first;
-}
-
-DeviceHandle DeviceFleet::AddSitesRange(const DeploymentPlan& plan, uint32_t cls,
-                                        const HarvesterModel& harvester, uint32_t begin,
-                                        uint32_t end) {
+                                   const HarvesterModel& harvester, uint32_t begin,
+                                   uint32_t end) {
   DeviceHandle first = kInvalidDeviceHandle;
   Reserve(capacity() + (end - begin));
   for (uint32_t i = begin; i < end; ++i) {
@@ -201,27 +188,14 @@ void DeviceFleet::Remove(DeviceHandle h) {
   free_.push_back(slot);
 }
 
-void DeviceFleet::DeployAt(uint32_t slot) {
+void DeviceFleet::DeployAt(uint32_t slot, SimTime at) {
   if (alive_[slot] == 0) {
     alive_[slot] = 1;
     ++alive_count_;
     MetricSet(alive_gauge_, static_cast<double>(alive_count_));
   }
   ++unit_gen_[slot];
-  deployed_at_[slot] = sim_.Now();
-}
-
-void DeviceFleet::MarkFailedAt(uint32_t slot) {
-  if (alive_[slot] != 0) {
-    alive_[slot] = 0;
-    --alive_count_;
-    MetricSet(alive_gauge_, static_cast<double>(alive_count_));
-  }
-  failed_at_[slot] = sim_.Now();
-  MetricInc(classes_[class_[slot]].failures);
-  if (failure_hook_) {
-    failure_hook_(Pack(slot, handle_gen_[slot]), sim_.Now());
-  }
+  deployed_at_[slot] = at;
 }
 
 void DeviceFleet::RetireAt(uint32_t slot) {
@@ -232,17 +206,7 @@ void DeviceFleet::RetireAt(uint32_t slot) {
   }
 }
 
-void DeviceFleet::DeployAtTime(uint32_t slot, SimTime at) {
-  if (alive_[slot] == 0) {
-    alive_[slot] = 1;
-    ++alive_count_;
-    MetricSet(alive_gauge_, static_cast<double>(alive_count_));
-  }
-  ++unit_gen_[slot];
-  deployed_at_[slot] = at;
-}
-
-void DeviceFleet::MarkFailedAtTime(uint32_t slot, SimTime at) {
+void DeviceFleet::MarkFailedAt(uint32_t slot, SimTime at) {
   if (alive_[slot] != 0) {
     alive_[slot] = 0;
     --alive_count_;

@@ -108,15 +108,11 @@ class DeviceFleet {
   DeviceHandle Add(uint32_t cls, double x_m, double y_m, uint32_t zone,
                    const HarvesterModel& harvester);
 
-  // Adds one device per planned site (position + zone from the plan).
-  // Returns the handle of the first added device.
+  // Adds one device per planned site in [begin, end) (position + zone from
+  // the plan): the whole plan, or a shard lane's column range. Local slot =
+  // site index - begin on a fresh fleet. Returns the first added handle.
   DeviceHandle AddSites(const DeploymentPlan& plan, uint32_t cls,
-                        const HarvesterModel& harvester);
-
-  // Adds one device per planned site in [begin, end) — a shard lane's
-  // column range. Local slot = global site index - begin on a fresh fleet.
-  DeviceHandle AddSitesRange(const DeploymentPlan& plan, uint32_t cls,
-                             const HarvesterModel& harvester, uint32_t begin, uint32_t end);
+                        const HarvesterModel& harvester, uint32_t begin, uint32_t end);
 
   // Releases a slot: bumps the handle generation (all outstanding handles
   // for it go stale) and recycles it LIFO.
@@ -158,14 +154,18 @@ class DeviceFleet {
 
   // --- Lifecycle transitions ----------------------------------------------
 
-  // Powers a unit up at the slot's site: alive, deployment timestamp, and a
-  // new unit generation. Idempotent on `alive` (a redeploy over a live unit
-  // still bumps the generation, matching EdgeDevice::ReplaceUnit).
-  void DeployAt(uint32_t slot);
+  // Lifecycle transitions take an explicit time: event handlers pass the
+  // scheduler's Now(), a sampled engine's fast-forward walk passes times
+  // the scheduler clock never visits.
 
-  // Hardware death: clears alive, stamps failed_at, counts the class
-  // failure, then fires the fleet failure hook (if set).
-  void MarkFailedAt(uint32_t slot);
+  // Powers a unit up at the slot's site: alive, deployment timestamp `at`,
+  // and a new unit generation. Idempotent on `alive` (a redeploy over a
+  // live unit still bumps the generation, matching EdgeDevice::ReplaceUnit).
+  void DeployAt(uint32_t slot, SimTime at);
+
+  // Hardware death at `at`: clears alive, stamps failed_at, counts the
+  // class failure, then fires the fleet failure hook (if set).
+  void MarkFailedAt(uint32_t slot, SimTime at);
 
   // Retires a working unit (proactive refresh): clears alive without
   // counting a failure or firing the hook.
@@ -173,13 +173,6 @@ class DeviceFleet {
 
   // Counts a unit replacement against the slot's class.
   void CountReplacementAt(uint32_t slot);
-
-  // Explicit-timestamp variants for the sampled engine, whose fast-forward
-  // walk replays deployments and failures at times the scheduler clock
-  // never visits. Column effects are identical to DeployAt/MarkFailedAt at
-  // a scheduler whose Now() == `at`.
-  void DeployAtTime(uint32_t slot, SimTime at);
-  void MarkFailedAtTime(uint32_t slot, SimTime at);
 
   void SetFailureHook(FailureHook hook) { failure_hook_ = std::move(hook); }
 

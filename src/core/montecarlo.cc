@@ -27,14 +27,4 @@ FiftyYearEnsemble AggregateFiftyYear(
   return ensemble;
 }
 
-FiftyYearEnsemble SweepFiftyYear(FiftyYearConfig base, uint32_t runs, double weekly_goal,
-                                 uint32_t threads) {
-  EnsembleOptions options;
-  options.replicas = runs;
-  options.threads = threads;
-  options.run_name = "sweep_fifty_year";
-  const auto result = EnsembleRunner<FiftyYearExperiment>::Run(std::move(base), options);
-  return AggregateFiftyYear(result.replicas, weekly_goal);
-}
-
 }  // namespace centsim

@@ -5,7 +5,7 @@
 //
 // The heavy lifting lives in the generic EnsembleRunner
 // (src/sim/ensemble.h); this header keeps the fifty-year-specific
-// aggregate and a thin compatibility wrapper. Replica seeds are derived
+// aggregate. Replica seeds are derived
 // with DeriveReplicaSeed(base.seed, i) — SplitMix64 stream splitting, not
 // the correlation-prone `base.seed + i` of earlier versions — so for a
 // fixed base seed the ensemble is bit-identical at any thread count.
@@ -48,13 +48,6 @@ struct FiftyYearEnsemble {
 FiftyYearEnsemble AggregateFiftyYear(
     const std::vector<EnsembleRunner<FiftyYearExperiment>::Replica>& replicas,
     double weekly_goal = 0.95);
-
-// Compatibility wrapper over EnsembleRunner<FiftyYearExperiment>: runs
-// `runs` replicas with stream-split seeds derived from base.seed across
-// `threads` workers (0 = hardware concurrency) and aggregates them. For a
-// fixed base seed the output is bit-identical at any thread count.
-FiftyYearEnsemble SweepFiftyYear(FiftyYearConfig base, uint32_t runs,
-                                 double weekly_goal = 0.95, uint32_t threads = 1);
 
 }  // namespace centsim
 

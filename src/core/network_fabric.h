@@ -10,8 +10,7 @@
 // The medium entrypoint is Offer(TxRequest): one call, one DeliveryReport
 // carrying the outcome plus the physical detail (delivering gateway, RSSI,
 // SNR, witness count, capture flag) that used to be scattered across
-// DeliveryOutcome returns, bools, and gateway tuples. AttemptUplink
-// remains as a thin legacy shim over Offer.
+// DeliveryOutcome returns, bools, and gateway tuples.
 //
 // Fidelity mechanisms beyond the legacy pipeline are opt-in via
 // MediumConfig — grid-bucketed gateway lookup with per-cell offered load,
@@ -123,12 +122,6 @@ class NetworkFabric {
   // gateway, RSSI/SNR of the best reception, how many gateways witnessed
   // the frame, and whether it survived a collision via capture.
   DeliveryReport Offer(const TxRequest& request, RandomStream& rng);
-
-  // Legacy shim: outcome-only view of Offer().
-  DeliveryOutcome AttemptUplink(const UplinkPacket& packet, const UplinkParams& params,
-                                RandomStream& rng) {
-    return Offer(TxRequest{packet, params}, rng).outcome;
-  }
 
   // --- Class B beacons and CAD retries (snapshot-safe timers) -----------
 

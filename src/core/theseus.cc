@@ -1,441 +1,127 @@
 #include "src/core/theseus.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <filesystem>
-
-#include "src/core/fleet.h"
-#include "src/core/fleet_codec.h"
+#include "src/core/century_model.h"
 #include "src/sim/ensemble.h"
-#include "src/sim/flight_recorder.h"
-#include "src/sim/simulation.h"
-#include "src/snapshot/snapshot.h"
-#include "src/snapshot/timer_table.h"
-#include "src/telemetry/run_manifest.h"
 
 namespace centsim {
 namespace {
 
-// Domain timer tags (TimerRecord.tag). Operand meanings: visit a=zone
-// b=cycle; site failure a=site index, b=sampled unit life in micros (the
-// failure handler feeds it to the survival estimator).
-constexpr uint64_t kTimerVisit = 1;
-constexpr uint64_t kTimerSiteFail = 2;
-
-// Snapshot chunk tags.
-constexpr uint32_t kFleetChunk = SnapshotTag('f', 'l', 'e', 't');
-constexpr uint32_t kAccumChunk = SnapshotTag('a', 'c', 'c', 'u');
-constexpr uint32_t kSurvivalChunk = SnapshotTag('s', 'u', 'r', 'v');
-constexpr uint32_t kTimerChunk = SnapshotTag('t', 'i', 'm', 'r');
-constexpr uint32_t kSchedChunk = SnapshotTag('s', 'c', 'h', 'd');
-
-// Century-run driver over DeviceFleet columns. Sites are fleet slots
-// (slot == site index on the fresh fleet); per-site hot state — alive flag,
-// deployment time, unit generation, pending failure event — lives in the
-// fleet columns instead of a local object vector, and the deploy/failure
-// routines are member functions scheduled through InlineFn-sized captures
-// ([this, idx, life]) instead of per-site std::function closures.
-//
-// Domain timers route through a TimerTable (see src/snapshot/timer_table.h)
-// so checkpoints can save pending visits and failures as plain records and
-// restored runs re-arm them bit-identically.
-class CenturyRun {
+// The serial engine: one scheduler, every domain timer routed through a
+// TimerTable (see src/snapshot/timer_table.h) so checkpoints can save
+// pending visits and failures as plain records and restored runs re-arm
+// them bit-identically. Failures are scheduled through InlineFn-sized
+// captures ([this, idx, life]); the availability integral advances at
+// every alive-count transition.
+class SerialCentury {
  public:
-  CenturyRun(Simulation& sim, const CenturyConfig& config, CenturyReport& report)
+  SerialCentury(Simulation& sim, const CenturyConfig& config, CenturyReport& report)
       : sim_(sim),
         config_(config),
-        report_(report),
-        fleet_(sim),
+        model_(sim, config, report, 0, config.fleet_size, config.control.recorder),
         // Timer records exist only to be Save()d; a run that will never
         // write a checkpoint routes timers through untracked (free).
-        timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0),
-        rng_(sim.StreamFor(0x7468657365757300ULL)),
-        years_(static_cast<uint32_t>(std::ceil(config.horizon.ToYears()))),
-        yearly_alive_seconds_(years_, 0.0) {
-    DeviceClassSpec spec;
-    spec.name = "century-site";
-    spec.hardware = config.device_class == DeviceClassKind::kBatteryPowered
-                        ? SeriesSystem::BatteryPoweredNode()
-                        : SeriesSystem::EnergyHarvestingNode();
-    cls_ = fleet_.InternClass(spec);
-    fleet_.Reserve(config.fleet_size);
-    for (uint32_t idx = 0; idx < config.fleet_size; ++idx) {
-      fleet_.Add(cls_, 0.0, 0.0, idx % ZoneCount(), HarvesterModel());
-    }
-  }
+        timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0) {}
 
   void Run() {
-    // Zone partition: site index modulo zone count (uniform spread).
     BatchProjectScheduler batches(sim_, config_.batch,
-                                  [this](uint32_t zone, uint32_t cycle) {
-                                    (void)cycle;
-                                    OnZoneVisit(zone);
-                                  });
+                                  [this](uint32_t zone, uint32_t) { OnZoneVisit(zone); });
     batches.SetVisitScheduler(
         [this](SimTime at, uint32_t zone, uint32_t cycle) { ArmVisit(at, zone, cycle); });
     RegisterTimerRearms();
 
-    std::string resume_path = config_.snapshot.resume_from;
-    if (resume_path.empty() && config_.snapshot.resume_latest) {
-      resume_path = FindLatestValidSnapshot(config_.snapshot.checkpoint_dir);
-    }
-    if (!resume_path.empty()) {
-      const auto restore_start = std::chrono::steady_clock::now();
-      std::string error;
-      if (!RestoreFrom(resume_path, &error)) {
-        CheckConfigOrDie("century", {"cannot resume from " + resume_path + ": " + error});
-      }
-      report_.restore_seconds = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - restore_start)
-                                    .count();
-    } else {
+    const bool resumed =
+        model_.Resume([this](const std::vector<TimerRecord>& records, std::string* error) {
+          if (timers_.Restore(records) != 0) {
+            *error = "snapshot carries timer tags this driver does not register";
+            return false;
+          }
+          return true;
+        });
+    if (!resumed) {
       batches.ScheduleThrough(config_.horizon);
       // Initial roll-out: all sites deployed in year 0.
       for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-        DeploySite(idx);
+        DeploySiteAt(idx, sim_.Now());
       }
     }
 
     if (config_.snapshot.checkpoint_every.micros() > 0) {
       // Fixed barrier grid regardless of where the run (re)started.
       const int64_t every = config_.snapshot.checkpoint_every.micros();
-      std::error_code ec;
-      std::filesystem::create_directories(config_.snapshot.checkpoint_dir, ec);
       for (int64_t next = (sim_.Now().micros() / every + 1) * every;
            next < config_.horizon.micros(); next += every) {
         sim_.scheduler().DrainToBarrier(SimTime::Micros(next));
-        SaveCheckpoint(SimTime::Micros(next));
+        model_.SaveCheckpoint(SimTime::Micros(next), model_.alive(), timers_.Save());
       }
     }
     sim_.RunUntil(config_.horizon);
-    AccumulateTo(config_.horizon);
-    report_.events_executed = sim_.scheduler().executed_count();
+    Accumulate(config_.horizon);
+    model_.Finish();
+  }
 
-    // Censor survivors.
-    double max_gen = 0.0;
-    for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-      if (fleet_.alive(idx)) {
-        report_.unit_survival.Observe(config_.horizon - fleet_.deployed_at(idx),
-                                      /*failed=*/false);
-      }
-      max_gen = std::max(max_gen, static_cast<double>(fleet_.unit_generation(idx)));
-    }
-    report_.max_unit_generations = max_gen;
+  // --- Model hooks --------------------------------------------------------
 
-    const double total_site_seconds = config_.horizon.ToSeconds() * config_.fleet_size;
-    report_.mean_availability =
-        total_site_seconds > 0 ? alive_site_seconds_ / total_site_seconds : 0;
-    report_.yearly_availability.resize(years_);
-    const double year_site_seconds = SimTime::Years(1).ToSeconds() * config_.fleet_size;
-    for (uint32_t y = 0; y < years_; ++y) {
-      report_.yearly_availability[y] = yearly_alive_seconds_[y] / year_site_seconds;
-      report_.min_yearly_availability =
-          std::min(report_.min_yearly_availability, report_.yearly_availability[y]);
+  void DeploySiteAt(uint32_t idx, SimTime at) {
+    Accumulate(at);
+    model_.DeployAt(idx, at);
+    RandomStream site_rng = model_.SiteStream(idx);
+    const SimTime life = model_.hardware().SampleLife(site_rng).life * model_.LifeScaleAt(at);
+    ArmSiteFailure(at + life, idx, life);
+  }
+
+  // A proactive refresh: the cancel goes through the timer table so the
+  // pending record is released with the event.
+  void RetireSiteAt(uint32_t idx, SimTime at) {
+    DeviceFleet& fleet = model_.fleet();
+    const EventId failure = fleet.failure_event(idx);
+    if (failure != kInvalidEventId) {
+      timers_.Cancel(failure);
+      fleet.set_failure_event(idx, kInvalidEventId);
     }
+    Accumulate(at);
   }
 
  private:
-  uint32_t ZoneCount() const { return std::max(1u, config_.batch.zone_count); }
-
-  // Exact availability integration: accumulate alive-site-time, spread
-  // across year buckets, before every alive-count transition.
-  void AccumulateTo(SimTime now) {
-    if (now <= last_change_) {
-      return;
-    }
-    const double span = (now - last_change_).ToSeconds();
-    const double alive_count = static_cast<double>(fleet_.alive_count());
-    alive_site_seconds_ += span * alive_count;
-    double t0 = last_change_.ToSeconds();
-    const double t1 = now.ToSeconds();
-    const double year_s = SimTime::Years(1).ToSeconds();
-    while (t0 < t1) {
-      const uint32_t y = std::min<uint32_t>(years_ - 1, static_cast<uint32_t>(t0 / year_s));
-      const double year_end = (y + 1) * year_s;
-      const double seg = std::min(t1, year_end) - t0;
-      yearly_alive_seconds_[y] += seg * alive_count;
-      t0 += seg;
-    }
-    last_change_ = now;
-  }
+  void Accumulate(SimTime now) { model_.alive().AccumulateTo(now, model_.fleet().alive_count()); }
 
   // --- Domain timers (all routed through the TimerTable) ------------------
 
   void ArmVisit(SimTime at, uint32_t zone, uint32_t cycle) {
-    timers_.Schedule(at, kTimerVisit, zone, cycle, 0.0,
-                     [this, zone] { OnZoneVisit(zone); });
+    timers_.Schedule(at, kCenturyTimerVisit, zone, cycle, 0.0,
+                     [this, zone] { OnZoneVisit(zone); }, kCenturyVisit);
   }
 
   void ArmSiteFailure(SimTime at, uint32_t idx, SimTime life) {
-    fleet_.set_failure_event(
-        idx, timers_.Schedule(at, kTimerSiteFail, idx,
+    model_.fleet().set_failure_event(
+        idx, timers_.Schedule(at, kCenturyTimerSiteFail, idx,
                               static_cast<uint64_t>(life.micros()), 0.0,
-                              [this, idx, life] { OnSiteFailure(idx, life); }));
+                              [this, idx, life] { OnSiteFailure(idx, life); },
+                              kCenturySiteFail));
   }
 
   void RegisterTimerRearms() {
-    timers_.Register(kTimerVisit, [this](const TimerRecord& r) {
+    timers_.Register(kCenturyTimerVisit, [this](const TimerRecord& r) {
       ArmVisit(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a),
                static_cast<uint32_t>(r.b));
     });
-    timers_.Register(kTimerSiteFail, [this](const TimerRecord& r) {
+    timers_.Register(kCenturyTimerSiteFail, [this](const TimerRecord& r) {
       ArmSiteFailure(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a),
                      SimTime::Micros(static_cast<int64_t>(r.b)));
     });
   }
 
-  void DeploySite(uint32_t idx) {
-    AccumulateTo(sim_.Now());
-    fleet_.DeployAt(idx);
-    ++report_.units_deployed;
-
-    // Later generations may last longer (technology improvement).
-    const double decade = sim_.Now().ToYears() / 10.0;
-    const double life_scale = std::pow(config_.life_improvement_per_decade, decade);
-    RandomStream site_rng =
-        rng_.Derive((static_cast<uint64_t>(idx) << 20) + fleet_.unit_generation(idx));
-    const SimTime life =
-        fleet_.class_spec(cls_).hardware.SampleLife(site_rng).life * life_scale;
-
-    ArmSiteFailure(sim_.Now() + life, idx, life);
-  }
-
   void OnSiteFailure(uint32_t idx, SimTime life) {
-    fleet_.set_failure_event(idx, kInvalidEventId);
-    AccumulateTo(sim_.Now());
-    fleet_.MarkFailedAt(idx);
-    ++report_.total_failures;
-    report_.unit_survival.Observe(life, /*failed=*/true);
-    if (config_.control.recorder != nullptr) {
-      config_.control.recorder->Record("century.site_failure", sim_.Now(), idx);
-    }
+    model_.fleet().set_failure_event(idx, kInvalidEventId);
+    Accumulate(sim_.Now());
+    model_.SiteFailAt(idx, sim_.Now(), life);
   }
 
-  void OnZoneVisit(uint32_t zone) {
-    if (config_.control.recorder != nullptr) {
-      config_.control.recorder->Record("century.zone_visit", sim_.Now(), zone);
-    }
-    const uint32_t zone_count = ZoneCount();
-    for (uint32_t idx = zone; idx < config_.fleet_size; idx += zone_count) {
-      if (!fleet_.alive(idx)) {
-        ++report_.total_replacements;
-        DeploySite(idx);
-        continue;
-      }
-      if (config_.proactive_refresh_age.micros() > 0 &&
-          sim_.Now() - fleet_.deployed_at(idx) >= config_.proactive_refresh_age) {
-        // Retire a working-but-old unit during the project visit. The
-        // cancel goes through the timer table so the pending record is
-        // released with the event.
-        const EventId failure = fleet_.failure_event(idx);
-        if (failure != kInvalidEventId) {
-          timers_.Cancel(failure);
-          fleet_.set_failure_event(idx, kInvalidEventId);
-        }
-        report_.unit_survival.Observe(sim_.Now() - fleet_.deployed_at(idx), /*failed=*/false);
-        AccumulateTo(sim_.Now());
-        fleet_.RetireAt(idx);
-        ++report_.proactive_replacements;
-        DeploySite(idx);
-      }
-    }
-  }
-
-  // --- Checkpoint/restore -------------------------------------------------
-
-  // Structural fields the constructor + visit pre-scheduling bake into the
-  // run. Policy fields read at event time (proactive_refresh_age,
-  // life_improvement_per_decade) are absent — branches vary those.
-  std::string StructuralDigest() const {
-    ByteWriter w;
-    w.U64(config_.seed);
-    w.U32(config_.fleet_size);
-    w.I64(config_.horizon.micros());
-    w.U8(static_cast<uint8_t>(config_.device_class));
-    w.U32(config_.batch.zone_count);
-    w.I64(config_.batch.cycle_period.micros());
-    w.I64(config_.batch.visit_jitter.micros());
-    return StructuralDigestHex(w);
-  }
-
-  void SaveCheckpoint(SimTime barrier) {
-    const auto save_start = std::chrono::steady_clock::now();
-    SnapshotMeta meta;
-    meta.experiment = "century";
-    meta.library_version = kCentsimVersion;
-    meta.structural_digest = StructuralDigest();
-    meta.barrier_us = barrier.micros();
-    meta.seed = config_.seed;
-    SnapshotWriter writer(std::move(meta));
-
-    ByteWriter fleet;
-    fleet.U64(config_.fleet_size);
-    for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-      EncodeFleetSlot(fleet_.SaveSlotState(idx), fleet);
-    }
-    fleet.U64(fleet_.class_count());
-    for (uint32_t c = 0; c < fleet_.class_count(); ++c) {
-      fleet.U64(fleet_.class_replacements(c));
-    }
-    writer.Add(kFleetChunk, fleet);
-
-    ByteWriter acc;
-    acc.I64(last_change_.micros());
-    acc.F64(alive_site_seconds_);
-    acc.F64Vec(yearly_alive_seconds_);
-    acc.U64(report_.total_failures);
-    acc.U64(report_.total_replacements);
-    acc.U64(report_.proactive_replacements);
-    acc.U64(report_.units_deployed);
-    writer.Add(kAccumChunk, acc);
-
-    ByteWriter surv;
-    const auto& observations = report_.unit_survival.observations();
-    surv.U64(observations.size());
-    for (const SurvivalObservation& o : observations) {
-      surv.I64(o.time.micros());
-      surv.U8(o.failed ? 1 : 0);
-    }
-    writer.Add(kSurvivalChunk, surv);
-
-    ByteWriter timers;
-    TimerTable::Encode(timers_.Save(), timers);
-    writer.Add(kTimerChunk, timers);
-
-    ByteWriter sched;
-    sched.I64(sim_.Now().micros());
-    sched.U64(sim_.scheduler().executed_count());
-    sched.U64(sim_.scheduler().late_schedule_count());
-    writer.Add(kSchedChunk, sched);
-
-    const std::string path =
-        config_.snapshot.checkpoint_dir + "/" + CheckpointFileName(barrier.micros());
-    std::string error;
-    const uint64_t bytes = writer.Write(path, &error);
-    if (bytes == 0) {
-      std::fprintf(stderr, "[century] checkpoint write failed: %s\n", error.c_str());
-      return;
-    }
-    WriteLatestMarker(config_.snapshot.checkpoint_dir, path, barrier.micros());
-    ++report_.checkpoints_written;
-    report_.last_checkpoint_bytes = bytes;
-    report_.last_checkpoint_path = path;
-    report_.save_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - save_start).count();
-  }
-
-  bool RestoreFrom(const std::string& path, std::string* error) {
-    SnapshotReader reader;
-    if (!reader.Open(path, error)) {
-      return false;
-    }
-    if (reader.meta().experiment != "century") {
-      *error = "snapshot is for experiment '" + reader.meta().experiment + "', not century";
-      return false;
-    }
-    if (reader.meta().structural_digest != StructuralDigest()) {
-      *error =
-          "structural config mismatch (snapshot " + reader.meta().structural_digest +
-          ", this run " + StructuralDigest() +
-          "): seed/fleet/horizon must match the saving run; only policy fields may differ";
-      return false;
-    }
-
-    ByteReader fleet = reader.Chunk(kFleetChunk);
-    if (fleet.U64() != config_.fleet_size) {
-      *error = "snapshot fleet size does not match config";
-      return false;
-    }
-    for (uint32_t idx = 0; idx < config_.fleet_size && fleet.ok(); ++idx) {
-      fleet_.RestoreSlotState(idx, DecodeFleetSlot(fleet));
-    }
-    if (fleet.U64() != fleet_.class_count()) {
-      *error = "snapshot class count does not match config";
-      return false;
-    }
-    for (uint32_t c = 0; c < fleet_.class_count() && fleet.ok(); ++c) {
-      fleet_.RestoreClassReplacements(c, fleet.U64());
-    }
-    if (!fleet.ok()) {
-      *error = "fleet chunk truncated";
-      return false;
-    }
-    fleet_.RecountAggregates();
-
-    ByteReader acc = reader.Chunk(kAccumChunk);
-    last_change_ = SimTime::Micros(acc.I64());
-    alive_site_seconds_ = acc.F64();
-    const std::vector<double> yearly = acc.F64Vec();
-    report_.total_failures = acc.U64();
-    report_.total_replacements = acc.U64();
-    report_.proactive_replacements = acc.U64();
-    report_.units_deployed = acc.U64();
-    if (!acc.ok() || yearly.size() != yearly_alive_seconds_.size()) {
-      *error = "accumulator chunk truncated or mis-shaped";
-      return false;
-    }
-    yearly_alive_seconds_ = yearly;
-
-    ByteReader surv = reader.Chunk(kSurvivalChunk);
-    const uint64_t observation_count = surv.U64();
-    // 9 bytes per observation; clamp before trusting the count.
-    if (!surv.ok() || observation_count > surv.remaining() / 9) {
-      *error = "survival chunk truncated";
-      return false;
-    }
-    for (uint64_t i = 0; i < observation_count && surv.ok(); ++i) {
-      const SimTime time = SimTime::Micros(surv.I64());
-      const bool failed = surv.U8() != 0;
-      report_.unit_survival.Observe(time, failed);
-    }
-    if (!surv.ok()) {
-      *error = "survival chunk truncated";
-      return false;
-    }
-
-    ByteReader sched = reader.Chunk(kSchedChunk);
-    const SimTime now = SimTime::Micros(sched.I64());
-    const uint64_t executed = sched.U64();
-    const uint64_t late = sched.U64();
-    if (!sched.ok()) {
-      *error = "scheduler chunk truncated";
-      return false;
-    }
-    // Clock before timers: re-armed ScheduleAt calls must see the barrier
-    // as "now".
-    sim_.scheduler().RestoreClock(now, executed, late);
-
-    ByteReader tr = reader.Chunk(kTimerChunk);
-    const std::vector<TimerRecord> records = TimerTable::Decode(tr);
-    if (!tr.ok()) {
-      *error = "timer chunk truncated";
-      return false;
-    }
-    if (timers_.Restore(records) != 0) {
-      *error = "snapshot carries timer tags this driver does not register";
-      return false;
-    }
-
-    if (config_.snapshot.branch_salt != 0) {
-      rng_ = rng_.Derive(config_.snapshot.branch_salt);
-    }
-    return true;
-  }
+  void OnZoneVisit(uint32_t zone) { model_.ZoneVisitAt(zone, sim_.Now(), *this); }
 
   Simulation& sim_;
   const CenturyConfig& config_;
-  CenturyReport& report_;
-  DeviceFleet fleet_;
-  uint32_t cls_ = 0;
+  CenturyModel model_;
   TimerTable timers_;
-  RandomStream rng_;
-  const uint32_t years_;
-
-  SimTime last_change_;
-  double alive_site_seconds_ = 0.0;
-  std::vector<double> yearly_alive_seconds_;
 };
 
 }  // namespace
@@ -489,18 +175,7 @@ CenturyReport RunCenturyScenario(const CenturyConfig& config) {
     return RunShardedCenturyScenario(config);
   }
   CheckConfigOrDie("century", config.Validate());
-  Simulation sim(config.seed);
-  sim.trace().set_min_level(TraceLevel::kFailure);
-  sim.trace().EnableRetention(false);  // Fleet-scale: counts, not records.
-
-  sim.scheduler().AttachRunControl(config.control);
-  CenturyReport report;
-  CenturyRun run(sim, config, report);
-  run.Run();
-  // Slot cleared first: no status/watchdog thread can reach the scheduler
-  // past this line.
-  sim.scheduler().DetachRunControl(config.control);
-  return report;
+  return RunCenturyEngine<SerialCentury>(config);
 }
 
 }  // namespace centsim

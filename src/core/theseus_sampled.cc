@@ -30,60 +30,21 @@
 // snapshot subsystem's warm-start hook).
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <vector>
 
-#include "src/core/fleet.h"
-#include "src/core/fleet_codec.h"
-#include "src/core/theseus.h"
+#include "src/core/century_model.h"
 #include "src/sim/ensemble.h"
-#include "src/sim/flight_recorder.h"
-#include "src/sim/simulation.h"
-#include "src/snapshot/snapshot.h"
-#include "src/snapshot/timer_table.h"
-#include "src/telemetry/run_manifest.h"
 
 namespace centsim {
 namespace {
 
-// Same domain timer tags and operand meanings as the serial engine —
-// snapshot compatibility depends on them. Visit: a=zone, b=cycle. Site
-// failure: a=site index, b=sampled unit life in micros.
-constexpr uint64_t kTimerVisit = 1;
-constexpr uint64_t kTimerSiteFail = 2;
-
-// Serial chunk tags (theseus.cc) — both engines read both layouts.
-constexpr uint32_t kFleetChunk = SnapshotTag('f', 'l', 'e', 't');
-constexpr uint32_t kAccumChunk = SnapshotTag('a', 'c', 'c', 'u');
-constexpr uint32_t kSurvivalChunk = SnapshotTag('s', 'u', 'r', 'v');
-constexpr uint32_t kTimerChunk = SnapshotTag('t', 'i', 'm', 'r');
-constexpr uint32_t kSchedChunk = SnapshotTag('s', 'c', 'h', 'd');
-
-class SampledCenturyRun {
+class SampledCentury {
  public:
-  SampledCenturyRun(Simulation& sim, const CenturyConfig& config, CenturyReport& report)
+  SampledCentury(Simulation& sim, const CenturyConfig& config, CenturyReport& report)
       : sim_(sim),
         config_(config),
-        report_(report),
-        fleet_(sim),
-        rng_(sim.StreamFor(0x7468657365757300ULL)),  // Serial engine's root key.
-        years_(static_cast<uint32_t>(std::ceil(config.horizon.ToYears()))),
-        yearly_alive_seconds_(years_, 0.0),
-        yearly_weight_diff_(years_ + 1, 0.0) {
-    DeviceClassSpec spec;
-    spec.name = "century-site";
-    spec.hardware = config.device_class == DeviceClassKind::kBatteryPowered
-                        ? SeriesSystem::BatteryPoweredNode()
-                        : SeriesSystem::EnergyHarvestingNode();
-    cls_ = fleet_.InternClass(spec);
-    fleet_.Reserve(config.fleet_size);
-    for (uint32_t idx = 0; idx < config.fleet_size; ++idx) {
-      fleet_.Add(cls_, 0.0, 0.0, idx % ZoneCount(), HarvesterModel());
-    }
-    const SeriesSystem& hardware = fleet_.class_spec(cls_).hardware;
+        model_(sim, config, report, 0, config.fleet_size, config.control.recorder) {
+    const SeriesSystem& hardware = model_.hardware();
     life_table_ = SurvivalTable::Build(
         [&hardware](SimTime t) { return hardware.Survival(t); });
     fail_at_.assign(config.fleet_size, SimTime::Max());
@@ -100,22 +61,11 @@ class SampledCenturyRun {
 
   void Run() {
     RecordVisitSchedule();
-
-    std::string resume_path = config_.snapshot.resume_from;
-    if (resume_path.empty() && config_.snapshot.resume_latest) {
-      resume_path = FindLatestValidSnapshot(config_.snapshot.checkpoint_dir);
-    }
-    if (!resume_path.empty()) {
-      const auto restore_start = std::chrono::steady_clock::now();
-      std::string error;
-      if (!RestoreFrom(resume_path, &error)) {
-        CheckConfigOrDie("century-sampled",
-                         {"cannot resume from " + resume_path + ": " + error});
-      }
-      report_.restore_seconds = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - restore_start)
-                                    .count();
-    } else {
+    const bool resumed =
+        model_.Resume([this](const std::vector<TimerRecord>& records, std::string* error) {
+          return TakeCheckpointState(records, error);
+        });
+    if (!resumed) {
       // Initial roll-out: all sites deployed in year 0, serial-identically.
       for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
         DeploySiteAt(idx, sim_.Now());
@@ -124,8 +74,6 @@ class SampledCenturyRun {
 
     if (config_.snapshot.checkpoint_every.micros() > 0) {
       const int64_t every = config_.snapshot.checkpoint_every.micros();
-      std::error_code ec;
-      std::filesystem::create_directories(config_.snapshot.checkpoint_dir, ec);
       next_grid_us_ = (sim_.Now().micros() / every + 1) * every;
     }
 
@@ -140,37 +88,55 @@ class SampledCenturyRun {
     controller.TrackMetric("replacements_per_device_year", &repl_samples_);
     controller.AttachProgress(config_.control.progress);
     const SamplingOutcome outcome = controller.Run(config_.horizon);
-    report_.events_executed = sim_.scheduler().executed_count();
 
-    // Epilogue: censor survivors and close their open alive intervals.
-    double max_gen = 0.0;
+    // Close the survivors' open alive intervals at the horizon.
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-      if (fleet_.alive(idx)) {
-        report_.unit_survival.Observe(config_.horizon - fleet_.deployed_at(idx),
-                                      /*failed=*/false);
-        AddAliveSpan(fleet_.deployed_at(idx), config_.horizon, 1.0);
+      if (model_.fleet().alive(idx)) {
+        model_.alive().AddSpan(model_.fleet().deployed_at(idx), config_.horizon, 1.0);
       }
-      max_gen = std::max(max_gen, static_cast<double>(fleet_.unit_generation(idx)));
     }
-    report_.max_unit_generations = max_gen;
+    model_.Finish();
 
-    const double total_site_seconds = config_.horizon.ToSeconds() * config_.fleet_size;
-    report_.mean_availability =
-        total_site_seconds > 0 ? alive_site_seconds_ / total_site_seconds : 0;
-    report_.yearly_availability.resize(years_);
-    const double year_site_seconds = SimTime::Years(1).ToSeconds() * config_.fleet_size;
-    const std::vector<double> yearly = IntegratedYearly();
-    for (uint32_t y = 0; y < years_; ++y) {
-      report_.yearly_availability[y] = yearly[y] / year_site_seconds;
-      report_.min_yearly_availability =
-          std::min(report_.min_yearly_availability, report_.yearly_availability[y]);
+    CenturyReport& report = model_.report();
+    report.sampled = true;
+    report.windows_measured = outcome.windows_measured;
+    report.sim_skipped_us = outcome.sim_skipped_us;
+    report.ci_converged = outcome.converged;
+    report.metric_cis = controller.MetricSummaries();
+  }
+
+  // --- Model hooks --------------------------------------------------------
+  //
+  // Each runs at an explicit time `at`: sim_.Now() inside a detailed
+  // window, the walk's event time during fast-forward. Column effects are
+  // identical either way, which is what makes window placement irrelevant.
+
+  void DeploySiteAt(uint32_t idx, SimTime at) {
+    model_.DeployAt(idx, at);
+    RandomStream site_rng = model_.SiteStream(idx);
+    const SimTime life = life_table_.Sample(site_rng) * model_.LifeScaleAt(at);
+    life_[idx] = life;
+    fail_at_[idx] = at + life;
+    CalendarPush(kCalFail, idx, fail_at_[idx]);
+    if (in_window_) {
+      ++win_open_count_;
+      win_open_start_sum_s_ += at.ToSeconds();
+      if (fail_at_[idx] < win_w1_) {
+        ArmWindowFailure(idx);
+      }
     }
+  }
 
-    report_.sampled = true;
-    report_.windows_measured = outcome.windows_measured;
-    report_.sim_skipped_us = outcome.sim_skipped_us;
-    report_.ci_converged = outcome.converged;
-    report_.metric_cis = controller.MetricSummaries();
+  // A proactive refresh: a window may have this site's failure armed;
+  // release it with the unit being retired.
+  void RetireSiteAt(uint32_t idx, SimTime at) {
+    DeviceFleet& fleet = model_.fleet();
+    const EventId failure = fleet.failure_event(idx);
+    if (failure != kInvalidEventId) {
+      sim_.scheduler().Cancel(failure);
+      fleet.set_failure_event(idx, kInvalidEventId);
+    }
+    CloseAliveInterval(idx, at);
   }
 
  private:
@@ -179,8 +145,6 @@ class SampledCenturyRun {
     uint32_t zone = 0;
     uint32_t cycle = 0;
   };
-
-  uint32_t ZoneCount() const { return std::max(1u, config_.batch.zone_count); }
 
   // The batch project's full visit schedule, recorded without touching the
   // scheduler: SetVisitScheduler replaces event placement and draws the
@@ -193,58 +157,21 @@ class SampledCenturyRun {
     batches.ScheduleThrough(config_.horizon);
     std::stable_sort(visits_.begin(), visits_.end(),
                      [](const Visit& a, const Visit& b) { return a.at < b.at; });
-    zone_visits_.assign(ZoneCount(), {});
+    zone_visits_.assign(model_.zone_count(), {});
     for (const Visit& v : visits_) {
       zone_visits_[v.zone].push_back(v.at);
     }
   }
 
-  // Adds `weight` alive-sites over [start, end) to the global and yearly
-  // availability integrals (the serial engine's AccumulateTo year-split,
-  // applied per interval instead of per transition). Multi-decade spans are
-  // O(1): the two partial edge years go into yearly_alive_seconds_ directly
-  // and the full years in between into yearly_weight_diff_, a difference
-  // array IntegratedYearly() folds back in at read time.
-  void AddAliveSpan(SimTime start, SimTime end, double weight) {
-    if (end <= start || weight == 0.0) {
-      return;
-    }
-    alive_site_seconds_ += (end - start).ToSeconds() * weight;
-    const double t0 = start.ToSeconds();
-    const double t1 = end.ToSeconds();
-    const double year_s = SimTime::Years(1).ToSeconds();
-    const uint32_t y0 = std::min<uint32_t>(years_ - 1, static_cast<uint32_t>(t0 / year_s));
-    const uint32_t y1 = std::min<uint32_t>(years_ - 1, static_cast<uint32_t>(t1 / year_s));
-    if (y0 == y1) {
-      yearly_alive_seconds_[y0] += (t1 - t0) * weight;
-      return;
-    }
-    yearly_alive_seconds_[y0] += ((y0 + 1) * year_s - t0) * weight;
-    yearly_alive_seconds_[y1] += (t1 - y1 * year_s) * weight;
-    if (y1 > y0 + 1) {
-      yearly_weight_diff_[y0 + 1] += weight;
-      yearly_weight_diff_[y1] -= weight;
-    }
-  }
-
-  // Folds the full-year difference array into the partial-year integrals,
-  // yielding the same cumulative per-year vector the serial engine keeps.
-  std::vector<double> IntegratedYearly() const {
-    std::vector<double> yearly = yearly_alive_seconds_;
-    const double year_s = SimTime::Years(1).ToSeconds();
-    double running = 0.0;
-    for (uint32_t y = 0; y < years_; ++y) {
-      running += yearly_weight_diff_[y];
-      yearly[y] += running * year_s;
-    }
-    return yearly;
+  const std::vector<SimTime>& ZoneVisits(uint32_t idx) const {
+    return zone_visits_[idx % model_.zone_count()];
   }
 
   // Closes the alive interval that started at deployed_at(idx): global
   // integral always, plus the clipped in-window share while measuring.
   void CloseAliveInterval(uint32_t idx, SimTime end) {
-    const SimTime start = fleet_.deployed_at(idx);
-    AddAliveSpan(start, end, 1.0);
+    const SimTime start = model_.fleet().deployed_at(idx);
+    model_.alive().AddSpan(start, end, 1.0);
     if (in_window_) {
       const SimTime clipped = std::max(start, win_w0_);
       if (end > clipped) {
@@ -267,98 +194,35 @@ class SampledCenturyRun {
     calendar_[BucketFor(at)].push_back({at.micros(), idx, kind});
   }
 
-  // --- Shared site transitions (window handlers and walk) -----------------
-  //
-  // Each runs at an explicit time `at`: sim_.Now() inside a detailed
-  // window, the walk's event time during fast-forward. Column effects are
-  // identical either way, which is what makes window placement irrelevant.
-
-  void DeploySiteAt(uint32_t idx, SimTime at) {
-    fleet_.DeployAtTime(idx, at);
-    ++report_.units_deployed;
-
-    const double scale =
-        config_.life_improvement_per_decade == 1.0
-            ? 1.0
-            : std::pow(config_.life_improvement_per_decade, at.ToYears() / 10.0);
-    RandomStream site_rng =
-        rng_.Derive((static_cast<uint64_t>(idx) << 20) + fleet_.unit_generation(idx));
-    const SimTime life = life_table_.Sample(site_rng) * scale;
-    life_[idx] = life;
-    fail_at_[idx] = at + life;
-    CalendarPush(kCalFail, idx, fail_at_[idx]);
-    if (in_window_) {
-      ++win_open_count_;
-      win_open_start_sum_s_ += at.ToSeconds();
-      if (fail_at_[idx] < win_w1_) {
-        ArmWindowFailure(idx);
-      }
-    }
-  }
-
   void SiteFailAt(uint32_t idx, SimTime at) {
     CloseAliveInterval(idx, at);
-    fleet_.MarkFailedAtTime(idx, at);
-    ++report_.total_failures;
-    report_.unit_survival.Observe(life_[idx], /*failed=*/true);
-    if (config_.control.recorder != nullptr) {
-      config_.control.recorder->Record("century.site_failure", at, idx);
-    }
-  }
-
-  void VisitSiteAt(uint32_t idx, SimTime at) {
-    if (!fleet_.alive(idx)) {
-      ++report_.total_replacements;
-      DeploySiteAt(idx, at);
-      return;
-    }
-    if (config_.proactive_refresh_age.micros() > 0 &&
-        at - fleet_.deployed_at(idx) >= config_.proactive_refresh_age) {
-      // A window may have this site's failure armed; release it with the
-      // unit being retired.
-      const EventId failure = fleet_.failure_event(idx);
-      if (failure != kInvalidEventId) {
-        sim_.scheduler().Cancel(failure);
-        fleet_.set_failure_event(idx, kInvalidEventId);
-      }
-      report_.unit_survival.Observe(at - fleet_.deployed_at(idx), /*failed=*/false);
-      CloseAliveInterval(idx, at);
-      fleet_.RetireAt(idx);
-      ++report_.proactive_replacements;
-      DeploySiteAt(idx, at);
-    }
+    model_.SiteFailAt(idx, at, life_[idx]);
   }
 
   // --- Detailed windows ---------------------------------------------------
 
   void ArmWindowFailure(uint32_t idx) {
-    fleet_.set_failure_event(
-        idx, sim_.scheduler().ScheduleAt(fail_at_[idx], [this, idx] {
-          fleet_.set_failure_event(idx, kInvalidEventId);
-          const SimTime at = sim_.Now();
-          SiteFailAt(idx, at);
-          if (use_calendar_) {
-            // The site's revive is its zone's first visit strictly after
-            // the failure (an equal-time visit fired first, as a no-op on
-            // the then-alive site). In-window visits run as scheduler
-            // events; a revive beyond the window is parked for the walk.
-            const std::vector<SimTime>& visits = zone_visits_[idx % ZoneCount()];
-            const auto it = std::upper_bound(visits.begin(), visits.end(), at);
-            if (it != visits.end() && *it >= win_w1_) {
-              CalendarPush(kCalRevive, idx, *it);
-            }
-          }
-        }));
-  }
-
-  void OnZoneVisit(uint32_t zone) {
-    if (config_.control.recorder != nullptr) {
-      config_.control.recorder->Record("century.zone_visit", sim_.Now(), zone);
-    }
-    const uint32_t zone_count = ZoneCount();
-    for (uint32_t idx = zone; idx < config_.fleet_size; idx += zone_count) {
-      VisitSiteAt(idx, sim_.Now());
-    }
+    model_.fleet().set_failure_event(
+        idx, sim_.scheduler().ScheduleAt(
+                 fail_at_[idx],
+                 [this, idx] {
+                   model_.fleet().set_failure_event(idx, kInvalidEventId);
+                   const SimTime at = sim_.Now();
+                   SiteFailAt(idx, at);
+                   if (use_calendar_) {
+                     // The site's revive is its zone's first visit strictly
+                     // after the failure (an equal-time visit fired first,
+                     // as a no-op on the then-alive site). In-window visits
+                     // run as scheduler events; a revive beyond the window
+                     // is parked for the walk.
+                     const std::vector<SimTime>& visits = ZoneVisits(idx);
+                     const auto it = std::upper_bound(visits.begin(), visits.end(), at);
+                     if (it != visits.end() && *it >= win_w1_) {
+                       CalendarPush(kCalRevive, idx, *it);
+                     }
+                   }
+                 },
+                 kCenturySiteFail));
   }
 
   void BeginWindow(SimTime w0, SimTime w1) {
@@ -366,11 +230,12 @@ class SampledCenturyRun {
     win_w0_ = w0;
     win_w1_ = w1;
     win_alive_seconds_ = 0.0;
-    win_fail_base_ = report_.total_failures;
-    win_repl_base_ = report_.total_replacements + report_.proactive_replacements;
+    const CenturyReport& report = model_.report();
+    win_fail_base_ = report.total_failures;
+    win_repl_base_ = report.total_replacements + report.proactive_replacements;
     // Every open interval at w0 clips to w0; transitions inside the window
     // keep the count/start-sum pair current so EndWindow closes in O(1).
-    win_open_count_ = fleet_.alive_count();
+    win_open_count_ = model_.fleet().alive_count();
     win_open_start_sum_s_ = static_cast<double>(win_open_count_) * w0.ToSeconds();
 
     // Visits armed before failures: scheduler insertion order is the
@@ -380,7 +245,9 @@ class SampledCenturyRun {
         [](const Visit& v, SimTime t) { return v.at < t; });
     for (auto it = first; it != visits_.end() && it->at < w1; ++it) {
       const uint32_t zone = it->zone;
-      sim_.scheduler().ScheduleAt(it->at, [this, zone] { OnZoneVisit(zone); });
+      sim_.scheduler().ScheduleAt(
+          it->at, [this, zone] { model_.ZoneVisitAt(zone, sim_.Now(), *this); },
+          kCenturyVisit);
     }
     if (use_calendar_) {
       // Only sites with a pending failure inside the window need arming;
@@ -393,14 +260,14 @@ class SampledCenturyRun {
           if (en.kind != kCalFail || at < w0 || at >= w1) {
             continue;
           }
-          if (fleet_.alive(en.idx) && fail_at_[en.idx] == at) {
+          if (model_.fleet().alive(en.idx) && fail_at_[en.idx] == at) {
             ArmWindowFailure(en.idx);
           }
         }
       }
     } else {
       for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-        if (fleet_.alive(idx) && fail_at_[idx] < w1) {
+        if (model_.fleet().alive(idx) && fail_at_[idx] < w1) {
           ArmWindowFailure(idx);
         }
       }
@@ -416,11 +283,12 @@ class SampledCenturyRun {
         static_cast<double>(win_open_count_) * w1.ToSeconds() - win_open_start_sum_s_;
     const double device_seconds = (w1 - w0).ToSeconds() * config_.fleet_size;
     const double device_years = (w1 - w0).ToYears() * config_.fleet_size;
+    const CenturyReport& report = model_.report();
     avail_samples_.Add(device_seconds > 0 ? alive_s / device_seconds : 0.0);
-    fail_samples_.Add(static_cast<double>(report_.total_failures - win_fail_base_) /
+    fail_samples_.Add(static_cast<double>(report.total_failures - win_fail_base_) /
                       device_years);
     repl_samples_.Add(
-        static_cast<double>(report_.total_replacements + report_.proactive_replacements -
+        static_cast<double>(report.total_replacements + report.proactive_replacements -
                             win_repl_base_) /
         device_years);
     in_window_ = false;
@@ -446,19 +314,18 @@ class SampledCenturyRun {
       WalkCalendar(from, to);
       return;
     }
-    const uint32_t zone_count = ZoneCount();
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-      const std::vector<SimTime>& visits = zone_visits_[idx % zone_count];
+      const std::vector<SimTime>& visits = ZoneVisits(idx);
       size_t vi = static_cast<size_t>(
           std::lower_bound(visits.begin(), visits.end(), from) - visits.begin());
       for (;;) {
         const SimTime visit_at = vi < visits.size() ? visits[vi] : SimTime::Max();
-        const SimTime fail_at = fleet_.alive(idx) ? fail_at_[idx] : SimTime::Max();
+        const SimTime fail_at = model_.fleet().alive(idx) ? fail_at_[idx] : SimTime::Max();
         if (visit_at <= fail_at) {  // Visit wins ties (window arm order).
           if (visit_at >= to) {
             break;
           }
-          VisitSiteAt(idx, visit_at);
+          model_.VisitSiteAt(idx, visit_at, *this);
           ++vi;
         } else {
           if (fail_at >= to) {
@@ -479,7 +346,7 @@ class SampledCenturyRun {
   // is only pushed when its previous transition is processed; cross-site
   // order within a bucket is immaterial (sites are independent).
   void WalkCalendar(SimTime from, SimTime to) {
-    const uint32_t zone_count = ZoneCount();
+    const uint32_t zone_count = model_.zone_count();
     const size_t b_last = BucketFor(to - SimTime::Micros(1));
     // Per-zone cursor into the visit schedule, rebased once per bucket: a
     // bucket spans a couple of maintenance rounds at most, so the per-fail
@@ -505,13 +372,13 @@ class SampledCenturyRun {
           continue;
         }
         if (en.kind == kCalFail) {
-          if (!fleet_.alive(en.idx) || fail_at_[en.idx] != at) {
+          if (!model_.fleet().alive(en.idx) || fail_at_[en.idx] != at) {
             continue;  // Stale: consumed in a window or superseded.
           }
           SiteFailAt(en.idx, at);
           // Revive at the zone's first visit strictly after the failure
           // (an equal-time visit was a no-op on the then-alive site).
-          const std::vector<SimTime>& visits = zone_visits_[en.idx % zone_count];
+          const std::vector<SimTime>& visits = ZoneVisits(en.idx);
           uint32_t k = visit_base[en.idx % zone_count];
           while (k < visits.size() && visits[k] <= at) {
             ++k;
@@ -520,15 +387,15 @@ class SampledCenturyRun {
             continue;  // No maintenance round ever reaches it again.
           }
           if (visits[k] < to) {
-            VisitSiteAt(en.idx, visits[k]);  // Replacement pushes the next failure.
+            model_.VisitSiteAt(en.idx, visits[k], *this);  // Pushes the next failure.
           } else {
             CalendarPush(kCalRevive, en.idx, visits[k]);
           }
         } else {
-          if (fleet_.alive(en.idx)) {
+          if (model_.fleet().alive(en.idx)) {
             continue;  // Already revived by an in-window visit.
           }
-          VisitSiteAt(en.idx, at);
+          model_.VisitSiteAt(en.idx, at, *this);
         }
       }
       if ((static_cast<int64_t>(b) + 1) * kCalBucketUs <= to.micros()) {
@@ -540,21 +407,6 @@ class SampledCenturyRun {
 
   // --- Checkpoint/restore -------------------------------------------------
 
-  // Byte-identical to the serial engine's digest: the sampling plan is a
-  // policy field, so serial and sampled runs of one config interchange
-  // snapshots.
-  std::string StructuralDigest() const {
-    ByteWriter w;
-    w.U64(config_.seed);
-    w.U32(config_.fleet_size);
-    w.I64(config_.horizon.micros());
-    w.U8(static_cast<uint8_t>(config_.device_class));
-    w.U32(config_.batch.zone_count);
-    w.I64(config_.batch.cycle_period.micros());
-    w.I64(config_.batch.visit_jitter.micros());
-    return StructuralDigestHex(w);
-  }
-
   // Pending walk state rendered as the serial engine's timer records:
   // every visit at or after the barrier, plus each alive site's next
   // failure. Sorted by time with visits before failures on ties, the same
@@ -565,11 +417,11 @@ class SampledCenturyRun {
         visits_.begin(), visits_.end(), barrier,
         [](const Visit& v, SimTime t) { return v.at < t; });
     for (auto it = first; it != visits_.end(); ++it) {
-      records.push_back({kTimerVisit, it->at.micros(), 0, it->zone, it->cycle, 0.0});
+      records.push_back({kCenturyTimerVisit, it->at.micros(), 0, it->zone, it->cycle, 0.0});
     }
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-      if (fleet_.alive(idx)) {
-        records.push_back({kTimerSiteFail, fail_at_[idx].micros(), 0, idx,
+      if (model_.fleet().alive(idx)) {
+        records.push_back({kCenturyTimerSiteFail, fail_at_[idx].micros(), 0, idx,
                            static_cast<uint64_t>(life_[idx].micros()), 0.0});
       }
     }
@@ -578,7 +430,7 @@ class SampledCenturyRun {
                        if (a.at_us != b.at_us) {
                          return a.at_us < b.at_us;
                        }
-                       return a.tag == kTimerVisit && b.tag != kTimerVisit;
+                       return a.tag == kCenturyTimerVisit && b.tag != kCenturyTimerVisit;
                      });
     for (size_t i = 0; i < records.size(); ++i) {
       records[i].seq = i;
@@ -586,196 +438,42 @@ class SampledCenturyRun {
     return records;
   }
 
+  // Checkpoints use the serial layout: the interval-form integral is
+  // brought fully up to the barrier (open intervals' shares added into a
+  // copy) and written with last_change == barrier, and the pending walk
+  // state is rendered as the serial engine's timer records.
   void SaveCheckpoint(SimTime barrier) {
-    const auto save_start = std::chrono::steady_clock::now();
-    SnapshotMeta meta;
-    meta.experiment = "century";
-    meta.library_version = kCentsimVersion;
-    meta.structural_digest = StructuralDigest();
-    meta.barrier_us = barrier.micros();
-    meta.seed = config_.seed;
-    SnapshotWriter writer(std::move(meta));
-
-    ByteWriter fleet;
-    fleet.U64(config_.fleet_size);
+    AliveSeconds at_barrier = model_.alive();
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-      EncodeFleetSlot(fleet_.SaveSlotState(idx), fleet);
-    }
-    fleet.U64(fleet_.class_count());
-    for (uint32_t c = 0; c < fleet_.class_count(); ++c) {
-      fleet.U64(fleet_.class_replacements(c));
-    }
-    writer.Add(kFleetChunk, fleet);
-
-    // The serial accumulator integrates up to its last transition; the
-    // sampled engine closes intervals instead, so the chunk is written
-    // with last_change == barrier and the integral brought fully up to the
-    // barrier (open intervals' shares added into a scratch copy).
-    double alive_s = alive_site_seconds_;
-    std::vector<double> yearly_partial = yearly_alive_seconds_;
-    std::vector<double> diff = yearly_weight_diff_;
-    std::vector<double> yearly;
-    {
-      std::swap(alive_s, alive_site_seconds_);
-      std::swap(yearly_partial, yearly_alive_seconds_);
-      std::swap(diff, yearly_weight_diff_);
-      for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-        if (fleet_.alive(idx)) {
-          AddAliveSpan(fleet_.deployed_at(idx), barrier, 1.0);
-        }
+      if (model_.fleet().alive(idx)) {
+        at_barrier.AddSpan(model_.fleet().deployed_at(idx), barrier, 1.0);
       }
-      yearly = IntegratedYearly();
-      std::swap(alive_s, alive_site_seconds_);
-      std::swap(yearly_partial, yearly_alive_seconds_);
-      std::swap(diff, yearly_weight_diff_);
     }
-    ByteWriter acc;
-    acc.I64(barrier.micros());
-    acc.F64(alive_s);
-    acc.F64Vec(yearly);
-    acc.U64(report_.total_failures);
-    acc.U64(report_.total_replacements);
-    acc.U64(report_.proactive_replacements);
-    acc.U64(report_.units_deployed);
-    writer.Add(kAccumChunk, acc);
-
-    ByteWriter surv;
-    const auto& observations = report_.unit_survival.observations();
-    surv.U64(observations.size());
-    for (const SurvivalObservation& o : observations) {
-      surv.I64(o.time.micros());
-      surv.U8(o.failed ? 1 : 0);
-    }
-    writer.Add(kSurvivalChunk, surv);
-
-    ByteWriter timers;
-    TimerTable::Encode(SyntheticTimerRecords(barrier), timers);
-    writer.Add(kTimerChunk, timers);
-
-    ByteWriter sched;
-    sched.I64(barrier.micros());
-    sched.U64(sim_.scheduler().executed_count());
-    sched.U64(sim_.scheduler().late_schedule_count());
-    writer.Add(kSchedChunk, sched);
-
-    const std::string path =
-        config_.snapshot.checkpoint_dir + "/" + CheckpointFileName(barrier.micros());
-    std::string error;
-    const uint64_t bytes = writer.Write(path, &error);
-    if (bytes == 0) {
-      std::fprintf(stderr, "[century-sampled] checkpoint write failed: %s\n",
-                   error.c_str());
-      return;
-    }
-    WriteLatestMarker(config_.snapshot.checkpoint_dir, path, barrier.micros());
-    ++report_.checkpoints_written;
-    report_.last_checkpoint_bytes = bytes;
-    report_.last_checkpoint_path = path;
-    report_.save_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - save_start).count();
+    at_barrier.last_change = barrier;
+    model_.SaveCheckpoint(barrier, at_barrier, SyntheticTimerRecords(barrier));
   }
 
-  bool RestoreFrom(const std::string& path, std::string* error) {
-    SnapshotReader reader;
-    if (!reader.Open(path, error)) {
-      return false;
-    }
-    if (reader.meta().experiment != "century") {
-      *error = "snapshot is for experiment '" + reader.meta().experiment + "', not century";
-      return false;
-    }
-    if (reader.meta().structural_digest != StructuralDigest()) {
-      *error =
-          "structural config mismatch (snapshot " + reader.meta().structural_digest +
-          ", this run " + StructuralDigest() +
-          "): seed/fleet/horizon must match the saving run; only policy fields may differ";
-      return false;
-    }
-
-    ByteReader fleet = reader.Chunk(kFleetChunk);
-    if (fleet.U64() != config_.fleet_size) {
-      *error = "snapshot fleet size does not match config";
-      return false;
-    }
-    for (uint32_t idx = 0; idx < config_.fleet_size && fleet.ok(); ++idx) {
-      fleet_.RestoreSlotState(idx, DecodeFleetSlot(fleet));
-    }
-    if (fleet.U64() != fleet_.class_count()) {
-      *error = "snapshot class count does not match config";
-      return false;
-    }
-    for (uint32_t c = 0; c < fleet_.class_count() && fleet.ok(); ++c) {
-      fleet_.RestoreClassReplacements(c, fleet.U64());
-    }
-    if (!fleet.ok()) {
-      *error = "fleet chunk truncated";
-      return false;
-    }
-    fleet_.RecountAggregates();
-
-    ByteReader acc = reader.Chunk(kAccumChunk);
-    const SimTime last_change = SimTime::Micros(acc.I64());
-    alive_site_seconds_ = acc.F64();
-    const std::vector<double> yearly = acc.F64Vec();
-    report_.total_failures = acc.U64();
-    report_.total_replacements = acc.U64();
-    report_.proactive_replacements = acc.U64();
-    report_.units_deployed = acc.U64();
-    if (!acc.ok() || yearly.size() != yearly_alive_seconds_.size()) {
-      *error = "accumulator chunk truncated or mis-shaped";
-      return false;
-    }
-    yearly_alive_seconds_ = yearly;
-    std::fill(yearly_weight_diff_.begin(), yearly_weight_diff_.end(), 0.0);
-
-    ByteReader surv = reader.Chunk(kSurvivalChunk);
-    const uint64_t observation_count = surv.U64();
-    if (!surv.ok() || observation_count > surv.remaining() / 9) {
-      *error = "survival chunk truncated";
-      return false;
-    }
-    for (uint64_t i = 0; i < observation_count && surv.ok(); ++i) {
-      const SimTime time = SimTime::Micros(surv.I64());
-      const bool failed = surv.U8() != 0;
-      report_.unit_survival.Observe(time, failed);
-    }
-    if (!surv.ok()) {
-      *error = "survival chunk truncated";
-      return false;
-    }
-
-    ByteReader sched = reader.Chunk(kSchedChunk);
-    const SimTime barrier = SimTime::Micros(sched.I64());
-    const uint64_t executed = sched.U64();
-    const uint64_t late = sched.U64();
-    if (!sched.ok()) {
-      *error = "scheduler chunk truncated";
-      return false;
-    }
-    sim_.scheduler().RestoreClock(barrier, executed, late);
-
-    // Convert the serial accumulator into interval form: bring the global
-    // integral up to the barrier (a serial save integrates only to its
-    // last transition), then back out each open interval's prefix so the
-    // eventual full-interval close does not double-count it.
-    AddAliveSpan(last_change, barrier, static_cast<double>(fleet_.alive_count()));
+  // Called by the model's restore once the clock sits on the barrier.
+  bool TakeCheckpointState(const std::vector<TimerRecord>& records, std::string* error) {
+    // Convert the serial integral into interval form: bring it up to the
+    // barrier (a serial save integrates only to its last transition), then
+    // back out each open interval's prefix so the eventual full-interval
+    // close does not double-count it.
+    const SimTime barrier = sim_.Now();
+    const DeviceFleet& fleet = model_.fleet();
+    AliveSeconds& alive = model_.alive();
+    alive.AddSpan(alive.last_change, barrier, static_cast<double>(fleet.alive_count()));
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-      if (fleet_.alive(idx)) {
-        AddAliveSpan(fleet_.deployed_at(idx), barrier, -1.0);
+      if (fleet.alive(idx)) {
+        alive.AddSpan(fleet.deployed_at(idx), barrier, -1.0);
       }
     }
 
-    // Timer records → walk columns. Visit records are redundant with the
+    // Timer records -> walk columns. Visit records are redundant with the
     // re-recorded schedule (jitter draws are keyed identically), so only
     // failure records carry state.
-    ByteReader tr = reader.Chunk(kTimerChunk);
-    const std::vector<TimerRecord> records = TimerTable::Decode(tr);
-    if (!tr.ok()) {
-      *error = "timer chunk truncated";
-      return false;
-    }
     for (const TimerRecord& r : records) {
-      if (r.tag == kTimerSiteFail) {
+      if (r.tag == kCenturyTimerSiteFail) {
         const uint32_t idx = static_cast<uint32_t>(r.a);
         if (idx >= config_.fleet_size) {
           *error = "site failure record out of range";
@@ -783,7 +481,7 @@ class SampledCenturyRun {
         }
         fail_at_[idx] = SimTime::Micros(r.at_us);
         life_[idx] = SimTime::Micros(static_cast<int64_t>(r.b));
-      } else if (r.tag != kTimerVisit) {
+      } else if (r.tag != kCenturyTimerVisit) {
         *error = "snapshot carries timer tags this driver does not register";
         return false;
       }
@@ -794,14 +492,11 @@ class SampledCenturyRun {
     // the first visit at or after the barrier (any earlier visit would
     // have revived them before the snapshot was cut).
     if (use_calendar_) {
-      for (std::vector<CalEntry>& bucket : calendar_) {
-        bucket.clear();
-      }
       for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-        if (fleet_.alive(idx)) {
+        if (fleet.alive(idx)) {
           CalendarPush(kCalFail, idx, fail_at_[idx]);
         } else {
-          const std::vector<SimTime>& visits = zone_visits_[idx % ZoneCount()];
+          const std::vector<SimTime>& visits = ZoneVisits(idx);
           const auto it = std::lower_bound(visits.begin(), visits.end(), barrier);
           if (it != visits.end()) {
             CalendarPush(kCalRevive, idx, *it);
@@ -809,20 +504,12 @@ class SampledCenturyRun {
         }
       }
     }
-
-    if (config_.snapshot.branch_salt != 0) {
-      rng_ = rng_.Derive(config_.snapshot.branch_salt);
-    }
     return true;
   }
 
   Simulation& sim_;
   const CenturyConfig& config_;
-  CenturyReport& report_;
-  DeviceFleet fleet_;
-  uint32_t cls_ = 0;
-  RandomStream rng_;
-  const uint32_t years_;
+  CenturyModel model_;
   SurvivalTable life_table_;
 
   // Pre-recorded batch visit schedule (time-sorted; per-zone views).
@@ -850,12 +537,6 @@ class SampledCenturyRun {
   static constexpr int64_t kCalBucketUs = 14LL * 24 * 3600 * 1000000;  // 14 days.
   bool use_calendar_ = false;
   std::vector<std::vector<CalEntry>> calendar_;
-
-  // Availability integrals (interval-close form of the serial engine's
-  // transition accumulator).
-  double alive_site_seconds_ = 0.0;
-  std::vector<double> yearly_alive_seconds_;  // Partial-year contributions only.
-  std::vector<double> yearly_weight_diff_;    // Full-year weights, difference form.
 
   // Detailed-window state.
   bool in_window_ = false;
@@ -885,16 +566,7 @@ CenturyReport RunSampledCenturyScenario(const CenturyConfig& config) {
     CheckConfigOrDie("century-sampled",
                      {"RunSampledCenturyScenario requires sampling.mode == kSampled"});
   }
-  Simulation sim(config.seed);
-  sim.trace().set_min_level(TraceLevel::kFailure);
-  sim.trace().EnableRetention(false);
-
-  sim.scheduler().AttachRunControl(config.control);
-  CenturyReport report;
-  SampledCenturyRun run(sim, config, report);
-  run.Run();
-  sim.scheduler().DetachRunControl(config.control);
-  return report;
+  return RunCenturyEngine<SampledCentury>(config);
 }
 
 }  // namespace centsim

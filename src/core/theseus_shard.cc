@@ -30,15 +30,11 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/fleet.h"
+#include "src/core/century_model.h"
 #include "src/mgmt/batch_project.h"
-#include "src/reliability/component.h"
 #include "src/sim/ensemble.h"
-#include "src/sim/flight_recorder.h"
 #include "src/sim/shard_coordinator.h"
-#include "src/sim/simulation.h"
 #include "src/sim/thread_pool.h"
-#include "src/snapshot/timer_table.h"
 
 namespace centsim {
 namespace {
@@ -47,61 +43,35 @@ using U128 = unsigned __int128;
 
 double U128Seconds(U128 us) { return static_cast<double>(us) / 1e6; }
 
-struct CenturyLaneTotals {
-  U128 alive_us = 0;
-  std::vector<U128> yearly_alive_us;
-  uint64_t total_failures = 0;
-  uint64_t total_replacements = 0;
-  uint64_t proactive_replacements = 0;
-  uint64_t units_deployed = 0;
-  double max_unit_generations = 0.0;
-};
-
+// One lane: the century model over the lane's column range, driven by the
+// lane's own scheduler, with the availability integral in exact 128-bit
+// microsecond-counts. Counters and survival observations land in a
+// lane-local report that the main thread merges in lane order.
 class CenturyShardLane final : public ShardLane {
  public:
-  CenturyShardLane(const CenturyConfig& config, uint32_t lane, uint32_t begin, uint32_t end,
+  CenturyShardLane(const CenturyConfig& config, uint32_t begin, uint32_t end,
                    FlightRecorder* recorder)
       : config_(config),
-        lane_(lane),
-        begin_(begin),
-        end_(end),
-        recorder_(recorder),
         sim_(config.seed),
-        fleet_(sim_),
-        timers_(sim_.scheduler(), /*track=*/false),
-        rng_(sim_.StreamFor(0x7468657365757300ULL)),
+        model_(sim_, config, report_, begin, end, recorder),
         years_(static_cast<uint32_t>(std::ceil(config.horizon.ToYears()))),
         yearly_alive_us_(years_, 0),
-        batches_(sim_, config.batch, [this](uint32_t zone, uint32_t cycle) {
-          (void)cycle;
-          OnZoneVisit(zone);
-        }) {
+        batches_(sim_, config.batch, [](uint32_t, uint32_t) {}) {
     sim_.trace().set_min_level(TraceLevel::kFailure);
     sim_.trace().EnableRetention(false);
+    batches_.SetVisitScheduler([this](SimTime at, uint32_t zone, uint32_t) {
+      sim_.scheduler().ScheduleAt(
+          at, [this, zone] { model_.ZoneVisitAt(zone, sim_.Now(), *this); }, kCenturyVisit);
+    });
   }
 
   // --- ShardLane ----------------------------------------------------------
 
   void Setup(SimTime cover) override {
     (void)cover;  // No cross-shard lookahead to publish.
-    DeviceClassSpec spec;
-    spec.name = "century-site";
-    spec.hardware = config_.device_class == DeviceClassKind::kBatteryPowered
-                        ? SeriesSystem::BatteryPoweredNode()
-                        : SeriesSystem::EnergyHarvestingNode();
-    cls_ = fleet_.InternClass(spec);
-    const uint32_t count = end_ - begin_;
-    fleet_.Reserve(count);
-    for (uint32_t idx = begin_; idx < end_; ++idx) {
-      fleet_.Add(cls_, 0.0, 0.0, idx % ZoneCount(), HarvesterModel());
-    }
-    zone_local_.resize(ZoneCount());
-    for (uint32_t ld = 0; ld < count; ++ld) {
-      zone_local_[fleet_.zone(ld)].push_back(ld);
-    }
     batches_.ScheduleThrough(config_.horizon);
-    for (uint32_t ld = 0; ld < count; ++ld) {
-      DeploySite(ld);
+    for (uint32_t ld = 0; ld < model_.size(); ++ld) {
+      DeploySiteAt(ld, sim_.Now());
     }
   }
 
@@ -114,44 +84,68 @@ class CenturyShardLane final : public ShardLane {
 
   Scheduler& sched() override { return sim_.scheduler(); }
 
-  // --- Main-thread accessors (lanes quiescent) ----------------------------
+  // --- Model hooks --------------------------------------------------------
 
-  void FinishAt(SimTime horizon) {
-    AccumulateTo(horizon.micros());
-    // Censor survivors in ascending local (== global) order, exactly like
-    // the serial engine's end-of-run sweep over its whole fleet.
-    for (uint32_t ld = 0; ld < end_ - begin_; ++ld) {
-      if (fleet_.alive(ld)) {
-        survival_.push_back({horizon - fleet_.deployed_at(ld), /*failed=*/false});
-      }
-      max_gen_ = std::max(max_gen_, static_cast<double>(fleet_.unit_generation(ld)));
-    }
+  void DeploySiteAt(uint32_t ld, SimTime at) {
+    AccumulateTo(at.micros());
+    model_.DeployAt(ld, at);
+    RandomStream site_rng = model_.SiteStream(ld);
+    const SimTime life = model_.hardware().SampleLife(site_rng).life * model_.LifeScaleAt(at);
+    model_.fleet().set_failure_event(
+        ld, sim_.scheduler().ScheduleAt(
+                at + life,
+                [this, ld, life] {
+                  model_.fleet().set_failure_event(ld, kInvalidEventId);
+                  AccumulateTo(sim_.Now().micros());
+                  model_.SiteFailAt(ld, sim_.Now(), life);
+                },
+                kCenturySiteFail));
   }
 
-  void MergeInto(CenturyLaneTotals& t, KaplanMeier& survival) const {
-    t.alive_us += alive_us_;
-    for (uint32_t y = 0; y < years_; ++y) {
-      t.yearly_alive_us[y] += yearly_alive_us_[y];
+  void RetireSiteAt(uint32_t ld, SimTime at) {
+    DeviceFleet& fleet = model_.fleet();
+    const EventId failure = fleet.failure_event(ld);
+    if (failure != kInvalidEventId) {
+      sim_.scheduler().Cancel(failure);
+      fleet.set_failure_event(ld, kInvalidEventId);
     }
-    t.total_failures += total_failures_;
-    t.total_replacements += total_replacements_;
-    t.proactive_replacements += proactive_replacements_;
-    t.units_deployed += units_deployed_;
-    t.max_unit_generations = std::max(t.max_unit_generations, max_gen_);
-    for (const SurvivalObservation& o : survival_) {
-      survival.Observe(o);
+    AccumulateTo(at.micros());
+  }
+
+  // --- Main-thread accessors (lanes quiescent) ----------------------------
+
+  // Closes the integral and censors survivors in ascending local (==
+  // global) order, exactly like the serial engine's end-of-run sweep.
+  void FinishAt(SimTime horizon) {
+    AccumulateTo(horizon.micros());
+    model_.Finish();
+  }
+
+  // Adds the lane's integrals to the order-free totals, and its counters
+  // and survival observations to the run's report.
+  void MergeInto(U128& alive_us, std::vector<U128>& yearly_alive_us, CenturyReport& out) const {
+    alive_us += alive_us_;
+    for (uint32_t y = 0; y < years_; ++y) {
+      yearly_alive_us[y] += yearly_alive_us_[y];
+    }
+    out.total_failures += report_.total_failures;
+    out.total_replacements += report_.total_replacements;
+    out.proactive_replacements += report_.proactive_replacements;
+    out.units_deployed += report_.units_deployed;
+    out.max_unit_generations = std::max(out.max_unit_generations, report_.max_unit_generations);
+    for (const SurvivalObservation& o : report_.unit_survival.observations()) {
+      out.unit_survival.Observe(o);
     }
   }
 
  private:
-  uint32_t ZoneCount() const { return std::max(1u, config_.batch.zone_count); }
-
   void AccumulateTo(int64_t now_us) {
     if (now_us <= last_us_) {
       return;
     }
+    const uint64_t alive = model_.fleet().alive_count();
     const U128 span = static_cast<uint64_t>(now_us - last_us_);
-    alive_us_ += span * fleet_.alive_count();
+    alive_us_ += span * alive;
     const int64_t year_us = SimTime::Years(1).micros();
     int64_t t0 = last_us_;
     while (t0 < now_us) {
@@ -159,93 +153,22 @@ class CenturyShardLane final : public ShardLane {
           std::min<uint32_t>(years_ - 1, static_cast<uint32_t>(t0 / year_us));
       const int64_t year_end = (static_cast<int64_t>(y) + 1) * year_us;
       const int64_t seg_end = std::min(now_us, year_end);
-      yearly_alive_us_[y] += U128(static_cast<uint64_t>(seg_end - t0)) * fleet_.alive_count();
+      yearly_alive_us_[y] += U128(static_cast<uint64_t>(seg_end - t0)) * alive;
       t0 = seg_end;
     }
     last_us_ = now_us;
   }
 
-  void DeploySite(uint32_t ld) {
-    AccumulateTo(sim_.Now().micros());
-    fleet_.DeployAt(ld);
-    ++units_deployed_;
-
-    // The serial engine's exact derivation, with the global site index:
-    // the draw is identical whichever lane owns the site.
-    const double decade = sim_.Now().ToYears() / 10.0;
-    const double life_scale = std::pow(config_.life_improvement_per_decade, decade);
-    RandomStream site_rng = rng_.Derive((static_cast<uint64_t>(begin_ + ld) << 20) +
-                                        fleet_.unit_generation(ld));
-    const SimTime life =
-        fleet_.class_spec(cls_).hardware.SampleLife(site_rng).life * life_scale;
-
-    fleet_.set_failure_event(
-        ld, timers_.Schedule(sim_.Now() + life, 0, ld, 0, 0.0,
-                             [this, ld, life] { OnSiteFailure(ld, life); }));
-  }
-
-  void OnSiteFailure(uint32_t ld, SimTime life) {
-    fleet_.set_failure_event(ld, kInvalidEventId);
-    AccumulateTo(sim_.Now().micros());
-    fleet_.MarkFailedAt(ld);
-    ++total_failures_;
-    survival_.push_back({life, /*failed=*/true});
-    if (recorder_ != nullptr) {
-      recorder_->Record("century.site_failure", sim_.Now(), begin_ + ld);
-    }
-  }
-
-  void OnZoneVisit(uint32_t zone) {
-    if (recorder_ != nullptr) {
-      recorder_->Record("century.zone_visit", sim_.Now(), zone);
-    }
-    for (uint32_t ld : zone_local_[zone]) {
-      if (!fleet_.alive(ld)) {
-        ++total_replacements_;
-        DeploySite(ld);
-        continue;
-      }
-      if (config_.proactive_refresh_age.micros() > 0 &&
-          sim_.Now() - fleet_.deployed_at(ld) >= config_.proactive_refresh_age) {
-        const EventId failure = fleet_.failure_event(ld);
-        if (failure != kInvalidEventId) {
-          timers_.Cancel(failure);
-          fleet_.set_failure_event(ld, kInvalidEventId);
-        }
-        survival_.push_back({sim_.Now() - fleet_.deployed_at(ld), /*failed=*/false});
-        AccumulateTo(sim_.Now().micros());
-        fleet_.RetireAt(ld);
-        ++proactive_replacements_;
-        DeploySite(ld);
-      }
-    }
-  }
-
   const CenturyConfig& config_;
-  const uint32_t lane_;
-  const uint32_t begin_;
-  const uint32_t end_;
-  FlightRecorder* recorder_;
-
   Simulation sim_;
-  DeviceFleet fleet_;
-  uint32_t cls_ = 0;
-  TimerTable timers_;
-  RandomStream rng_;
+  CenturyReport report_;  // Lane-local counters and survival observations.
+  CenturyModel model_;
   const uint32_t years_;
   std::vector<U128> yearly_alive_us_;
   BatchProjectScheduler batches_;
 
-  std::vector<std::vector<uint32_t>> zone_local_;  // Ascending local slots.
-  std::vector<SurvivalObservation> survival_;      // Lane-local, merged in order.
-
   int64_t last_us_ = 0;
   U128 alive_us_ = 0;
-  uint64_t total_failures_ = 0;
-  uint64_t total_replacements_ = 0;
-  uint64_t proactive_replacements_ = 0;
-  uint64_t units_deployed_ = 0;
-  double max_gen_ = 0.0;
 };
 
 }  // namespace
@@ -273,7 +196,7 @@ CenturyReport RunShardedCenturyScenario(const CenturyConfig& config) {
     const uint32_t end = begin + per_lane + (i < remainder ? 1 : 0);
     FlightRecorder* recorder =
         i < config.shard.shard_recorders.size() ? config.shard.shard_recorders[i] : nullptr;
-    lanes.push_back(std::make_unique<CenturyShardLane>(config, i, begin, end, recorder));
+    lanes.push_back(std::make_unique<CenturyShardLane>(config, begin, end, recorder));
     lane_ptrs.push_back(lanes.back().get());
     begin = end;
   }
@@ -289,28 +212,22 @@ CenturyReport RunShardedCenturyScenario(const CenturyConfig& config) {
   CenturyReport report;
   report.events_executed = RunShardWindows(pool, lane_ptrs, opts);
 
-  CenturyLaneTotals totals;
-  totals.yearly_alive_us.assign(
-      static_cast<uint32_t>(std::ceil(config.horizon.ToYears())), 0);
+  U128 alive_us = 0;
+  std::vector<U128> yearly_alive_us(static_cast<uint32_t>(std::ceil(config.horizon.ToYears())),
+                                    0);
   for (auto& lane : lanes) {
     lane->FinishAt(config.horizon);
-    lane->MergeInto(totals, report.unit_survival);
+    lane->MergeInto(alive_us, yearly_alive_us, report);
   }
 
-  report.total_failures = totals.total_failures;
-  report.total_replacements = totals.total_replacements;
-  report.proactive_replacements = totals.proactive_replacements;
-  report.units_deployed = totals.units_deployed;
-  report.max_unit_generations = totals.max_unit_generations;
-
-  const uint32_t years = static_cast<uint32_t>(totals.yearly_alive_us.size());
+  const uint32_t years = static_cast<uint32_t>(yearly_alive_us.size());
   const double total_site_seconds = config.horizon.ToSeconds() * config.fleet_size;
   report.mean_availability =
-      total_site_seconds > 0 ? U128Seconds(totals.alive_us) / total_site_seconds : 0;
+      total_site_seconds > 0 ? U128Seconds(alive_us) / total_site_seconds : 0;
   report.yearly_availability.resize(years);
   const double year_site_seconds = SimTime::Years(1).ToSeconds() * config.fleet_size;
   for (uint32_t y = 0; y < years; ++y) {
-    report.yearly_availability[y] = U128Seconds(totals.yearly_alive_us[y]) / year_site_seconds;
+    report.yearly_availability[y] = U128Seconds(yearly_alive_us[y]) / year_site_seconds;
     report.min_yearly_availability =
         std::min(report.min_yearly_availability, report.yearly_availability[y]);
   }

@@ -262,4 +262,49 @@ std::string CheckpointFileName(int64_t barrier_us) {
   return buf;
 }
 
+std::string ResolveResumePath(const SnapshotPlan& plan) {
+  if (plan.resume_from.empty() && plan.resume_latest) {
+    return FindLatestValidSnapshot(plan.checkpoint_dir);
+  }
+  return plan.resume_from;
+}
+
+bool OpenCheckpoint(SnapshotReader& reader, const std::string& path,
+                    const std::string& experiment, const std::string& structural_digest,
+                    std::string* error) {
+  if (!reader.Open(path, error)) {
+    return false;
+  }
+  if (reader.meta().experiment != experiment) {
+    SetError(error, "snapshot is for experiment '" + reader.meta().experiment + "', not " +
+                        experiment);
+    return false;
+  }
+  if (reader.meta().structural_digest != structural_digest) {
+    SetError(error, "structural config mismatch (snapshot " + reader.meta().structural_digest +
+                        ", this run " + structural_digest +
+                        "): seed, geometry and horizon must match the saving run; only "
+                        "policy fields may differ");
+    return false;
+  }
+  return true;
+}
+
+uint64_t WriteCheckpoint(const SnapshotWriter& writer, const std::string& dir,
+                         int64_t barrier_us, std::string* path) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  *path = dir + "/" + CheckpointFileName(barrier_us);
+  std::string error;
+  const uint64_t bytes = writer.Write(*path, &error);
+  if (bytes == 0) {
+    std::fprintf(stderr, "checkpoint write failed: %s\n", error.c_str());
+    return 0;
+  }
+  // Marker only after the snapshot is durable: readers of LATEST.json
+  // (resume, the run-status watchdog) always see a complete checkpoint.
+  WriteLatestMarker(dir, *path, barrier_us);
+  return bytes;
+}
+
 }  // namespace centsim

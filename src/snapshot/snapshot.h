@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/snapshot/bytes.h"
+#include "src/snapshot/snapshot_plan.h"
 
 namespace centsim {
 
@@ -139,6 +140,27 @@ std::string FindLatestValidSnapshot(const std::string& dir, SnapshotMeta* meta =
 
 // Canonical checkpoint file name for a barrier time.
 std::string CheckpointFileName(int64_t barrier_us);
+
+// --- Checkpointing-driver steps -----------------------------------------
+//
+// The file bookkeeping every checkpointing driver shares; what goes in
+// the chunks stays the driver's business.
+
+// The snapshot a run resumes from: plan.resume_from, else (resume_latest)
+// the checkpoint directory's latest valid snapshot. Empty = fresh start.
+std::string ResolveResumePath(const SnapshotPlan& plan);
+
+// Opens `path` and refuses it unless it was written by `experiment` with
+// the same structural digest. False + `error` on any defect.
+bool OpenCheckpoint(SnapshotReader& reader, const std::string& path,
+                    const std::string& experiment, const std::string& structural_digest,
+                    std::string* error);
+
+// Writes `writer` as <dir>/CheckpointFileName(barrier_us) (creating the
+// directory), then publishes the LATEST marker naming it. Returns the bytes
+// written and the file's path, or 0 after reporting the failure on stderr.
+uint64_t WriteCheckpoint(const SnapshotWriter& writer, const std::string& dir,
+                         int64_t barrier_us, std::string* path);
 
 }  // namespace centsim
 

@@ -75,11 +75,13 @@ class TimerTable {
 
   // Schedules `fn` at absolute time `at` and records (tag, a, b, x) for
   // reconstruction. The wrapper releases the record when the timer fires,
-  // so Save() only ever sees genuinely pending timers.
+  // so Save() only ever sees genuinely pending timers. `category` labels
+  // the event for profiling, as in Scheduler::ScheduleAt.
   template <typename F>
-  EventId Schedule(SimTime at, uint64_t tag, uint64_t a, uint64_t b, double x, F&& fn) {
+  EventId Schedule(SimTime at, uint64_t tag, uint64_t a, uint64_t b, double x, F&& fn,
+                   const char* category = kDefaultEventCategory) {
     if (!track_) {
-      return sched_.ScheduleAt(at, std::forward<F>(fn));
+      return sched_.ScheduleAt(at, std::forward<F>(fn), category);
     }
     const uint32_t ticket = AcquireTicket();
     Entry& e = entries_[ticket];
@@ -91,10 +93,12 @@ class TimerTable {
     e.rec.x = x;
     e.live = true;
     const EventId id =
-        sched_.ScheduleAt(at, [this, ticket, f = std::forward<F>(fn)]() mutable {
-          ReleaseTicket(ticket);
-          f();
-        });
+        sched_.ScheduleAt(at,
+                          [this, ticket, f = std::forward<F>(fn)]() mutable {
+                            ReleaseTicket(ticket);
+                            f();
+                          },
+                          category);
     NoteEvent(id, ticket);
     return id;
   }

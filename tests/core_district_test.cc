@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "src/sim/profiler.h"
+
 namespace centsim {
 namespace {
 
@@ -78,6 +83,33 @@ TEST(DistrictTest, DeterministicPerSeed) {
   EXPECT_DOUBLE_EQ(a.mean_service_availability, b.mean_service_availability);
   EXPECT_EQ(a.device_failures, b.device_failures);
   EXPECT_EQ(a.gateway_failures, b.gateway_failures);
+}
+
+// Every transition kind profiles under its own category, in the serial
+// engine and in the sampled engine's detailed windows alike.
+TEST(DistrictTest, TransitionsProfileUnderTheirCategories) {
+  for (const bool sampled : {false, true}) {
+    DistrictConfig cfg = QuickConfig();
+    cfg.device_count = 200;
+    cfg.horizon = SimTime::Years(20);
+    if (sampled) {
+      cfg.sampling.mode = SimMode::kSampled;
+      cfg.sampling.detailed_window = SimTime::Days(180);
+      cfg.sampling.sample_period = SimTime::Days(180);  // Every span detailed.
+    }
+    SchedulerProfiler profiler;
+    cfg.control.profiler = &profiler;
+    const DistrictReport report = RunDistrictScenario(cfg);
+    ASSERT_GT(report.gateway_repairs, 0u);
+    std::set<std::string> categories;
+    for (const auto& c : profiler.Categories()) {
+      categories.insert(c.category);
+    }
+    EXPECT_EQ(categories, (std::set<std::string>{"district.device_fail", "district.zone_visit",
+                                                 "district.gateway_fail",
+                                                 "district.gateway_repair"}))
+        << "sampled=" << sampled;
+  }
 }
 
 }  // namespace

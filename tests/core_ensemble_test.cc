@@ -66,8 +66,12 @@ void ExpectEnsemblesIdentical(const FiftyYearEnsemble& a, const FiftyYearEnsembl
 }
 
 TEST(CoreEnsembleTest, OneThreadVsEightThreadsBitIdentical) {
-  const auto serial = SweepFiftyYear(SmallConfig(), 8, /*weekly_goal=*/0.9, /*threads=*/1);
-  const auto parallel = SweepFiftyYear(SmallConfig(), 8, /*weekly_goal=*/0.9, /*threads=*/8);
+  const auto serial = AggregateFiftyYear(
+      EnsembleRunner<FiftyYearExperiment>::Run(SmallConfig(), Opts(8, 1)).replicas,
+      /*weekly_goal=*/0.9);
+  const auto parallel = AggregateFiftyYear(
+      EnsembleRunner<FiftyYearExperiment>::Run(SmallConfig(), Opts(8, 8)).replicas,
+      /*weekly_goal=*/0.9);
   ExpectEnsemblesIdentical(serial, parallel);
 }
 
@@ -95,15 +99,6 @@ TEST(CoreEnsembleTest, MergedRegistriesBitIdenticalAcrossThreadCounts) {
     ++index;
   });
   EXPECT_EQ(index, counters_a.size());
-}
-
-TEST(CoreEnsembleTest, SweepMatchesGenericRunnerAggregation) {
-  // The compatibility wrapper is a thin shim: aggregating the generic
-  // runner's replicas by hand must reproduce SweepFiftyYear bit for bit.
-  const auto result = EnsembleRunner<FiftyYearExperiment>::Run(SmallConfig(), Opts(5, 3));
-  const auto direct = AggregateFiftyYear(result.replicas, 0.9);
-  const auto swept = SweepFiftyYear(SmallConfig(), 5, 0.9, /*threads=*/2);
-  ExpectEnsemblesIdentical(direct, swept);
 }
 
 TEST(CoreEnsembleTest, ReplicaSeedsAreStreamSplit) {

@@ -60,8 +60,8 @@ TEST_F(FabricFixture, NearbyDeviceDelivers) {
   RandomStream rng(1);
   int delivered = 0;
   for (int i = 0; i < 100; ++i) {
-    if (fabric_.AttemptUplink(Packet(RadioTech::k802154), Params(RadioTech::k802154, 30, 0),
-                              rng) == DeliveryOutcome::kDelivered) {
+    if (fabric_.Offer({Packet(RadioTech::k802154), Params(RadioTech::k802154, 30, 0)}, rng)
+            .outcome == DeliveryOutcome::kDelivered) {
       ++delivered;
     }
   }
@@ -72,8 +72,9 @@ TEST_F(FabricFixture, NearbyDeviceDelivers) {
 TEST_F(FabricFixture, FarDeviceOutOfRange) {
   AddGateway(RadioTech::k802154, 0, 0);
   RandomStream rng(2);
-  const auto outcome = fabric_.AttemptUplink(
-      Packet(RadioTech::k802154), Params(RadioTech::k802154, 100000, 0), rng);
+  const auto outcome =
+      fabric_.Offer({Packet(RadioTech::k802154), Params(RadioTech::k802154, 100000, 0)}, rng)
+          .outcome;
   EXPECT_EQ(outcome, DeliveryOutcome::kNoGatewayInRange);
 }
 
@@ -86,16 +87,12 @@ TEST_F(FabricFixture, LoraReachesFartherThan802154) {
   int lora_ok = 0;
   int wpan_ok = 0;
   for (int i = 0; i < 50; ++i) {
-    lora_ok += fabric_.AttemptUplink(Packet(RadioTech::kLoRa, 10 + i),
-                                     Params(RadioTech::kLoRa, 3000, 0), rng) ==
-                       DeliveryOutcome::kDelivered
-                   ? 1
-                   : 0;
-    wpan_ok += fabric_.AttemptUplink(Packet(RadioTech::k802154, 10 + i),
-                                     Params(RadioTech::k802154, 3000, 0), rng) ==
-                       DeliveryOutcome::kDelivered
-                   ? 1
-                   : 0;
+    const DeliveryReport lora =
+        fabric_.Offer({Packet(RadioTech::kLoRa, 10 + i), Params(RadioTech::kLoRa, 3000, 0)}, rng);
+    lora_ok += lora.outcome == DeliveryOutcome::kDelivered ? 1 : 0;
+    const DeliveryReport wpan = fabric_.Offer(
+        {Packet(RadioTech::k802154, 10 + i), Params(RadioTech::k802154, 3000, 0)}, rng);
+    wpan_ok += wpan.outcome == DeliveryOutcome::kDelivered ? 1 : 0;
   }
   EXPECT_GT(lora_ok, wpan_ok + 10);
 }
@@ -103,8 +100,8 @@ TEST_F(FabricFixture, LoraReachesFartherThan802154) {
 TEST_F(FabricFixture, TechMismatchIsInvisible) {
   AddGateway(RadioTech::kLoRa, 0, 0);
   RandomStream rng(4);
-  const auto outcome = fabric_.AttemptUplink(Packet(RadioTech::k802154),
-                                             Params(RadioTech::k802154, 10, 0), rng);
+  const auto outcome =
+      fabric_.Offer({Packet(RadioTech::k802154), Params(RadioTech::k802154, 10, 0)}, rng).outcome;
   EXPECT_EQ(outcome, DeliveryOutcome::kNoGatewayInRange);
 }
 
@@ -112,8 +109,8 @@ TEST_F(FabricFixture, DownGatewayReported) {
   Gateway& gw = AddGateway(RadioTech::k802154, 0, 0);
   gw.Decommission("test");
   RandomStream rng(5);
-  const auto outcome = fabric_.AttemptUplink(Packet(RadioTech::k802154),
-                                             Params(RadioTech::k802154, 20, 0), rng);
+  const auto outcome =
+      fabric_.Offer({Packet(RadioTech::k802154), Params(RadioTech::k802154, 20, 0)}, rng).outcome;
   EXPECT_EQ(outcome, DeliveryOutcome::kGatewayDown);
 }
 
@@ -124,11 +121,9 @@ TEST_F(FabricFixture, SecondGatewayCoversFirstOnesFailure) {
   RandomStream rng(6);
   int delivered = 0;
   for (int i = 0; i < 50; ++i) {
-    delivered += fabric_.AttemptUplink(Packet(RadioTech::k802154),
-                                       Params(RadioTech::k802154, 30, 0), rng) ==
-                         DeliveryOutcome::kDelivered
-                     ? 1
-                     : 0;
+    const DeliveryReport report =
+        fabric_.Offer({Packet(RadioTech::k802154), Params(RadioTech::k802154, 30, 0)}, rng);
+    delivered += report.outcome == DeliveryOutcome::kDelivered ? 1 : 0;
   }
   EXPECT_GT(delivered, 45);
 }
@@ -140,11 +135,9 @@ TEST_F(FabricFixture, OfferedLoadDrivesCollisions) {
   fabric_.AddOfferedLoad(RadioTech::kLoRa, 20.0 * 3600.0);
   int delivered = 0;
   for (int i = 0; i < 200; ++i) {
-    delivered += fabric_.AttemptUplink(Packet(RadioTech::kLoRa),
-                                       Params(RadioTech::kLoRa, 100, 0), rng) ==
-                         DeliveryOutcome::kDelivered
-                     ? 1
-                     : 0;
+    const DeliveryReport report =
+        fabric_.Offer({Packet(RadioTech::kLoRa), Params(RadioTech::kLoRa, 100, 0)}, rng);
+    delivered += report.outcome == DeliveryOutcome::kDelivered ? 1 : 0;
   }
   EXPECT_LT(delivered, 120);
   EXPECT_GT(fabric_.OutcomeCount(DeliveryOutcome::kCollision), 0u);
@@ -156,8 +149,8 @@ TEST_F(FabricFixture, EndpointDownAttributedToCloud) {
   AddGateway(RadioTech::k802154, 0, 0);
   endpoint_.SetOperational(false);
   RandomStream rng(8);
-  const auto outcome = fabric_.AttemptUplink(Packet(RadioTech::k802154),
-                                             Params(RadioTech::k802154, 20, 0), rng);
+  const auto outcome =
+      fabric_.Offer({Packet(RadioTech::k802154), Params(RadioTech::k802154, 20, 0)}, rng).outcome;
   EXPECT_EQ(outcome, DeliveryOutcome::kEndpointDown);
   const auto tiers = fabric_.TierAttribution();
   EXPECT_EQ(tiers[static_cast<size_t>(Tier::kCloud)], 1u);
@@ -167,7 +160,7 @@ TEST_F(FabricFixture, AttributionExcludesDelivered) {
   AddGateway(RadioTech::k802154, 0, 0);
   RandomStream rng(9);
   for (int i = 0; i < 20; ++i) {
-    fabric_.AttemptUplink(Packet(RadioTech::k802154), Params(RadioTech::k802154, 20, 0), rng);
+    fabric_.Offer({Packet(RadioTech::k802154), Params(RadioTech::k802154, 20, 0)}, rng);
   }
   uint64_t attributed = 0;
   for (const auto count : fabric_.TierAttribution()) {
@@ -195,7 +188,7 @@ TEST_F(FabricFixture, NetworkServerModeDedupsAndPaysEveryWitness) {
   UplinkPacket pkt = Packet(RadioTech::kLoRa);
   for (int i = 0; i < 50; ++i) {
     pkt.sequence = i + 1;
-    fabric_.AttemptUplink(pkt, Params(RadioTech::kLoRa, 40, 0), rng);
+    fabric_.Offer({pkt, Params(RadioTech::kLoRa, 40, 0)}, rng);
   }
   EXPECT_EQ(endpoint_.total_packets(), ns.frames_forwarded());
   EXPECT_GT(ns.duplicates_suppressed(), 30u);  // Both hotspots usually hear.
@@ -211,7 +204,7 @@ TEST_F(FabricFixture, NetworkServerModeDoesNotAffect802154) {
   UplinkPacket pkt = Packet(RadioTech::k802154);
   for (int i = 0; i < 20; ++i) {
     pkt.sequence = i + 1;
-    fabric_.AttemptUplink(pkt, Params(RadioTech::k802154, 20, 0), rng);
+    fabric_.Offer({pkt, Params(RadioTech::k802154, 20, 0)}, rng);
   }
   EXPECT_EQ(ns.frames_forwarded(), 0u);  // Owned path bypasses the server.
   EXPECT_GT(endpoint_.total_packets(), 15u);
@@ -222,10 +215,10 @@ TEST_F(FabricFixture, DeterministicGivenSeedAndSequence) {
   RandomStream rng_a(42);
   RandomStream rng_b(42);
   for (int i = 0; i < 50; ++i) {
-    const auto a = fabric_.AttemptUplink(Packet(RadioTech::k802154, 5),
-                                         Params(RadioTech::k802154, 400, 0), rng_a);
-    const auto b = fabric_.AttemptUplink(Packet(RadioTech::k802154, 5),
-                                         Params(RadioTech::k802154, 400, 0), rng_b);
+    const NetworkFabric::TxRequest req{Packet(RadioTech::k802154, 5),
+                                       Params(RadioTech::k802154, 400, 0)};
+    const auto a = fabric_.Offer(req, rng_a).outcome;
+    const auto b = fabric_.Offer(req, rng_b).outcome;
     EXPECT_EQ(a, b);
   }
 }

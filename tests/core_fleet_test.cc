@@ -1,14 +1,21 @@
 // DeviceFleet tests: generation-tagged handle semantics, class interning,
-// fleet-level metrics, the zero-allocation steady report path, and
+// fleet-level metrics, the zero-allocation steady report path,
 // golden-digest parity pins for the fleet-backed district and century
-// drivers against reports captured from the object-graph seed.
+// drivers against reports captured from the object-graph seed, and pins
+// of the sampled and sharded engines and the checkpoint writers.
 
 #include "src/core/fleet.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/core/device.h"
 #include "src/core/district.h"
@@ -73,8 +80,8 @@ TEST(DeviceFleetTest, ReusedSlotStateIsFullyReinitialized) {
   const uint32_t cls = fleet.InternClass(TestSpec());
   const DeviceHandle a = fleet.Add(cls, 0, 0, 0, HarvesterModel());
   const uint32_t slot = DeviceFleet::SlotOf(a);
-  fleet.DeployAt(slot);
-  fleet.MarkFailedAt(slot);
+  fleet.DeployAt(slot, sim.Now());
+  fleet.MarkFailedAt(slot, sim.Now());
   EXPECT_EQ(fleet.unit_generation(slot), 1u);
   fleet.Remove(a);
 
@@ -121,8 +128,8 @@ TEST(DeviceFleetTest, LifecycleTransitionsTrackAliveAndCoveredCounts) {
   const uint32_t cls = fleet.InternClass(TestSpec());
   fleet.Add(cls, 0, 0, 0, HarvesterModel());
   fleet.Add(cls, 1, 0, 0, HarvesterModel());
-  fleet.DeployAt(0);
-  fleet.DeployAt(1);
+  fleet.DeployAt(0, sim.Now());
+  fleet.DeployAt(1, sim.Now());
   EXPECT_EQ(fleet.alive_count(), 2u);
   fleet.AddCoveringAt(0, 1);
   EXPECT_EQ(fleet.covered_count(), 1u);
@@ -130,7 +137,7 @@ TEST(DeviceFleetTest, LifecycleTransitionsTrackAliveAndCoveredCounts) {
   EXPECT_EQ(fleet.covered_count(), 1u);  // Still one covered site.
   fleet.AddCoveringAt(0, -2);
   EXPECT_EQ(fleet.covered_count(), 0u);
-  fleet.MarkFailedAt(0);
+  fleet.MarkFailedAt(0, sim.Now());
   fleet.RetireAt(1);
   EXPECT_EQ(fleet.alive_count(), 0u);
 }
@@ -140,10 +147,10 @@ TEST(DeviceFleetTest, FailureHookFiresWithLiveHandle) {
   DeviceFleet fleet(sim);
   const uint32_t cls = fleet.InternClass(TestSpec());
   const DeviceHandle h = fleet.Add(cls, 0, 0, 0, HarvesterModel());
-  fleet.DeployAt(0);
+  fleet.DeployAt(0, sim.Now());
   DeviceHandle seen = kInvalidDeviceHandle;
   fleet.SetFailureHook([&seen](DeviceHandle failed, SimTime) { seen = failed; });
-  fleet.MarkFailedAt(0);
+  fleet.MarkFailedAt(0, sim.Now());
   EXPECT_EQ(seen, h);
 }
 
@@ -155,13 +162,13 @@ TEST(DeviceFleetTest, FleetMetricsExposeGaugesWithoutPerDeviceCardinality) {
   const uint32_t cls = fleet.InternClass(TestSpec("acme-v1"));
   for (uint32_t i = 0; i < 100; ++i) {
     fleet.Add(cls, i, 0, 0, HarvesterModel());
-    fleet.DeployAt(i);
+    fleet.DeployAt(i, sim.Now());
   }
   fleet.EnableFleetMetrics();
   Gauge* alive = registry.GetGauge("fleet.alive_devices", {});
   ASSERT_NE(alive, nullptr);
   EXPECT_EQ(alive->value(), 100);
-  fleet.MarkFailedAt(7);
+  fleet.MarkFailedAt(7, sim.Now());
   EXPECT_EQ(alive->value(), 99);
   fleet.CountReplacementAt(7);
   Counter* repl = registry.GetCounter("fleet.replacements", {{"class", "acme-v1"}});
@@ -303,6 +310,196 @@ TEST(FleetGoldenTest, CenturyReportMatchesObjectGraphSeed) {
   const std::string digest = ConfigDigest(out.str());
   std::printf("century parity digest: %s\n", digest.c_str());
   EXPECT_EQ(digest, kGoldenCenturyDigest);
+}
+
+// --- Engine parity pins ---------------------------------------------------
+//
+// The serial pins above cover only the default engine. These pin the
+// sampled and sharded engines' full reports (plus the sampling accounting,
+// the event count and, for the century, every Kaplan-Meier observation in
+// order), captured from the per-engine drivers (commit 59ae618) before
+// they were rebuilt over one shared model per scenario. A moved result in
+// any engine fails here even when its invariance tests still agree with
+// themselves. Re-pin only with the same justification the serial pins need.
+
+void AppendSampling(std::ostringstream& out, bool sampled, uint32_t windows, int64_t skipped_us,
+                    bool converged, const std::vector<MetricCi>& cis, uint64_t events) {
+  out << '|' << sampled << '|' << windows << '|' << skipped_us << '|' << converged;
+  for (const MetricCi& ci : cis) {
+    out << '|' << ci.name << ':' << ci.mean << ':' << ci.ci_half_width << ':' << ci.windows;
+  }
+  out << '|' << events;
+}
+
+std::string DistrictPin(const DistrictReport& r) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  out << r.gateway_count << '|' << r.initial_coverage << '|' << r.mean_device_availability
+      << '|' << r.mean_service_availability << '|' << r.min_yearly_service << '|'
+      << r.device_failures << '|' << r.device_replacements << '|' << r.gateway_failures
+      << '|' << r.gateway_repairs;
+  for (double v : r.yearly_service) {
+    out << '|' << v;
+  }
+  AppendSampling(out, r.sampled, r.windows_measured, r.sim_skipped_us, r.ci_converged,
+                 r.metric_cis, r.events_executed);
+  return ConfigDigest(out.str());
+}
+
+std::string CenturyPin(const CenturyReport& r) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  out << r.mean_availability << '|' << r.min_yearly_availability << '|' << r.total_failures
+      << '|' << r.total_replacements << '|' << r.proactive_replacements << '|'
+      << r.units_deployed << '|' << r.max_unit_generations;
+  for (double v : r.yearly_availability) {
+    out << '|' << v;
+  }
+  for (const SurvivalObservation& o : r.unit_survival.observations()) {
+    out << '|' << o.time.micros() << (o.failed ? 'f' : 'c');
+  }
+  AppendSampling(out, r.sampled, r.windows_measured, r.sim_skipped_us, r.ci_converged,
+                 r.metric_cis, r.events_executed);
+  return ConfigDigest(out.str());
+}
+
+SamplingPlan PinSampling() {
+  SamplingPlan plan;
+  plan.mode = SimMode::kSampled;
+  plan.detailed_window = SimTime::Days(14);
+  plan.sample_period = SimTime::Days(140);
+  plan.min_windows = 4;
+  plan.ci_target = 0.05;
+  return plan;
+}
+
+DistrictConfig PinDistrict() {
+  DistrictConfig cfg;
+  cfg.seed = 20260806;
+  cfg.device_count = 600;
+  cfg.area_km2 = 4.0;
+  cfg.zone_grid = 3;
+  cfg.horizon = SimTime::Years(20);
+  cfg.gateway_range_m = 700.0;
+  cfg.batch_cycle = SimTime::Years(5);
+  return cfg;
+}
+
+CenturyConfig PinCentury() {
+  CenturyConfig cfg;
+  cfg.seed = 20260806;
+  cfg.fleet_size = 300;
+  cfg.horizon = SimTime::Years(60);
+  cfg.batch.zone_count = 6;
+  cfg.batch.cycle_period = SimTime::Years(5);
+  return cfg;
+}
+
+TEST(EnginePinTest, SampledDistrict) {
+  DistrictConfig cfg = PinDistrict();
+  cfg.sampling = PinSampling();
+  const std::string digest = DistrictPin(RunDistrictScenario(cfg));
+  std::printf("sampled district pin: %s\n", digest.c_str());
+  EXPECT_EQ(digest, "6a4fe6f27974f98c");
+}
+
+TEST(EnginePinTest, ShardedDistrictAtThreeShards) {
+  DistrictConfig cfg = PinDistrict();
+  cfg.shard.shards = 3;
+  const std::string digest = DistrictPin(RunDistrictScenario(cfg));
+  std::printf("sharded district pin: %s\n", digest.c_str());
+  EXPECT_EQ(digest, "6dfdf848810a5d3b");
+}
+
+TEST(EnginePinTest, ShardedCenturyAtThreeShards) {
+  CenturyConfig cfg = PinCentury();
+  cfg.proactive_refresh_age = SimTime::Years(15);
+  cfg.life_improvement_per_decade = 1.05;
+  cfg.shard.shards = 3;
+  const std::string digest = CenturyPin(RunCenturyScenario(cfg));
+  std::printf("sharded century pin: %s\n", digest.c_str());
+  EXPECT_EQ(digest, "ca462e084c8c4161");
+}
+
+// Proactive refresh runs the per-site merge walk.
+TEST(EnginePinTest, SampledCenturyMergeWalk) {
+  CenturyConfig cfg = PinCentury();
+  cfg.proactive_refresh_age = SimTime::Years(15);
+  cfg.life_improvement_per_decade = 1.05;
+  cfg.sampling = PinSampling();
+  const std::string digest = CenturyPin(RunCenturyScenario(cfg));
+  std::printf("sampled century (merge walk) pin: %s\n", digest.c_str());
+  EXPECT_EQ(digest, "21c46e34125ab485");
+}
+
+// No proactive refresh runs the transition calendar.
+TEST(EnginePinTest, SampledCenturyCalendar) {
+  CenturyConfig cfg = PinCentury();
+  cfg.sampling = PinSampling();
+  const std::string digest = CenturyPin(RunCenturyScenario(cfg));
+  std::printf("sampled century (calendar) pin: %s\n", digest.c_str());
+  EXPECT_EQ(digest, "ba72ed3af55ceeec");
+}
+
+// Every checkpoint file a run writes, in barrier order, folded into one
+// digest: pins the `district`, `district-shard` and `century` layouts byte
+// for byte (the snapshot tests only prove a writer and its reader agree).
+template <typename Config, typename Run>
+std::string CheckpointBytesPin(Config cfg, SimTime every, const std::string& name, Run run) {
+  namespace fs = std::filesystem;
+  const std::string dir = testing::TempDir() + name;
+  fs::remove_all(dir);
+  cfg.snapshot.checkpoint_every = every;
+  cfg.snapshot.checkpoint_dir = dir;
+  const auto report = run(cfg);
+  EXPECT_GT(report.checkpoints_written, 1u);
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".snap") {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::string bytes;
+  for (const std::string& path : files) {
+    std::ifstream in(path, std::ios::binary);
+    bytes.append(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  fs::remove_all(dir);
+  return ConfigDigest(bytes);
+}
+
+TEST(EnginePinTest, CheckpointFilesByteIdentical) {
+  MetricsRegistry registry;
+  DistrictConfig district = PinDistrict();
+  district.metrics = &registry;
+  const std::string serial_district = CheckpointBytesPin(
+      district, SimTime::Years(6), "pin_district",
+      [](const DistrictConfig& c) { return RunDistrictScenario(c); });
+
+  DistrictConfig sharded = PinDistrict();
+  sharded.shard.shards = 2;
+  const std::string sharded_district = CheckpointBytesPin(
+      sharded, SimTime::Years(6), "pin_district_shard",
+      [](const DistrictConfig& c) { return RunDistrictScenario(c); });
+
+  CenturyConfig century = PinCentury();
+  century.proactive_refresh_age = SimTime::Years(15);
+  const std::string serial_century = CheckpointBytesPin(
+      century, SimTime::Years(20), "pin_century",
+      [](const CenturyConfig& c) { return RunCenturyScenario(c); });
+
+  century.sampling = PinSampling();
+  const std::string sampled_century = CheckpointBytesPin(
+      century, SimTime::Years(20), "pin_century_sampled",
+      [](const CenturyConfig& c) { return RunCenturyScenario(c); });
+
+  std::printf("checkpoint pins: %s %s %s %s\n", serial_district.c_str(),
+              sharded_district.c_str(), serial_century.c_str(), sampled_century.c_str());
+  EXPECT_EQ(serial_district, "bd51836671f7ecf6");
+  EXPECT_EQ(sharded_district, "693a80c75d32400a");
+  EXPECT_EQ(serial_century, "17cf47fa180e8bf3");
+  EXPECT_EQ(sampled_century, "4685fa1c03ee96c8");
 }
 
 }  // namespace

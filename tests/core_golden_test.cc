@@ -67,7 +67,11 @@ std::string FiftyYearDigest() {
 std::string EnsembleDigest(uint32_t threads) {
   FiftyYearConfig base = GoldenConfig();
   base.horizon = SimTime::Years(5);  // Eight 5-year replicas stay quick.
-  const FiftyYearEnsemble ens = SweepFiftyYear(base, 8, 0.95, threads);
+  EnsembleOptions options;
+  options.replicas = 8;
+  options.threads = threads;
+  const FiftyYearEnsemble ens =
+      AggregateFiftyYear(EnsembleRunner<FiftyYearExperiment>::Run(base, options).replicas, 0.95);
   std::ostringstream out;
   out << std::hexfloat;
   for (double v : ens.weekly_uptime.values()) {

@@ -75,19 +75,6 @@ TEST_F(MediumFixture, OfferReportsPhysicalDetail) {
   EXPECT_NEAR(report.snr_db, report.rssi_dbm - NoiseFloorDbm(125e3, 6.0), 1e-12);
 }
 
-TEST_F(MediumFixture, AttemptUplinkShimMatchesOffer) {
-  AddGateway(RadioTech::kLoRa, 0, 0, 7);
-  fabric_.AddOfferedLoad(RadioTech::kLoRa, 5000.0);
-  RandomStream rng_a(9);
-  RandomStream rng_b(9);
-  const NetworkFabric::TxRequest req = LoraRequest(3, 900, 0);
-  for (int i = 0; i < 50; ++i) {
-    const DeliveryOutcome via_shim = fabric_.AttemptUplink(req.packet, req.params, rng_a);
-    const DeliveryOutcome via_offer = fabric_.Offer(req, rng_b).outcome;
-    EXPECT_EQ(via_shim, via_offer);
-  }
-}
-
 TEST_F(MediumFixture, CadDefersWhenBandSaturated) {
   AddGateway(RadioTech::kLoRa, 0, 0, 7);
   MediumConfig medium;

@@ -104,7 +104,10 @@ TEST(MonteCarloTest, EnsembleAggregates) {
   base.helium_hotspots = 2;
   base.report_interval = SimTime::Hours(12);
   base.horizon = SimTime::Years(3);
-  const auto ensemble = SweepFiftyYear(base, 5, /*weekly_goal=*/0.5);
+  EnsembleOptions options;
+  options.replicas = 5;
+  const auto ensemble = AggregateFiftyYear(
+      EnsembleRunner<FiftyYearExperiment>::Run(base, options).replicas, /*weekly_goal=*/0.5);
   EXPECT_EQ(ensemble.runs, 5u);
   EXPECT_EQ(ensemble.weekly_uptime.count(), 5u);
   EXPECT_GE(ensemble.GoalProbability(), 0.0);
@@ -122,8 +125,11 @@ TEST(MonteCarloTest, GoalProbabilityMonotoneInGoal) {
   base.helium_hotspots = 2;
   base.report_interval = SimTime::Hours(12);
   base.horizon = SimTime::Years(3);
-  const auto lenient = SweepFiftyYear(base, 4, 0.3);
-  const auto strict = SweepFiftyYear(base, 4, 0.999);
+  EnsembleOptions options;
+  options.replicas = 4;
+  const auto replicas = EnsembleRunner<FiftyYearExperiment>::Run(base, options).replicas;
+  const auto lenient = AggregateFiftyYear(replicas, 0.3);
+  const auto strict = AggregateFiftyYear(replicas, 0.999);
   EXPECT_GE(lenient.runs_meeting_weekly_goal, strict.runs_meeting_weekly_goal);
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "src/sim/profiler.h"
+
 namespace centsim {
 namespace {
 
@@ -95,6 +100,31 @@ TEST(CenturyTest, SurvivalMedianBelowHorizon) {
   ASSERT_TRUE(median.has_value());
   EXPECT_LT(median->ToYears(), 40.0);  // No century-scale individual units.
   EXPECT_GT(median->ToYears(), 3.0);
+}
+
+// Every transition kind profiles under its own category, in the serial
+// engine and in the sampled engine's detailed windows alike.
+TEST(CenturyTest, TransitionsProfileUnderTheirCategories) {
+  for (const bool sampled : {false, true}) {
+    CenturyConfig cfg = QuickConfig();
+    cfg.fleet_size = 100;
+    cfg.horizon = SimTime::Years(30);
+    if (sampled) {
+      cfg.sampling.mode = SimMode::kSampled;
+      cfg.sampling.detailed_window = SimTime::Days(180);
+      cfg.sampling.sample_period = SimTime::Days(180);  // Every span detailed.
+    }
+    SchedulerProfiler profiler;
+    cfg.control.profiler = &profiler;
+    RunCenturyScenario(cfg);
+    std::set<std::string> categories;
+    for (const auto& c : profiler.Categories()) {
+      categories.insert(c.category);
+    }
+    EXPECT_EQ(categories,
+              (std::set<std::string>{"century.site_failure", "century.zone_visit"}))
+        << "sampled=" << sampled;
+  }
 }
 
 }  // namespace

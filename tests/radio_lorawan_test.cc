@@ -1,5 +1,9 @@
 #include "src/radio/lorawan.h"
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace centsim {
@@ -122,6 +126,23 @@ struct AirtimeGolden {
   size_t payload;
   double expected_ms;
 };
+
+// gtest names each case after its parameter, printed as raw bytes, and the
+// padding after `sf` holds stack garbage, so those names changed from
+// process to process. Print the same bytes with the padding zeroed.
+void PrintTo(const AirtimeGolden& g, std::ostream* os) {
+  unsigned char bytes[sizeof(AirtimeGolden)] = {};
+  std::memcpy(bytes + offsetof(AirtimeGolden, sf), &g.sf, sizeof g.sf);
+  std::memcpy(bytes + offsetof(AirtimeGolden, payload), &g.payload, sizeof g.payload);
+  std::memcpy(bytes + offsetof(AirtimeGolden, expected_ms), &g.expected_ms, sizeof g.expected_ms);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
+
+TEST(AirtimeGoldenPrintTest, PaddingPrintsAsZero) {
+  EXPECT_EQ(::testing::PrintToString(AirtimeGolden{LoraSf::kSf9, 12, 144.384}),
+            "24-byte object <09-00 00-00 00-00 00-00 0C-00 00-00 00-00 00-00 "
+            "3F-35 5E-BA 49-0C 62-40>");
+}
 
 class AirtimeGoldenSweep : public ::testing::TestWithParam<AirtimeGolden> {};
 

@@ -700,6 +700,7 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
 
   ThreadPool pool(config.shard.workers != 0 ? config.shard.workers : shards);
   ShardWindowOptions opts;
+  opts.start = SimTime::Micros(restoring ? rs.barrier_us : 0);
   opts.horizon = config.horizon;
   opts.window = config.shard.window.micros() > 0 ? config.shard.window : SimTime::Days(90);
   opts.checkpoint_every = config.snapshot.checkpoint_every;

@@ -40,17 +40,20 @@ void NetworkFabric::SetPathLoss(RadioTech tech, PathLossModel model) {
   } else {
     pl_lora_ = model;
   }
+  link_rows_.clear();
 }
 
 void NetworkFabric::AddGateway(Gateway* gateway) {
   gateways_.push_back(gateway);
   capture_ewma_mw_.push_back(0.0);
   gw_grid_dirty_ = true;
+  link_rows_.clear();
 }
 
 void NetworkFabric::ConfigureMedium(const MediumConfig& config) {
   medium_ = config;
   gw_grid_dirty_ = true;
+  link_rows_.clear();
 }
 
 void NetworkFabric::RebuildGridIfNeeded() {
@@ -136,6 +139,45 @@ double NetworkFabric::RxPowerDbm(const Gateway& gw, const UplinkPacket& packet,
   return lb.ReceivedPowerDbm();
 }
 
+const NetworkFabric::LinkRow& NetworkFabric::LinkRowFor(const TxRequest& request,
+                                                        const PhyModel& phy) {
+  const UplinkPacket& packet = request.packet;
+  const UplinkParams& params = request.params;
+  const LinkKey key{params.x_m, params.y_m, params.tx_power_dbm,
+                    packet.tech, params.lora, packet.payload_bytes};
+  const auto [it, inserted] = link_rows_.try_emplace(packet.device_id);
+  LinkRow& row = it->second;
+  if (!inserted && row.key == key) {
+    return row;
+  }
+  row.key = key;
+  row.links.clear();
+
+  const double sens = phy.SensitivityDbm();
+  auto scan = [&](uint32_t index) {
+    Gateway* gw = gateways_[index];
+    if (gw->config().tech != packet.tech) {
+      return;
+    }
+    const double rx = RxPowerDbm(*gw, packet, params);
+    if (rx >= sens - 3.0) {  // Keep marginal links; PER handles the edge.
+      row.links.push_back(
+          {gw, index, rx, phy.SnrDb(rx), phy.PacketErrorRate(rx, packet.payload_bytes)});
+    }
+  };
+  if (medium_.grid_buckets) {
+    RebuildGridIfNeeded();
+    gw_grid_.ForNeighbors(params.x_m, params.y_m, scan);
+  } else {
+    for (uint32_t index = 0; index < gateways_.size(); ++index) {
+      scan(index);
+    }
+  }
+  std::sort(row.links.begin(), row.links.end(),
+            [](const LinkEntry& a, const LinkEntry& b) { return a.rx_dbm > b.rx_dbm; });
+  return row;
+}
+
 DeliveryReport NetworkFabric::Offer(const TxRequest& request, RandomStream& rng) {
   const UplinkPacket& packet = request.packet;
   const UplinkParams& params = request.params;
@@ -171,36 +213,10 @@ DeliveryReport NetworkFabric::Offer(const TxRequest& request, RandomStream& rng)
   }
 
   // --- Access channel: who can hear this frame at all? ---
-  struct Candidate {
-    Gateway* gw;
-    uint32_t index;  // Position in gateways_ (EWMA column).
-    double rx_dbm;
-  };
-  std::vector<Candidate> reachable;
-  const double sens = phy.SensitivityDbm();
-  auto scan = [&](uint32_t index) {
-    Gateway* gw = gateways_[index];
-    if (gw->config().tech != packet.tech) {
-      return;
-    }
-    const double rx = RxPowerDbm(*gw, packet, params);
-    if (rx >= sens - 3.0) {  // Keep marginal links; PER handles the edge.
-      reachable.push_back({gw, index, rx});
-    }
-  };
-  if (medium_.grid_buckets) {
-    RebuildGridIfNeeded();
-    gw_grid_.ForNeighbors(params.x_m, params.y_m, scan);
-  } else {
-    for (uint32_t index = 0; index < gateways_.size(); ++index) {
-      scan(index);
-    }
-  }
+  const std::vector<LinkEntry>& reachable = LinkRowFor(request, phy).links;
   if (reachable.empty()) {
     return finish(DeliveryOutcome::kNoGatewayInRange);
   }
-  std::sort(reachable.begin(), reachable.end(),
-            [](const Candidate& a, const Candidate& b) { return a.rx_dbm > b.rx_dbm; });
 
   // --- Collision: one draw per attempt (interferers are common-mode). ---
   const double load_hz = medium_.grid_buckets
@@ -217,16 +233,16 @@ DeliveryReport NetworkFabric::Offer(const TxRequest& request, RandomStream& rng)
   bool server_delivered = false;
   bool any_phy_received = false;
   DeliveryOutcome last_gateway_outcome = DeliveryOutcome::kGatewayDown;
-  auto note_reception = [&](const Candidate& cand, bool via_capture) {
+  auto note_reception = [&](const LinkEntry& cand, bool via_capture) {
     ++report.witnesses;
     if (report.witnesses == 1) {
       report.gateway_id = cand.gw->config().id;
       report.rssi_dbm = cand.rx_dbm;
-      report.snr_db = phy.SnrDb(cand.rx_dbm);
+      report.snr_db = cand.snr_db;
       report.captured = via_capture;
     }
   };
-  for (const Candidate& cand : reachable) {
+  for (const LinkEntry& cand : reachable) {
     // Running ambient-power estimate per gateway: every arriving frame
     // nudges the EWMA the SIR capture test reads. Sampled before this
     // frame's own contribution lands.
@@ -236,8 +252,7 @@ DeliveryReport NetworkFabric::Offer(const TxRequest& request, RandomStream& rng)
       ambient_mw = ewma;
       ewma += (DbmToMilliwatts(cand.rx_dbm) - ewma) / 16.0;
     }
-    const double per = phy.PacketErrorRate(cand.rx_dbm, packet.payload_bytes);
-    if (rng.NextBool(per)) {
+    if (rng.NextBool(cand.per)) {
       continue;  // This gateway missed the frame.
     }
     if (collided) {
@@ -246,9 +261,11 @@ DeliveryReport NetworkFabric::Offer(const TxRequest& request, RandomStream& rng)
       if (medium_.sir_capture) {
         // Deterministic SIR test: survive iff this frame clears the
         // gateway's ambient interference estimate by the margin. An idle
-        // band (ambient 0 => -inf dBm) always captures.
+        // band (no frame seen yet, ambient 0 mW) always captures; it is
+        // decided before the dB conversion, which has no value at 0 mW.
         captures = cand.gw == reachable.front().gw &&
-                   cand.rx_dbm - MilliwattsToDbm(ambient_mw) >= medium_.capture_margin_db;
+                   (ambient_mw == 0.0 ||
+                    cand.rx_dbm - MilliwattsToDbm(ambient_mw) >= medium_.capture_margin_db);
       } else {
         captures = cand.gw == reachable.front().gw &&
                    rng.NextBool(0.5);  // Even odds vs a peer frame.

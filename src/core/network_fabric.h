@@ -12,6 +12,11 @@
 // SNR, witness count, capture flag) that used to be scattered across
 // DeliveryOutcome returns, bools, and gateway tuples.
 //
+// Each device's view of the gateways is a link row: the reachable
+// gateways, strongest first, with received power, SNR and PER at the
+// device's payload. Offer builds a row on a device's first frame and
+// reuses it while the request's radio inputs match; see LinkRow.
+//
 // Fidelity mechanisms beyond the legacy pipeline are opt-in via
 // MediumConfig — grid-bucketed gateway lookup with per-cell offered load,
 // SIR-based capture (strongest signal survives when it clears the ambient
@@ -120,7 +125,9 @@ class NetworkFabric {
   // Runs the full pipeline. Counts the outcome and, on success, records
   // the arrival at the endpoint. The report carries the delivering
   // gateway, RSSI/SNR of the best reception, how many gateways witnessed
-  // the frame, and whether it survived a collision via capture.
+  // the frame, and whether it survived a collision via capture. Not
+  // reentrant: gateway, server and endpoint hooks must not call back into
+  // the fabric.
   DeliveryReport Offer(const TxRequest& request, RandomStream& rng);
 
   // --- Class B beacons and CAD retries (snapshot-safe timers) -----------
@@ -170,6 +177,41 @@ class NetworkFabric {
   const std::vector<Gateway*>& gateways() const { return gateways_; }
 
  private:
+  // One gateway as one device sees it.
+  struct LinkEntry {
+    Gateway* gw;
+    uint32_t index;  // Position in gateways_ (EWMA column).
+    double rx_dbm;
+    double snr_db;
+    double per;  // At the row's payload size.
+  };
+
+  // The request fields a link row depends on besides the device id.
+  struct LinkKey {
+    double x_m = 0.0;
+    double y_m = 0.0;
+    double tx_power_dbm = 0.0;
+    RadioTech tech = RadioTech::k802154;
+    LoraConfig lora;
+    uint32_t payload_bytes = 0;
+
+    bool operator==(const LinkKey&) const = default;
+  };
+
+  // A device's link row: every technology-matching gateway with
+  // rx >= sensitivity - 3 dB, strongest first. The links are a pure
+  // function of the key, the device id (the map key, which seeds the
+  // frozen shadowing), the gateways, the path-loss models and the grid,
+  // so AddGateway, SetPathLoss and ConfigureMedium drop every row and
+  // snapshots do not carry them.
+  struct LinkRow {
+    LinkKey key;
+    std::vector<LinkEntry> links;
+  };
+
+  // The request device's row, rebuilt in place when its key differs.
+  const LinkRow& LinkRowFor(const TxRequest& request, const PhyModel& phy);
+
   // Received power at `gw` for a transmitter at (x, y), with per-link
   // frozen shadowing.
   double RxPowerDbm(const Gateway& gw, const UplinkPacket& packet,
@@ -204,6 +246,10 @@ class NetworkFabric {
   // Gateway lookup grid (cell = medium_.grid_cell_m); rebuilt lazily.
   GatewayCellGrid gw_grid_;
   bool gw_grid_dirty_ = true;
+
+  // Link rows by device id; one row per id, overwritten when the id
+  // reappears with other radio inputs.
+  std::unordered_map<uint32_t, LinkRow> link_rows_;
 
   // Per-gateway running interference estimate (mW, EWMA alpha = 1/16):
   // the ambient power the SIR capture test compares against. Indexed

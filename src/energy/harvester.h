@@ -17,7 +17,9 @@
 //
 // Both call the same free functions for the per-kind math, so a virtual
 // SolarHarvester and a HarvesterModel::Solar with equal params produce
-// bit-identical doubles.
+// bit-identical doubles. HarvesterModel::EnergyOver returns a solar window
+// that lies wholly in one night as +0.0 without sampling it; its
+// declaration explains the 18:00 margin.
 
 #ifndef SRC_ENERGY_HARVESTER_H_
 #define SRC_ENERGY_HARVESTER_H_
@@ -193,6 +195,15 @@ class HarvesterModel {
   static HarvesterModel Vibration(const VibrationHarvester::Params& params);
 
   double PowerAt(SimTime t) const;
+  // Adaptive trapezoid for the periodic kinds, exact for the others. Two
+  // solar shortcuts keep every double the plain trapezoid gives. First, a
+  // dark window returns +0.0 without sampling, which is the sum its
+  // samples would give. A window is dark when every trapezoid point lies
+  // in one night: a day fraction <= 0.25, or >= 0.75 + 1e-9. The margin
+  // exists because at exactly 18:00 the phase rounds to double(pi), whose
+  // sine is +1.2e-16, so that instant has sun and keeps its sample.
+  // Second, a lit window computes each day's weather factor once per call,
+  // not once per point.
   double EnergyOver(SimTime from, SimTime to) const;
   // Closed-form integral for every kind (solar/thermal/vibration get the
   // per-day analytic pieces the virtual overrides use; constant and

@@ -31,6 +31,8 @@ struct LoraConfig {
   bool explicit_header = true;
   bool low_data_rate_optimize_auto = true;  // Per spec for SF11/12 @125k.
   bool crc_on = true;
+
+  bool operator==(const LoraConfig&) const = default;
 };
 
 class LoraPhy {

@@ -24,6 +24,7 @@ uint64_t RunShardWindows(ThreadPool& pool, const std::vector<ShardLane*>& lanes,
                          const ShardWindowOptions& options) {
   assert(!lanes.empty());
   assert(options.window.micros() > 0);
+  const int64_t start = options.start.micros();
   const int64_t horizon = options.horizon.micros();
   const int64_t window = options.window.micros();
   const int64_t every = options.checkpoint_every.micros();
@@ -48,8 +49,11 @@ uint64_t RunShardWindows(ThreadPool& pool, const std::vector<ShardLane*>& lanes,
   };
 
   // Setup: no lookahead exists yet, so the first window has fixed width.
-  int64_t b1 = std::min(window, horizon);
-  if (every > 0 && every < b1) { b1 = every; }
+  int64_t b1 = std::min(start + window, horizon);
+  if (every > 0) {
+    const int64_t grid = (start / every + 1) * every;
+    if (grid < b1) { b1 = grid; }
+  }
   for (size_t i = 0; i < lanes.size(); ++i) {
     ShardLane* lane = lanes[i];
     pool.Submit([lane, b1] { lane->Setup(SimTime::Micros(b1)); });

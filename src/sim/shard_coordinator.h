@@ -61,6 +61,10 @@ class ShardLane {
 };
 
 struct ShardWindowOptions {
+  // Where the lanes' clocks stand at Setup: 0 for a fresh run, the
+  // restored barrier for a resumed one. The first window and the
+  // checkpoint grid both count from here.
+  SimTime start;
   SimTime horizon;
   SimTime window;                    // W; must be > 0
   SimTime checkpoint_every;          // 0 = no checkpoint grid
@@ -75,8 +79,8 @@ struct ShardWindowOptions {
   ProgressCell* replica_progress = nullptr;
 };
 
-// Runs every lane from Setup through the horizon. Returns total events
-// executed across lanes. Lanes end with Now() == horizon.
+// Runs every lane from Setup at options.start through the horizon. Returns
+// total events executed across lanes. Lanes end with Now() == horizon.
 uint64_t RunShardWindows(ThreadPool& pool, const std::vector<ShardLane*>& lanes,
                          const ShardWindowOptions& options);
 

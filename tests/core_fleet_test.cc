@@ -260,6 +260,28 @@ TEST_F(FleetDeviceFixture, SteadyStateReportPathAddsZeroHeapAllocations) {
   EXPECT_EQ(scope.delta(), 0u);
 }
 
+TEST_F(FleetDeviceFixture, ReportPathWithGatewayInRangeAddsZeroHeapAllocations) {
+  if (!AllocProbeEnabled()) {
+    GTEST_SKIP() << "allocation probe disabled (sanitizer build)";
+  }
+  // An 802.15.4 gateway 20 m away with no backhaul: every frame reaches
+  // the candidate loop, draws its PER and ends kBackhaulDown at the gateway.
+  GatewayConfig gc;
+  gc.id = 900;
+  gc.tech = RadioTech::k802154;
+  gc.x_m = 20.0;
+  Gateway gw(sim_, gc, SeriesSystem::RaspberryPiGateway());
+  gw.Deploy();
+  fabric_.AddGateway(&gw);
+  auto dev = MakeDevice(4);
+  dev->Deploy();
+  sim_.RunUntil(SimTime::Days(10));
+  AllocScope scope;
+  sim_.RunUntil(SimTime::Days(40));
+  EXPECT_GT(fabric_.OutcomeCount(DeliveryOutcome::kBackhaulDown), 600u);
+  EXPECT_EQ(scope.delta(), 0u);
+}
+
 // --- Golden parity pins ---------------------------------------------------
 //
 // Report digests captured from the object-graph seed (commit a761589, seed

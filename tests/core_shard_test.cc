@@ -12,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "src/core/district.h"
 #include "src/core/theseus.h"
 #include "src/sim/time.h"
+#include "src/snapshot/snapshot.h"
 #include "src/telemetry/run_manifest.h"
 
 namespace centsim {
@@ -211,6 +215,45 @@ TEST(DistrictShardTest, ResumeLatestPicksNewestShardCheckpoint) {
   const DistrictReport r = RunDistrictScenario(resumed);
   EXPECT_GT(r.restore_seconds, 0.0);
   EXPECT_EQ(DistrictDigest(r), digest);
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+TEST(DistrictShardTest, ResumedRunCheckpointsOnlyAfterItsRestorePoint) {
+  ScratchDir straight_dir("shard_resume_straight");
+  ScratchDir resumed_dir("shard_resume_resumed");
+  DistrictConfig cfg = SmallDistrict();
+  cfg.shard.shards = 2;
+  cfg.snapshot.checkpoint_every = SimTime::Years(1);
+  cfg.snapshot.checkpoint_dir = straight_dir.path();
+  const std::string digest = DistrictDigest(RunDistrictScenario(cfg));
+
+  // Resume the year-3 checkpoint with the same cadence and shard count.
+  const int64_t restore_us = SimTime::Years(3).micros();
+  DistrictConfig resumed = cfg;
+  resumed.snapshot.checkpoint_dir = resumed_dir.path();
+  resumed.snapshot.resume_from = straight_dir.path() + "/" + CheckpointFileName(restore_us);
+  EXPECT_EQ(DistrictDigest(RunDistrictScenario(resumed)), digest);
+
+  std::vector<std::string> written;
+  for (const auto& entry : fs::directory_iterator(resumed_dir.path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("checkpoint_", 0) == 0) {
+      written.push_back(name);
+    }
+  }
+  std::sort(written.begin(), written.end());
+  const std::vector<std::string> expected = {CheckpointFileName(SimTime::Years(4).micros()),
+                                             CheckpointFileName(SimTime::Years(5).micros())};
+  EXPECT_EQ(written, expected);
+  for (const std::string& name : written) {
+    EXPECT_EQ(FileBytes(resumed_dir.path() + "/" + name),
+              FileBytes(straight_dir.path() + "/" + name))
+        << name;
+  }
 }
 
 // --- Century: shard invariance and serial-counter parity ------------------

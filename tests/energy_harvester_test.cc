@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <vector>
+
+#include "src/sim/random.h"
 
 namespace centsim {
 namespace {
@@ -322,6 +326,98 @@ TEST(ClosedFormParityTest, TrapezoidDefaultAgreesCoarsely) {
     const double analytic = model.EnergyOverAnalytic(from, to);
     const double trapezoid = model.EnergyOver(from, to);
     EXPECT_LT(std::fabs(trapezoid - analytic) / analytic, 2e-2) << model.name();
+  }
+}
+
+// --- Solar trapezoid: bit identity with the sampled reference -------------
+//
+// HarvesterModel::EnergyOver skips the samples of a window that lies inside
+// one night and hashes each day's weather once per call. Neither may move a
+// bit: the reference is the plain trapezoid over the public PowerAt, with
+// the same step rule, sampling every point.
+
+double SampledSolarTrapezoid(const HarvesterModel& model, SimTime from, SimTime to) {
+  const double span = (to - from).ToSeconds();
+  if (span <= 0) {
+    return 0.0;
+  }
+  const int steps = std::clamp(static_cast<int>(span / 600.0), 16, 100000);
+  const double dt = span / steps;
+  double acc = 0.0;
+  double prev = model.PowerAt(from);
+  for (int i = 1; i <= steps; ++i) {
+    const double p = model.PowerAt(from + SimTime::Seconds(dt * i));
+    acc += 0.5 * (prev + p) * dt;
+    prev = p;
+  }
+  return acc;
+}
+
+// Returns whether the window was dark (+0.0 energy) for coverage counts.
+bool ExpectSolarBitIdentical(const HarvesterModel& model, SimTime from, SimTime to) {
+  const double energy = model.EnergyOver(from, to);
+  const double reference = SampledSolarTrapezoid(model, from, to);
+  EXPECT_EQ(std::bit_cast<uint64_t>(energy), std::bit_cast<uint64_t>(reference))
+      << "[" << from.micros() << ", " << to.micros() << "] us: " << energy << " vs "
+      << reference;
+  return std::bit_cast<uint64_t>(energy) == 0;
+}
+
+TEST(SolarTrapezoidIdentityTest, RandomWindowsMatchSampledReferenceBitForBit) {
+  SolarHarvester::Params p;
+  p.weather_seed = 0x5eed;
+  const HarvesterModel model = HarvesterModel::Solar(p);
+  RandomStream rng(20261017);
+  const uint64_t horizon_us = static_cast<uint64_t>(SimTime::Years(50).micros());
+  const double max_log_span = std::log(4.0 * 86400e6);
+  uint64_t dark = 0;
+  uint64_t lit = 0;
+  for (int i = 0; i < 12000; ++i) {
+    const SimTime from = SimTime::Micros(static_cast<int64_t>(rng.NextBelow(horizon_us)));
+    // Half log-uniform spans from 1 us to 4 days, half uniform up to 13 h
+    // (the fifty-year devices charge over about an hour).
+    const int64_t span_us =
+        i % 2 == 0 ? static_cast<int64_t>(std::exp(rng.Uniform(0.0, max_log_span)))
+                   : static_cast<int64_t>(rng.Uniform(1.0, 13.0 * 3600e6));
+    const bool was_dark =
+        ExpectSolarBitIdentical(model, from, from + SimTime::Micros(std::max<int64_t>(1, span_us)));
+    (was_dark ? dark : lit) += 1;
+  }
+  EXPECT_GT(dark, 2000u);
+  EXPECT_GT(lit, 2000u);
+}
+
+TEST(SolarTrapezoidIdentityTest, WindowsNearMidnightDawnAndDuskMatchBitForBit) {
+  const HarvesterModel model = HarvesterModel::Solar(SolarHarvester::Params{});
+  // At exactly 18:00 the half-sine's phase rounds to double(pi) and the
+  // sun is +1.2e-16 of its peak: a window touching it is not dark.
+  EXPECT_GT(model.PowerAt(SimTime::Hours(18)), 0.0);
+  EXPECT_GT(model.EnergyOver(SimTime::Hours(18), SimTime::Hours(18) + SimTime::Micros(1)),
+            0.0);
+
+  const int64_t day_us = SimTime::Days(1).micros();
+  const int64_t hour_us = SimTime::Hours(1).micros();
+  const int64_t spans_us[] = {1,           2,           3,           7,
+                              600,         1000000,     600000000,   hour_us,
+                              6 * hour_us, 12 * hour_us - 1, 12 * hour_us, 12 * hour_us + 1,
+                              13 * hour_us, day_us};
+  for (const int64_t day : {0, 1, 2, 365, 18262}) {
+    for (const int64_t edge_hour : {0, 6, 18, 24}) {
+      const int64_t edge = day * day_us + edge_hour * hour_us;
+      for (int64_t offset = -4; offset <= 4; ++offset) {
+        for (const int64_t span : spans_us) {
+          // One window ending near the edge, one starting near it.
+          const int64_t end = edge + offset;
+          if (end - span >= 0) {
+            ExpectSolarBitIdentical(model, SimTime::Micros(end - span), SimTime::Micros(end));
+          }
+          const int64_t start = edge + offset;
+          if (start >= 0) {
+            ExpectSolarBitIdentical(model, SimTime::Micros(start), SimTime::Micros(start + span));
+          }
+        }
+      }
+    }
   }
 }
 

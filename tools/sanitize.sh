@@ -22,21 +22,26 @@
 # SamplingControllerTest / CenturySampledTest / DistrictSampledTest /
 # SurvivalTableTest exercise the fast-forward walk, the transition
 # calendar, and checkpoint restore into both modes under ASan/UBSan.
+#
+# Both trees are built without NDEBUG, so every assert() in src/ runs
+# here. The regular RelWithDebInfo and Release builds compile them out.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 SANITIZERS="${1:-address,undefined}"
 
+# RelWithDebInfo's stock flags are "-O2 -g -DNDEBUG"; keep the optimizer
+# and debug info, drop NDEBUG.
+ASSERT_FLAGS=(-DCMAKE_BUILD_TYPE=RelWithDebInfo "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g")
+
 if [[ "${SANITIZERS}" == "thread" ]]; then
   BUILD_DIR="build-tsan"
-  cmake -B "${BUILD_DIR}" -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  cmake -B "${BUILD_DIR}" -S . "${ASSERT_FLAGS[@]}" \
     -DCENTSIM_TSAN=ON
 else
   BUILD_DIR="build-asan"
-  cmake -B "${BUILD_DIR}" -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  cmake -B "${BUILD_DIR}" -S . "${ASSERT_FLAGS[@]}" \
     -DCENTSIM_SANITIZE="${SANITIZERS}"
 fi
 cmake --build "${BUILD_DIR}" -j "$(nproc)"

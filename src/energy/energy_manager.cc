@@ -82,10 +82,10 @@ FastForwardResult EnergyOps::FastForwardTo(const HarvesterModel& harvester,
     return result;  // Zero-length fast-forward: bit-identical no-op.
   }
   const double span_s = (to - last_advance).ToSeconds();
-  // Same transition order as AdvanceTo — aging on the pre-harvest charge,
-  // bank the span's harvest, pay the sleep floor — but with the closed-form
-  // integral, so a multi-year span costs one call instead of a tick loop.
-  result.harvested_j = harvester.EnergyOverAnalytic(last_advance, to);
+  // Same transition order and harvest integral as AdvanceTo — aging on the
+  // pre-harvest charge, bank the span's harvest, pay the sleep floor — so
+  // with no transmit duty cycle and no clipping both land on the same charge.
+  result.harvested_j = harvester.EnergyOver(last_advance, to);
   MetricObserve(hooks.harvest_j, result.harvested_j);
   EnergyStorage::AdvanceState(storage, state, to);
   last_advance = to;

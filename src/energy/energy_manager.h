@@ -75,17 +75,20 @@ struct EnergyOps {
                           SimTime& last_advance, EnergyCounters& counters,
                           const EnergyMetricHooks& hooks, SimTime now);
 
-  // Analytic bulk advance for the sampled engine: one call covers
-  // [last_advance, to) — closed-form harvest (EnergyOverAnalytic), one
-  // leakage/aging step, one sleep draw, and the expected outcome of the
-  // `n = floor(span / tx_interval)` transmission attempts the skipped span
-  // would have carried (grants limited by the span's energy throughput —
-  // opening charge plus efficiency-discounted harvest minus the sleep
-  // floor — above the brownout reserve; a non-positive tx_interval means
-  // no transmit duty cycle). Counters and hooks are updated exactly like n
-  // detailed TryTransmit calls would in expectation. A call with
-  // to <= last_advance is a bit-identical no-op — the zero-length
-  // fast-forward contract the parity tests pin.
+  // Bulk advance for the sampled engine: one call covers [last_advance, to)
+  // — the harvest integral AdvanceTo also banks (the closed-form
+  // HarvesterModel::EnergyOver), one leakage/aging step, one sleep draw,
+  // and the expected outcome of the `n = floor(span / tx_interval)`
+  // transmission attempts the skipped span would have carried (grants
+  // limited by the span's energy throughput — opening charge plus
+  // efficiency-discounted harvest minus the sleep floor — above the
+  // brownout reserve; a non-positive tx_interval means no transmit duty
+  // cycle). Counters and hooks are updated exactly like n detailed
+  // TryTransmit calls would in expectation. With no duty cycle, over a span
+  // where the store neither fills nor empties, it leaves the same charge_j
+  // as AdvanceTo, bit for bit. A call with to <= last_advance is a
+  // bit-identical no-op — the zero-length fast-forward contract the parity
+  // tests pin.
   static FastForwardResult FastForwardTo(const HarvesterModel& harvester,
                                          const EnergyStorage::Params& storage,
                                          const LoadProfile& load, EnergyStorage::State& state,

@@ -29,26 +29,7 @@ double SolarWeatherFactor(const SolarHarvester::Params& params, int64_t day_inde
   return params.weather_min + (1.0 - params.weather_min) * u;
 }
 
-// The weather factor of the day last asked for: one trapezoid call samples
-// many points of the same day and hashes that day once.
-class SolarWeatherMemo {
- public:
-  double At(const SolarHarvester::Params& params, int64_t day_index) {
-    if (!valid_ || day_index != day_index_) {
-      valid_ = true;
-      day_index_ = day_index;
-      weather_ = SolarWeatherFactor(params, day_index);
-    }
-    return weather_;
-  }
-
- private:
-  bool valid_ = false;
-  int64_t day_index_ = 0;
-  double weather_ = 0.0;
-};
-
-double SolarPowerAt(const SolarHarvester::Params& params, SimTime t, SolarWeatherMemo& memo) {
+double SolarPowerAt(const SolarHarvester::Params& params, SimTime t) {
   const double s = t.ToSeconds();
   const double day_frac = std::fmod(s, kDaySeconds) / kDaySeconds;
   // Half-sine daylight between 06:00 and 18:00.
@@ -61,44 +42,10 @@ double SolarPowerAt(const SolarHarvester::Params& params, SimTime t, SolarWeathe
       1.0 + params.seasonal_swing * std::sin(2.0 * M_PI * year_frac + params.latitude_phase -
                                              M_PI / 2.0);
   const int64_t day_index = static_cast<int64_t>(s / kDaySeconds);
-  const double weather = memo.At(params, day_index);
+  const double weather = SolarWeatherFactor(params, day_index);
   const double years = s / kYearSeconds;
   const double degradation = std::pow(1.0 - params.degradation_per_year, years);
   return params.peak_power_w * sun * season * weather * degradation;
-}
-
-double SolarPowerAt(const SolarHarvester::Params& params, SimTime t) {
-  SolarWeatherMemo memo;
-  return SolarPowerAt(params, t, memo);
-}
-
-// Day fraction from which SolarPowerAt's half-sine is negative. At exactly
-// 18:00 (0.75) the phase rounds to double(pi), whose sine is +1.2e-16, so
-// that instant still has sun; 1e-9 of a day (86 us) later it is gone.
-constexpr double kDuskDayFrac = 0.75 + 1e-9;
-
-// True when SolarPowerAt is exactly +0.0 at every time in [a, b]: the span
-// lies inside one night, i.e. within 00:00-06:00 of one day, within
-// dusk-24:00 of one day, or from one day's dusk to the next day's 06:00.
-// At 06:00 itself the phase is exactly 0, so the sine is 0 and no sun.
-bool SolarDarkThroughout(SimTime a, SimTime b) {
-  if (a < SimTime()) {
-    return false;  // fmod keeps the sign: before t = 0 the day runs backwards.
-  }
-  const double sa = a.ToSeconds();
-  const double sb = b.ToSeconds();
-  const double ra = std::fmod(sa, kDaySeconds);
-  const double rb = std::fmod(sb, kDaySeconds);
-  const bool a_after_dusk = ra / kDaySeconds >= kDuskDayFrac;
-  const bool b_before_dawn = rb / kDaySeconds <= 0.25;
-  // s - fmod(s, D) is exactly the start of the day holding s, and within a
-  // day the day fraction only grows with s.
-  const double day_a = sa - ra;
-  const double day_b = sb - rb;
-  if (day_a == day_b) {
-    return b_before_dawn || a_after_dusk;
-  }
-  return day_b == day_a + kDaySeconds && a_after_dusk && b_before_dawn;
 }
 
 double CorrosionPowerAt(const CorrosionHarvester::Params& params, SimTime t) {
@@ -163,38 +110,6 @@ double VibrationPowerAt(const VibrationHarvester::Params& params, SimTime t) {
   return params.peak_power_w * traffic;
 }
 
-// Adaptive trapezoid over an arbitrary power function. Resolves sub-hour
-// structure: at least 16 steps, at most one per 10 min. `dark(a, b)` may
-// report that power_at is +0.0 at every time in [a, b]; when that holds
-// from the first sample point to the last, every term is +0.0 and so is
-// the sum, which is returned without sampling.
-template <typename PowerFn, typename DarkFn>
-double TrapezoidOver(const PowerFn& power_at, const DarkFn& dark, SimTime from, SimTime to) {
-  assert(to >= from);
-  const double span = (to - from).ToSeconds();
-  if (span <= 0) {
-    return 0.0;
-  }
-  const int steps = std::clamp(static_cast<int>(span / 600.0), 16, 100000);
-  const double dt = span / steps;
-  if (dark(from, from + SimTime::Seconds(dt * steps))) {
-    return 0.0;
-  }
-  double acc = 0.0;
-  double prev = power_at(from);
-  for (int i = 1; i <= steps; ++i) {
-    const double p = power_at(from + SimTime::Seconds(dt * i));
-    acc += 0.5 * (prev + p) * dt;
-    prev = p;
-  }
-  return acc;
-}
-
-template <typename PowerFn>
-double TrapezoidOver(const PowerFn& power_at, SimTime from, SimTime to) {
-  return TrapezoidOver(power_at, [](SimTime, SimTime) { return false; }, from, to);
-}
-
 }  // namespace
 
 double SolarEnergyOverAnalytic(const SolarHarvester::Params& params, SimTime from, SimTime to) {
@@ -243,7 +158,10 @@ double SolarEnergyOverAnalytic(const SolarHarvester::Params& params, SimTime fro
         0.5 * swing *
         ((f_cos(a - b, alpha - beta, hi) - f_cos(a - b, alpha - beta, lo)) -
          (f_cos(a + b, alpha + beta, hi) - f_cos(a + b, alpha + beta, lo)));
-    total += params.peak_power_w * weather * (base + cross);
+    // The integrand is >= 0, but a window holding microseconds of daylight
+    // subtracts two nearly equal antiderivative values, which can round
+    // below zero.
+    total += std::max(0.0, params.peak_power_w * weather * (base + cross));
   }
   return total;
 }
@@ -311,10 +229,6 @@ double VibrationEnergyOverAnalytic(const VibrationHarvester::Params& params, Sim
     total += params.peak_power_w * factor * traffic_integral * kDaySeconds;
   }
   return total;
-}
-
-double Harvester::EnergyOver(SimTime from, SimTime to) const {
-  return TrapezoidOver([this](SimTime t) { return PowerAt(t); }, from, to);
 }
 
 double Harvester::MeanPower(SimTime from, SimTime to) const {
@@ -403,29 +317,6 @@ double HarvesterModel::PowerAt(SimTime t) const {
 }
 
 double HarvesterModel::EnergyOver(SimTime from, SimTime to) const {
-  switch (kind_) {
-    case Kind::kConstant:
-      // Exact: constant power integrates to power * span.
-      return params_.constant.power_w * (to - from).ToSeconds();
-    case Kind::kSolar: {
-      SolarWeatherMemo memo;
-      return TrapezoidOver(
-          [this, &memo](SimTime t) { return SolarPowerAt(params_.solar, t, memo); },
-          SolarDarkThroughout, from, to);
-    }
-    case Kind::kCorrosion:
-      return CorrosionEnergyOver(params_.corrosion, from, to);
-    case Kind::kThermal:
-      return TrapezoidOver([this](SimTime t) { return ThermalPowerAt(params_.thermal, t); },
-                           from, to);
-    case Kind::kVibration:
-      return TrapezoidOver([this](SimTime t) { return VibrationPowerAt(params_.vibration, t); },
-                           from, to);
-  }
-  return 0.0;
-}
-
-double HarvesterModel::EnergyOverAnalytic(SimTime from, SimTime to) const {
   switch (kind_) {
     case Kind::kConstant:
       return params_.constant.power_w * (to - from).ToSeconds();

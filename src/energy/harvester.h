@@ -17,9 +17,8 @@
 //
 // Both call the same free functions for the per-kind math, so a virtual
 // SolarHarvester and a HarvesterModel::Solar with equal params produce
-// bit-identical doubles. HarvesterModel::EnergyOver returns a solar window
-// that lies wholly in one night as +0.0 without sampling it; its
-// declaration explains the 18:00 margin.
+// bit-identical doubles from PowerAt and from EnergyOver. EnergyOver is the
+// closed-form integral for every kind.
 
 #ifndef SRC_ENERGY_HARVESTER_H_
 #define SRC_ENERGY_HARVESTER_H_
@@ -41,10 +40,9 @@ class Harvester {
   // Instantaneous output power in watts at simulated time `t`.
   virtual double PowerAt(SimTime t) const = 0;
 
-  // Energy in joules harvested over [from, to]. The default implementation
-  // integrates PowerAt with an adaptive trapezoid; subclasses with closed
-  // forms override it.
-  virtual double EnergyOver(SimTime from, SimTime to) const;
+  // Energy in joules harvested over [from, to]: the exact integral of
+  // PowerAt, in closed form.
+  virtual double EnergyOver(SimTime from, SimTime to) const = 0;
 
   virtual std::string name() const = 0;
 
@@ -153,14 +151,15 @@ struct ConstantHarvestParams {
 };
 
 // Closed-form energy integrals for the periodic harvester kinds, exposed as
-// free functions so the virtual overrides, HarvesterModel::EnergyOverAnalytic,
-// and the parity tests all share one implementation. Each walks the days
+// free functions so the virtual overrides, HarvesterModel::EnergyOver, and
+// the parity tests all share one implementation. Each walks the days
 // overlapping [from, to] and integrates that day's smooth pieces exactly:
 //
 //  * solar — per-day daylight window of
 //      e^{-lambda*s} * sin(a*s + alpha) * (1 + A*sin(b*s + beta)),
 //    via product-to-sum and the standard exponential-times-sinusoid
-//    antiderivatives (weather is constant within a day by construction);
+//    antiderivatives (weather is constant within a day by construction),
+//    each day's piece clamped at zero against cancellation;
 //  * thermal — baseline plus the positive half-sine lobe, -cos/a;
 //  * vibration — plateau plus two Gaussian rush-hour humps, via erf. The
 //    min(traffic, 1) clamp in the power model only binds where the opposite
@@ -174,7 +173,7 @@ double VibrationEnergyOverAnalytic(const VibrationHarvester::Params& params, Sim
 
 // Inline tagged-union harvester: one of the parameter structs above plus a
 // kind tag, dispatched by switch instead of vtable. Trivially copyable and
-// 64 bytes, so fleets store one per device in a flat column.
+// 56 bytes, so fleets store one per device in a flat column.
 class HarvesterModel {
  public:
   enum class Kind : uint8_t {
@@ -195,25 +194,11 @@ class HarvesterModel {
   static HarvesterModel Vibration(const VibrationHarvester::Params& params);
 
   double PowerAt(SimTime t) const;
-  // Adaptive trapezoid for the periodic kinds, exact for the others. Two
-  // solar shortcuts keep every double the plain trapezoid gives. First, a
-  // dark window returns +0.0 without sampling, which is the sum its
-  // samples would give. A window is dark when every trapezoid point lies
-  // in one night: a day fraction <= 0.25, or >= 0.75 + 1e-9. The margin
-  // exists because at exactly 18:00 the phase rounds to double(pi), whose
-  // sine is +1.2e-16, so that instant has sun and keeps its sample.
-  // Second, a lit window computes each day's weather factor once per call,
-  // not once per point.
+  // Closed-form integral for every kind, over a window of any length at a
+  // fixed cost per day: the detailed engines' per-event advance
+  // (EnergyOps::AdvanceTo) and the sampled engines' multi-year
+  // fast-forward (EnergyOps::FastForwardTo) both bank this value.
   double EnergyOver(SimTime from, SimTime to) const;
-  // Closed-form integral for every kind (solar/thermal/vibration get the
-  // per-day analytic pieces the virtual overrides use; constant and
-  // corrosion were already exact). This is the fast-forward path's
-  // integrator (EnergyOps::FastForwardTo): one call covers a multi-year
-  // span at fixed cost per day instead of the trapezoid's step loop.
-  // EnergyOver keeps the adaptive trapezoid for the periodic kinds so the
-  // serial engine's event-by-event doubles — and every golden digest
-  // derived from them — stay byte-for-byte unchanged.
-  double EnergyOverAnalytic(SimTime from, SimTime to) const;
   double MeanPower(SimTime from, SimTime to) const;
 
   Kind kind() const { return kind_; }

@@ -12,6 +12,10 @@
 # build/ stays untouched. The comparison uses the paired-round medians the
 # benchmark binary itself records, which are far more stable on a noisy
 # machine than single google-benchmark runs.
+#
+# Each bench below is one section. A section stops at its first failing
+# command (build, bench binary or checker), and the script goes on to the
+# next section; at the end it lists every failed section and exits 1.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -20,9 +24,31 @@ BUILD_DIR="build-release"
 BASELINE="bench/BENCH_p1_engine.json"
 TOLERANCE="${TOLERANCE:-0.2}"
 
-[[ -f "${BASELINE}" ]] || { echo "missing baseline ${BASELINE}" >&2; exit 1; }
+SECTIONS=()
+FAILED=()
+
+# Runs section_<name> in a subshell with errexit on, so the section still
+# stops at its first failure, and records the outcome instead of exiting.
+run_section() {
+  local name="$1"
+  local status=0
+  SECTIONS+=("${name}")
+  echo "=== bench_smoke: ${name}"
+  set +e
+  (set -e; "section_${name}")
+  status=$?
+  set -e
+  if (( status != 0 )); then
+    echo "=== bench_smoke: ${name} FAILED (exit ${status})" >&2
+    FAILED+=("${name}")
+  fi
+}
 
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+
+section_p1_engine() {
+[[ -f "${BASELINE}" ]] || { echo "missing baseline ${BASELINE}" >&2; exit 1; }
+
 cmake --build "${BUILD_DIR}" --target bench_p1_engine -j "$(nproc)"
 
 # The google-benchmark pass is a smoke signal only (and this benchmark
@@ -78,12 +104,15 @@ if failures:
     sys.exit(1)
 print("bench_smoke: within tolerance")
 EOF
+}
+run_section p1_engine
 
 # --- District fleet-core scale gate -----------------------------------
 # bench_district_scale re-runs the 50-year district at 10k/100k/1M sites,
 # checks report parity against the object-graph replica, and records
 # throughput + memory. Guarded here: throughput within the same tolerance,
 # the 100k end-to-end speedup floor, and the per-device memory budget.
+section_district_scale() {
 DISTRICT_BASELINE="bench/BENCH_district_scale.json"
 [[ -f "${DISTRICT_BASELINE}" ]] || { echo "missing baseline ${DISTRICT_BASELINE}" >&2; exit 1; }
 
@@ -140,6 +169,8 @@ if failures:
     sys.exit(1)
 print("bench_smoke: district scale within tolerance")
 EOF
+}
+run_section district_scale
 
 # --- Snapshot save/restore gate ----------------------------------------
 # bench_snapshot checkpoints the 1M-device district at year 25, resumes a
@@ -147,6 +178,7 @@ EOF
 # bit-identical to the straight run. Gated here: save/restore throughput
 # within tolerance, both wall times under the O(seconds) acceptance
 # ceiling, and the per-device snapshot size budget.
+section_snapshot() {
 SNAPSHOT_BASELINE="bench/BENCH_snapshot.json"
 [[ -f "${SNAPSHOT_BASELINE}" ]] || { echo "missing baseline ${SNAPSHOT_BASELINE}" >&2; exit 1; }
 
@@ -198,6 +230,8 @@ if failures:
     sys.exit(1)
 print("bench_smoke: snapshot within tolerance")
 EOF
+}
+run_section snapshot
 
 # --- Radio medium scale gate -------------------------------------------
 # bench_radio_scale runs the grid-bucketed contention resolver over 10k,
@@ -205,6 +239,7 @@ EOF
 # DeviceFleet columns), checks the grid path against the all-pairs oracle
 # bit for bit at 10k, and fits the log-log scaling exponent. Gated here:
 # throughput within tolerance, exponent <= 1.2 (near-linear), parity.
+section_radio_scale() {
 RADIO_BASELINE="bench/BENCH_radio_scale.json"
 [[ -f "${RADIO_BASELINE}" ]] || { echo "missing baseline ${RADIO_BASELINE}" >&2; exit 1; }
 
@@ -261,6 +296,8 @@ if failures:
     sys.exit(1)
 print("bench_smoke: radio scale within tolerance")
 EOF
+}
+run_section radio_scale
 
 # --- Ensemble engine + live-run-control gate ---------------------------
 # bench_e5_ensemble runs the 50-year experiment as a parallel ensemble:
@@ -270,6 +307,7 @@ EOF
 # the run-control point not falling behind the plain full-width point by
 # more than the tolerance. The replica/thread counts must match how the
 # baseline was generated.
+section_e5_ensemble() {
 E5_BASELINE="bench/BENCH_e5_ensemble.json"
 E5_REPLICAS=4
 E5_THREADS=2
@@ -329,6 +367,8 @@ if failures:
     sys.exit(1)
 print("bench_smoke: e5 ensemble within tolerance")
 EOF
+}
+run_section e5_ensemble
 
 # --- Sharded-engine scale gate -----------------------------------------
 # bench_shard_scale runs one city across 1 / 2 / half / all cores and
@@ -336,6 +376,7 @@ EOF
 # the determinism gates below hold on every machine. The >= 4x speedup
 # floor is applied only when the box actually has >= 8 hardware threads —
 # a single-core CI runner still proves correctness, just not scaling.
+section_shard_scale() {
 SHARD_BASELINE="bench/BENCH_shard_scale.json"
 [[ -f "${SHARD_BASELINE}" ]] || { echo "missing baseline ${SHARD_BASELINE}" >&2; exit 1; }
 
@@ -392,6 +433,8 @@ if failures:
     sys.exit(1)
 print("bench_smoke: shard scale within tolerance")
 EOF
+}
+run_section shard_scale
 
 # --- Sampled-engine speedup + fidelity gate ----------------------------
 # bench_sampling runs the 200k-site century once under the serial detailed
@@ -401,6 +444,7 @@ EOF
 # criteria, so they are re-applied here unconditionally. The detailed
 # engine's event throughput is additionally guarded against the checked-in
 # baseline like every other bench.
+section_sampling() {
 SAMPLING_BASELINE="bench/BENCH_sampling.json"
 [[ -f "${SAMPLING_BASELINE}" ]] || { echo "missing baseline ${SAMPLING_BASELINE}" >&2; exit 1; }
 
@@ -451,3 +495,11 @@ if failures:
     sys.exit(1)
 print("bench_smoke: sampling within tolerance")
 EOF
+}
+run_section sampling
+
+echo "=== bench_smoke: $(( ${#SECTIONS[@]} - ${#FAILED[@]} )) of ${#SECTIONS[@]} sections passed"
+if (( ${#FAILED[@]} > 0 )); then
+  echo "bench_smoke: failed sections: ${FAILED[*]}" >&2
+  exit 1
+fi

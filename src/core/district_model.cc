@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "src/core/fleet_codec.h"
@@ -35,23 +36,91 @@ DeploymentPlan::Params PlanParams(const DistrictConfig& config) {
 
 }  // namespace
 
+CoverageCells BuildCoverageCells(const CoverageCsr& coverage, uint32_t site_count) {
+  // Partition refinement. Every site starts in the empty set's cell; each
+  // gateway, in ascending order, moves its sites from their cell S into
+  // the cell S + {g}, created on first use. A site's cell before gateway
+  // g's pass is its covering set among the gateways below g, so two sites
+  // end in one cell exactly when their covering sets are equal.
+  const uint32_t gateways = static_cast<uint32_t>(coverage.offsets.size()) - 1;
+  std::vector<uint32_t> site_cell(site_count, 0);
+  std::vector<uint32_t> parent{0};      // Provisional cell -> the cell it split from.
+  std::vector<uint32_t> via{0};         // ... and the gateway that split it.
+  std::vector<uint32_t> child{0};       // The cell's S + {g} for the current g.
+  std::vector<uint32_t> child_for{0};   // That g + 1; 0 before any split.
+  for (uint32_t g = 0; g < gateways; ++g) {
+    for (uint32_t k = coverage.begin(g); k < coverage.end(g); ++k) {
+      const uint32_t d = coverage.site_ids[k];
+      const uint32_t from = site_cell[d];
+      if (child_for[from] != g + 1) {
+        const uint32_t created = static_cast<uint32_t>(parent.size());
+        parent.push_back(from);
+        via.push_back(g);
+        child.push_back(0);
+        child_for.push_back(0);
+        child[from] = created;
+        child_for[from] = g + 1;
+      }
+      site_cell[d] = child[from];
+    }
+  }
+
+  // Renumber the non-empty cells in order of their first site; cell 0
+  // stays the uncovered one.
+  CoverageCells cells;
+  std::vector<uint32_t> final_id(parent.size(), UINT32_MAX);
+  std::vector<uint32_t> provisional{0};  // Final id -> provisional id.
+  final_id[0] = 0;
+  cells.cell_sites.push_back(0);
+  for (uint32_t d = 0; d < site_count; ++d) {
+    uint32_t& id = final_id[site_cell[d]];
+    if (id == UINT32_MAX) {
+      id = cells.count();
+      provisional.push_back(site_cell[d]);
+      cells.cell_sites.push_back(0);
+    }
+    site_cell[d] = id;
+    ++cells.cell_sites[id];
+  }
+  cells.site_cell = std::move(site_cell);
+
+  // Gateway -> cells: a cell's gateways are the `via` links on its chain
+  // back to the empty set. Visiting cells in ascending order keeps every
+  // gateway's row ascending.
+  cells.offsets.assign(gateways + 1, 0);
+  for (uint32_t c = 1; c < cells.count(); ++c) {
+    for (uint32_t p = provisional[c]; p != 0; p = parent[p]) {
+      ++cells.offsets[via[p] + 1];
+    }
+  }
+  for (uint32_t g = 0; g < gateways; ++g) {
+    cells.offsets[g + 1] += cells.offsets[g];
+  }
+  cells.cell_ids.resize(cells.offsets[gateways]);
+  std::vector<uint32_t> cursor(cells.offsets.begin(), cells.offsets.end() - 1);
+  for (uint32_t c = 1; c < cells.count(); ++c) {
+    for (uint32_t p = provisional[c]; p != 0; p = parent[p]) {
+      cells.cell_ids[cursor[via[p]]++] = c;
+    }
+  }
+  return cells;
+}
+
+std::string CheckRestoredCovering(uint32_t site, uint32_t saved, const ServiceCounts& service) {
+  if (saved == service.covering(site)) {
+    return "";
+  }
+  return "site " + std::to_string(site) + " was saved covered by " + std::to_string(saved) +
+         " operational gateways, but the restored gateway states cover it with " +
+         std::to_string(service.covering(site));
+}
+
 DistrictGeometry::DistrictGeometry(const DistrictConfig& config)
     : plan(PlanParams(config), RandomStream(config.seed).Derive(kPlanStream)),
       gateway_sites(plan.PlanGatewayGrid(config.gateway_range_m)),
-      coverage(BuildCoverageCsr(plan.sites(), gateway_sites, config.gateway_range_m)) {}
-
-double DistrictGeometry::InitialCoverage() const {
-  const size_t sites = plan.sites().size();
-  std::vector<uint8_t> covered(sites, 0);
-  for (uint32_t d : coverage.site_ids) {
-    covered[d] = 1;
-  }
-  uint32_t covered_at_all = 0;
-  for (uint8_t c : covered) {
-    covered_at_all += c;
-  }
-  return static_cast<double>(covered_at_all) / static_cast<double>(sites);
-}
+      cells(BuildCoverageCells(
+          BuildCoverageCsr(plan.sites(), gateway_sites, config.gateway_range_m),
+          static_cast<uint32_t>(plan.sites().size()))) {}
 
 DeviceClassSpec DistrictSiteClass(const DistrictConfig& config) {
   DeviceClassSpec spec;
@@ -84,6 +153,12 @@ std::string DistrictStructuralDigest(const DistrictConfig& config) {
 
 DistrictModel::DistrictModel(Simulation& sim, const DistrictConfig& config,
                              DistrictReport& report)
+    : DistrictModel(sim, config, report, DistrictGeometry(config)) {}
+
+// The plan lives only through construction: the run keeps the fleet
+// columns and the coverage cells, not the site list.
+DistrictModel::DistrictModel(Simulation& sim, const DistrictConfig& config,
+                             DistrictReport& report, DistrictGeometry geo)
     : sim_(sim),
       config_(config),
       report_(report),
@@ -91,12 +166,11 @@ DistrictModel::DistrictModel(Simulation& sim, const DistrictConfig& config,
       rng_(sim.StreamFor(kLifeStream)),
       gateway_bom_(SeriesSystem::RaspberryPiGateway()),
       years_(static_cast<uint32_t>(std::ceil(config.horizon.ToYears()))),
+      cells_(std::move(geo.cells)),
+      service_(cells_),
       yearly_service_seconds_(years_, 0.0) {
-  // The plan lives only through construction: the run keeps the fleet
-  // columns and the coverage map, not the site list.
-  DistrictGeometry geo(config);
   report_.gateway_count = static_cast<uint32_t>(geo.gateway_sites.size());
-  report_.initial_coverage = geo.InitialCoverage();
+  report_.initial_coverage = cells_.CoveredFraction();
   cls_ = fleet_.InternClass(DistrictSiteClass(config));
   fleet_.AddSites(geo.plan, cls_, HarvesterModel(), 0, config.device_count);
   if (config.metrics != nullptr) {
@@ -106,8 +180,6 @@ DistrictModel::DistrictModel(Simulation& sim, const DistrictConfig& config,
   for (uint32_t d = 0; d < config.device_count; ++d) {
     zone_sites_[fleet_.zone(d)].push_back(d);
   }
-  coverage_ = std::move(geo.coverage);
-  gateway_up_.assign(report_.gateway_count, 0);
 }
 
 void DistrictModel::GatewayFailAt(uint32_t g, SimTime at) {
@@ -122,26 +194,15 @@ void DistrictModel::GatewayRepairAt(uint32_t g, SimTime at) {
   SetGatewayAt(g, true, at);
 }
 
-// A gateway transition adjusts every covered site's operational-gateway
-// count, and the in-service count with it.
+// A gateway transition adjusts the up count of each of its cells, and the
+// in-service and covered counts with it.
 void DistrictModel::SetGatewayAt(uint32_t g, bool up, SimTime at) {
-  if ((gateway_up_[g] != 0) == up) {
+  if (service_.gateway_up(g) == up) {
     return;
   }
   AccumulateTo(at);
-  gateway_up_[g] = up ? 1 : 0;
-  const int delta = up ? 1 : -1;
-  for (uint32_t k = coverage_.begin(g); k < coverage_.end(g); ++k) {
-    const uint32_t d = coverage_.site_ids[k];
-    const bool was = InService(d);
-    fleet_.AddCoveringAt(d, delta);
-    const bool is = InService(d);
-    if (was && !is) {
-      --service_count_;
-    } else if (!was && is) {
-      ++service_count_;
-    }
-  }
+  service_.SetGateway(g, up);
+  fleet_.SetCoveredSites(service_.covered());
 }
 
 void DistrictModel::SaveCheckpoint(SimTime barrier, const std::vector<TimerRecord>& timers) {
@@ -157,7 +218,9 @@ void DistrictModel::SaveCheckpoint(SimTime barrier, const std::vector<TimerRecor
   ByteWriter fleet;
   fleet.U64(config_.device_count);
   for (uint32_t d = 0; d < config_.device_count; ++d) {
-    EncodeFleetSlot(fleet_.SaveSlotState(d), fleet);
+    DeviceFleet::SlotState slot = fleet_.SaveSlotState(d);
+    slot.covering = service_.covering(d);
+    EncodeFleetSlot(slot, fleet);
   }
   fleet.U64(fleet_.class_count());
   for (uint32_t c = 0; c < fleet_.class_count(); ++c) {
@@ -166,14 +229,14 @@ void DistrictModel::SaveCheckpoint(SimTime barrier, const std::vector<TimerRecor
   writer.Add(kFleetChunk, fleet);
 
   ByteWriter gw;
-  gw.U64(gateway_up_.size());
-  for (uint8_t up : gateway_up_) {
-    gw.U8(up);
+  gw.U64(gateway_count());
+  for (uint32_t g = 0; g < gateway_count(); ++g) {
+    gw.U8(gateway_up(g) ? 1 : 0);
   }
   writer.Add(kGatewayChunk, gw);
 
   ByteWriter acc;
-  acc.U64(service_count_);
+  acc.U64(service_.in_service());
   acc.I64(last_change_.micros());
   acc.F64(alive_site_seconds_);
   acc.F64(service_site_seconds_);
@@ -236,13 +299,39 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
     return false;
   }
 
+  // Gateways before the fleet: each slot's saved covering count is checked
+  // against the cells' up counts as it is decoded.
+  ByteReader gw = reader.Chunk(kGatewayChunk);
+  if (gw.U64() != gateway_count()) {
+    *error = "snapshot gateway count does not match config";
+    return false;
+  }
+  for (uint32_t g = 0; g < gateway_count() && gw.ok(); ++g) {
+    service_.SetGateway(g, gw.U8() != 0);
+  }
+  if (!gw.ok()) {
+    *error = "gateway chunk truncated";
+    return false;
+  }
+
   ByteReader fleet = reader.Chunk(kFleetChunk);
   if (fleet.U64() != config_.device_count) {
     *error = "snapshot fleet size does not match config";
     return false;
   }
-  for (uint32_t d = 0; d < config_.device_count && fleet.ok(); ++d) {
-    fleet_.RestoreSlotState(d, DecodeFleetSlot(fleet));
+  for (uint32_t d = 0; d < config_.device_count; ++d) {
+    const DeviceFleet::SlotState slot = DecodeFleetSlot(fleet);
+    if (!fleet.ok()) {
+      break;
+    }
+    *error = CheckRestoredCovering(d, slot.covering, service_);
+    if (!error->empty()) {
+      return false;
+    }
+    fleet_.RestoreSlotState(d, slot);
+    if (fleet_.alive(d)) {
+      service_.SiteUp(d);
+    }
   }
   if (fleet.U64() != fleet_.class_count()) {
     *error = "snapshot class count does not match config";
@@ -256,21 +345,8 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
     return false;
   }
 
-  ByteReader gw = reader.Chunk(kGatewayChunk);
-  if (gw.U64() != gateway_up_.size()) {
-    *error = "snapshot gateway count does not match config";
-    return false;
-  }
-  for (size_t g = 0; g < gateway_up_.size() && gw.ok(); ++g) {
-    gateway_up_[g] = gw.U8();
-  }
-  if (!gw.ok()) {
-    *error = "gateway chunk truncated";
-    return false;
-  }
-
   ByteReader acc = reader.Chunk(kAccumChunk);
-  service_count_ = acc.U64();
+  const uint64_t in_service = acc.U64();
   last_change_ = SimTime::Micros(acc.I64());
   alive_site_seconds_ = acc.F64();
   service_site_seconds_ = acc.F64();
@@ -283,6 +359,12 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
     *error = "accumulator chunk truncated or mis-shaped";
     return false;
   }
+  if (in_service != service_.in_service()) {
+    *error = "snapshot in-service count " + std::to_string(in_service) +
+             " does not match its fleet and gateway states (" +
+             std::to_string(service_.in_service()) + ")";
+    return false;
+  }
   yearly_service_seconds_ = yearly;
 
   if (config_.metrics != nullptr && reader.HasChunk(kMetricsChunk)) {
@@ -293,6 +375,7 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
     }
   }
   fleet_.RecountAggregates();
+  fleet_.SetCoveredSites(service_.covered());
 
   ByteReader sched = reader.Chunk(kSchedChunk);
   const SimTime now = SimTime::Micros(sched.I64());

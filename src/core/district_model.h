@@ -3,13 +3,13 @@
 // (district_sampled.cc) and sharded (district_shard.cc).
 //
 // DistrictModel owns what the serial and sampled engines share: the fleet
-// and coverage built from the geometry, the state transitions (each at an
-// explicit time), the service-availability accumulator, the `district`
-// snapshot chunks and report assembly. An engine keeps only how time
-// advances: which events it arms where, and how it keys its lifetime
+// and coverage cells built from the geometry, the state transitions (each
+// at an explicit time), the service-availability accumulator, the
+// `district` snapshot chunks and report assembly. An engine keeps only how
+// time advances: which events it arms where, and how it keys its lifetime
 // draws. The sharded engine keeps its own lanes and integer accumulators
-// and takes the geometry, the structural digest and the transition
-// categories from here.
+// and takes the geometry, the per-cell service counts, the structural
+// digest and the transition categories from here.
 
 #ifndef SRC_CORE_DISTRICT_MODEL_H_
 #define SRC_CORE_DISTRICT_MODEL_H_
@@ -45,18 +45,118 @@ inline constexpr uint64_t kDistrictTimerGatewayFail = 2;
 inline constexpr uint64_t kDistrictTimerGatewayRepair = 3;
 inline constexpr uint64_t kDistrictTimerDeviceFail = 4;
 
+// Sites grouped by their exact covering-gateway set. All sites of a cell
+// are covered by the same gateways, so at every instant they share one
+// count of operational covering gateways: service can be counted per cell
+// instead of per site. Cell 0 holds the uncovered sites (it may be empty);
+// the others are numbered in order of their first site.
+struct CoverageCells {
+  std::vector<uint32_t> site_cell;   // Per site.
+  std::vector<uint32_t> cell_sites;  // Sites per cell.
+  std::vector<uint32_t> offsets;     // Size gateways + 1.
+  std::vector<uint32_t> cell_ids;    // Gateway g covers [offsets[g], offsets[g+1]), ascending.
+
+  uint32_t count() const { return static_cast<uint32_t>(cell_sites.size()); }
+  uint32_t gateway_count() const { return static_cast<uint32_t>(offsets.size()) - 1; }
+  // Fraction of sites within range of at least one gateway.
+  double CoveredFraction() const {
+    const uint32_t sites = static_cast<uint32_t>(site_cell.size());
+    return static_cast<double>(sites - cell_sites[0]) / static_cast<double>(sites);
+  }
+  uint32_t begin(uint32_t g) const { return offsets[g]; }
+  uint32_t end(uint32_t g) const { return offsets[g + 1]; }
+};
+
+// Groups `site_count` sites into cells by partition refinement over the
+// coverage map: linear in sites plus map entries.
+CoverageCells BuildCoverageCells(const CoverageCsr& coverage, uint32_t site_count);
+
+// Service accounting over the coverage cells, shared by every district
+// engine: each gateway's up flag and, per cell, the count of operational
+// gateways covering it and of alive sites in it. A site is in service
+// while it is alive and its cell's up count is non-zero, so a deploy or a
+// failure touches one cell and a gateway flip touches only that gateway's
+// cells. A sharded lane reports only its own sites alive; the covered
+// total always counts every site of the geometry.
+class ServiceCounts {
+ public:
+  // Every gateway down, no site alive.
+  explicit ServiceCounts(const CoverageCells& cells)
+      : cells_(cells), gateway_up_(cells.gateway_count(), 0), cells_state_(cells.count()) {}
+
+  uint32_t gateway_count() const { return static_cast<uint32_t>(gateway_up_.size()); }
+  bool gateway_up(uint32_t g) const { return gateway_up_[g] != 0; }
+  // Operational gateways covering `site`.
+  uint32_t covering(uint32_t site) const { return cells_state_[cells_.site_cell[site]].up; }
+  // Alive sites with an operational covering gateway.
+  uint64_t in_service() const { return in_service_; }
+  // Sites, alive or not, with an operational covering gateway.
+  uint64_t covered() const { return covered_; }
+
+  // A gateway flip; a no-op when `g` is already in that state.
+  void SetGateway(uint32_t g, bool up) {
+    if (gateway_up(g) == up) {
+      return;
+    }
+    gateway_up_[g] = up ? 1 : 0;
+    for (uint32_t k = cells_.begin(g); k < cells_.end(g); ++k) {
+      const uint32_t c = cells_.cell_ids[k];
+      CellState& cell = cells_state_[c];
+      const bool crossed = up ? cell.up++ == 0 : --cell.up == 0;
+      if (!crossed) {
+        continue;
+      }
+      // The cell's up count crossed zero: every site in it changes coverage.
+      if (up) {
+        in_service_ += cell.alive;
+        covered_ += cells_.cell_sites[c];
+      } else {
+        in_service_ -= cell.alive;
+        covered_ -= cells_.cell_sites[c];
+      }
+    }
+  }
+
+  // The site's unit went from dead to alive, or from alive to dead.
+  void SiteUp(uint32_t site) {
+    CellState& cell = cells_state_[cells_.site_cell[site]];
+    ++cell.alive;
+    in_service_ += cell.up != 0 ? 1 : 0;
+  }
+  void SiteDown(uint32_t site) {
+    CellState& cell = cells_state_[cells_.site_cell[site]];
+    --cell.alive;
+    in_service_ -= cell.up != 0 ? 1 : 0;
+  }
+
+ private:
+  struct CellState {
+    uint32_t up = 0;
+    uint32_t alive = 0;
+  };
+
+  const CoverageCells& cells_;
+  std::vector<uint8_t> gateway_up_;
+  std::vector<CellState> cells_state_;
+  uint64_t in_service_ = 0;
+  uint64_t covered_ = 0;
+};
+
+// Restore check shared by the district snapshot readers: a slot saved with
+// `saved` operational gateways covering it must match the count the
+// restored gateway states give. Empty when they agree, else an error
+// naming the site.
+std::string CheckRestoredCovering(uint32_t site, uint32_t saved, const ServiceCounts& service);
+
 // Geometry every engine rebuilds from the config's structural fields: the
 // deployment plan, the gateway grid planned from the radio range, and the
-// gateway -> covered-sites map.
+// coverage cells of the sites within range of each gateway.
 struct DistrictGeometry {
   explicit DistrictGeometry(const DistrictConfig& config);
 
-  // Fraction of sites inside at least one gateway cell.
-  double InitialCoverage() const;
-
   DeploymentPlan plan;
   std::vector<Site> gateway_sites;
-  CoverageCsr coverage;
+  CoverageCells cells;
 };
 
 // The district's one device class.
@@ -83,8 +183,10 @@ class DistrictModel {
   const SeriesSystem& gateway_bom() const { return gateway_bom_; }
   // The run's RNG root (re-keyed by a branch salt on restore).
   const RandomStream& rng() const { return rng_; }
-  uint32_t gateway_count() const { return static_cast<uint32_t>(gateway_up_.size()); }
-  bool gateway_up(uint32_t g) const { return gateway_up_[g] != 0; }
+  uint32_t gateway_count() const { return service_.gateway_count(); }
+  bool gateway_up(uint32_t g) const { return service_.gateway_up(g); }
+  // Alive sites with an operational covering gateway.
+  uint64_t in_service() const { return service_.in_service(); }
   double alive_site_seconds() const { return alive_site_seconds_; }
   double service_site_seconds() const { return service_site_seconds_; }
 
@@ -97,16 +199,14 @@ class DistrictModel {
     AccumulateTo(at);
     if (!fleet_.alive(d)) {
       fleet_.DeployAt(d, at);
-      if (InService(d)) {
-        ++service_count_;
-      }
+      service_.SiteUp(d);
     }
   }
 
   void DeviceFailAt(uint32_t d, SimTime at) {
     AccumulateTo(at);
-    if (InService(d)) {
-      --service_count_;
+    if (fleet_.alive(d)) {
+      service_.SiteDown(d);
     }
     fleet_.MarkFailedAt(d, at);
     ++report_.device_failures;
@@ -138,15 +238,16 @@ class DistrictModel {
       return;
     }
     const double span = (now - last_change_).ToSeconds();
+    const double service = static_cast<double>(service_.in_service());
     alive_site_seconds_ += span * static_cast<double>(fleet_.alive_count());
-    service_site_seconds_ += span * static_cast<double>(service_count_);
+    service_site_seconds_ += span * service;
     double t0 = last_change_.ToSeconds();
     const double t1 = now.ToSeconds();
     const double year_s = SimTime::Years(1).ToSeconds();
     while (t0 < t1) {
       const uint32_t y = std::min<uint32_t>(years_ - 1, static_cast<uint32_t>(t0 / year_s));
       const double seg = std::min(t1, (y + 1) * year_s) - t0;
-      yearly_service_seconds_[y] += seg * static_cast<double>(service_count_);
+      yearly_service_seconds_[y] += seg * service;
       t0 += seg;
     }
     last_change_ = now;
@@ -169,7 +270,9 @@ class DistrictModel {
   void Finish();
 
  private:
-  bool InService(uint32_t d) const { return fleet_.alive(d) && fleet_.covering(d) > 0; }
+  // Takes the geometry by value so its cells outlive it in `cells_`.
+  DistrictModel(Simulation& sim, const DistrictConfig& config, DistrictReport& report,
+                DistrictGeometry geo);
   bool Restore(const std::string& path, const RearmFn& rearm, std::string* error);
   void Record(const char* category, SimTime at, uint64_t arg) {
     if (config_.control.recorder != nullptr) {
@@ -186,11 +289,10 @@ class DistrictModel {
   const SeriesSystem gateway_bom_;
   const uint32_t years_;
 
-  CoverageCsr coverage_;
-  std::vector<uint8_t> gateway_up_;
+  const CoverageCells cells_;
+  ServiceCounts service_;
   std::vector<std::vector<uint32_t>> zone_sites_;  // Ascending site indices.
 
-  uint64_t service_count_ = 0;  // Alive and covered.
   SimTime last_change_;
   double alive_site_seconds_ = 0.0;
   double service_site_seconds_ = 0.0;

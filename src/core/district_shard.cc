@@ -4,16 +4,19 @@
 //
 //  - Devices partition into contiguous fleet column ranges, one per lane.
 //    Each lane owns a full Simulation/DeviceFleet/Scheduler over its range;
-//    geometry (deployment plan, gateway grid, coverage CSR) is built once
+//    geometry (deployment plan, gateway grid, coverage cells) is built once
 //    on the main thread and shared read-only.
 //  - The only cross-shard coupling is gateway up/down state: a transition
 //    of gateway g must adjust covered-service accounting in every lane with
-//    sites inside g's cell. Gateway fail/repair is an autonomous process
-//    (device state never feeds back into it), so the owner lane (g mod S)
-//    PRE-SAMPLES the transition timeline: during the window that ends at
-//    barrier B it extends every owned gateway's timeline through B + W,
-//    scheduling its own local copy immediately and broadcasting the rest
-//    via the ShardBus. Messages published in window w are drained at the
+//    sites inside g's range. Each lane keeps its own ServiceCounts over the
+//    shared cells, with only its own sites alive in them, so a flip costs
+//    a lane O(cells of g) whether or not it holds any of g's sites.
+//    Gateway fail/repair is an autonomous process (device state never
+//    feeds back into it), so the owner lane (g mod S) PRE-SAMPLES the
+//    transition timeline: during the window that ends at barrier B it
+//    extends every owned gateway's timeline through B + W, scheduling its
+//    own local copy immediately and broadcasting the rest via the
+//    ShardBus. Messages published in window w are drained at the
 //    start of window w+1 — one full window before the earliest time they
 //    can fire — so no lane ever receives an event in its past.
 //  - Determinism: per-entity RNG streams are keyed by (entity, ordinal)
@@ -168,7 +171,8 @@ class DistrictShardLane final : public ShardLane {
         years_(static_cast<uint32_t>(std::ceil(config.horizon.ToYears()))),
         yearly_service_us_(years_, 0),
         batches_(sim_, DistrictBatches(config),
-                 [this](uint32_t zone, uint32_t) { OnZoneVisit(zone); }) {
+                 [this](uint32_t zone, uint32_t) { OnZoneVisit(zone); }),
+        service_(geo.cells) {
     sim_.trace().EnableRetention(false);
     // All lanes arm every zone's visits (identical jitter draws from the
     // shared seed) but only walk their own slice of the zone. The filter
@@ -197,9 +201,7 @@ class DistrictShardLane final : public ShardLane {
     for (uint32_t ld = 0; ld < count; ++ld) {
       zone_local_[fleet_.zone(ld)].push_back(ld);
     }
-    BuildLocalCoverage();
-    const uint32_t n_gw = static_cast<uint32_t>(geo_.gateway_sites.size());
-    gateway_up_.assign(n_gw, 1);
+    const uint32_t n_gw = service_.gateway_count();
     cursors_.resize(n_gw);
     committed_.resize(n_gw);
 
@@ -209,12 +211,9 @@ class DistrictShardLane final : public ShardLane {
     }
 
     batches_.ScheduleThrough(config_.horizon);
-    // t = 0: every gateway up, so each site's covering count starts at its
-    // static coverage degree.
+    // t = 0: every gateway up.
     for (uint32_t g = 0; g < n_gw; ++g) {
-      for (uint32_t k = local_cov_.begin(g); k < local_cov_.end(g); ++k) {
-        fleet_.AddCoveringAt(local_cov_.site_ids[k], +1);
-      }
+      service_.SetGateway(g, true);
     }
     for (uint32_t ld = 0; ld < count; ++ld) {
       DeployDevice(ld);
@@ -283,46 +282,32 @@ class DistrictShardLane final : public ShardLane {
   }
 
   uint32_t device_count() const { return end_ - begin_; }
-  DeviceFleet::SlotState SaveSlot(uint32_t ld) const { return fleet_.SaveSlotState(ld); }
-  uint8_t gateway_up(uint32_t g) const { return gateway_up_[g]; }
+  DeviceFleet::SlotState SaveSlot(uint32_t ld) const {
+    DeviceFleet::SlotState slot = fleet_.SaveSlotState(ld);
+    slot.covering = service_.covering(begin_ + ld);
+    return slot;
+  }
+  bool gateway_up(uint32_t g) const { return service_.gateway_up(g); }
   const GatewayCursor& committed_cursor(uint32_t g) const { return committed_[g]; }
   size_t fleet_bytes() const { return fleet_.MemoryBytes(); }
 
  private:
-  bool InService(uint32_t ld) const { return fleet_.alive(ld) && fleet_.covering(ld) > 0; }
-
-  void BuildLocalCoverage() {
-    const uint32_t n_gw = static_cast<uint32_t>(geo_.gateway_sites.size());
-    local_cov_.offsets.assign(n_gw + 1, 0);
-    for (uint32_t g = 0; g < n_gw; ++g) {
-      local_cov_.offsets[g] = static_cast<uint32_t>(local_cov_.site_ids.size());
-      for (uint32_t k = geo_.coverage.begin(g); k < geo_.coverage.end(g); ++k) {
-        const uint32_t d = geo_.coverage.site_ids[k];
-        if (d >= begin_ && d < end_) {
-          local_cov_.site_ids.push_back(d - begin_);
-        }
-      }
-    }
-    local_cov_.offsets[n_gw] = static_cast<uint32_t>(local_cov_.site_ids.size());
-  }
-
+  // The loader checked every slot's covering count against these gateway
+  // states (LoadShardSnapshot).
   void SetupFromRestore(SimTime cover) {
     const RestoreState& rs = *restore_;
     restore_barrier_us_ = rs.barrier_us;
+    for (uint32_t g = 0; g < service_.gateway_count(); ++g) {
+      service_.SetGateway(g, rs.gw_up[g] != 0);
+    }
     const uint32_t count = end_ - begin_;
     for (uint32_t ld = 0; ld < count; ++ld) {
       fleet_.RestoreSlotState(ld, rs.slots[begin_ + ld]);
-    }
-    fleet_.RecountAggregates();
-    for (uint32_t g = 0; g < gateway_up_.size(); ++g) {
-      gateway_up_[g] = rs.gw_up[g];
-    }
-    service_count_ = 0;
-    for (uint32_t ld = 0; ld < count; ++ld) {
-      if (InService(ld)) {
-        ++service_count_;
+      if (fleet_.alive(ld)) {
+        service_.SiteUp(begin_ + ld);
       }
     }
+    fleet_.RecountAggregates();
     last_us_ = rs.barrier_us;
     // Accumulators restart at zero; the merge adds the snapshot's global
     // base back — exact, because the integer integration splits additively
@@ -356,8 +341,9 @@ class DistrictShardLane final : public ShardLane {
       return;
     }
     const U128 span = static_cast<uint64_t>(now_us - last_us_);
+    const uint64_t in_service = service_.in_service();
     alive_us_ += span * fleet_.alive_count();
-    service_us_ += span * service_count_;
+    service_us_ += span * in_service;
     const int64_t year_us = SimTime::Years(1).micros();
     int64_t t0 = last_us_;
     while (t0 < now_us) {
@@ -365,7 +351,7 @@ class DistrictShardLane final : public ShardLane {
           std::min<uint32_t>(years_ - 1, static_cast<uint32_t>(t0 / year_us));
       const int64_t year_end = (static_cast<int64_t>(y) + 1) * year_us;
       const int64_t seg_end = std::min(now_us, year_end);
-      yearly_service_us_[y] += U128(static_cast<uint64_t>(seg_end - t0)) * service_count_;
+      yearly_service_us_[y] += U128(static_cast<uint64_t>(seg_end - t0)) * in_service;
       t0 = seg_end;
     }
     last_us_ = now_us;
@@ -394,7 +380,7 @@ class DistrictShardLane final : public ShardLane {
     }
   }
 
-  // One gateway transition, applied to this lane's slice of the cell. The
+  // One gateway transition, applied to this lane's sites in its cells. The
   // owner's copy also counts it (exactly once fleet-wide).
   void ApplyGateway(uint32_t g, bool up, bool owned) {
     if (owned) {
@@ -407,23 +393,11 @@ class DistrictShardLane final : public ShardLane {
         recorder_->Record(up ? kDistrictGatewayRepair : kDistrictGatewayFail, sim_.Now(), g);
       }
     }
-    if ((gateway_up_[g] != 0) == up) {
+    if (service_.gateway_up(g) == up) {
       return;
     }
     AccumulateTo(sim_.Now().micros());
-    gateway_up_[g] = up ? 1 : 0;
-    const int delta = up ? 1 : -1;
-    for (uint32_t k = local_cov_.begin(g); k < local_cov_.end(g); ++k) {
-      const uint32_t ld = local_cov_.site_ids[k];
-      const bool was = InService(ld);
-      fleet_.AddCoveringAt(ld, delta);
-      const bool is = InService(ld);
-      if (was && !is) {
-        --service_count_;
-      } else if (!was && is) {
-        ++service_count_;
-      }
-    }
+    service_.SetGateway(g, up);
   }
 
   void ArmDeviceFailure(uint32_t ld, SimTime at) {
@@ -434,9 +408,7 @@ class DistrictShardLane final : public ShardLane {
     AccumulateTo(sim_.Now().micros());
     if (!fleet_.alive(ld)) {
       fleet_.DeployAt(ld, sim_.Now());
-      if (InService(ld)) {
-        ++service_count_;
-      }
+      service_.SiteUp(begin_ + ld);
     }
     // Keyed by (global index, unit generation): the draw is identical no
     // matter which lane owns the device or when its replacement lands.
@@ -450,8 +422,8 @@ class DistrictShardLane final : public ShardLane {
 
   void OnDeviceFailure(uint32_t ld) {
     AccumulateTo(sim_.Now().micros());
-    if (InService(ld)) {
-      --service_count_;
+    if (fleet_.alive(ld)) {
+      service_.SiteDown(begin_ + ld);
     }
     fleet_.MarkFailedAt(ld, sim_.Now());
     ++device_failures_;
@@ -489,14 +461,12 @@ class DistrictShardLane final : public ShardLane {
   std::vector<U128> yearly_service_us_;
   BatchProjectScheduler batches_;
 
-  CoverageCsr local_cov_;  // Rows over local slots (global - begin_).
+  ServiceCounts service_;  // Replicated gateway states; this lane's sites.
   std::vector<std::vector<uint32_t>> zone_local_;
-  std::vector<uint8_t> gateway_up_;        // All gateways (replicated state).
   std::vector<GatewayCursor> cursors_;     // Emission cursor, owned g only.
   std::vector<GatewayCursor> committed_;   // Lags at the last barrier.
 
   int64_t restore_barrier_us_ = -1;
-  uint64_t service_count_ = 0;
   int64_t last_us_ = 0;
   U128 alive_us_ = 0;
   U128 service_us_ = 0;
@@ -533,7 +503,7 @@ void SaveShardCheckpoint(const DistrictConfig& config, const DistrictGeometry& g
   gw.U64(n_gw);
   for (uint32_t g = 0; g < n_gw; ++g) {
     const GatewayCursor& c = lanes[g % lanes.size()]->committed_cursor(g);
-    gw.U8(lanes[0]->gateway_up(g));
+    gw.U8(lanes[0]->gateway_up(g) ? 1 : 0);
     gw.U8(c.next_is_down);
     gw.U32(c.ordinal);
     gw.I64(c.next_at_us);
@@ -575,8 +545,10 @@ void SaveShardCheckpoint(const DistrictConfig& config, const DistrictGeometry& g
       std::chrono::duration<double>(std::chrono::steady_clock::now() - save_start).count();
 }
 
-bool LoadShardSnapshot(const std::string& path, const DistrictConfig& config, uint32_t n_gw,
-                       uint32_t years, RestoreState& rs, std::string* error) {
+bool LoadShardSnapshot(const std::string& path, const DistrictConfig& config,
+                       const DistrictGeometry& geo, uint32_t years, RestoreState& rs,
+                       std::string* error) {
+  const uint32_t n_gw = geo.cells.gateway_count();
   SnapshotReader reader;
   if (!OpenCheckpoint(reader, path, "district-shard", DistrictStructuralDigest(config), error)) {
     return false;
@@ -614,6 +586,16 @@ bool LoadShardSnapshot(const std::string& path, const DistrictConfig& config, ui
   if (!gw.ok()) {
     *error = "gateway chunk truncated";
     return false;
+  }
+  ServiceCounts restored(geo.cells);
+  for (uint32_t g = 0; g < n_gw; ++g) {
+    restored.SetGateway(g, rs.gw_up[g] != 0);
+  }
+  for (uint32_t d = 0; d < config.device_count; ++d) {
+    *error = CheckRestoredCovering(d, rs.slots[d].covering, restored);
+    if (!error->empty()) {
+      return false;
+    }
   }
 
   ByteReader acc = reader.Chunk(kShardAccumChunk);
@@ -661,7 +643,7 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
 
   const DistrictGeometry geo(config);
   report.gateway_count = static_cast<uint32_t>(geo.gateway_sites.size());
-  report.initial_coverage = geo.InitialCoverage();
+  report.initial_coverage = geo.cells.CoveredFraction();
   const uint32_t years = static_cast<uint32_t>(std::ceil(config.horizon.ToYears()));
 
   RestoreState rs;
@@ -670,7 +652,7 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
   if (!resume_path.empty()) {
     const auto restore_start = std::chrono::steady_clock::now();
     std::string error;
-    if (!LoadShardSnapshot(resume_path, config, report.gateway_count, years, rs, &error)) {
+    if (!LoadShardSnapshot(resume_path, config, geo, years, rs, &error)) {
       CheckConfigOrDie("district-shard",
                        {"cannot resume from " + resume_path + ": " + error});
     }

@@ -105,7 +105,6 @@ void DeviceFleet::Reserve(size_t devices) {
   failed_at_.reserve(devices);
   deadline_.reserve(devices);
   failure_event_.reserve(devices);
-  covering_.reserve(devices);
   energy_.reserve(devices);
   tx_.reserve(devices);
   harvester_.reserve(devices);
@@ -127,7 +126,6 @@ DeviceHandle DeviceFleet::Add(uint32_t cls, double x_m, double y_m, uint32_t zon
     failed_at_.push_back(SimTime());
     deadline_.push_back(SimTime());
     failure_event_.push_back(kInvalidEventId);
-    covering_.push_back(0);
     energy_.push_back(EnergyColumn{EnergyStorage::InitialState(classes_[cls].spec.storage),
                                    SimTime()});
     tx_.push_back(EnergyCounters{});
@@ -145,7 +143,6 @@ DeviceHandle DeviceFleet::Add(uint32_t cls, double x_m, double y_m, uint32_t zon
     failed_at_[slot] = SimTime();
     deadline_[slot] = SimTime();
     failure_event_[slot] = kInvalidEventId;
-    covering_[slot] = 0;
     energy_[slot] =
         EnergyColumn{EnergyStorage::InitialState(classes_[cls].spec.storage), SimTime()};
     tx_[slot] = EnergyCounters{};
@@ -178,11 +175,6 @@ void DeviceFleet::Remove(DeviceHandle h) {
     alive_[slot] = 0;
     --alive_count_;
     MetricSet(alive_gauge_, static_cast<double>(alive_count_));
-  }
-  if (covering_[slot] > 0) {
-    covering_[slot] = 0;
-    --covered_count_;
-    MetricSet(covered_gauge_, static_cast<double>(covered_count_));
   }
   BumpGeneration(slot);
   free_.push_back(slot);
@@ -224,21 +216,6 @@ void DeviceFleet::CountReplacementAt(uint32_t slot) {
   ++record.replacement_count;
   MetricInc(record.replacements);
   MetricInc(record.fleet_replacements);
-}
-
-void DeviceFleet::AddCoveringAt(uint32_t slot, int delta) {
-  uint32_t& count = covering_[slot];
-  const bool was = count > 0;
-  count = static_cast<uint32_t>(static_cast<int>(count) + delta);
-  const bool is = count > 0;
-  if (was != is) {
-    if (is) {
-      ++covered_count_;
-    } else {
-      --covered_count_;
-    }
-    MetricSet(covered_gauge_, static_cast<double>(covered_count_));
-  }
 }
 
 void DeviceFleet::EnergyAdvanceTo(uint32_t slot, SimTime now) {
@@ -299,7 +276,6 @@ DeviceFleet::SlotState DeviceFleet::SaveSlotState(uint32_t slot) const {
   s.deployed_at_us = deployed_at_[slot].micros();
   s.failed_at_us = failed_at_[slot].micros();
   s.deadline_us = deadline_[slot].micros();
-  s.covering = covering_[slot];
   s.charge_j = energy_[slot].storage.charge_j;
   s.capacity_now_j = energy_[slot].storage.capacity_now_j;
   s.energy_last_update_us = energy_[slot].storage.last_update.micros();
@@ -317,7 +293,6 @@ void DeviceFleet::RestoreSlotState(uint32_t slot, const SlotState& s) {
   failed_at_[slot] = SimTime::Micros(s.failed_at_us);
   deadline_[slot] = SimTime::Micros(s.deadline_us);
   failure_event_[slot] = kInvalidEventId;  // Rebuilt by timer re-arm.
-  covering_[slot] = s.covering;
   energy_[slot].storage.charge_j = s.charge_j;
   energy_[slot].storage.capacity_now_j = s.capacity_now_j;
   energy_[slot].storage.last_update = SimTime::Micros(s.energy_last_update_us);
@@ -328,17 +303,12 @@ void DeviceFleet::RestoreSlotState(uint32_t slot, const SlotState& s) {
 
 void DeviceFleet::RecountAggregates() {
   alive_count_ = 0;
-  covered_count_ = 0;
   for (size_t slot = 0; slot < handle_gen_.size(); ++slot) {
     if (alive_[slot] != 0) {
       ++alive_count_;
     }
-    if (covering_[slot] > 0) {
-      ++covered_count_;
-    }
   }
   MetricSet(alive_gauge_, static_cast<double>(alive_count_));
-  MetricSet(covered_gauge_, static_cast<double>(covered_count_));
 }
 
 void DeviceFleet::BindFleetMetricsFor(ClassRecord& record) {
@@ -354,7 +324,7 @@ void DeviceFleet::EnableFleetMetrics() {
   alive_gauge_ = sim_.MetricGauge("fleet.alive_devices");
   covered_gauge_ = sim_.MetricGauge("fleet.covered_sites");
   MetricSet(alive_gauge_, static_cast<double>(alive_count_));
-  MetricSet(covered_gauge_, static_cast<double>(covered_count_));
+  MetricSet(covered_gauge_, static_cast<double>(covered_sites_));
   for (ClassRecord& record : classes_) {
     BindFleetMetricsFor(record);
   }
@@ -373,7 +343,6 @@ size_t DeviceFleet::MemoryBytes() const {
   bytes += failed_at_.capacity() * sizeof(SimTime);
   bytes += deadline_.capacity() * sizeof(SimTime);
   bytes += failure_event_.capacity() * sizeof(EventId);
-  bytes += covering_.capacity() * sizeof(uint32_t);
   bytes += energy_.capacity() * sizeof(EnergyColumn);
   bytes += tx_.capacity() * sizeof(EnergyCounters);
   bytes += harvester_.capacity() * sizeof(HarvesterModel);

@@ -128,7 +128,6 @@ class DeviceFleet {
   size_t size() const { return handle_gen_.size() - free_.size(); }
   size_t capacity() const { return handle_gen_.size(); }
   uint64_t alive_count() const { return alive_count_; }
-  uint64_t covered_count() const { return covered_count_; }
 
   // --- Column accessors (by slot) -----------------------------------------
   double x(uint32_t slot) const { return x_[slot]; }
@@ -147,7 +146,6 @@ class DeviceFleet {
   void set_deadline(uint32_t slot, SimTime t) { deadline_[slot] = t; }
   EventId failure_event(uint32_t slot) const { return failure_event_[slot]; }
   void set_failure_event(uint32_t slot, EventId id) { failure_event_[slot] = id; }
-  uint32_t covering(uint32_t slot) const { return covering_[slot]; }
   uint64_t tx_granted(uint32_t slot) const { return tx_[slot].tx_granted; }
   uint64_t tx_denied(uint32_t slot) const { return tx_[slot].tx_denied; }
   const HarvesterModel& harvester(uint32_t slot) const { return harvester_[slot]; }
@@ -178,8 +176,14 @@ class DeviceFleet {
 
   // --- Coverage -----------------------------------------------------------
 
-  // Adjusts the count of operational gateways covering this site.
-  void AddCoveringAt(uint32_t slot, int delta);
+  // Publishes the count of sites inside at least one operational gateway's
+  // range on the fleet.covered_sites gauge. The fleet keeps no per-site
+  // coverage: the district model counts it per coverage cell
+  // (district_model.h) and reports the total here.
+  void SetCoveredSites(uint64_t sites) {
+    covered_sites_ = sites;
+    MetricSet(covered_gauge_, static_cast<double>(sites));
+  }
 
   // --- Energy (delegates to EnergyOps over the columns) -------------------
 
@@ -219,6 +223,9 @@ class DeviceFleet {
   // config by the restoring driver, and failure_event ids are rebuilt by
   // timer re-arm, so neither appears here. Doubles round-trip as raw bit
   // patterns so restored energy arithmetic continues bit-identically.
+  // `covering` is not a fleet column: SaveSlotState leaves it 0 and
+  // RestoreSlotState ignores it. The district engines write the count of
+  // operational gateways covering the site there and check it on restore.
   struct SlotState {
     uint8_t alive = 0;
     uint32_t handle_generation = 1;
@@ -240,8 +247,8 @@ class DeviceFleet {
   // RecountAggregates() once after restoring every slot.
   void RestoreSlotState(uint32_t slot, const SlotState& state);
 
-  // Recomputes alive_count_/covered_count_ from the columns and republishes
-  // the fleet gauges (when enabled).
+  // Recomputes alive_count_ from the column and republishes the
+  // fleet.alive_devices gauge (when enabled).
   void RecountAggregates();
 
   // Restores a class's internal replacement tally. The associated metric
@@ -310,7 +317,6 @@ class DeviceFleet {
   std::vector<SimTime> failed_at_;
   std::vector<SimTime> deadline_;
   std::vector<EventId> failure_event_;
-  std::vector<uint32_t> covering_;
   std::vector<EnergyColumn> energy_;
   std::vector<EnergyCounters> tx_;
   std::vector<HarvesterModel> harvester_;
@@ -318,7 +324,7 @@ class DeviceFleet {
   std::vector<uint32_t> free_;  // LIFO: most recently released first.
 
   uint64_t alive_count_ = 0;
-  uint64_t covered_count_ = 0;
+  uint64_t covered_sites_ = 0;  // Last SetCoveredSites value.
   FailureHook failure_hook_;
 
   bool fleet_metrics_enabled_ = false;

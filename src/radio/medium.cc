@@ -1,5 +1,6 @@
 #include "src/radio/medium.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -8,16 +9,25 @@ namespace centsim {
 void SharedMedium::Register(const Transmission& tx) {
   assert(active_.empty() || tx.start >= active_.back().start);
   active_.push_back(tx);
+  longest_airtime_ = std::max(longest_airtime_, tx.end - tx.start);
 }
 
 bool SharedMedium::Delivered(const Transmission& tx, double capture_margin_db) const {
+  // A frame starting at or before tx.start - longest_airtime_ has ended by
+  // tx.start, and one starting at or after tx.end has not begun: neither
+  // overlaps. The frames in between are summed in registration order, as
+  // a full scan would.
+  const SimTime earliest = tx.start - longest_airtime_;
+  auto it = std::upper_bound(
+      active_.begin(), active_.end(), earliest,
+      [](SimTime t, const Transmission& other) { return t < other.start; });
   double interference_mw = 0.0;
-  for (const auto& other : active_) {
+  for (; it != active_.end() && it->start < tx.end; ++it) {
+    const Transmission& other = *it;
     if (other.tx_id == tx.tx_id || other.channel != tx.channel) {
       continue;
     }
-    const bool overlaps = other.start < tx.end && tx.start < other.end;
-    if (overlaps) {
+    if (tx.start < other.end) {
       interference_mw += DbmToMilliwatts(other.rx_power_dbm);
     }
   }

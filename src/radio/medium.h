@@ -41,7 +41,9 @@ class SharedMedium {
   // Decides whether `tx` (already registered) was received, considering
   // every overlapping co-channel transmission registered so far. The frame
   // survives if no overlap, or if its power exceeds the aggregate
-  // interference by `capture_margin_db`.
+  // interference by `capture_margin_db`. O(log n + overlaps): starts are
+  // sorted and no frame lasts longer than the longest registered airtime,
+  // so only frames starting in (tx.start - that airtime, tx.end) are read.
   bool Delivered(const Transmission& tx, double capture_margin_db) const;
 
   // Drops transmissions ending before `t` (they can no longer interfere).
@@ -58,6 +60,7 @@ class SharedMedium {
 
  private:
   std::deque<Transmission> active_;
+  SimTime longest_airtime_;  // Over every registered frame, expired ones too.
   Counter* delivered_metric_ = nullptr;
   Counter* lost_metric_ = nullptr;
 };

@@ -122,7 +122,7 @@ TEST(DeviceFleetTest, InternClassDeduplicatesByContent) {
   EXPECT_EQ(fleet.class_count(), 2u);
 }
 
-TEST(DeviceFleetTest, LifecycleTransitionsTrackAliveAndCoveredCounts) {
+TEST(DeviceFleetTest, LifecycleTransitionsTrackAliveCount) {
   Simulation sim(1);
   DeviceFleet fleet(sim);
   const uint32_t cls = fleet.InternClass(TestSpec());
@@ -131,12 +131,6 @@ TEST(DeviceFleetTest, LifecycleTransitionsTrackAliveAndCoveredCounts) {
   fleet.DeployAt(0, sim.Now());
   fleet.DeployAt(1, sim.Now());
   EXPECT_EQ(fleet.alive_count(), 2u);
-  fleet.AddCoveringAt(0, 1);
-  EXPECT_EQ(fleet.covered_count(), 1u);
-  fleet.AddCoveringAt(0, 1);
-  EXPECT_EQ(fleet.covered_count(), 1u);  // Still one covered site.
-  fleet.AddCoveringAt(0, -2);
-  EXPECT_EQ(fleet.covered_count(), 0u);
   fleet.MarkFailedAt(0, sim.Now());
   fleet.RetireAt(1);
   EXPECT_EQ(fleet.alive_count(), 0u);

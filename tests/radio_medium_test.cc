@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 
 #include "src/radio/phy_802154.h"
+#include "src/sim/random.h"
 
 namespace centsim {
 namespace {
@@ -78,6 +80,67 @@ TEST(SharedMediumTest, ExpireDropsOldTransmissions) {
   EXPECT_EQ(medium.active_count(), 2u);
   medium.ExpireBefore(SimTime::Seconds(0.5));
   EXPECT_EQ(medium.active_count(), 1u);
+}
+
+// The full scan SharedMedium::Delivered made before it learned to skip
+// frames that cannot overlap: the reference every verdict must match.
+bool FullScanDelivered(const std::deque<SharedMedium::Transmission>& registered,
+                       const SharedMedium::Transmission& tx, double capture_margin_db) {
+  double interference_mw = 0.0;
+  for (const auto& other : registered) {
+    if (other.tx_id == tx.tx_id || other.channel != tx.channel) {
+      continue;
+    }
+    const bool overlaps = other.start < tx.end && tx.start < other.end;
+    if (overlaps) {
+      interference_mw += DbmToMilliwatts(other.rx_power_dbm);
+    }
+  }
+  if (interference_mw > 0.0) {
+    return tx.rx_power_dbm - MilliwattsToDbm(interference_mw) >= capture_margin_db;
+  }
+  return true;
+}
+
+TEST(SharedMediumTest, BoundedScanAgreesWithFullScanOnRandomTraffic) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    RandomStream rng(seed);
+    SharedMedium medium;
+    std::deque<SharedMedium::Transmission> registered;
+    // Airtimes span four decades; some frames share a start.
+    const double longest_s = 0.005 * std::pow(10.0, static_cast<double>(seed % 4));
+    const uint32_t channels = 1 + static_cast<uint32_t>(seed % 3);
+    // Every frame is judged at least once, before it expires.
+    auto judge_all = [&] {
+      for (const auto& tx : registered) {
+        for (const double margin : {0.0, 3.0, 6.0, 10.0, 20.0}) {
+          ASSERT_EQ(medium.Delivered(tx, margin), FullScanDelivered(registered, tx, margin))
+              << "seed " << seed << " frame " << tx.tx_id << " margin " << margin;
+        }
+      }
+    };
+    double t = 0.0;
+    for (uint64_t id = 1; id <= 3000; ++id) {
+      if (!rng.NextBool(0.1)) {
+        t += rng.Exponential(longest_s / 3.0);
+      }
+      const double airtime = longest_s * (0.001 + 0.999 * rng.NextDouble());
+      const auto tx = Tx(t, airtime, static_cast<uint32_t>(rng.NextBelow(channels)),
+                         rng.Uniform(-125.0, -45.0), id);
+      medium.Register(tx);
+      registered.push_back(tx);
+      if (id % 500 == 0) {
+        judge_all();
+        const SimTime horizon = SimTime::Seconds(t - 20.0 * longest_s);
+        medium.ExpireBefore(horizon);
+        while (!registered.empty() && registered.front().end < horizon) {
+          registered.pop_front();
+        }
+        ASSERT_EQ(medium.active_count(), registered.size());
+      }
+    }
+    judge_all();
+  }
 }
 
 TEST(AlohaTest, ZeroLoadIsPerfect) {

@@ -18,6 +18,7 @@
 
 #include "src/core/district.h"
 #include "src/core/experiment_api.h"
+#include "src/core/fleet_codec.h"
 #include "src/core/theseus.h"
 #include "src/sim/ensemble.h"
 #include "src/sim/metrics.h"
@@ -698,6 +699,110 @@ TEST(DistrictSnapshotTest, ResumeLatestRecoversAndStructuralMismatchRefused) {
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFSIGNALED(status) || (WIFEXITED(status) && WEXITSTATUS(status) != 0))
       << "structurally mismatched snapshot was accepted";
+}
+
+// A snapshot whose content is wrong but whose checksums are right: every
+// chunk of `path` copied into a fresh SnapshotWriter, with the fleet
+// chunk's `site` slot saved one gateway more covered than it was (unless
+// `site` is UINT32_MAX), or with a `district` accumulator chunk's leading
+// in-service count one too high.
+std::string ResealEdited(const std::string& path, const std::string& out_path,
+                         const std::vector<uint32_t>& tags, uint32_t site,
+                         bool bump_in_service = false) {
+  SnapshotReader reader;
+  std::string error;
+  EXPECT_TRUE(reader.Open(path, &error)) << error;
+  SnapshotWriter writer(reader.meta());
+  for (uint32_t tag : tags) {
+    ByteReader in = reader.Chunk(tag);
+    ByteWriter out;
+    if (tag == SnapshotTag('f', 'l', 'e', 't')) {
+      const uint64_t slots = in.U64();
+      out.U64(slots);
+      for (uint64_t d = 0; d < slots; ++d) {
+        DeviceFleet::SlotState slot = DecodeFleetSlot(in);
+        if (d == site) {
+          ++slot.covering;
+        }
+        EncodeFleetSlot(slot, out);
+      }
+    }
+    if (tag == SnapshotTag('a', 'c', 'c', 'u') && bump_in_service) {
+      out.U64(in.U64() + 1);
+    }
+    if (in.remaining() > 0) {
+      std::vector<uint8_t> rest(in.remaining());
+      EXPECT_TRUE(in.ReadBytes(rest.data(), rest.size()));
+      out.Bytes(rest.data(), rest.size());
+    }
+    writer.Add(tag, out);
+  }
+  EXPECT_GT(writer.Write(out_path, &error), 0u) << error;
+  EXPECT_TRUE(ProbeSnapshot(out_path)) << "re-sealed snapshot must pass its checksums";
+  return out_path;
+}
+
+// A checkpoint's per-slot `covering` must agree with its own gateway
+// states: the serial and the sharded engines both refuse a snapshot where
+// it does not, and name the site.
+TEST(DistrictSnapshotTest, CoveringMismatchRefusedNamingTheSite) {
+  ScratchDir dir("district_covering_mismatch");
+  DistrictConfig cfg;
+  cfg.seed = 9;
+  cfg.device_count = 500;
+  cfg.area_km2 = 4.0;
+  cfg.zone_grid = 2;
+  cfg.horizon = SimTime::Years(12);
+  cfg.batch_cycle = SimTime::Years(4);
+  cfg.snapshot.checkpoint_every = SimTime::Years(6);
+
+  DistrictConfig serial = cfg;
+  serial.snapshot.checkpoint_dir = dir.path() + "/serial";
+  const DistrictReport serial_run = RunDistrictScenario(serial);
+  ASSERT_EQ(serial_run.checkpoints_written, 1u);
+  DistrictConfig sharded = cfg;
+  sharded.shard.shards = 2;
+  sharded.snapshot.checkpoint_dir = dir.path() + "/sharded";
+  const DistrictReport sharded_run = RunDistrictScenario(sharded);
+  ASSERT_EQ(sharded_run.checkpoints_written, 1u);
+
+  const uint32_t site = 137;
+  const std::string serial_bad = ResealEdited(
+      serial_run.last_checkpoint_path, dir.path() + "/serial_bad.snap",
+      {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 's', 't'),
+       SnapshotTag('a', 'c', 'c', 'u'), SnapshotTag('t', 'i', 'm', 'r'),
+       SnapshotTag('s', 'c', 'h', 'd')},
+      site);
+  const std::string sharded_bad = ResealEdited(
+      sharded_run.last_checkpoint_path, dir.path() + "/sharded_bad.snap",
+      {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 'r', 'c'),
+       SnapshotTag('a', 'c', 'c', 'u')},
+      site);
+
+  DistrictConfig resume_serial = cfg;
+  resume_serial.snapshot = SnapshotPlan{};
+  resume_serial.snapshot.resume_from = serial_bad;
+  EXPECT_DEATH(RunDistrictScenario(resume_serial), "site 137 was saved covered by");
+  DistrictConfig resume_sharded = resume_serial;
+  resume_sharded.shard.shards = 3;
+  resume_sharded.snapshot.resume_from = sharded_bad;
+  EXPECT_DEATH(RunDistrictScenario(resume_sharded), "site 137 was saved covered by");
+
+  // The serial format also stores the in-service count the fleet and
+  // gateway states imply; a disagreeing one is refused too.
+  resume_serial.snapshot.resume_from = ResealEdited(
+      serial_run.last_checkpoint_path, dir.path() + "/serial_bad_service.snap",
+      {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 's', 't'),
+       SnapshotTag('a', 'c', 'c', 'u'), SnapshotTag('t', 'i', 'm', 'r'),
+       SnapshotTag('s', 'c', 'h', 'd')},
+      UINT32_MAX, /*bump_in_service=*/true);
+  EXPECT_DEATH(RunDistrictScenario(resume_serial), "in-service count");
+
+  // The untouched checkpoints still resume.
+  resume_serial.snapshot.resume_from = serial_run.last_checkpoint_path;
+  EXPECT_GT(RunDistrictScenario(resume_serial).restore_seconds, 0.0);
+  resume_sharded.snapshot.resume_from = sharded_run.last_checkpoint_path;
+  EXPECT_GT(RunDistrictScenario(resume_sharded).restore_seconds, 0.0);
 }
 
 // --- Restore parity: century -------------------------------------------------

@@ -18,11 +18,13 @@ int main(int argc, char** argv) {
     // Scenario file (see examples/scenario.ini for the key reference).
     std::string error;
     const auto parsed = Config::Load(argv[1], &error);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "cannot load scenario: %s\n", error.c_str());
+    const auto loaded =
+        parsed.has_value() ? FiftyYearConfigFrom(*parsed, &error) : std::nullopt;
+    if (!loaded.has_value()) {
+      std::fprintf(stderr, "cannot load scenario %s: %s\n", argv[1], error.c_str());
       return 1;
     }
-    cfg = FiftyYearConfigFrom(*parsed);
+    cfg = *loaded;
   } else {
     cfg.seed = 2021;  // HotOS '21.
     cfg.devices_802154 = 4;

@@ -251,6 +251,26 @@ bool CenturyModel::Restore(const std::string& path, const RearmFn& rearm, std::s
     *error = "timer chunk truncated";
     return false;
   }
+  // A pending failure names a live unit, and its life is the unit's fail
+  // time minus its restored deployment time, as the sampled engine derives
+  // it. Unsigned arithmetic: both operands come from the file.
+  for (const TimerRecord& r : records) {
+    if (r.tag != kCenturyTimerSiteFail) {
+      continue;
+    }
+    const uint32_t idx = static_cast<uint32_t>(r.a);
+    if (r.a >= config_.fleet_size || !fleet_.alive(idx)) {
+      *error = "site " + std::to_string(r.a) + " has a pending failure but is dead or outside "
+               "the fleet";
+      return false;
+    }
+    const uint64_t deployed_us = static_cast<uint64_t>(fleet_.deployed_at(idx).micros());
+    if (r.b != static_cast<uint64_t>(r.at_us) - deployed_us) {
+      *error = "site " + std::to_string(r.a) + "'s failure record carries a life of " +
+               std::to_string(r.b) + " us, not its fail time minus its deployment time";
+      return false;
+    }
+  }
   if (!rearm(records, error)) {
     return false;
   }

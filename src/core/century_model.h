@@ -34,7 +34,9 @@ inline constexpr const char* kCenturyVisit = "century.zone_visit";
 
 // Domain timer tags of the `century` snapshot format (TimerRecord.tag).
 // Operands: visit a=zone b=cycle; site failure a=site b=the unit's sampled
-// life in micros (the failure feeds it to the survival estimator).
+// life in micros (the failure feeds it to the survival estimator). A site
+// failure names a live site, and its life equals its fire time minus the
+// site's deployment time; restore refuses a record where either fails.
 inline constexpr uint64_t kCenturyTimerVisit = 1;
 inline constexpr uint64_t kCenturyTimerSiteFail = 2;
 

@@ -174,6 +174,17 @@ class DeviceFleet {
 
   void SetFailureHook(FailureHook hook) { failure_hook_ = std::move(hook); }
 
+  // Starts loading the lines a lifecycle transition at `slot` touches
+  // (alive, unit generation, deployed_at, failed_at, class), so a caller
+  // that knows its next transitions can overlap their cache misses.
+  void PrefetchLifecycle(uint32_t slot) const {
+    __builtin_prefetch(alive_.data() + slot, 1);
+    __builtin_prefetch(unit_gen_.data() + slot, 1);
+    __builtin_prefetch(deployed_at_.data() + slot, 1);
+    __builtin_prefetch(failed_at_.data() + slot, 1);
+    __builtin_prefetch(class_.data() + slot);
+  }
+
   // --- Coverage -----------------------------------------------------------
 
   // Publishes the count of sites inside at least one operational gateway's

@@ -29,7 +29,6 @@
 #include "src/sim/sampling.h"
 #include "src/sim/time.h"
 #include "src/snapshot/snapshot_plan.h"
-#include "src/telemetry/timeseries.h"
 
 namespace centsim {
 

@@ -48,7 +48,6 @@ class SampledCentury {
     life_table_ = SurvivalTable::Build(
         [&hardware](SimTime t) { return hardware.Survival(t); });
     fail_at_.assign(config.fleet_size, SimTime::Max());
-    life_.assign(config.fleet_size, SimTime());
     // The transition calendar only models the no-proactive site lifecycle
     // (fail -> wait -> revive); proactive refresh keeps the per-site merge
     // walk, which reads the visit schedule directly.
@@ -114,9 +113,7 @@ class SampledCentury {
   void DeploySiteAt(uint32_t idx, SimTime at) {
     model_.DeployAt(idx, at);
     RandomStream site_rng = model_.SiteStream(idx);
-    const SimTime life = life_table_.Sample(site_rng) * model_.LifeScaleAt(at);
-    life_[idx] = life;
-    fail_at_[idx] = at + life;
+    fail_at_[idx] = at + life_table_.Sample(site_rng) * model_.LifeScaleAt(at);
     CalendarPush(kCalFail, idx, fail_at_[idx]);
     if (in_window_) {
       ++win_open_count_;
@@ -194,9 +191,15 @@ class SampledCentury {
     calendar_[BucketFor(at)].push_back({at.micros(), idx, kind});
   }
 
+  // The pending unit's sampled life, derived: it was deployed at
+  // deployed_at and fails at fail_at_, both in integer micros.
+  SimTime PendingLife(uint32_t idx) const {
+    return fail_at_[idx] - model_.fleet().deployed_at(idx);
+  }
+
   void SiteFailAt(uint32_t idx, SimTime at) {
     CloseAliveInterval(idx, at);
-    model_.SiteFailAt(idx, at, life_[idx]);
+    model_.SiteFailAt(idx, at, PendingLife(idx));
   }
 
   // --- Detailed windows ---------------------------------------------------
@@ -366,6 +369,11 @@ class SampledCentury {
       }
       // Index loop: inline revives and deploys may append to this bucket.
       for (size_t e = 0; e < bucket.size(); ++e) {
+        if (e + kWalkPrefetchAhead < bucket.size()) {
+          const uint32_t ahead = bucket[e + kWalkPrefetchAhead].idx;
+          model_.fleet().PrefetchLifecycle(ahead);
+          __builtin_prefetch(fail_at_.data() + ahead, 1);
+        }
         const CalEntry en = bucket[e];
         const SimTime at = SimTime::Micros(en.at_us);
         if (at < from || at >= to) {
@@ -422,7 +430,7 @@ class SampledCentury {
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
       if (model_.fleet().alive(idx)) {
         records.push_back({kCenturyTimerSiteFail, fail_at_[idx].micros(), 0, idx,
-                           static_cast<uint64_t>(life_[idx].micros()), 0.0});
+                           static_cast<uint64_t>(PendingLife(idx).micros()), 0.0});
       }
     }
     std::stable_sort(records.begin(), records.end(),
@@ -469,18 +477,13 @@ class SampledCentury {
       }
     }
 
-    // Timer records -> walk columns. Visit records are redundant with the
+    // Timer records -> walk column. Visit records are redundant with the
     // re-recorded schedule (jitter draws are keyed identically), so only
-    // failure records carry state.
+    // failure records carry state; the model's restore has checked each
+    // against the fleet, so its life is fail time minus deployment.
     for (const TimerRecord& r : records) {
       if (r.tag == kCenturyTimerSiteFail) {
-        const uint32_t idx = static_cast<uint32_t>(r.a);
-        if (idx >= config_.fleet_size) {
-          *error = "site failure record out of range";
-          return false;
-        }
-        fail_at_[idx] = SimTime::Micros(r.at_us);
-        life_[idx] = SimTime::Micros(static_cast<int64_t>(r.b));
+        fail_at_[static_cast<uint32_t>(r.a)] = SimTime::Micros(r.at_us);
       } else if (r.tag != kCenturyTimerVisit) {
         *error = "snapshot carries timer tags this driver does not register";
         return false;
@@ -516,10 +519,9 @@ class SampledCentury {
   std::vector<Visit> visits_;
   std::vector<std::vector<SimTime>> zone_visits_;
 
-  // Per-site walk columns: next failure time and the sampled life behind
-  // it (valid while the site is alive).
+  // Per-site walk column: the pending unit's failure time (valid while the
+  // site is alive). Its life is derived (PendingLife), not stored.
   std::vector<SimTime> fail_at_;
-  std::vector<SimTime> life_;
 
   // Transition calendar: a coarse time-bucketed queue of upcoming site
   // transitions, so fast-forward spans and window arming only touch sites
@@ -535,6 +537,10 @@ class SampledCentury {
   static constexpr uint32_t kCalFail = 0;
   static constexpr uint32_t kCalRevive = 1;
   static constexpr int64_t kCalBucketUs = 14LL * 24 * 3600 * 1000000;  // 14 days.
+  // While the walk runs a bucket's entry e it prefetches the fleet and
+  // fail_at_ lines of entry e + kWalkPrefetchAhead, so the random misses of
+  // consecutive transitions overlap. 32 measured no better than 16.
+  static constexpr size_t kWalkPrefetchAhead = 16;
   bool use_calendar_ = false;
   std::vector<std::vector<CalEntry>> calendar_;
 

@@ -1,6 +1,8 @@
 #include "src/sim/config.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -20,6 +22,14 @@ std::string Trim(const std::string& s) {
 std::string Lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) { return std::tolower(c); });
   return s;
+}
+
+// Sets `error` (if given) to the message for a value that is not `type`.
+void NotA(const std::string& key, const std::string& value, int line, const char* type,
+          std::string* error) {
+  if (error != nullptr) {
+    *error = "line " + std::to_string(line) + ": " + key + " = '" + value + "' is not " + type;
+  }
 }
 
 }  // namespace
@@ -61,7 +71,7 @@ std::optional<Config> Config::Parse(const std::string& text, std::string* error)
       }
       return std::nullopt;
     }
-    cfg.values_[section.empty() ? key : section + "." + key] = value;
+    cfg.values_[section.empty() ? key : section + "." + key] = {value, line_no};
   }
   return cfg;
 }
@@ -81,44 +91,74 @@ std::optional<Config> Config::Load(const std::string& path, std::string* error) 
 
 bool Config::Has(const std::string& key) const { return values_.count(key) > 0; }
 
+std::vector<std::string> Config::Keys() const {
+  std::vector<std::string> keys;
+  keys.reserve(values_.size());
+  for (const auto& [key, entry] : values_) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+int Config::LineOf(const std::string& key) const {
+  auto it = values_.find(key);
+  return it == values_.end() ? 0 : it->second.line;
+}
+
 std::string Config::GetString(const std::string& key, const std::string& fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  return it == values_.end() ? fallback : it->second.value;
 }
 
-int64_t Config::GetInt(const std::string& key, int64_t fallback) const {
+std::optional<int64_t> Config::GetInt(const std::string& key, int64_t fallback,
+                                      std::string* error) const {
   auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
   }
+  const char* text = it->second.value.c_str();
   char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0' && end != it->second.c_str()) ? v : fallback;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    NotA(key, it->second.value, it->second.line, "an integer", error);
+    return std::nullopt;
+  }
+  return v;
 }
 
-double Config::GetDouble(const std::string& key, double fallback) const {
+std::optional<double> Config::GetDouble(const std::string& key, double fallback,
+                                        std::string* error) const {
   auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
   }
+  const char* text = it->second.value.c_str();
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return (end != nullptr && *end == '\0' && end != it->second.c_str()) ? v : fallback;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v)) {
+    NotA(key, it->second.value, it->second.line, "a finite number", error);
+    return std::nullopt;
+  }
+  return v;
 }
 
-bool Config::GetBool(const std::string& key, bool fallback) const {
+std::optional<bool> Config::GetBool(const std::string& key, bool fallback,
+                                    std::string* error) const {
   auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
   }
-  const std::string v = Lower(it->second);
+  const std::string v = Lower(it->second.value);
   if (v == "true" || v == "yes" || v == "on" || v == "1") {
     return true;
   }
   if (v == "false" || v == "no" || v == "off" || v == "0") {
     return false;
   }
-  return fallback;
+  NotA(key, it->second.value, it->second.line, "a boolean (true/false, yes/no, on/off, 1/0)",
+       error);
+  return std::nullopt;
 }
 
 }  // namespace centsim

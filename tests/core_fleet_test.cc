@@ -457,6 +457,40 @@ TEST(EnginePinTest, SampledCenturyCalendar) {
   EXPECT_EQ(digest, "ba72ed3af55ceeec");
 }
 
+// 50k sites on 3-day rounds put about a hundred transitions into each
+// 14-day calendar bucket, so the walk's look-ahead runs; the pins above use
+// 300 sites. A sampled checkpoint at year 20, resumed to the horizon, is
+// pinned as well and reaches the straight run's totals.
+TEST(EnginePinTest, SampledCenturyCalendarLargeFleet) {
+  namespace fs = std::filesystem;
+  CenturyConfig cfg = PinCentury();
+  cfg.fleet_size = 50000;
+  cfg.horizon = SimTime::Years(40);
+  cfg.batch.zone_count = 16;
+  cfg.batch.cycle_period = SimTime::Days(3);
+  cfg.sampling = PinSampling();
+  const std::string dir = testing::TempDir() + "pin_century_large";
+  fs::remove_all(dir);
+  cfg.snapshot.checkpoint_every = SimTime::Years(20);
+  cfg.snapshot.checkpoint_dir = dir;
+  const CenturyReport straight = RunCenturyScenario(cfg);
+  ASSERT_EQ(straight.checkpoints_written, 1u);
+  CenturyConfig resume = cfg;
+  resume.snapshot = SnapshotPlan{};
+  resume.snapshot.resume_from = straight.last_checkpoint_path;
+  const CenturyReport resumed = RunCenturyScenario(resume);
+  fs::remove_all(dir);
+  EXPECT_EQ(resumed.total_failures, straight.total_failures);
+  EXPECT_EQ(resumed.total_replacements, straight.total_replacements);
+  EXPECT_EQ(resumed.units_deployed, straight.units_deployed);
+  const std::string straight_pin = CenturyPin(straight);
+  const std::string resumed_pin = CenturyPin(resumed);
+  std::printf("sampled century (calendar, 50k sites) pins: %s resumed %s\n",
+              straight_pin.c_str(), resumed_pin.c_str());
+  EXPECT_EQ(straight_pin, "687afb021278a116");
+  EXPECT_EQ(resumed_pin, "26d0e9e5607e190d");
+}
+
 // Every checkpoint file a run writes, in barrier order, folded into one
 // digest: pins the `district`, `district-shard` and `century` layouts byte
 // for byte (the snapshot tests only prove a writer and its reader agree).

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "src/core/montecarlo.h"
 
 namespace centsim {
@@ -9,8 +13,12 @@ namespace {
 
 TEST(ScenarioTest, DefaultsWhenEmpty) {
   const auto cfg = FiftyYearConfigFrom(*Config::Parse(""));
-  EXPECT_EQ(cfg.devices_802154, FiftyYearConfig{}.devices_802154);
-  EXPECT_EQ(cfg.horizon, SimTime::Years(50));
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->devices_802154, FiftyYearConfig{}.devices_802154);
+  EXPECT_EQ(cfg->horizon, SimTime::Years(50));
+  const auto century = CenturyConfigFrom(*Config::Parse(""));
+  ASSERT_TRUE(century.has_value());
+  EXPECT_EQ(century->device_class, DeviceClassKind::kEnergyHarvesting);
 }
 
 TEST(ScenarioTest, FiftyYearKeysApplied) {
@@ -40,7 +48,10 @@ annual_budget_hours = 55
 usd_per_device = 12.5
 )");
   ASSERT_TRUE(parsed.has_value());
-  const auto cfg = FiftyYearConfigFrom(*parsed);
+  std::string error;
+  const auto loaded = FiftyYearConfigFrom(*parsed, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  const FiftyYearConfig& cfg = *loaded;
   EXPECT_EQ(cfg.seed, 777u);
   EXPECT_EQ(cfg.horizon, SimTime::Years(10));
   EXPECT_DOUBLE_EQ(cfg.area_side_m, 1800.0);
@@ -70,7 +81,10 @@ proactive_refresh_age_years = 12
 life_improvement_per_decade = 1.2
 )");
   ASSERT_TRUE(parsed.has_value());
-  const auto cfg = CenturyConfigFrom(*parsed);
+  std::string error;
+  const auto loaded = CenturyConfigFrom(*parsed, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  const CenturyConfig& cfg = *loaded;
   EXPECT_EQ(cfg.seed, 9u);
   EXPECT_EQ(cfg.fleet_size, 1234u);
   EXPECT_EQ(cfg.horizon, SimTime::Years(60));
@@ -92,8 +106,64 @@ count_lora = 2
 report_interval_hours = 12
 )");
   ASSERT_TRUE(parsed.has_value());
-  const auto report = RunFiftyYearExperiment(FiftyYearConfigFrom(*parsed));
+  const auto report = RunFiftyYearExperiment(FiftyYearConfigFrom(*parsed).value());
   EXPECT_GT(report.total_packets, 500u);
+}
+
+// Loads `text` through `load`; returns the error (empty when it loaded).
+template <typename Load>
+std::string LoadError(const std::string& text, Load load) {
+  const auto parsed = Config::Parse(text);
+  EXPECT_TRUE(parsed.has_value());
+  std::string error;
+  const bool loaded = load(*parsed, &error).has_value();
+  EXPECT_EQ(loaded, error.empty()) << error;
+  return error;
+}
+
+TEST(ScenarioTest, UnknownKeyIsAnErrorNamingTheLine) {
+  EXPECT_EQ(LoadError("[experiment]\nseed = 3\n[devices]\ncount_lora = 4\ncuont_802154 = 2\n",
+                      FiftyYearConfigFrom),
+            "line 5: unknown key devices.cuont_802154");
+  EXPECT_EQ(LoadError("[century]\nfleet_size = 10\nzones = 4\n", CenturyConfigFrom),
+            "line 3: unknown key century.zones");
+  // Sections a loader does not read are left to other loaders.
+  EXPECT_EQ(LoadError("[century]\nzones = 4\n", FiftyYearConfigFrom), "");
+  EXPECT_EQ(LoadError("[wallet]\nusd = 4\n", CenturyConfigFrom), "");
+}
+
+TEST(ScenarioTest, BadValueIsAnErrorNamingTheLine) {
+  EXPECT_EQ(LoadError("[devices]\ncount_lora = four\n", FiftyYearConfigFrom),
+            "line 2: devices.count_lora = 'four' is not an integer");
+  EXPECT_EQ(LoadError("[devices]\ncount_lora = -4\n", FiftyYearConfigFrom),
+            "line 2: devices.count_lora = -4 is outside [0, 4294967295]");
+  EXPECT_EQ(LoadError("[maintenance]\nenabled = maybe\n", FiftyYearConfigFrom),
+            "line 2: maintenance.enabled = 'maybe' is not a boolean (true/false, yes/no, "
+            "on/off, 1/0)");
+  EXPECT_EQ(LoadError("[century]\nhorizon_years = 1e\n", CenturyConfigFrom),
+            "line 2: century.horizon_years = '1e' is not a finite number");
+  EXPECT_EQ(LoadError("[century]\ndevice_class = solar\n", CenturyConfigFrom),
+            "line 2: century.device_class = 'solar' is not harvesting or battery");
+  // Several errors: the first bad value is reported, before unknown keys.
+  EXPECT_EQ(LoadError("[century]\nbogus = 1\nseed = x\nzone_count = y\n", CenturyConfigFrom),
+            "line 3: century.seed = 'x' is not an integer");
+  EXPECT_EQ(LoadError("[century]\nbogus = 1\nzones = 2\n", CenturyConfigFrom),
+            "line 2: unknown key century.bogus");
+}
+
+// The shipped example scenario loads; a copy with one misspelt key does not.
+TEST(ScenarioTest, ExampleScenarioLoadsAndMisspeltCopyFails) {
+  std::ifstream in(CENTSIM_SOURCE_DIR "/examples/scenario.ini");
+  ASSERT_TRUE(in.good());
+  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  EXPECT_EQ(LoadError(text, FiftyYearConfigFrom), "");
+  EXPECT_EQ(FiftyYearConfigFrom(*Config::Parse(text))->devices_lora, 4u);
+
+  std::string misspelt = text;
+  const size_t at = misspelt.find("count_lora");
+  ASSERT_NE(at, std::string::npos);
+  misspelt.replace(at, 10, "count_lroa");
+  EXPECT_EQ(LoadError(misspelt, FiftyYearConfigFrom), "line 12: unknown key devices.count_lroa");
 }
 
 TEST(MonteCarloTest, EnsembleAggregates) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace centsim {
 namespace {
 
@@ -21,8 +24,12 @@ enabled = true
   ASSERT_TRUE(cfg.has_value());
   EXPECT_EQ(cfg->GetInt("seed"), 42);
   EXPECT_EQ(cfg->GetInt("devices.count_802154"), 8);
-  EXPECT_DOUBLE_EQ(cfg->GetDouble("devices.report_interval_hours"), 1.5);
-  EXPECT_TRUE(cfg->GetBool("maintenance.enabled"));
+  EXPECT_DOUBLE_EQ(cfg->GetDouble("devices.report_interval_hours").value(), 1.5);
+  EXPECT_EQ(cfg->GetBool("maintenance.enabled"), true);
+  EXPECT_EQ(cfg->LineOf("devices.count_lora"), 7);
+  EXPECT_EQ(cfg->Keys(), (std::vector<std::string>{"devices.count_802154", "devices.count_lora",
+                                                   "devices.report_interval_hours",
+                                                   "maintenance.enabled", "seed"}));
 }
 
 TEST(ConfigTest, CommentsAndBlankLinesIgnored) {
@@ -42,8 +49,9 @@ TEST(ConfigTest, FallbacksWhenMissing) {
   const auto cfg = Config::Parse("a = 1\n");
   ASSERT_TRUE(cfg.has_value());
   EXPECT_EQ(cfg->GetInt("missing", 7), 7);
-  EXPECT_DOUBLE_EQ(cfg->GetDouble("missing", 2.5), 2.5);
-  EXPECT_TRUE(cfg->GetBool("missing", true));
+  EXPECT_DOUBLE_EQ(cfg->GetDouble("missing", 2.5).value(), 2.5);
+  EXPECT_EQ(cfg->GetBool("missing", true), true);
+  EXPECT_EQ(cfg->LineOf("missing"), 0);
   EXPECT_EQ(cfg->GetString("missing", "x"), "x");
   EXPECT_FALSE(cfg->Has("missing"));
 }
@@ -60,28 +68,38 @@ TEST(ConfigTest, BoolSpellings) {
   const auto cfg = Config::Parse(
       "a = true\nb = Yes\nc = ON\nd = 1\ne = false\nf = No\ng = off\nh = 0\ni = maybe\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_TRUE(cfg->GetBool("a"));
-  EXPECT_TRUE(cfg->GetBool("b"));
-  EXPECT_TRUE(cfg->GetBool("c"));
-  EXPECT_TRUE(cfg->GetBool("d"));
-  EXPECT_FALSE(cfg->GetBool("e"));
-  EXPECT_FALSE(cfg->GetBool("f"));
-  EXPECT_FALSE(cfg->GetBool("g"));
-  EXPECT_FALSE(cfg->GetBool("h"));
-  EXPECT_TRUE(cfg->GetBool("i", true));  // Unparseable -> fallback.
+  EXPECT_EQ(cfg->GetBool("a"), true);
+  EXPECT_EQ(cfg->GetBool("b"), true);
+  EXPECT_EQ(cfg->GetBool("c"), true);
+  EXPECT_EQ(cfg->GetBool("d"), true);
+  EXPECT_EQ(cfg->GetBool("e", true), false);
+  EXPECT_EQ(cfg->GetBool("f", true), false);
+  EXPECT_EQ(cfg->GetBool("g", true), false);
+  EXPECT_EQ(cfg->GetBool("h", true), false);
+  std::string error;
+  EXPECT_EQ(cfg->GetBool("i", true, &error), std::nullopt);  // Unparseable -> error.
+  EXPECT_NE(error.find("line 9: i = 'maybe' is not a boolean"), std::string::npos) << error;
 }
 
 TEST(ConfigTest, NonNumericFallsBack) {
-  const auto cfg = Config::Parse("n = twelve\n");
+  const auto cfg = Config::Parse("# header\nn = twelve\nx = 1.5e\nbig = 99999999999999999999\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->GetInt("n", -1), -1);
-  EXPECT_DOUBLE_EQ(cfg->GetDouble("n", -1.0), -1.0);
+  std::string error;
+  EXPECT_EQ(cfg->GetInt("n", -1, &error), std::nullopt);
+  EXPECT_EQ(error, "line 2: n = 'twelve' is not an integer");
+  EXPECT_EQ(cfg->GetDouble("n", -1.0, &error), std::nullopt);
+  EXPECT_EQ(error, "line 2: n = 'twelve' is not a finite number");
+  EXPECT_EQ(cfg->GetDouble("x", 0.0, &error), std::nullopt);
+  EXPECT_EQ(error, "line 3: x = '1.5e' is not a finite number");
+  EXPECT_EQ(cfg->GetInt("big", 0, &error), std::nullopt);
+  EXPECT_EQ(error, "line 4: big = '99999999999999999999' is not an integer");
 }
 
 TEST(ConfigTest, LaterKeysOverride) {
   const auto cfg = Config::Parse("k = 1\nk = 2\n");
   ASSERT_TRUE(cfg.has_value());
   EXPECT_EQ(cfg->GetInt("k"), 2);
+  EXPECT_EQ(cfg->LineOf("k"), 2);
 }
 
 TEST(ConfigTest, LoadMissingFileFails) {
@@ -93,7 +111,7 @@ TEST(ConfigTest, LoadMissingFileFails) {
 TEST(ConfigTest, SetProgrammatically) {
   Config cfg = *Config::Parse("");
   cfg.Set("x.y", "3.5");
-  EXPECT_DOUBLE_EQ(cfg.GetDouble("x.y"), 3.5);
+  EXPECT_DOUBLE_EQ(cfg.GetDouble("x.y").value(), 3.5);
 }
 
 }  // namespace

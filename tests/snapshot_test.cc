@@ -11,11 +11,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/core/century_model.h"
 #include "src/core/district.h"
 #include "src/core/experiment_api.h"
 #include "src/core/fleet_codec.h"
@@ -704,11 +706,13 @@ TEST(DistrictSnapshotTest, ResumeLatestRecoversAndStructuralMismatchRefused) {
 // A snapshot whose content is wrong but whose checksums are right: every
 // chunk of `path` copied into a fresh SnapshotWriter, with the fleet
 // chunk's `site` slot saved one gateway more covered than it was (unless
-// `site` is UINT32_MAX), or with a `district` accumulator chunk's leading
-// in-service count one too high.
-std::string ResealEdited(const std::string& path, const std::string& out_path,
-                         const std::vector<uint32_t>& tags, uint32_t site,
-                         bool bump_in_service = false) {
+// `site` is UINT32_MAX), with a `district` accumulator chunk's leading
+// in-service count one too high, or with the timer chunk's records passed
+// through `edit_timers`.
+std::string ResealEdited(
+    const std::string& path, const std::string& out_path, const std::vector<uint32_t>& tags,
+    uint32_t site, bool bump_in_service = false,
+    const std::function<void(std::vector<TimerRecord>&)>& edit_timers = nullptr) {
   SnapshotReader reader;
   std::string error;
   EXPECT_TRUE(reader.Open(path, &error)) << error;
@@ -729,6 +733,12 @@ std::string ResealEdited(const std::string& path, const std::string& out_path,
     }
     if (tag == SnapshotTag('a', 'c', 'c', 'u') && bump_in_service) {
       out.U64(in.U64() + 1);
+    }
+    if (tag == SnapshotTag('t', 'i', 'm', 'r') && edit_timers) {
+      std::vector<TimerRecord> records = TimerTable::Decode(in);
+      EXPECT_TRUE(in.ok());
+      edit_timers(records);
+      TimerTable::Encode(records, out);
     }
     if (in.remaining() > 0) {
       std::vector<uint8_t> rest(in.remaining());
@@ -806,6 +816,81 @@ TEST(DistrictSnapshotTest, CoveringMismatchRefusedNamingTheSite) {
 }
 
 // --- Restore parity: century -------------------------------------------------
+
+// A `century` checkpoint's pending site failure must name a live site and
+// carry that unit's life (fail time minus deployment time), which the
+// sampled engine derives from the fleet: both readers refuse a record that
+// breaks either, naming the site.
+TEST(CenturySnapshotTest, SiteFailureRecordMustMatchFleet) {
+  ScratchDir dir("century_fail_record_mismatch");
+  CenturyConfig cfg;
+  cfg.seed = 20260806;
+  cfg.fleet_size = 300;
+  cfg.horizon = SimTime::Years(40);
+  cfg.batch.zone_count = 6;
+  cfg.batch.cycle_period = SimTime::Years(5);
+  cfg.snapshot.checkpoint_every = SimTime::Years(20);
+  cfg.snapshot.checkpoint_dir = dir.path();
+  const CenturyReport saved = RunCenturyScenario(cfg);
+  ASSERT_EQ(saved.checkpoints_written, 1u);
+  const std::vector<uint32_t> tags = {
+      SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('a', 'c', 'c', 'u'),
+      SnapshotTag('s', 'u', 'r', 'v'), SnapshotTag('t', 'i', 'm', 'r'),
+      SnapshotTag('s', 'c', 'h', 'd')};
+
+  uint64_t off_by_one_site = 0;
+  const std::string bad_life = ResealEdited(
+      saved.last_checkpoint_path, dir.path() + "/bad_life.snap", tags, UINT32_MAX, false,
+      [&](std::vector<TimerRecord>& records) {
+        for (TimerRecord& r : records) {
+          if (r.tag == kCenturyTimerSiteFail) {
+            ++r.b;
+            off_by_one_site = r.a;
+            return;
+          }
+        }
+        ADD_FAILURE() << "checkpoint holds no pending site failure";
+      });
+  // Every live site has exactly one pending failure, so the lowest site no
+  // record names is dead in the fleet chunk.
+  uint64_t dead_site = 0;
+  const std::string bad_site = ResealEdited(
+      saved.last_checkpoint_path, dir.path() + "/bad_site.snap", tags, UINT32_MAX, false,
+      [&](std::vector<TimerRecord>& records) {
+        std::vector<bool> named(cfg.fleet_size, false);
+        for (const TimerRecord& r : records) {
+          if (r.tag == kCenturyTimerSiteFail) {
+            named[r.a] = true;
+          }
+        }
+        while (dead_site < named.size() && named[dead_site]) {
+          ++dead_site;
+        }
+        ASSERT_LT(dead_site, named.size()) << "no site is dead at the barrier";
+        for (TimerRecord& r : records) {
+          if (r.tag == kCenturyTimerSiteFail) {
+            r.a = dead_site;
+            return;
+          }
+        }
+      });
+
+  CenturyConfig serial = cfg;
+  serial.snapshot = SnapshotPlan{};
+  CenturyConfig sampled = serial;
+  sampled.sampling.mode = SimMode::kSampled;
+  const std::string life_message = "site " + std::to_string(off_by_one_site) + "'s failure";
+  const std::string dead_message = "site " + std::to_string(dead_site) + " has a pending failure";
+  for (CenturyConfig* resume : {&serial, &sampled}) {
+    resume->snapshot.resume_from = bad_life;
+    EXPECT_DEATH(RunCenturyScenario(*resume), life_message);
+    resume->snapshot.resume_from = bad_site;
+    EXPECT_DEATH(RunCenturyScenario(*resume), dead_message);
+    // The untouched checkpoint still resumes.
+    resume->snapshot.resume_from = saved.last_checkpoint_path;
+    EXPECT_GT(RunCenturyScenario(*resume).restore_seconds, 0.0);
+  }
+}
 
 TEST(CenturySnapshotTest, SaveAtYear50RestoreMatchesGolden) {
   ScratchDir dir("century_snapshot_parity");

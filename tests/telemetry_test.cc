@@ -1,47 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "src/telemetry/csv.h"
 #include "src/telemetry/report.h"
-#include "src/telemetry/timeseries.h"
 
 namespace centsim {
 namespace {
-
-TEST(TimeSeriesTest, SummarizeAndMeanOver) {
-  TimeSeries ts;
-  for (int h = 0; h < 10; ++h) {
-    ts.Add(SimTime::Hours(h), h);
-  }
-  EXPECT_EQ(ts.size(), 10u);
-  EXPECT_DOUBLE_EQ(ts.Summarize().mean(), 4.5);
-  EXPECT_DOUBLE_EQ(ts.MeanOver(SimTime::Hours(0), SimTime::Hours(5)), 2.0);
-}
-
-TEST(TimeSeriesTest, RebucketAveragesAndCarriesForward) {
-  TimeSeries ts;
-  ts.Add(SimTime::Hours(0), 10.0);
-  ts.Add(SimTime::Hours(1), 20.0);
-  // Hours 2-3 empty; value 5 at hour 4.
-  ts.Add(SimTime::Hours(4), 5.0);
-  const auto buckets = ts.Rebucket(SimTime::Hours(2), SimTime::Hours(5));
-  ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_DOUBLE_EQ(buckets[0].value, 15.0);  // Mean of 10, 20.
-  EXPECT_DOUBLE_EQ(buckets[1].value, 15.0);  // Carried forward.
-  EXPECT_DOUBLE_EQ(buckets[2].value, 5.0);
-}
-
-TEST(BucketedSeriesTest, MemoryBoundedAggregation) {
-  BucketedSeries bs(SimTime::Days(1));
-  for (int h = 0; h < 48; ++h) {
-    bs.Add(SimTime::Hours(h), h < 24 ? 1.0 : 3.0);
-  }
-  EXPECT_EQ(bs.BucketCount(), 2u);
-  EXPECT_DOUBLE_EQ(bs.BucketMean(0), 1.0);
-  EXPECT_DOUBLE_EQ(bs.BucketMean(1), 3.0);
-  EXPECT_DOUBLE_EQ(bs.BucketMean(9, -1.0), -1.0);  // Fallback.
-}
 
 TEST(TableTest, RendersAlignedRows) {
   Table t({"metric", "value"});
@@ -82,21 +44,6 @@ TEST(FormatTest, UsdScales) {
 TEST(FormatTest, Percent) {
   EXPECT_EQ(FormatPercent(0.662), "66.2%");
   EXPECT_EQ(FormatPercent(1.0, 0), "100%");
-}
-
-TEST(CsvTest, WritesRows) {
-  std::ostringstream oss;
-  CsvWriter csv(oss);
-  csv.WriteRow({"a", "b", "c"});
-  csv.WriteRow({"1", "2", "3"});
-  EXPECT_EQ(oss.str(), "a,b,c\n1,2,3\n");
-}
-
-TEST(CsvTest, EscapesSpecials) {
-  EXPECT_EQ(CsvWriter::Escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::Escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::Escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::Escape("line\nbreak"), "\"line\nbreak\"");
 }
 
 }  // namespace

@@ -25,14 +25,15 @@
 # even and the change first when i is odd. Every run's result line goes to
 # <workdir>/runs.jsonl.
 #
-# Printed per workload and end-to-end metric: each side's median, first
-# and third quartiles (inclusive method) and IQR; the ratio of the change
-# median to the base median (the base is the denominator); how many pairs
-# the change won; and the median gap in units of the base IQR.
+# tools/paired_summary.py then prints, per workload and end-to-end metric,
+# each side's median, quartiles and IQR, the change/base ratio, the pairs
+# the change won and a GAIN, UNRESOLVED or WORSE THAN BOUND label, and each
+# side's failed-operation share (see its header for the rules).
 #
 # Exit status: 0 when no end-to-end median is worse than the base's by more
-# than its bound and the change fails no more operations than the base;
-# 1 otherwise; 2 on a usage error or a run that did not complete.
+# than its bound and the change's failed-operation share is no higher than
+# the base's; 1 otherwise; 2 on a usage error or a run that did not
+# complete.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -122,63 +123,4 @@ for workload in "${WORKLOADS[@]}"; do
   done
 done
 
-python3 - "${LOG}" BENCHMARK.json "${REV}" <<'EOF'
-import json, statistics, sys
-
-log, spec_path, rev = sys.argv[1:]
-runs = [json.loads(line) for line in open(log)]
-spec = json.load(open(spec_path))
-bad = []
-
-
-def quartiles(values):
-    if len(values) == 1:
-        return values[0], values[0]
-    q = statistics.quantiles(values, n=4, method="inclusive")
-    return q[0], q[2]
-
-
-for workload in dict.fromkeys(r["workload"] for r in runs):
-    rows = [r for r in runs if r["workload"] == workload]
-    pairs = sorted({r["pair"] for r in rows})
-    side = {(r["side"], r["pair"]): r for r in rows}
-    print(f"\n{workload}: {len(pairs)} pairs; ratio = change median / base median "
-          f"(base = {rev}); wins = pairs where the change is better")
-    print(f"  {'metric':<20} {'base median [q1, q3] IQR':>36}   "
-          f"{'change median [q1, q3] IQR':>36}   {'ratio':>7} {'wins':>6} "
-          f"{'gap/IQR':>8} {'bound':>6}")
-    for metric in spec["end_to_end"]:
-        name, lower = metric["name"], metric["better"] == "lower"
-        base = [side["base", p]["metrics"][name]["value"] for p in pairs]
-        change = [side["change", p]["metrics"][name]["value"] for p in pairs]
-        bm, cm = statistics.median(base), statistics.median(change)
-        (b1, b3), (c1, c3) = quartiles(base), quartiles(change)
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
-        iqr = b3 - b1
-        gap = abs(cm - bm) / iqr if iqr > 0 else float("inf") if cm != bm else 0.0
-        ratio = cm / bm if bm != 0 else float("nan")
-        worse = (cm - bm) if lower else (bm - cm)
-        regressed = worse > metric["bound"] * abs(bm) if bm != 0 else worse > 0
-        print(f"  {name:<20} {bm:>11.5g} [{b1:.5g}, {b3:.5g}] {iqr:<8.3g}   "
-              f"{cm:>11.5g} [{c1:.5g}, {c3:.5g}] {c3 - c1:<8.3g}   {ratio:>7.4f} "
-              f"{wins:>3}/{len(pairs):<2} {gap:>8.2f} {metric['bound']:>6.2f}"
-              + ("  WORSE THAN BOUND" if regressed else ""))
-        if regressed:
-            bad.append(f"{workload} {name}: median {cm:.5g} vs base {bm:.5g}")
-    failed = {s: sum(side[s, p]["failed"] for p in pairs) for s in ("base", "change")}
-    attempted = {s: sum(side[s, p]["attempted"] for p in pairs) for s in ("base", "change")}
-    incorrect = {s: sum(not side[s, p]["correct"] for p in pairs) for s in ("base", "change")}
-    print(f"  operations failed: base {failed['base']}/{attempted['base']}, "
-          f"change {failed['change']}/{attempted['change']}; runs with problems: "
-          f"base {incorrect['base']}, change {incorrect['change']}")
-    if failed["change"] > failed["base"]:
-        bad.append(f"{workload}: failed operations rose "
-                   f"{failed['base']} -> {failed['change']}")
-
-print()
-for line in bad:
-    print("paired_bench: FAIL " + line)
-if bad:
-    sys.exit(1)
-print("paired_bench: no end-to-end metric worse than its bound, failed operations did not rise")
-EOF
+python3 tools/paired_summary.py "${LOG}" BENCHMARK.json "${REV}"

@@ -5,7 +5,7 @@
 // devices.
 
 #include <iostream>
-#include <memory>
+#include <vector>
 
 #include "src/energy/harvester.h"
 #include "src/energy/harvester_stats.h"
@@ -20,22 +20,20 @@ int main() {
   const double load_w = 50e-6;  // 50 uW continuous-equivalent node load.
   std::cout << "Assessed over 60 days against a " << load_w * 1e6 << " uW load floor:\n\n";
 
-  std::vector<std::unique_ptr<Harvester>> harvesters;
-  {
-    SolarHarvester::Params sp;
-    sp.peak_power_w = 0.010;
-    harvesters.push_back(std::make_unique<SolarHarvester>(sp));
-  }
-  harvesters.push_back(std::make_unique<CorrosionHarvester>(CorrosionHarvester::Params{}));
-  harvesters.push_back(std::make_unique<ThermalHarvester>(ThermalHarvester::Params{}));
-  harvesters.push_back(std::make_unique<VibrationHarvester>(VibrationHarvester::Params{}));
+  SolarHarvester::Params sp;
+  sp.peak_power_w = 0.010;
+  const std::vector<HarvesterModel> harvesters = {
+      HarvesterModel::Solar(sp),
+      HarvesterModel::Corrosion(CorrosionHarvester::Params{}),
+      HarvesterModel::Thermal(ThermalHarvester::Params{}),
+      HarvesterModel::Vibration(VibrationHarvester::Params{})};
 
   Table t({"harvester", "mean power", "capacity factor", "time above load", "worst drought",
            "bridging storage"});
-  for (const auto& h : harvesters) {
+  for (const HarvesterModel& h : harvesters) {
     const auto r =
-        AssessHarvester(*h, SimTime(), SimTime::Days(60), SimTime::Minutes(15), load_w);
-    t.AddRow({h->name(), FormatDouble(r.mean_power_w * 1e6, 1) + " uW",
+        AssessHarvester(h, SimTime(), SimTime::Days(60), SimTime::Minutes(15), load_w);
+    t.AddRow({h.name(), FormatDouble(r.mean_power_w * 1e6, 1) + " uW",
               FormatPercent(r.capacity_factor), FormatPercent(r.fraction_above_threshold),
               r.longest_drought.ToString(), FormatDouble(r.bridging_storage_j, 3) + " J"});
   }

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,9 +59,9 @@ double ReadRssMb() {
 
 // Replica of the pre-fleet entity tier: one heap object graph per device,
 // the way `EdgeDevice` used to be built — a per-unit config copy with its
-// own name string, a per-unit hardware BOM copy, a heap-allocated virtual
-// harvester, per-device metric instrument binding, and a `std::function`
-// failure callback re-armed on every deployment — wired with the seed
+// own name string, a per-unit hardware BOM copy, a heap-allocated harvester,
+// per-device metric instrument binding, and a `std::function` failure
+// callback re-armed on every deployment — wired with the seed
 // district's O(devices x gateways) coverage pass and O(devices) zone
 // scans. The availability logic and RNG derivations are kept verbatim, so
 // its report must match RunDistrictScenario bit for bit — the parity
@@ -73,7 +74,7 @@ DistrictReport RunObjectGraphDistrict(const DistrictConfig& config, double* buil
     explicit ObjectGraphDevice(EnergyStorage s) : storage(std::move(s)) {}
     EdgeDeviceConfig cfg;                   // Per-unit copy (id, name, radio params).
     SeriesSystem hardware;                  // Per-unit BOM copy, not shared.
-    std::unique_ptr<Harvester> harvester;   // Virtual dispatch behind a heap pointer.
+    std::unique_ptr<HarvesterModel> harvester;  // One heap allocation per device.
     EnergyStorage storage;
     LoadProfile load;                       // Per-unit airtime math, not per class.
     Counter* failures = nullptr;
@@ -116,7 +117,8 @@ DistrictReport RunObjectGraphDistrict(const DistrictConfig& config, double* buil
     node->cfg.name = "site-" + std::to_string(d);
     node->cfg.tech = RadioTech::kLoRa;
     node->hardware = device_bom_proto;
-    node->harvester = std::make_unique<SolarHarvester>(SolarHarvester::Params{});
+    node->harvester =
+        std::make_unique<HarvesterModel>(HarvesterModel::Solar(SolarHarvester::Params{}));
     node->load = LoadProfileFor(node->cfg);
     const MetricLabels labels{{"tech", RadioTechName(node->cfg.tech)}};
     node->failures = sim.MetricCounter("device.failures", labels);

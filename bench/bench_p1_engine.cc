@@ -397,8 +397,7 @@ void BM_Phy802154Per(benchmark::State& state) {
 BENCHMARK(BM_Phy802154Per);
 
 void BM_SolarEnergyIntegralOneHour(benchmark::State& state) {
-  SolarHarvester::Params p;
-  SolarHarvester sun(p);
+  const HarvesterModel sun = HarvesterModel::Solar(SolarHarvester::Params{});
   SimTime t;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sun.EnergyOver(t, t + SimTime::Hours(1)));

@@ -2,7 +2,7 @@
 // by generation-tagged handles.
 //
 // The entity tier used to be one heap object graph per device (EdgeDevice →
-// EnergyManager → unique_ptr<Harvester>, std::function callbacks, a name
+// EnergyManager → heap-allocated harvester, std::function callbacks, a name
 // string per unit) — exactly the object-graph-per-node shape that caps
 // simulators like iFogSim around 10^4 nodes. The fleet flips that: all hot
 // per-device state (position, alive flag, generations, hardware-life

@@ -16,8 +16,7 @@ double HashUnit(uint64_t x) {
   return static_cast<double>(SplitMix64(s) >> 11) * 0x1.0p-53;
 }
 
-// --- Per-kind power/energy math, shared between the virtual hierarchy and
-// --- HarvesterModel so both produce bit-identical doubles.
+// --- Per-kind power/energy math behind HarvesterModel's switch.
 
 double SolarWeatherFactor(const SolarHarvester::Params& params, int64_t day_index) {
   // Three-day smoothing of hashed daily draws gives plausible persistence.
@@ -229,38 +228,6 @@ double VibrationEnergyOverAnalytic(const VibrationHarvester::Params& params, Sim
     total += params.peak_power_w * factor * traffic_integral * kDaySeconds;
   }
   return total;
-}
-
-double Harvester::MeanPower(SimTime from, SimTime to) const {
-  const double span = (to - from).ToSeconds();
-  if (span <= 0) {
-    return 0.0;
-  }
-  return EnergyOver(from, to) / span;
-}
-
-double SolarHarvester::PowerAt(SimTime t) const { return SolarPowerAt(params_, t); }
-
-double SolarHarvester::EnergyOver(SimTime from, SimTime to) const {
-  return SolarEnergyOverAnalytic(params_, from, to);
-}
-
-double CorrosionHarvester::PowerAt(SimTime t) const { return CorrosionPowerAt(params_, t); }
-
-double CorrosionHarvester::EnergyOver(SimTime from, SimTime to) const {
-  return CorrosionEnergyOver(params_, from, to);
-}
-
-double ThermalHarvester::PowerAt(SimTime t) const { return ThermalPowerAt(params_, t); }
-
-double ThermalHarvester::EnergyOver(SimTime from, SimTime to) const {
-  return ThermalEnergyOverAnalytic(params_, from, to);
-}
-
-double VibrationHarvester::PowerAt(SimTime t) const { return VibrationPowerAt(params_, t); }
-
-double VibrationHarvester::EnergyOver(SimTime from, SimTime to) const {
-  return VibrationEnergyOverAnalytic(params_, from, to);
 }
 
 // --- HarvesterModel ------------------------------------------------------

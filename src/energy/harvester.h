@@ -2,30 +2,17 @@
 //
 // A harvester exposes its instantaneous output power as a deterministic
 // function of simulated time (environmental cycles plus long-term
-// degradation), with an optional per-device multiplicative efficiency drawn
-// at construction. Deterministic profiles let the energy manager integrate
+// degradation). Deterministic profiles let the energy manager integrate
 // harvested energy analytically between events instead of ticking.
 //
-// Two representations share one set of power/integration routines:
-//
-//  * The virtual `Harvester` hierarchy — convenient for tools and benches
-//    that deal in heterogeneous collections of a handful of models.
-//  * `HarvesterModel` — a fixed-size tagged union of the same parameter
-//    structs, sized for struct-of-arrays fleet columns: no heap allocation,
-//    no vtable, trivially copyable. A million-device fleet stores these
-//    inline (see src/core/fleet.h).
-//
-// Both call the same free functions for the per-kind math, so a virtual
-// SolarHarvester and a HarvesterModel::Solar with equal params produce
-// bit-identical doubles from PowerAt and from EnergyOver. EnergyOver is the
-// closed-form integral for every kind.
+// `HarvesterModel` is the one representation: a tagged union of the
+// per-kind parameter structs below. EnergyOver is the closed-form integral
+// for every kind.
 
 #ifndef SRC_ENERGY_HARVESTER_H_
 #define SRC_ENERGY_HARVESTER_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <type_traits>
 
 #include "src/sim/random.h"
@@ -33,28 +20,10 @@
 
 namespace centsim {
 
-class Harvester {
- public:
-  virtual ~Harvester() = default;
-
-  // Instantaneous output power in watts at simulated time `t`.
-  virtual double PowerAt(SimTime t) const = 0;
-
-  // Energy in joules harvested over [from, to]: the exact integral of
-  // PowerAt, in closed form.
-  virtual double EnergyOver(SimTime from, SimTime to) const = 0;
-
-  virtual std::string name() const = 0;
-
-  // Long-run average power (W) over the given window; used for sizing.
-  double MeanPower(SimTime from, SimTime to) const;
-};
-
 // Indoor/outdoor photovoltaic: diurnal half-sine, seasonal modulation,
 // weather attenuation (slow random walk via hashed day index so the profile
 // stays a pure function of time), and panel degradation per year.
-class SolarHarvester : public Harvester {
- public:
+struct SolarHarvester {
   struct Params {
     double peak_power_w = 0.010;       // 10 mW peak for a cm-scale cell.
     double seasonal_swing = 0.35;      // +-35% seasonal amplitude.
@@ -63,25 +32,13 @@ class SolarHarvester : public Harvester {
     double latitude_phase = 0.0;       // Season phase offset (radians).
     uint64_t weather_seed = 1;         // Per-site weather sequence.
   };
-
-  explicit SolarHarvester(const Params& params) : params_(params) {}
-
-  double PowerAt(SimTime t) const override;
-  double EnergyOver(SimTime from, SimTime to) const override;  // Closed form.
-  std::string name() const override { return "solar"; }
-
-  const Params& params() const { return params_; }
-
- private:
-  Params params_;
 };
 
 // Rebar-corrosion cathodic "ambient battery" (paper §1; ref [21]): a
 // near-constant few-hundred-µW source whose output decays on the timescale
 // of the host structure's service life. Powers a bridge sensor for
 // literally as long as the structure lasts.
-class CorrosionHarvester : public Harvester {
- public:
+struct CorrosionHarvester {
   struct Params {
     double initial_power_w = 300e-6;   // 300 uW from a galvanic couple.
     SimTime structure_life = SimTime::Years(50);  // Host bridge service life.
@@ -89,59 +46,24 @@ class CorrosionHarvester : public Harvester {
     // depletes roughly linearly in delivered charge).
     double end_of_life_fraction = 0.4;
   };
-
-  explicit CorrosionHarvester(const Params& params) : params_(params) {}
-
-  double PowerAt(SimTime t) const override;
-  double EnergyOver(SimTime from, SimTime to) const override;  // Closed form.
-  std::string name() const override { return "rebar-corrosion"; }
-
-  const Params& params() const { return params_; }
-
- private:
-  Params params_;
 };
 
 // Diurnal thermal-gradient harvester (TEG across a surface/ambient delta).
-class ThermalHarvester : public Harvester {
- public:
+struct ThermalHarvester {
   struct Params {
     double peak_power_w = 1e-3;
     double baseline_fraction = 0.1;  // Fraction of peak available at night.
   };
-
-  explicit ThermalHarvester(const Params& params) : params_(params) {}
-
-  double PowerAt(SimTime t) const override;
-  double EnergyOver(SimTime from, SimTime to) const override;  // Closed form.
-  std::string name() const override { return "thermal"; }
-
-  const Params& params() const { return params_; }
-
- private:
-  Params params_;
 };
 
 // Traffic-induced vibration harvester: weekday/weekend and rush-hour
 // structure, suitable for roadway-embedded nodes.
-class VibrationHarvester : public Harvester {
- public:
+struct VibrationHarvester {
   struct Params {
     double peak_power_w = 2e-3;
     double night_fraction = 0.05;
     double weekend_factor = 0.6;
   };
-
-  explicit VibrationHarvester(const Params& params) : params_(params) {}
-
-  double PowerAt(SimTime t) const override;
-  double EnergyOver(SimTime from, SimTime to) const override;  // Closed form.
-  std::string name() const override { return "vibration"; }
-
-  const Params& params() const { return params_; }
-
- private:
-  Params params_;
 };
 
 // Constant-output source (lab supply, test rigs, "energy is not the
@@ -151,9 +73,9 @@ struct ConstantHarvestParams {
 };
 
 // Closed-form energy integrals for the periodic harvester kinds, exposed as
-// free functions so the virtual overrides, HarvesterModel::EnergyOver, and
-// the parity tests all share one implementation. Each walks the days
-// overlapping [from, to] and integrates that day's smooth pieces exactly:
+// free functions so HarvesterModel::EnergyOver and the parity tests share
+// one implementation. Each walks the days overlapping [from, to] and
+// integrates that day's smooth pieces exactly:
 //
 //  * solar — per-day daylight window of
 //      e^{-lambda*s} * sin(a*s + alpha) * (1 + A*sin(b*s + beta)),
@@ -171,9 +93,10 @@ double ThermalEnergyOverAnalytic(const ThermalHarvester::Params& params, SimTime
 double VibrationEnergyOverAnalytic(const VibrationHarvester::Params& params, SimTime from,
                                    SimTime to);
 
-// Inline tagged-union harvester: one of the parameter structs above plus a
-// kind tag, dispatched by switch instead of vtable. Trivially copyable and
-// 56 bytes, so fleets store one per device in a flat column.
+// Tagged-union harvester: one of the parameter structs above plus a kind
+// tag, dispatched by switch. No heap allocation, no vtable, trivially
+// copyable and 56 bytes, so fleets store one per device in a flat column
+// (see src/core/fleet.h).
 class HarvesterModel {
  public:
   enum class Kind : uint8_t {
@@ -193,15 +116,19 @@ class HarvesterModel {
   static HarvesterModel Thermal(const ThermalHarvester::Params& params);
   static HarvesterModel Vibration(const VibrationHarvester::Params& params);
 
+  // Instantaneous output power in watts at simulated time `t`.
   double PowerAt(SimTime t) const;
-  // Closed-form integral for every kind, over a window of any length at a
+  // Energy in joules harvested over [from, to]: the exact integral of
+  // PowerAt. Closed form for every kind, over a window of any length at a
   // fixed cost per day: the detailed engines' per-event advance
   // (EnergyOps::AdvanceTo) and the sampled engines' multi-year
   // fast-forward (EnergyOps::FastForwardTo) both bank this value.
   double EnergyOver(SimTime from, SimTime to) const;
+  // Long-run average power (W) over the given window; used for sizing.
   double MeanPower(SimTime from, SimTime to) const;
 
   Kind kind() const { return kind_; }
+  // "constant", "solar", "rebar-corrosion", "thermal" or "vibration".
   const char* name() const;
 
  private:

@@ -4,7 +4,7 @@
 
 namespace centsim {
 
-HarvestReliability AssessHarvester(const Harvester& harvester, SimTime from, SimTime to,
+HarvestReliability AssessHarvester(const HarvesterModel& harvester, SimTime from, SimTime to,
                                    SimTime step, double threshold_w) {
   HarvestReliability out;
   if (to <= from || step.micros() <= 0) {

@@ -24,7 +24,7 @@ struct HarvestReliability {
 
 // Samples the harvester over [from, to] at `step` resolution and scores it
 // against a load floor of `threshold_w`.
-HarvestReliability AssessHarvester(const Harvester& harvester, SimTime from, SimTime to,
+HarvestReliability AssessHarvester(const HarvesterModel& harvester, SimTime from, SimTime to,
                                    SimTime step, double threshold_w);
 
 }  // namespace centsim

@@ -5,8 +5,8 @@
 
 namespace centsim {
 
-IntermittentReport SimulateIntermittent(const Harvester& harvester, const IntermittentConfig& cfg,
-                                        SimTime from, SimTime to) {
+IntermittentReport SimulateIntermittent(const HarvesterModel& harvester,
+                                        const IntermittentConfig& cfg, SimTime from, SimTime to) {
   assert(to >= from);
   IntermittentReport rep;
   rep.span = to - from;

@@ -48,8 +48,8 @@ struct IntermittentReport {
 
 // Simulates charge/execute cycles over [from, to] against the harvester's
 // deterministic profile. Pure function of its inputs.
-IntermittentReport SimulateIntermittent(const Harvester& harvester, const IntermittentConfig& cfg,
-                                        SimTime from, SimTime to);
+IntermittentReport SimulateIntermittent(const HarvesterModel& harvester,
+                                        const IntermittentConfig& cfg, SimTime from, SimTime to);
 
 }  // namespace centsim
 

@@ -31,12 +31,16 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/event_fn.h"
+#include "src/sim/inline_fn.h"
 
 namespace centsim {
 
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
+
+// The scheduler's callback: any void() callable, stored inline when its
+// capture fits InlineFn's 48-byte budget.
+using EventFn = InlineFn<void()>;
 
 class EventPool {
  public:
@@ -143,6 +147,9 @@ class EventPool {
   std::vector<uint32_t> generations_;  // Parallel to slots; 1-based.
   std::vector<uint32_t> free_;         // LIFO: most recently released first.
 };
+
+static_assert(sizeof(EventFn) == 56 && sizeof(EventPool::Slot) == 64,
+              "a pool slot is one cache line: EventFn plus its category");
 
 }  // namespace centsim
 

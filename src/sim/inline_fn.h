@@ -1,18 +1,20 @@
 // InlineFn<R(Args...)>: a move-only callable with small-buffer storage.
 //
-// The generalization of EventFn (src/sim/event_fn.h) to arbitrary
-// signatures: std::function's 16-byte libstdc++ buffer forces a heap
-// allocation for almost every capture that names more than two locals, and
-// fleet-scale code paths (one failure hook per device, one per-site closure
-// per deployment) cannot afford one allocation per entity. InlineFn widens
-// the inline budget to 48 bytes and only falls back to the heap for
-// oversized or potentially-throwing-move captures.
+// std::function's 16-byte libstdc++ buffer forces a heap allocation for
+// almost every capture that names more than two locals, and fleet-scale
+// code paths (one failure hook per device, one per-site closure per
+// deployment, hundreds of millions of scheduled events per century-scale
+// ensemble) cannot afford one allocation per entity. InlineFn widens the
+// inline budget to 48 bytes and only falls back to the heap for oversized
+// or potentially-throwing-move captures.
 //
-// EventFn predates this template and stays as the scheduler's dedicated
-// `void()` type (its slot layout is load-bearing for the event pool);
-// everything else that needs an allocation-free callback uses InlineFn.
+// The scheduler's EventFn is `using EventFn = InlineFn<void()>;`
+// (src/sim/event_pool.h), where
+// `static_assert(sizeof(EventFn) == 56 && sizeof(EventPool::Slot) == 64)`
+// holds the layout the event pool depends on: one closure plus its
+// category per 64-byte cache line.
 //
-// Contract (same as EventFn):
+// Contract:
 //   * Move-only: single ownership of the capture.
 //   * Moving is always noexcept: inline targets must be nothrow-move-
 //     constructible (enforced via the heap fallback), heap targets move by
@@ -35,7 +37,10 @@ class InlineFn;
 template <typename R, typename... Args>
 class InlineFn<R(Args...)> {
  public:
-  // Inline capture budget: six pointers/references, matching EventFn.
+  // Inline capture budget. 48 bytes holds six pointers/references — a
+  // device pointer, a couple of ids, and a time comfortably fit. Alignment
+  // is capped at pointer alignment so an InlineFn is 56 bytes; over-aligned
+  // captures take the heap path.
   static constexpr std::size_t kInlineSize = 48;
   static constexpr std::size_t kInlineAlign = alignof(void*);
 

@@ -3,10 +3,10 @@
 // Events are closures keyed by (time, sequence number); ties in time run in
 // schedule order, which makes every run with the same seed bit-for-bit
 // deterministic. The storage layer is allocation-free in steady state:
-// closures live inline in a slot-indexed EventPool (EventFn small-buffer
-// storage, src/sim/event_fn.h), handles are generation-tagged so Cancel is
-// a single O(1) comparison, and pending entries sit in a cache-friendly
-// 4-ary min-heap. Cancellation is lazy: a cancelled event's heap entry
+// closures live inline in a slot-indexed EventPool (EventFn is
+// InlineFn<void()>, src/sim/inline_fn.h), handles are generation-tagged so
+// Cancel is a single O(1) comparison, and pending entries sit in a
+// cache-friendly 4-ary min-heap. Cancellation is lazy: a cancelled event's heap entry
 // stays until popped, where a generation mismatch identifies it as stale.
 //
 // The heap only ever holds the *near* window of pending events. An
@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/event_fn.h"
 #include "src/sim/event_pool.h"
 #include "src/sim/profiler.h"
 #include "src/sim/run_progress.h"

@@ -8,7 +8,7 @@ namespace {
 TEST(HarvesterStatsTest, SolarDroughtIsTheNight) {
   SolarHarvester::Params sp;
   sp.peak_power_w = 0.01;
-  SolarHarvester sun(sp);
+  const HarvesterModel sun = HarvesterModel::Solar(sp);
   const auto r = AssessHarvester(sun, SimTime(), SimTime::Days(30), SimTime::Minutes(15),
                                  /*threshold_w=*/1e-5);
   // Nights are ~12 h; seasonal/weather wobble can stretch the worst one.
@@ -19,8 +19,7 @@ TEST(HarvesterStatsTest, SolarDroughtIsTheNight) {
 }
 
 TEST(HarvesterStatsTest, CorrosionIsNearlyAlwaysOn) {
-  CorrosionHarvester::Params cp;
-  CorrosionHarvester rebar(cp);
+  const HarvesterModel rebar = HarvesterModel::Corrosion(CorrosionHarvester::Params{});
   const auto r = AssessHarvester(rebar, SimTime(), SimTime::Days(30), SimTime::Hours(1),
                                  /*threshold_w=*/100e-6);
   EXPECT_DOUBLE_EQ(r.fraction_above_threshold, 1.0);
@@ -34,9 +33,8 @@ TEST(HarvesterStatsTest, CorrosionBeatsSolarOnDependability) {
   // one.
   SolarHarvester::Params sp;
   sp.peak_power_w = 0.01;
-  SolarHarvester sun(sp);
-  CorrosionHarvester::Params cp;
-  CorrosionHarvester rebar(cp);
+  const HarvesterModel sun = HarvesterModel::Solar(sp);
+  const HarvesterModel rebar = HarvesterModel::Corrosion(CorrosionHarvester::Params{});
   const double load = 50e-6;  // 50 uW continuous-equivalent load.
   const auto solar = AssessHarvester(sun, SimTime(), SimTime::Days(60), SimTime::Minutes(30), load);
   const auto corrosion =
@@ -47,8 +45,7 @@ TEST(HarvesterStatsTest, CorrosionBeatsSolarOnDependability) {
 }
 
 TEST(HarvesterStatsTest, MeanMatchesHarvesterMeanPower) {
-  SolarHarvester::Params sp;
-  SolarHarvester sun(sp);
+  const HarvesterModel sun = HarvesterModel::Solar(SolarHarvester::Params{});
   const auto r =
       AssessHarvester(sun, SimTime(), SimTime::Days(30), SimTime::Minutes(10), 1e-6);
   EXPECT_NEAR(r.mean_power_w, sun.MeanPower(SimTime(), SimTime::Days(30)),
@@ -56,16 +53,14 @@ TEST(HarvesterStatsTest, MeanMatchesHarvesterMeanPower) {
 }
 
 TEST(HarvesterStatsTest, DegenerateInputs) {
-  SolarHarvester::Params sp;
-  SolarHarvester sun(sp);
+  const HarvesterModel sun = HarvesterModel::Solar(SolarHarvester::Params{});
   const auto r = AssessHarvester(sun, SimTime::Days(1), SimTime::Days(1), SimTime::Hours(1), 1.0);
   EXPECT_DOUBLE_EQ(r.mean_power_w, 0.0);
   EXPECT_EQ(r.longest_drought, SimTime());
 }
 
 TEST(HarvesterStatsTest, BridgingStorageScalesWithThreshold) {
-  SolarHarvester::Params sp;
-  SolarHarvester sun(sp);
+  const HarvesterModel sun = HarvesterModel::Solar(SolarHarvester::Params{});
   const auto lo = AssessHarvester(sun, SimTime(), SimTime::Days(30), SimTime::Minutes(30), 1e-5);
   const auto hi = AssessHarvester(sun, SimTime(), SimTime::Days(30), SimTime::Minutes(30), 5e-3);
   EXPECT_GE(hi.bridging_storage_j, lo.bridging_storage_j);

@@ -14,14 +14,14 @@
 namespace centsim {
 namespace {
 
-SolarHarvester MakeSolar() {
+HarvesterModel MakeSolar() {
   SolarHarvester::Params p;
   p.peak_power_w = 0.010;
-  return SolarHarvester(p);
+  return HarvesterModel::Solar(p);
 }
 
 TEST(SolarTest, ZeroAtNight) {
-  SolarHarvester sun = MakeSolar();
+  const HarvesterModel sun = MakeSolar();
   // Midnight on several days.
   for (int d = 0; d < 5; ++d) {
     EXPECT_DOUBLE_EQ(sun.PowerAt(SimTime::Days(d)), 0.0);
@@ -30,20 +30,20 @@ TEST(SolarTest, ZeroAtNight) {
 }
 
 TEST(SolarTest, PositiveAtNoon) {
-  SolarHarvester sun = MakeSolar();
+  const HarvesterModel sun = MakeSolar();
   for (int d = 0; d < 30; ++d) {
     EXPECT_GT(sun.PowerAt(SimTime::Days(d) + SimTime::Hours(12)), 0.0);
   }
 }
 
 TEST(SolarTest, NoonBeatsMorning) {
-  SolarHarvester sun = MakeSolar();
+  const HarvesterModel sun = MakeSolar();
   const SimTime day = SimTime::Days(10);
   EXPECT_GT(sun.PowerAt(day + SimTime::Hours(12)), sun.PowerAt(day + SimTime::Hours(7)));
 }
 
 TEST(SolarTest, DegradationReducesOutputOverDecades) {
-  SolarHarvester sun = MakeSolar();
+  const HarvesterModel sun = MakeSolar();
   // Compare mean power of year 0 vs year 40 (same seasonal window).
   const double early = sun.MeanPower(SimTime(), SimTime::Years(1));
   const double late = sun.MeanPower(SimTime::Years(40), SimTime::Years(41));
@@ -53,14 +53,14 @@ TEST(SolarTest, DegradationReducesOutputOverDecades) {
 }
 
 TEST(SolarTest, MeanPowerIsReasonableFractionOfPeak) {
-  SolarHarvester sun = MakeSolar();
+  const HarvesterModel sun = MakeSolar();
   const double mean = sun.MeanPower(SimTime(), SimTime::Years(1));
   EXPECT_GT(mean, 0.01 * 0.05);  // > 5% of peak.
   EXPECT_LT(mean, 0.01 * 0.5);   // < 50% of peak.
 }
 
 TEST(SolarTest, WeatherVariesAcrossDays) {
-  SolarHarvester sun = MakeSolar();
+  const HarvesterModel sun = MakeSolar();
   const double d1 = sun.PowerAt(SimTime::Days(100) + SimTime::Hours(12));
   const double d2 = sun.PowerAt(SimTime::Days(101) + SimTime::Hours(12));
   const double d3 = sun.PowerAt(SimTime::Days(140) + SimTime::Hours(12));
@@ -68,7 +68,7 @@ TEST(SolarTest, WeatherVariesAcrossDays) {
 }
 
 TEST(HarvesterTest, EnergyOverIsAdditive) {
-  SolarHarvester sun = MakeSolar();
+  const HarvesterModel sun = MakeSolar();
   const SimTime a = SimTime::Hours(6);
   const SimTime b = SimTime::Hours(12);
   const SimTime c = SimTime::Hours(18);
@@ -78,13 +78,12 @@ TEST(HarvesterTest, EnergyOverIsAdditive) {
 }
 
 TEST(HarvesterTest, EnergyOverEmptyIntervalIsZero) {
-  SolarHarvester sun = MakeSolar();
+  const HarvesterModel sun = MakeSolar();
   EXPECT_DOUBLE_EQ(sun.EnergyOver(SimTime::Hours(5), SimTime::Hours(5)), 0.0);
 }
 
 TEST(CorrosionTest, NearConstantOutput) {
-  CorrosionHarvester::Params p;
-  CorrosionHarvester rebar(p);
+  const HarvesterModel rebar = HarvesterModel::Corrosion(CorrosionHarvester::Params{});
   EXPECT_DOUBLE_EQ(rebar.PowerAt(SimTime()), 300e-6);
   EXPECT_GT(rebar.PowerAt(SimTime::Years(25)), 150e-6);
 }
@@ -94,30 +93,27 @@ TEST(CorrosionTest, DecaysToEndOfLifeFraction) {
   p.initial_power_w = 300e-6;
   p.structure_life = SimTime::Years(50);
   p.end_of_life_fraction = 0.4;
-  CorrosionHarvester rebar(p);
+  const HarvesterModel rebar = HarvesterModel::Corrosion(p);
   EXPECT_NEAR(rebar.PowerAt(SimTime::Years(50)), 120e-6, 1e-9);
   // Holds the trickle after the structure's design life.
   EXPECT_NEAR(rebar.PowerAt(SimTime::Years(80)), 120e-6, 1e-9);
 }
 
 TEST(ThermalTest, AfternoonPeak) {
-  ThermalHarvester::Params p;
-  ThermalHarvester teg(p);
+  const HarvesterModel teg = HarvesterModel::Thermal(ThermalHarvester::Params{});
   const SimTime day = SimTime::Days(3);
   EXPECT_GT(teg.PowerAt(day + SimTime::Hours(15)), teg.PowerAt(day + SimTime::Hours(4)));
   EXPECT_GT(teg.PowerAt(day + SimTime::Hours(4)), 0.0);  // Baseline, not zero.
 }
 
 TEST(VibrationTest, RushHourBeatsNight) {
-  VibrationHarvester::Params p;
-  VibrationHarvester vib(p);
+  const HarvesterModel vib = HarvesterModel::Vibration(VibrationHarvester::Params{});
   const SimTime monday = SimTime::Days(7);  // Day 7 = Monday again.
   EXPECT_GT(vib.PowerAt(monday + SimTime::Hours(8)), vib.PowerAt(monday + SimTime::Hours(2)));
 }
 
 TEST(VibrationTest, WeekendQuieterThanWeekday) {
-  VibrationHarvester::Params p;
-  VibrationHarvester vib(p);
+  const HarvesterModel vib = HarvesterModel::Vibration(VibrationHarvester::Params{});
   const SimTime mon = SimTime::Days(0) + SimTime::Hours(8);
   const SimTime sat = SimTime::Days(5) + SimTime::Hours(8);
   EXPECT_GT(vib.PowerAt(mon), vib.PowerAt(sat));
@@ -274,27 +270,29 @@ TEST(ClosedFormParityTest, CorrosionAndConstantAreExact) {
                    2.5e-3 * 2.0 * 24.0 * 3600.0);
 }
 
-TEST(ClosedFormParityTest, VirtualAndModelClosedFormsAreBitIdentical) {
-  // The virtual overrides, the free functions, and the tagged union all
-  // share one implementation — equal params must produce equal doubles.
+TEST(ClosedFormParityTest, FreeFunctionAndModelClosedFormsAreBitIdentical) {
+  // HarvesterModel::EnergyOver dispatches to the exported closed forms, so
+  // equal params must produce equal doubles.
   SolarHarvester::Params sp;
   sp.seasonal_swing = 0.5;
   const SimTime from = SimTime::Days(200);
   const SimTime to = SimTime::Years(4);
-  EXPECT_EQ(SolarHarvester(sp).EnergyOver(from, to),
-            HarvesterModel::Solar(sp).EnergyOver(from, to));
   EXPECT_EQ(SolarEnergyOverAnalytic(sp, from, to),
             HarvesterModel::Solar(sp).EnergyOver(from, to));
   ThermalHarvester::Params tp;
-  EXPECT_EQ(ThermalHarvester(tp).EnergyOver(from, to),
+  EXPECT_EQ(ThermalEnergyOverAnalytic(tp, from, to),
             HarvesterModel::Thermal(tp).EnergyOver(from, to));
   VibrationHarvester::Params vp;
-  EXPECT_EQ(VibrationHarvester(vp).EnergyOver(from, to),
+  EXPECT_EQ(VibrationEnergyOverAnalytic(vp, from, to),
             HarvesterModel::Vibration(vp).EnergyOver(from, to));
-  // Corrosion over years 10-60, across the structure-life knee.
-  CorrosionHarvester::Params cp;
-  EXPECT_EQ(CorrosionHarvester(cp).EnergyOver(SimTime::Years(10), SimTime::Years(60)),
-            HarvesterModel::Corrosion(cp).EnergyOver(SimTime::Years(10), SimTime::Years(60)));
+}
+
+TEST(HarvesterModelTest, NameOfEveryKind) {
+  EXPECT_STREQ(HarvesterModel::Constant(1e-3).name(), "constant");
+  EXPECT_STREQ(HarvesterModel::Solar(SolarHarvester::Params{}).name(), "solar");
+  EXPECT_STREQ(HarvesterModel::Corrosion(CorrosionHarvester::Params{}).name(), "rebar-corrosion");
+  EXPECT_STREQ(HarvesterModel::Thermal(ThermalHarvester::Params{}).name(), "thermal");
+  EXPECT_STREQ(HarvesterModel::Vibration(VibrationHarvester::Params{}).name(), "vibration");
 }
 
 TEST(ClosedFormParityTest, ZeroLengthSpanIsZero) {

@@ -7,21 +7,8 @@
 namespace centsim {
 namespace {
 
-class SteadyHarvester : public Harvester {
- public:
-  explicit SteadyHarvester(double watts) : watts_(watts) {}
-  double PowerAt(SimTime) const override { return watts_; }
-  double EnergyOver(SimTime from, SimTime to) const override {
-    return watts_ * (to - from).ToSeconds();
-  }
-  std::string name() const override { return "steady"; }
-
- private:
-  double watts_;
-};
-
 TEST(IntermittentTest, NoHarvestNoBursts) {
-  SteadyHarvester dead(0.0);
+  const HarvesterModel dead = HarvesterModel::Constant(0.0);
   IntermittentConfig cfg;
   const auto rep = SimulateIntermittent(dead, cfg, SimTime(), SimTime::Days(10));
   EXPECT_EQ(rep.bursts, 0u);
@@ -29,7 +16,8 @@ TEST(IntermittentTest, NoHarvestNoBursts) {
 }
 
 TEST(IntermittentTest, StrongHarvestCompletesTasks) {
-  SteadyHarvester source(1e-3);  // 1 mW: charges 0.1 J bank in ~100 s.
+  // 1 mW: charges the 0.1 J bank in ~100 s.
+  const HarvesterModel source = HarvesterModel::Constant(1e-3);
   IntermittentConfig cfg;
   const auto rep = SimulateIntermittent(source, cfg, SimTime(), SimTime::Days(1));
   EXPECT_GT(rep.bursts, 0u);
@@ -40,7 +28,7 @@ TEST(IntermittentTest, StrongHarvestCompletesTasks) {
 TEST(IntermittentTest, CheckpointingBeatsRestartForBigTasks) {
   // Task needs 0.020 J; burst budget is 0.07 J... make the task bigger
   // than one burst so restart-from-zero can never finish it.
-  SteadyHarvester source(5e-4);
+  const HarvesterModel source = HarvesterModel::Constant(5e-4);
   IntermittentConfig cfg;
   cfg.storage_j = 0.05;
   cfg.turn_on_fraction = 0.9;
@@ -60,7 +48,7 @@ TEST(IntermittentTest, CheckpointingBeatsRestartForBigTasks) {
 }
 
 TEST(IntermittentTest, EfficiencyBounded) {
-  SteadyHarvester source(1e-3);
+  const HarvesterModel source = HarvesterModel::Constant(1e-3);
   IntermittentConfig cfg;
   const auto rep = SimulateIntermittent(source, cfg, SimTime(), SimTime::Days(2));
   EXPECT_GE(rep.Efficiency(), 0.0);
@@ -68,7 +56,7 @@ TEST(IntermittentTest, EfficiencyBounded) {
 }
 
 TEST(IntermittentTest, CheckpointOverheadIsCharged) {
-  SteadyHarvester source(1e-3);
+  const HarvesterModel source = HarvesterModel::Constant(1e-3);
   IntermittentConfig cfg;
   cfg.task_energy_j = 0.5;  // Long task: many checkpoints.
   cfg.checkpoint_interval_j = 0.005;
@@ -80,7 +68,7 @@ TEST(IntermittentTest, CheckpointOverheadIsCharged) {
 TEST(IntermittentTest, SolarNodeWorksDiurnally) {
   SolarHarvester::Params sp;
   sp.peak_power_w = 2e-3;
-  SolarHarvester sun(sp);
+  const HarvesterModel sun = HarvesterModel::Solar(sp);
   IntermittentConfig cfg;
   const auto rep = SimulateIntermittent(sun, cfg, SimTime(), SimTime::Days(30));
   EXPECT_GT(rep.tasks_completed, 0u);
@@ -90,7 +78,7 @@ TEST(IntermittentTest, SolarNodeWorksDiurnally) {
 }
 
 TEST(IntermittentTest, DegenerateThresholdsYieldNothing) {
-  SteadyHarvester source(1e-3);
+  const HarvesterModel source = HarvesterModel::Constant(1e-3);
   IntermittentConfig cfg;
   cfg.turn_on_fraction = 0.2;
   cfg.brownout_fraction = 0.9;  // Inverted: budget <= 0.

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/sim/alloc_probe.h"
-#include "src/sim/event_fn.h"
 #include "src/sim/event_pool.h"
 #include "src/sim/metrics.h"
 #include "src/sim/scheduler.h"
@@ -22,7 +21,7 @@
 namespace centsim {
 namespace {
 
-// --- EventFn ---------------------------------------------------------------
+// --- EventFn, the scheduler's InlineFn<void()> ----------------------------
 
 TEST(EventFnTest, SmallCaptureStaysInline) {
   int hits = 0;

@@ -206,9 +206,6 @@ void DeviceFleet::MarkFailedAt(uint32_t slot, SimTime at) {
   }
   failed_at_[slot] = at;
   MetricInc(classes_[class_[slot]].failures);
-  if (failure_hook_) {
-    failure_hook_(Pack(slot, handle_gen_[slot]), at);
-  }
 }
 
 void DeviceFleet::CountReplacementAt(uint32_t slot) {

@@ -37,7 +37,6 @@
 #include "src/net/packet.h"
 #include "src/radio/lora.h"
 #include "src/reliability/component.h"
-#include "src/sim/inline_fn.h"
 #include "src/sim/simulation.h"
 #include "src/telemetry/sensors.h"
 
@@ -72,10 +71,6 @@ struct DeviceClassSpec {
 
 class DeviceFleet {
  public:
-  // Fleet-level failure hook (optional); fires after MarkFailedAt updates
-  // the columns. InlineFn: no allocation for captures up to 48 bytes.
-  using FailureHook = InlineFn<void(DeviceHandle, SimTime)>;
-
   explicit DeviceFleet(Simulation& sim) : sim_(sim) {}
   DeviceFleet(const DeviceFleet&) = delete;
   DeviceFleet& operator=(const DeviceFleet&) = delete;
@@ -161,18 +156,16 @@ class DeviceFleet {
   // live unit still bumps the generation, matching EdgeDevice::ReplaceUnit).
   void DeployAt(uint32_t slot, SimTime at);
 
-  // Hardware death at `at`: clears alive, stamps failed_at, counts the
-  // class failure, then fires the fleet failure hook (if set).
+  // Hardware death at `at`: clears alive, stamps failed_at and counts the
+  // class failure.
   void MarkFailedAt(uint32_t slot, SimTime at);
 
   // Retires a working unit (proactive refresh): clears alive without
-  // counting a failure or firing the hook.
+  // counting a failure.
   void RetireAt(uint32_t slot);
 
   // Counts a unit replacement against the slot's class.
   void CountReplacementAt(uint32_t slot);
-
-  void SetFailureHook(FailureHook hook) { failure_hook_ = std::move(hook); }
 
   // Starts loading the lines a lifecycle transition at `slot` touches
   // (alive, unit generation, deployed_at, failed_at, class), so a caller
@@ -336,7 +329,6 @@ class DeviceFleet {
 
   uint64_t alive_count_ = 0;
   uint64_t covered_sites_ = 0;  // Last SetCoveredSites value.
-  FailureHook failure_hook_;
 
   bool fleet_metrics_enabled_ = false;
   Gauge* alive_gauge_ = nullptr;

@@ -11,9 +11,10 @@
 //                     to the serial engine, and the window's availability/
 //                     failure-rate/replacement-rate land in SampleSets;
 //   fast-forward      between windows the same transitions are advanced by
-//                     a per-site walk over the pre-recorded visit schedule
-//                     and the per-site next-failure column — no heap, no
-//                     closures, one SurvivalTable draw per deployment.
+//                     a walk over a time-bucketed transition calendar that
+//                     holds each site's one pending transition (failure,
+//                     proactive refresh or revive) — no heap, no closures,
+//                     one SurvivalTable draw per deployment.
 //
 // Determinism: unit lives are drawn from per-entity keyed streams
 // (rng_.Derive(site << 20 | generation), the serial engine's key) through
@@ -48,14 +49,7 @@ class SampledCentury {
     life_table_ = SurvivalTable::Build(
         [&hardware](SimTime t) { return hardware.Survival(t); });
     fail_at_.assign(config.fleet_size, SimTime::Max());
-    // The transition calendar only models the no-proactive site lifecycle
-    // (fail -> wait -> revive); proactive refresh keeps the per-site merge
-    // walk, which reads the visit schedule directly.
-    use_calendar_ = config.proactive_refresh_age <= SimTime();
-    if (use_calendar_) {
-      calendar_.resize(
-          static_cast<size_t>(config.horizon.micros() / kCalBucketUs) + 1);
-    }
+    calendar_.resize(static_cast<size_t>(config.horizon.micros() / kCalBucketUs) + 1);
   }
 
   void Run() {
@@ -78,7 +72,7 @@ class SampledCentury {
 
     SamplingController controller(sim_.scheduler(), config_.sampling);
     controller.RegisterDomain(
-        "reliability", [this](SimTime from, SimTime to) { WalkSites(from, to); });
+        "reliability", [this](SimTime from, SimTime to) { WalkCalendar(from, to); });
     controller.SetWindowHooks(
         [this](SimTime w0, SimTime w1) { BeginWindow(w0, w1); },
         [this](SimTime w0, SimTime w1) { EndWindow(w0, w1); });
@@ -114,7 +108,7 @@ class SampledCentury {
     model_.DeployAt(idx, at);
     RandomStream site_rng = model_.SiteStream(idx);
     fail_at_[idx] = at + life_table_.Sample(site_rng) * model_.LifeScaleAt(at);
-    CalendarPush(kCalFail, idx, fail_at_[idx]);
+    QueueNextTransition(idx, at);
     if (in_window_) {
       ++win_open_count_;
       win_open_start_sum_s_ += at.ToSeconds();
@@ -185,10 +179,28 @@ class SampledCentury {
   }
 
   void CalendarPush(uint32_t kind, uint32_t idx, SimTime at) {
-    if (!use_calendar_ || at >= config_.horizon) {
+    if (at >= config_.horizon) {
       return;  // Transitions at/after the horizon never run.
     }
     calendar_[BucketFor(at)].push_back({at.micros(), idx, kind});
+  }
+
+  // Queues the live unit's one pending transition, no earlier than `from`:
+  // its proactive refresh at the zone's first visit at or after the unit
+  // reaches the refresh age, when that visit comes no later than its
+  // failure (a visit wins the tie), else its failure.
+  void QueueNextTransition(uint32_t idx, SimTime from) {
+    const SimTime age = config_.proactive_refresh_age;
+    if (age > SimTime()) {
+      const std::vector<SimTime>& visits = ZoneVisits(idx);
+      const auto it = std::lower_bound(
+          visits.begin(), visits.end(), std::max(from, model_.fleet().deployed_at(idx) + age));
+      if (it != visits.end() && *it <= fail_at_[idx]) {
+        CalendarPush(kCalRefresh, idx, *it);
+        return;
+      }
+    }
+    CalendarPush(kCalFail, idx, fail_at_[idx]);
   }
 
   // The pending unit's sampled life, derived: it was deployed at
@@ -212,17 +224,15 @@ class SampledCentury {
                    model_.fleet().set_failure_event(idx, kInvalidEventId);
                    const SimTime at = sim_.Now();
                    SiteFailAt(idx, at);
-                   if (use_calendar_) {
-                     // The site's revive is its zone's first visit strictly
-                     // after the failure (an equal-time visit fired first,
-                     // as a no-op on the then-alive site). In-window visits
-                     // run as scheduler events; a revive beyond the window
-                     // is parked for the walk.
-                     const std::vector<SimTime>& visits = ZoneVisits(idx);
-                     const auto it = std::upper_bound(visits.begin(), visits.end(), at);
-                     if (it != visits.end() && *it >= win_w1_) {
-                       CalendarPush(kCalRevive, idx, *it);
-                     }
+                   // The site's revive is its zone's first visit strictly
+                   // after the failure (an equal-time visit fired first, as
+                   // a no-op on the then-alive site). In-window visits run
+                   // as scheduler events; a revive beyond the window is
+                   // parked for the walk.
+                   const std::vector<SimTime>& visits = ZoneVisits(idx);
+                   const auto it = std::upper_bound(visits.begin(), visits.end(), at);
+                   if (it != visits.end() && *it >= win_w1_) {
+                     CalendarPush(kCalRevive, idx, *it);
                    }
                  },
                  kCenturySiteFail));
@@ -252,26 +262,20 @@ class SampledCentury {
           it->at, [this, zone] { model_.ZoneVisitAt(zone, sim_.Now(), *this); },
           kCenturyVisit);
     }
-    if (use_calendar_) {
-      // Only sites with a pending failure inside the window need arming;
-      // the calendar hands us exactly those (plus stale entries, skipped
-      // by the validity check) without an O(fleet) scan.
-      const size_t b_last = BucketFor(w1 - SimTime::Micros(1));
-      for (size_t b = BucketFor(w0); b <= b_last; ++b) {
-        for (const CalEntry& en : calendar_[b]) {
-          const SimTime at = SimTime::Micros(en.at_us);
-          if (en.kind != kCalFail || at < w0 || at >= w1) {
-            continue;
-          }
-          if (model_.fleet().alive(en.idx) && fail_at_[en.idx] == at) {
-            ArmWindowFailure(en.idx);
-          }
+    // Only sites with a pending failure inside the window need arming;
+    // the calendar hands us exactly those (plus stale entries, skipped by
+    // the validity check) without an O(fleet) scan. A unit whose pending
+    // entry is a refresh cannot fail before it, and the window's visit
+    // performs the refresh.
+    const size_t b_last = BucketFor(w1 - SimTime::Micros(1));
+    for (size_t b = BucketFor(w0); b <= b_last; ++b) {
+      for (const CalEntry& en : calendar_[b]) {
+        const SimTime at = SimTime::Micros(en.at_us);
+        if (en.kind != kCalFail || at < w0 || at >= w1) {
+          continue;
         }
-      }
-    } else {
-      for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-        if (model_.fleet().alive(idx) && fail_at_[idx] < w1) {
-          ArmWindowFailure(idx);
+        if (model_.fleet().alive(en.idx) && fail_at_[en.idx] == at) {
+          ArmWindowFailure(en.idx);
         }
       }
     }
@@ -309,45 +313,17 @@ class SampledCentury {
 
   // --- Fast-forward walk --------------------------------------------------
 
-  // Advances every site's failure/replacement process over [from, to) by
-  // merging its zone's visit schedule with its pending failure time. Same
-  // transitions as the window handlers, no scheduler involved.
-  void WalkSites(SimTime from, SimTime to) {
-    if (use_calendar_) {
-      WalkCalendar(from, to);
-      return;
-    }
-    for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-      const std::vector<SimTime>& visits = ZoneVisits(idx);
-      size_t vi = static_cast<size_t>(
-          std::lower_bound(visits.begin(), visits.end(), from) - visits.begin());
-      for (;;) {
-        const SimTime visit_at = vi < visits.size() ? visits[vi] : SimTime::Max();
-        const SimTime fail_at = model_.fleet().alive(idx) ? fail_at_[idx] : SimTime::Max();
-        if (visit_at <= fail_at) {  // Visit wins ties (window arm order).
-          if (visit_at >= to) {
-            break;
-          }
-          model_.VisitSiteAt(idx, visit_at, *this);
-          ++vi;
-        } else {
-          if (fail_at >= to) {
-            break;
-          }
-          SiteFailAt(idx, fail_at);
-        }
-      }
-    }
-  }
-
-  // Calendar-driven fast-forward: only sites with a transition inside
-  // [from, to) are touched — O(transitions) per span instead of O(fleet).
-  // Entries are validated on scan: a failure entry must match the site's
-  // live pending failure, a revive entry must find the site still dead;
-  // anything else was consumed by a detailed window or superseded, and is
-  // skipped. Per-site event order is preserved because a site's next entry
-  // is only pushed when its previous transition is processed; cross-site
-  // order within a bucket is immaterial (sites are independent).
+  // Advances every site's failure/replacement process over [from, to)
+  // with the window handlers' transitions, no scheduler involved. Only
+  // sites with a transition inside the span are touched — O(transitions)
+  // per span instead of O(fleet). Entries are validated on scan: a failure
+  // entry must match the site's live pending failure, a refresh entry must
+  // find the site alive and at least the refresh age old, a revive entry
+  // must find the site still dead; anything else was consumed by a
+  // detailed window or superseded, and is skipped. Per-site event order is
+  // preserved because a site's next entry is only pushed when its previous
+  // transition is processed; cross-site order within a bucket is
+  // immaterial (sites are independent).
   void WalkCalendar(SimTime from, SimTime to) {
     const uint32_t zone_count = model_.zone_count();
     const size_t b_last = BucketFor(to - SimTime::Micros(1));
@@ -395,10 +371,16 @@ class SampledCentury {
             continue;  // No maintenance round ever reaches it again.
           }
           if (visits[k] < to) {
-            model_.VisitSiteAt(en.idx, visits[k], *this);  // Pushes the next failure.
+            model_.VisitSiteAt(en.idx, visits[k], *this);  // Queues the next entry.
           } else {
             CalendarPush(kCalRevive, en.idx, visits[k]);
           }
+        } else if (en.kind == kCalRefresh) {
+          if (!model_.fleet().alive(en.idx) ||
+              at - model_.fleet().deployed_at(en.idx) < config_.proactive_refresh_age) {
+            continue;  // Stale: the unit failed or was already refreshed.
+          }
+          model_.VisitSiteAt(en.idx, at, *this);  // Retires, censors, redeploys.
         } else {
           if (model_.fleet().alive(en.idx)) {
             continue;  // Already revived by an in-window visit.
@@ -491,19 +473,18 @@ class SampledCentury {
     }
 
     // Rebuild the transition calendar from the restored columns: alive
-    // sites queue their pending failure; dead sites queue their revive at
-    // the first visit at or after the barrier (any earlier visit would
-    // have revived them before the snapshot was cut).
-    if (use_calendar_) {
-      for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-        if (fleet.alive(idx)) {
-          CalendarPush(kCalFail, idx, fail_at_[idx]);
-        } else {
-          const std::vector<SimTime>& visits = ZoneVisits(idx);
-          const auto it = std::lower_bound(visits.begin(), visits.end(), barrier);
-          if (it != visits.end()) {
-            CalendarPush(kCalRevive, idx, *it);
-          }
+    // sites queue their next transition (refresh or failure) no earlier
+    // than the barrier; dead sites queue their revive at the first visit
+    // at or after the barrier (any earlier visit would have revived them
+    // before the snapshot was cut).
+    for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
+      if (fleet.alive(idx)) {
+        QueueNextTransition(idx, barrier);
+      } else {
+        const std::vector<SimTime>& visits = ZoneVisits(idx);
+        const auto it = std::lower_bound(visits.begin(), visits.end(), barrier);
+        if (it != visits.end()) {
+          CalendarPush(kCalRevive, idx, *it);
         }
       }
     }
@@ -525,23 +506,24 @@ class SampledCentury {
 
   // Transition calendar: a coarse time-bucketed queue of upcoming site
   // transitions, so fast-forward spans and window arming only touch sites
-  // that actually transition instead of scanning the whole fleet. Entries
-  // are invalidated lazily — a processed or superseded entry simply fails
-  // its validity check when scanned (see WalkCalendar). Maintained only
-  // with proactive refresh off; the merge walk covers the proactive case.
+  // that actually transition instead of scanning the whole fleet. A site
+  // has one pending entry at a time: a live unit's failure or refresh
+  // (QueueNextTransition), or a dead site's revive. Entries are
+  // invalidated lazily — a processed or superseded entry simply fails its
+  // validity check when scanned (see WalkCalendar).
   struct CalEntry {
     int64_t at_us;
     uint32_t idx;
-    uint32_t kind;  // kCalFail or kCalRevive.
+    uint32_t kind;  // kCalFail, kCalRevive or kCalRefresh.
   };
   static constexpr uint32_t kCalFail = 0;
   static constexpr uint32_t kCalRevive = 1;
+  static constexpr uint32_t kCalRefresh = 2;
   static constexpr int64_t kCalBucketUs = 14LL * 24 * 3600 * 1000000;  // 14 days.
   // While the walk runs a bucket's entry e it prefetches the fleet and
   // fail_at_ lines of entry e + kWalkPrefetchAhead, so the random misses of
   // consecutive transitions overlap. 32 measured no better than 16.
   static constexpr size_t kWalkPrefetchAhead = 16;
-  bool use_calendar_ = false;
   std::vector<std::vector<CalEntry>> calendar_;
 
   // Detailed-window state.

@@ -31,9 +31,6 @@ std::vector<std::string> SamplingPlan::Validate() const {
   if (!(ci_target > 0.0)) {
     problems.push_back("sampling.ci_target must be positive");
   }
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    problems.push_back("sampling.confidence must be inside (0, 1)");
-  }
   if (min_windows < 2) {
     problems.push_back("sampling.min_windows must be >= 2 (a CI needs variance)");
   }
@@ -75,7 +72,7 @@ bool SamplingController::Converged() const {
       return false;
     }
     const double mean = t.samples->Mean();
-    const double half = t.samples->CiHalfWidth(plan_.confidence);
+    const double half = t.samples->CiHalfWidth(SamplingPlan::kConfidence);
     // A zero-variance metric (every window identical) is converged by
     // definition, mean zero or not.
     if (half == 0.0) {
@@ -95,7 +92,7 @@ std::vector<MetricCi> SamplingController::MetricSummaries() const {
     MetricCi ci;
     ci.name = t.name;
     ci.mean = t.samples->Mean();
-    const double half = t.samples->CiHalfWidth(plan_.confidence);
+    const double half = t.samples->CiHalfWidth(SamplingPlan::kConfidence);
     ci.ci_half_width = std::isfinite(half) ? half : 0.0;
     ci.windows = static_cast<uint32_t>(t.samples->count());
     out.push_back(std::move(ci));

@@ -62,6 +62,9 @@ const char* SimModeName(SimMode mode);
 // default-constructed plan means "serial engine, byte-for-byte" and every
 // golden digest is unchanged.
 struct SamplingPlan {
+  // Two-sided confidence level of every interval (Student-t).
+  static constexpr double kConfidence = 0.95;
+
   SimMode mode = SimMode::kDetailed;
   // Length of each measured detailed window.
   SimTime detailed_window = SimTime::Days(7);
@@ -72,8 +75,6 @@ struct SamplingPlan {
   // Relative confidence-interval half-width at which a tracked metric
   // counts as converged (0.01 = +/-1% of the running mean).
   double ci_target = 0.01;
-  // Two-sided confidence level for the interval (Student-t).
-  double confidence = 0.95;
   // Windows to measure before convergence may be declared; also the
   // minimum sample count for an honest t-interval.
   uint32_t min_windows = 8;
@@ -84,8 +85,8 @@ struct SamplingPlan {
 
   bool enabled() const { return mode == SimMode::kSampled; }
 
-  // Actionable diagnostics (non-positive window, period, target, bad
-  // confidence...). Empty means valid. Ignored when the plan is off.
+  // Actionable diagnostics (non-positive window, period or target, too
+  // few windows...). Empty means valid. Ignored when the plan is off.
   std::vector<std::string> Validate() const;
 };
 
@@ -103,7 +104,7 @@ struct SamplingOutcome {
 struct MetricCi {
   std::string name;
   double mean = 0.0;
-  double ci_half_width = 0.0;  // At SamplingPlan::confidence.
+  double ci_half_width = 0.0;  // At SamplingPlan::kConfidence.
   uint32_t windows = 0;        // Observations behind the interval.
   // Relative half-width (half_width / |mean|); +inf when mean == 0.
   double RelativeHalfWidth() const;

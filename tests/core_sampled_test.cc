@@ -69,6 +69,14 @@ CenturyConfig SmallCentury() {
   return cfg;
 }
 
+// SmallCentury with proactive refresh: units still working at 10 years are
+// retired at their zone's next visit, so the walk runs refresh entries.
+CenturyConfig SmallCenturyWithRefresh() {
+  CenturyConfig cfg = SmallCentury();
+  cfg.proactive_refresh_age = SimTime::Years(10);
+  return cfg;
+}
+
 // --- Century: sampled engine ------------------------------------------------
 
 TEST(CenturySampledTest, DefaultPlanIsOffAndRoutesSerial) {
@@ -129,41 +137,45 @@ TEST(CenturySampledTest, TrajectoryInvariantUnderWindowPlacement) {
   // Three engines over the same config: generously spaced windows, densely
   // spaced windows, and back-to-back windows (sample_period == window, so
   // every fast-forward is zero-length). Per-entity RNG keying promises the
-  // exact same trajectory from all three.
-  CenturyConfig a = SmallCentury();
-  a.sampling = QuickSampling();
-  a.sampling.detailed_window = SimTime::Days(7);
-  a.sampling.sample_period = SimTime::Days(170);
+  // exact same trajectory from all three. The back-to-back run never
+  // walks, so it is the reference for the two that do.
+  for (const CenturyConfig& base : {SmallCentury(), SmallCenturyWithRefresh()}) {
+    SCOPED_TRACE(base.proactive_refresh_age.micros() > 0 ? "proactive refresh" : "no refresh");
+    CenturyConfig a = base;
+    a.sampling = QuickSampling();
+    a.sampling.detailed_window = SimTime::Days(7);
+    a.sampling.sample_period = SimTime::Days(170);
 
-  CenturyConfig b = SmallCentury();
-  b.sampling = QuickSampling();
-  b.sampling.detailed_window = SimTime::Days(45);
-  b.sampling.sample_period = SimTime::Days(90);
+    CenturyConfig b = base;
+    b.sampling = QuickSampling();
+    b.sampling.detailed_window = SimTime::Days(45);
+    b.sampling.sample_period = SimTime::Days(90);
 
-  CenturyConfig c = SmallCentury();
-  c.sampling = QuickSampling();
-  c.sampling.detailed_window = SimTime::Days(140);
-  c.sampling.sample_period = SimTime::Days(140);  // Zero-length fast-forwards.
+    CenturyConfig c = base;
+    c.sampling = QuickSampling();
+    c.sampling.detailed_window = SimTime::Days(140);
+    c.sampling.sample_period = SimTime::Days(140);  // Zero-length fast-forwards.
 
-  const CenturyReport ra = RunCenturyScenario(a);
-  const CenturyReport rb = RunCenturyScenario(b);
-  const CenturyReport rc = RunCenturyScenario(c);
+    const CenturyReport ra = RunCenturyScenario(a);
+    const CenturyReport rb = RunCenturyScenario(b);
+    const CenturyReport rc = RunCenturyScenario(c);
 
-  EXPECT_EQ(ra.total_failures, rb.total_failures);
-  EXPECT_EQ(ra.total_replacements, rb.total_replacements);
-  EXPECT_EQ(ra.units_deployed, rb.units_deployed);
-  EXPECT_EQ(ra.proactive_replacements, rb.proactive_replacements);
-  EXPECT_EQ(ra.max_unit_generations, rb.max_unit_generations);
-  EXPECT_NEAR(ra.mean_availability, rb.mean_availability, 1e-9);
+    for (const CenturyReport* walked : {&ra, &rb}) {
+      EXPECT_EQ(walked->total_failures, rc.total_failures);
+      EXPECT_EQ(walked->total_replacements, rc.total_replacements);
+      EXPECT_EQ(walked->proactive_replacements, rc.proactive_replacements);
+      EXPECT_EQ(walked->units_deployed, rc.units_deployed);
+      EXPECT_EQ(walked->max_unit_generations, rc.max_unit_generations);
+      EXPECT_NEAR(walked->mean_availability, rc.mean_availability, 1e-9);
+    }
+    if (base.proactive_refresh_age.micros() > 0) {
+      EXPECT_GT(rc.proactive_replacements, 0u);
+    }
 
-  EXPECT_EQ(ra.total_failures, rc.total_failures);
-  EXPECT_EQ(ra.total_replacements, rc.total_replacements);
-  EXPECT_EQ(ra.units_deployed, rc.units_deployed);
-  EXPECT_NEAR(ra.mean_availability, rc.mean_availability, 1e-9);
-
-  // The zero-skip engine really did run everything detailed.
-  EXPECT_EQ(rc.sim_skipped_us, 0);
-  EXPECT_GT(ra.sim_skipped_us, rb.sim_skipped_us);
+    // The zero-skip engine really did run everything detailed.
+    EXPECT_EQ(rc.sim_skipped_us, 0);
+    EXPECT_GT(ra.sim_skipped_us, rb.sim_skipped_us);
+  }
 }
 
 TEST(CenturySampledTest, DeterministicAcrossRuns) {
@@ -217,34 +229,41 @@ TEST(CenturySampledTest, ExpectationParityAcrossSeeds) {
 // --- Century: snapshots across engines --------------------------------------
 
 TEST(CenturySampledTest, SampledCheckpointRestoresIntoSampled) {
-  ScratchDir dir("sampled_ckpt_sampled");
-  CenturyConfig save_cfg = SmallCentury();
-  save_cfg.sampling = QuickSampling();
-  save_cfg.snapshot.checkpoint_every = SimTime::Years(10);
-  save_cfg.snapshot.checkpoint_dir = dir.path();
-  const CenturyReport saved = RunCenturyScenario(save_cfg);
-  EXPECT_GE(saved.checkpoints_written, 1u);
-  ASSERT_FALSE(saved.last_checkpoint_path.empty());
+  for (const CenturyConfig& base : {SmallCentury(), SmallCenturyWithRefresh()}) {
+    SCOPED_TRACE(base.proactive_refresh_age.micros() > 0 ? "proactive refresh" : "no refresh");
+    ScratchDir dir("sampled_ckpt_sampled");
+    CenturyConfig save_cfg = base;
+    save_cfg.sampling = QuickSampling();
+    save_cfg.snapshot.checkpoint_every = SimTime::Years(10);
+    save_cfg.snapshot.checkpoint_dir = dir.path();
+    const CenturyReport saved = RunCenturyScenario(save_cfg);
+    EXPECT_GE(saved.checkpoints_written, 1u);
+    ASSERT_FALSE(saved.last_checkpoint_path.empty());
 
-  // Writing checkpoints is passive: same trajectory as the plain run.
-  CenturyConfig plain_cfg = SmallCentury();
-  plain_cfg.sampling = QuickSampling();
-  const CenturyReport plain = RunCenturyScenario(plain_cfg);
-  EXPECT_EQ(saved.total_failures, plain.total_failures);
-  EXPECT_EQ(saved.total_replacements, plain.total_replacements);
-  EXPECT_NEAR(saved.mean_availability, plain.mean_availability, 1e-9);
+    // Writing checkpoints is passive: same trajectory as the plain run.
+    CenturyConfig plain_cfg = base;
+    plain_cfg.sampling = QuickSampling();
+    const CenturyReport plain = RunCenturyScenario(plain_cfg);
+    EXPECT_EQ(saved.total_failures, plain.total_failures);
+    EXPECT_EQ(saved.total_replacements, plain.total_replacements);
+    EXPECT_EQ(saved.proactive_replacements, plain.proactive_replacements);
+    EXPECT_NEAR(saved.mean_availability, plain.mean_availability, 1e-9);
 
-  // Restore into the sampled engine: the continuation re-derives every
-  // per-entity stream, so full-run totals match the straight run exactly.
-  CenturyConfig resume_cfg = SmallCentury();
-  resume_cfg.sampling = QuickSampling();
-  resume_cfg.snapshot.resume_from = saved.last_checkpoint_path;
-  const CenturyReport restored = RunCenturyScenario(resume_cfg);
-  EXPECT_GT(restored.restore_seconds, 0.0);
-  EXPECT_EQ(restored.total_failures, plain.total_failures);
-  EXPECT_EQ(restored.total_replacements, plain.total_replacements);
-  EXPECT_EQ(restored.units_deployed, plain.units_deployed);
-  EXPECT_NEAR(restored.mean_availability, plain.mean_availability, 1e-9);
+    // Restore into the sampled engine: the continuation re-derives every
+    // per-entity stream and rebuilds each site's pending calendar entry
+    // (refreshes included), so full-run totals match the straight run
+    // exactly.
+    CenturyConfig resume_cfg = base;
+    resume_cfg.sampling = QuickSampling();
+    resume_cfg.snapshot.resume_from = saved.last_checkpoint_path;
+    const CenturyReport restored = RunCenturyScenario(resume_cfg);
+    EXPECT_GT(restored.restore_seconds, 0.0);
+    EXPECT_EQ(restored.total_failures, plain.total_failures);
+    EXPECT_EQ(restored.total_replacements, plain.total_replacements);
+    EXPECT_EQ(restored.proactive_replacements, plain.proactive_replacements);
+    EXPECT_EQ(restored.units_deployed, plain.units_deployed);
+    EXPECT_NEAR(restored.mean_availability, plain.mean_availability, 1e-9);
+  }
 }
 
 TEST(CenturySampledTest, SampledCheckpointRestoresIntoSerial) {

@@ -42,10 +42,6 @@ TEST(SamplingPlanTest, ValidateCatchesBadKnobs) {
   EXPECT_FALSE(bad.Validate().empty());
 
   bad = plan;
-  bad.confidence = 1.0;
-  EXPECT_FALSE(bad.Validate().empty());
-
-  bad = plan;
   bad.min_windows = 1;
   EXPECT_FALSE(bad.Validate().empty());
 

@@ -13,9 +13,13 @@ namespace {
 // The lifetime RNG root every engine derives its per-site streams from.
 constexpr uint64_t kLifeStream = 0x7468657365757300ULL;
 
+constexpr int64_t kYearUs = SimTime::Years(1).micros();
+
 // `century` snapshot chunk tags.
 constexpr uint32_t kFleetChunk = SnapshotTag('f', 'l', 'e', 't');
-constexpr uint32_t kAccumChunk = SnapshotTag('a', 'c', 'c', 'u');
+// The exact integer integral and the counters. Earlier formats carried a
+// double integral under 'accu'; the reader refuses a file without 'aliv'.
+constexpr uint32_t kAliveChunk = SnapshotTag('a', 'l', 'i', 'v');
 constexpr uint32_t kSurvivalChunk = SnapshotTag('s', 'u', 'r', 'v');
 constexpr uint32_t kTimerChunk = SnapshotTag('t', 'i', 'm', 'r');
 constexpr uint32_t kSchedChunk = SnapshotTag('s', 'c', 'h', 'd');
@@ -38,37 +42,58 @@ std::string CenturyStructuralDigest(const CenturyConfig& config) {
 
 }  // namespace
 
-void AliveSeconds::AddSpan(SimTime start, SimTime end, double weight) {
-  if (end <= start || weight == 0.0) {
+void AliveSeconds::AddSpan(SimTime start, SimTime end, int64_t weight) {
+  if (end <= start || weight == 0) {
     return;
   }
-  total += (end - start).ToSeconds() * weight;
-  const double t0 = start.ToSeconds();
-  const double t1 = end.ToSeconds();
-  const double year_s = SimTime::Years(1).ToSeconds();
-  const uint32_t y0 = std::min<uint32_t>(years() - 1, static_cast<uint32_t>(t0 / year_s));
-  const uint32_t y1 = std::min<uint32_t>(years() - 1, static_cast<uint32_t>(t1 / year_s));
+  const int64_t t0 = start.micros();
+  const int64_t t1 = end.micros();
+  total += static_cast<I128>(t1 - t0) * weight;
+  const uint32_t y0 = std::min<uint32_t>(years() - 1, static_cast<uint32_t>(t0 / kYearUs));
+  const uint32_t y1 = std::min<uint32_t>(years() - 1, static_cast<uint32_t>(t1 / kYearUs));
   if (y0 == y1) {
-    yearly[y0] += (t1 - t0) * weight;
+    yearly[y0] += static_cast<I128>(t1 - t0) * weight;
     return;
   }
-  yearly[y0] += ((y0 + 1) * year_s - t0) * weight;
-  yearly[y1] += (t1 - y1 * year_s) * weight;
+  yearly[y0] += static_cast<I128>((y0 + 1) * kYearUs - t0) * weight;
+  yearly[y1] += static_cast<I128>(t1 - y1 * kYearUs) * weight;
   if (y1 > y0 + 1) {
     yearly_weight_diff[y0 + 1] += weight;
     yearly_weight_diff[y1] -= weight;
   }
 }
 
-std::vector<double> AliveSeconds::Yearly() const {
-  std::vector<double> out = yearly;
-  const double year_s = SimTime::Years(1).ToSeconds();
-  double running = 0.0;
+void AliveSeconds::Add(const AliveSeconds& other) {
+  total += other.total;
+  for (uint32_t y = 0; y < years(); ++y) {
+    yearly[y] += other.yearly[y];
+    yearly_weight_diff[y] += other.yearly_weight_diff[y];
+  }
+}
+
+std::vector<AliveSeconds::I128> AliveSeconds::Yearly() const {
+  std::vector<I128> out = yearly;
+  I128 running = 0;
   for (uint32_t y = 0; y < years(); ++y) {
     running += yearly_weight_diff[y];
-    out[y] += running * year_s;
+    out[y] += running * kYearUs;
   }
   return out;
+}
+
+void AliveSeconds::FillAvailability(SimTime horizon, uint32_t sites,
+                                    CenturyReport& report) const {
+  const auto seconds = [](I128 us) { return static_cast<double>(us) / 1e6; };
+  const double total_site_seconds = horizon.ToSeconds() * sites;
+  report.mean_availability = total_site_seconds > 0 ? seconds(total) / total_site_seconds : 0;
+  const std::vector<I128> per_year = Yearly();
+  report.yearly_availability.resize(years());
+  const double year_site_seconds = SimTime::Years(1).ToSeconds() * sites;
+  for (uint32_t y = 0; y < years(); ++y) {
+    report.yearly_availability[y] = seconds(per_year[y]) / year_site_seconds;
+    report.min_yearly_availability =
+        std::min(report.min_yearly_availability, report.yearly_availability[y]);
+  }
 }
 
 CenturyModel::CenturyModel(Simulation& sim, const CenturyConfig& config, CenturyReport& report,
@@ -81,7 +106,7 @@ CenturyModel::CenturyModel(Simulation& sim, const CenturyConfig& config, Century
       recorder_(recorder),
       fleet_(sim),
       rng_(sim.StreamFor(kLifeStream)),
-      alive_(static_cast<uint32_t>(std::ceil(config.horizon.ToYears()))) {
+      alive_(config.horizon) {
   DeviceClassSpec spec;
   spec.name = "century-site";
   spec.hardware = config.device_class == DeviceClassKind::kBatteryPowered
@@ -119,13 +144,16 @@ void CenturyModel::SaveCheckpoint(SimTime barrier, const AliveSeconds& alive,
 
   ByteWriter acc;
   acc.I64(alive.last_change.micros());
-  acc.F64(alive.total);
-  acc.F64Vec(alive.Yearly());
+  acc.I128(alive.total);
+  acc.U64(alive.years());
+  for (const AliveSeconds::I128 us : alive.Yearly()) {
+    acc.I128(us);
+  }
   acc.U64(report_.total_failures);
   acc.U64(report_.total_replacements);
   acc.U64(report_.proactive_replacements);
   acc.U64(report_.units_deployed);
-  writer.Add(kAccumChunk, acc);
+  writer.Add(kAliveChunk, acc);
 
   ByteWriter surv;
   const auto& observations = report_.unit_survival.observations();
@@ -179,6 +207,11 @@ bool CenturyModel::Restore(const std::string& path, const RearmFn& rearm, std::s
   if (!OpenCheckpoint(reader, path, "century", CenturyStructuralDigest(config_), error)) {
     return false;
   }
+  if (!reader.HasChunk(kAliveChunk)) {
+    *error = "snapshot has no 'aliv' chunk (the exact integer availability integral); it "
+             "was written in an earlier format";
+    return false;
+  }
 
   ByteReader fleet = reader.Chunk(kFleetChunk);
   if (fleet.U64() != config_.fleet_size) {
@@ -201,20 +234,22 @@ bool CenturyModel::Restore(const std::string& path, const RearmFn& rearm, std::s
   }
   fleet_.RecountAggregates();
 
-  ByteReader acc = reader.Chunk(kAccumChunk);
+  ByteReader acc = reader.Chunk(kAliveChunk);
   alive_.last_change = SimTime::Micros(acc.I64());
-  alive_.total = acc.F64();
-  const std::vector<double> yearly = acc.F64Vec();
+  alive_.total = acc.I128();
+  const bool shaped = acc.U64() == alive_.years();
+  for (AliveSeconds::I128& us : alive_.yearly) {
+    us = acc.I128();
+  }
+  std::fill(alive_.yearly_weight_diff.begin(), alive_.yearly_weight_diff.end(), 0);
   report_.total_failures = acc.U64();
   report_.total_replacements = acc.U64();
   report_.proactive_replacements = acc.U64();
   report_.units_deployed = acc.U64();
-  if (!acc.ok() || yearly.size() != alive_.yearly.size()) {
-    *error = "accumulator chunk truncated or mis-shaped";
+  if (!acc.ok() || !shaped) {
+    *error = "'aliv' chunk truncated or mis-shaped";
     return false;
   }
-  alive_.yearly = yearly;
-  std::fill(alive_.yearly_weight_diff.begin(), alive_.yearly_weight_diff.end(), 0.0);
 
   ByteReader surv = reader.Chunk(kSurvivalChunk);
   const uint64_t observation_count = surv.U64();
@@ -292,17 +327,7 @@ void CenturyModel::Finish() {
     max_gen = std::max(max_gen, static_cast<double>(fleet_.unit_generation(idx)));
   }
   report_.max_unit_generations = max_gen;
-
-  const double total_site_seconds = config_.horizon.ToSeconds() * config_.fleet_size;
-  report_.mean_availability = total_site_seconds > 0 ? alive_.total / total_site_seconds : 0;
-  const std::vector<double> yearly = alive_.Yearly();
-  report_.yearly_availability.resize(yearly.size());
-  const double year_site_seconds = SimTime::Years(1).ToSeconds() * config_.fleet_size;
-  for (uint32_t y = 0; y < yearly.size(); ++y) {
-    report_.yearly_availability[y] = yearly[y] / year_site_seconds;
-    report_.min_yearly_availability =
-        std::min(report_.min_yearly_availability, report_.yearly_availability[y]);
-  }
+  alive_.FillAvailability(config_.horizon, config_.fleet_size, report_);
 }
 
 }  // namespace centsim

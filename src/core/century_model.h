@@ -1,10 +1,11 @@
 // The century scenario's model (see theseus.h), written once and shared by
-// its three time-advance engines: serial (theseus.cc), sampled
-// (theseus_sampled.cc) and sharded (theseus_shard.cc).
+// its two drivers: the detailed driver (theseus.cc), which runs the serial
+// engine over the whole fleet and each shard lane over the lane's column
+// range, and the sampled engine (theseus_sampled.cc).
 //
 // CenturyModel owns the fleet of sites, the state transitions (each at an
-// explicit time), the availability integral, the `century` snapshot chunks
-// and report assembly. An engine keeps only how time advances: which
+// explicit time), the exact availability integral, the `century` snapshot
+// chunks and report assembly. A driver keeps only how time advances: which
 // events it arms where, how it draws a unit's life, and how it closes a
 // unit's alive time. Sites never interact, so the model can cover a whole
 // fleet or one shard lane's contiguous column range.
@@ -40,46 +41,41 @@ inline constexpr const char* kCenturyVisit = "century.zone_visit";
 inline constexpr uint64_t kCenturyTimerVisit = 1;
 inline constexpr uint64_t kCenturyTimerSiteFail = 2;
 
-// Alive site-seconds, over the whole run and per year. The serial engine
-// integrates at every alive-count transition (AccumulateTo); the sampled
-// engine, whose walk advances one site at a time, adds each closed alive
-// interval instead (AddSpan), keeping multi-decade spans O(1) with a
-// difference array of full-year weights that Yearly() folds back in.
+// Alive site-microseconds, over the whole run and per year, as exact signed
+// 128-bit integers. An integer sum does not depend on how its spans are
+// split or ordered, so every engine, lane split and window placement
+// integrates the same value. The detailed driver adds [last_change, now) at
+// every alive-count transition; the sampled walk, which advances one site
+// at a time, adds each closed alive interval (and backs an open one out
+// with weight -1 on restore). Multi-decade spans stay O(1): the years a
+// span covers whole go into a difference array of full-year weights that
+// Yearly() folds back in.
 struct AliveSeconds {
-  explicit AliveSeconds(uint32_t years) : yearly(years, 0.0), yearly_weight_diff(years + 1, 0.0) {}
+  using I128 = __int128;
 
-  void AccumulateTo(SimTime now, uint64_t alive) {
-    if (now <= last_change) {
-      return;
-    }
-    const double span = (now - last_change).ToSeconds();
-    const double alive_count = static_cast<double>(alive);
-    total += span * alive_count;
-    double t0 = last_change.ToSeconds();
-    const double t1 = now.ToSeconds();
-    const double year_s = SimTime::Years(1).ToSeconds();
-    while (t0 < t1) {
-      const uint32_t y = std::min<uint32_t>(years() - 1, static_cast<uint32_t>(t0 / year_s));
-      const double year_end = (y + 1) * year_s;
-      const double seg = std::min(t1, year_end) - t0;
-      yearly[y] += seg * alive_count;
-      t0 += seg;
-    }
-    last_change = now;
-  }
+  explicit AliveSeconds(SimTime horizon)
+      : yearly(static_cast<size_t>(std::ceil(horizon.ToYears())), 0),
+        yearly_weight_diff(yearly.size(), 0) {}
 
   // Adds `weight` alive sites over [start, end).
-  void AddSpan(SimTime start, SimTime end, double weight);
+  void AddSpan(SimTime start, SimTime end, int64_t weight);
+
+  // Adds another integral over the same horizon (a shard lane's).
+  void Add(const AliveSeconds& other);
 
   // Per-year integrals: `yearly` with the full-year weights folded in.
-  std::vector<double> Yearly() const;
+  std::vector<I128> Yearly() const;
+
+  // The report's mean, yearly and lowest yearly availability over `sites`
+  // sites: each integral in seconds over the site-seconds it could hold.
+  void FillAvailability(SimTime horizon, uint32_t sites, CenturyReport& report) const;
 
   uint32_t years() const { return static_cast<uint32_t>(yearly.size()); }
 
-  SimTime last_change;  // AccumulateTo's integration point.
-  double total = 0.0;
-  std::vector<double> yearly;              // AddSpan: partial years only.
-  std::vector<double> yearly_weight_diff;  // AddSpan's full-year weights.
+  SimTime last_change;  // The detailed driver's integration point.
+  I128 total = 0;
+  std::vector<I128> yearly;              // Partial years only.
+  std::vector<I128> yearly_weight_diff;  // Full-year weights.
 };
 
 class CenturyModel {
@@ -99,6 +95,7 @@ class CenturyModel {
   uint32_t size() const { return end_ - begin_; }
   uint32_t zone_count() const { return std::max(1u, config_.batch.zone_count); }
   AliveSeconds& alive() { return alive_; }
+  const AliveSeconds& alive() const { return alive_; }
 
   // --- Transitions at an explicit time ----------------------------------
 
@@ -186,7 +183,9 @@ class CenturyModel {
   bool Resume(const RearmFn& rearm);
 
   // Censors the surviving units at the horizon and fills the report's
-  // results from the availability integral.
+  // results from the availability integral, over the whole fleet's
+  // site-seconds: a lane's model fills in the lane's share, and the
+  // sharded run fills its own report from the merged integral.
   void Finish();
 
  private:
@@ -204,8 +203,9 @@ class CenturyModel {
   AliveSeconds alive_;
 };
 
-// Runs a serial or sampled engine on a fresh simulation of the config's
-// seed, with the config's run control attached for the run's duration.
+// Runs a whole-fleet engine (detailed or sampled) on a fresh simulation of
+// the config's seed, with the config's run control attached for the run's
+// duration.
 template <typename Engine>
 CenturyReport RunCenturyEngine(const CenturyConfig& config) {
   Simulation sim(config.seed);

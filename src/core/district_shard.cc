@@ -79,17 +79,6 @@ constexpr uint32_t kShardFleetChunk = SnapshotTag('f', 'l', 'e', 't');
 constexpr uint32_t kShardGatewayChunk = SnapshotTag('g', 'w', 'r', 'c');
 constexpr uint32_t kShardAccumChunk = SnapshotTag('a', 'c', 'c', 'u');
 
-void WriteU128(ByteWriter& w, U128 v) {
-  w.U64(static_cast<uint64_t>(v));
-  w.U64(static_cast<uint64_t>(v >> 64));
-}
-
-U128 ReadU128(ByteReader& r) {
-  const uint64_t lo = r.U64();
-  const uint64_t hi = r.U64();
-  return (U128(hi) << 64) | lo;
-}
-
 double U128Seconds(U128 us) { return static_cast<double>(us) / 1e6; }
 
 // Gateway fail/repair recurrence, advanced identically by the emission
@@ -519,11 +508,11 @@ void SaveShardCheckpoint(const DistrictConfig& config, const DistrictGeometry& g
   }
   ByteWriter acc;
   acc.I64(barrier.micros());
-  WriteU128(acc, totals.alive_us);
-  WriteU128(acc, totals.service_us);
+  acc.U128(totals.alive_us);
+  acc.U128(totals.service_us);
   acc.U64(totals.yearly_service_us.size());
   for (U128 v : totals.yearly_service_us) {
-    WriteU128(acc, v);
+    acc.U128(v);
   }
   acc.U64(totals.device_failures);
   acc.U64(totals.device_replacements);
@@ -600,8 +589,8 @@ bool LoadShardSnapshot(const std::string& path, const DistrictConfig& config,
 
   ByteReader acc = reader.Chunk(kShardAccumChunk);
   rs.barrier_us = acc.I64();
-  rs.base.alive_us = ReadU128(acc);
-  rs.base.service_us = ReadU128(acc);
+  rs.base.alive_us = acc.U128();
+  rs.base.service_us = acc.U128();
   const uint64_t year_count = acc.U64();
   if (!acc.ok() || year_count != years || year_count > acc.remaining() / 16) {
     *error = "accumulator chunk truncated or mis-shaped";
@@ -609,7 +598,7 @@ bool LoadShardSnapshot(const std::string& path, const DistrictConfig& config,
   }
   rs.base.yearly_service_us.resize(years);
   for (uint32_t y = 0; y < years; ++y) {
-    rs.base.yearly_service_us[y] = ReadU128(acc);
+    rs.base.yearly_service_us[y] = acc.U128();
   }
   rs.base.device_failures = acc.U64();
   rs.base.device_replacements = acc.U64();

@@ -132,12 +132,6 @@ std::vector<std::string> FiftyYearConfig::Validate() const {
     diagnostics.push_back("negative device_replacement_delay: replacements cannot be "
                           "scheduled in the past");
   }
-  if (sampling.enabled()) {
-    diagnostics.push_back(
-        "sampled time advance is not supported for fifty_year: the "
-        "packet-level radio medium has no analytic fast-forward (use the "
-        "district or century experiments)");
-  }
   return diagnostics;
 }
 

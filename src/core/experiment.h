@@ -26,7 +26,6 @@
 #include "src/sim/metrics.h"
 #include "src/sim/profiler.h"
 #include "src/sim/run_progress.h"
-#include "src/sim/sampling.h"
 #include "src/sim/time.h"
 
 namespace centsim {
@@ -76,12 +75,6 @@ struct FiftyYearConfig {
   // events consume scheduler sequence numbers, which can perturb
   // same-timestamp tie order relative to an unflushed run.
   SimTime telemetry_flush_period;
-
-  // Sampled time advance (src/sim/sampling.h). The fifty-year experiment's
-  // packet-level radio medium has no analytic fast-forward yet, so only
-  // the default (kDetailed) is accepted; the field exists so ensemble
-  // tooling can carry one plan type across all three experiments.
-  SamplingPlan sampling;
 
   // Actionable diagnostics for configs that cannot produce a meaningful
   // run (no devices, non-positive horizon, report interval beyond the

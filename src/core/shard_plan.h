@@ -2,11 +2,13 @@
 // across cores. A default-constructed plan (shards == 0) selects the serial
 // engine — the path every golden digest is pinned against. Any shards > 0
 // selects the sharded engine, whose results are bit-identical across ANY
-// shard count and worker count (including shards == 1), but intentionally
-// distinct from the serial engine's: the sharded engine derives per-entity
-// RNG streams and integrates availability in integers so its merge is
-// order-free, where the serial engine threads one RNG through a global
-// event order. See DESIGN.md "Sharded engine".
+// shard count and worker count (including shards == 1). The sharded
+// district derives per-entity RNG streams and integrates availability in
+// integers so its merge is order-free, and so differs from the serial
+// district, which threads one RNG through a global event order. The
+// century's serial run and its lanes are one detailed driver, so a sharded
+// century gives the serial report, with Kaplan-Meier observations in lane
+// order. See DESIGN.md "Sharded engine".
 
 #ifndef SRC_CORE_SHARD_PLAN_H_
 #define SRC_CORE_SHARD_PLAN_H_
@@ -24,7 +26,8 @@ class FlightRecorder;
 
 struct ShardPlan {
   // Number of shard lanes. 0 = serial engine (default; goldens preserved
-  // byte-for-byte). 1..N = sharded engine; digests are invariant in N.
+  // byte-for-byte). 1..N = sharded engine; digests are invariant in N
+  // (and, for the century, equal to the serial engine's).
   uint32_t shards = 0;
   // Worker threads driving the lanes. 0 = one per shard. Results never
   // depend on this — only wall clock does.

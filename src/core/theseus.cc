@@ -1,50 +1,68 @@
+// The century scenario's detailed engine, serial and sharded (see theseus.h).
+//
+// One driver, DetailedCentury, advances the century model over a range of
+// sites on one scheduler: the whole fleet for the serial run, one contiguous
+// column range per shard lane. Century sites never interact, so lanes need
+// no cross-shard traffic: no bus, no gateway timelines, and NextBound() is
+// just each lane's earliest pending event.
+//
+// Determinism: every lifetime draw is keyed by (global site index, unit
+// generation) and the availability integral is exact integer
+// site-microseconds (AliveSeconds), so lanes merge order-free. The report is
+// the same at any shard, worker or window count, and equal to the serial
+// run's. Kaplan-Meier observations are concatenated in lane order (failures
+// then survivors per lane): one lane gives the serial sequence, more lanes
+// the same multiset in another order.
+//
+// Snapshot checkpointing runs only serially (the TimerTable capture assumes
+// one scheduler); requesting it with shards is a config error, reported
+// fail-fast.
+
 #include "src/core/theseus.h"
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/core/century_model.h"
+#include "src/mgmt/batch_project.h"
 #include "src/sim/ensemble.h"
+#include "src/sim/shard_coordinator.h"
+#include "src/sim/thread_pool.h"
 
 namespace centsim {
 namespace {
 
-// The serial engine: one scheduler, every domain timer routed through a
-// TimerTable (see src/snapshot/timer_table.h) so checkpoints can save
-// pending visits and failures as plain records and restored runs re-arm
-// them bit-identically. Failures are scheduled through InlineFn-sized
-// captures ([this, idx, life]); the availability integral advances at
-// every alive-count transition.
-class SerialCentury {
+// The detailed driver over sites [begin, end) of the config's fleet, on
+// `sim`'s scheduler. Every domain timer goes through a TimerTable, so
+// checkpoints can save pending visits and failures as plain records and
+// restored runs re-arm them bit-identically; the table keeps records only
+// when the run writes checkpoints. Failures are scheduled through
+// InlineFn-sized captures ([this, idx, life]); the availability integral
+// advances at every alive-count transition.
+class DetailedCentury {
  public:
-  SerialCentury(Simulation& sim, const CenturyConfig& config, CenturyReport& report)
+  DetailedCentury(Simulation& sim, const CenturyConfig& config, CenturyReport& report,
+                  uint32_t begin, uint32_t end, FlightRecorder* recorder)
       : sim_(sim),
         config_(config),
-        model_(sim, config, report, 0, config.fleet_size, config.control.recorder),
-        // Timer records exist only to be Save()d; a run that will never
-        // write a checkpoint routes timers through untracked (free).
-        timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0) {}
-
-  void Run() {
-    BatchProjectScheduler batches(sim_, config_.batch,
-                                  [this](uint32_t zone, uint32_t) { OnZoneVisit(zone); });
-    batches.SetVisitScheduler(
+        model_(sim, config, report, begin, end, recorder),
+        timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0),
+        batches_(sim, config.batch, [](uint32_t, uint32_t) {}) {
+    batches_.SetVisitScheduler(
         [this](SimTime at, uint32_t zone, uint32_t cycle) { ArmVisit(at, zone, cycle); });
     RegisterTimerRearms();
+  }
 
-    const bool resumed =
-        model_.Resume([this](const std::vector<TimerRecord>& records, std::string* error) {
-          if (timers_.Restore(records) != 0) {
-            *error = "snapshot carries timer tags this driver does not register";
-            return false;
-          }
-          return true;
-        });
-    if (!resumed) {
-      batches.ScheduleThrough(config_.horizon);
-      // Initial roll-out: all sites deployed in year 0.
-      for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-        DeploySiteAt(idx, sim_.Now());
-      }
-    }
+  // The serial engine: the whole fleet, recording into the run's recorder.
+  DetailedCentury(Simulation& sim, const CenturyConfig& config, CenturyReport& report)
+      : DetailedCentury(sim, config, report, 0, config.fleet_size, config.control.recorder) {}
 
+  // The serial run: starts, writes a checkpoint at every grid point, and
+  // runs to the horizon.
+  void Run() {
+    Start();
     if (config_.snapshot.checkpoint_every.micros() > 0) {
       // Fixed barrier grid regardless of where the run (re)started.
       const int64_t every = config_.snapshot.checkpoint_every.micros();
@@ -55,9 +73,35 @@ class SerialCentury {
       }
     }
     sim_.RunUntil(config_.horizon);
+    Finish();
+  }
+
+  // Resumes from the plan's snapshot, or schedules the batch visits through
+  // the horizon and deploys every site (the initial roll-out, year 0).
+  void Start() {
+    const bool resumed =
+        model_.Resume([this](const std::vector<TimerRecord>& records, std::string* error) {
+          if (timers_.Restore(records) != 0) {
+            *error = "snapshot carries timer tags this driver does not register";
+            return false;
+          }
+          return true;
+        });
+    if (!resumed) {
+      batches_.ScheduleThrough(config_.horizon);
+      for (uint32_t idx = 0; idx < model_.size(); ++idx) {
+        DeploySiteAt(idx, sim_.Now());
+      }
+    }
+  }
+
+  // Closes the integral at the horizon and censors the survivors.
+  void Finish() {
     Accumulate(config_.horizon);
     model_.Finish();
   }
+
+  const CenturyModel& model() const { return model_; }
 
   // --- Model hooks --------------------------------------------------------
 
@@ -82,13 +126,18 @@ class SerialCentury {
   }
 
  private:
-  void Accumulate(SimTime now) { model_.alive().AccumulateTo(now, model_.fleet().alive_count()); }
+  void Accumulate(SimTime now) {
+    AliveSeconds& alive = model_.alive();
+    alive.AddSpan(alive.last_change, now, static_cast<int64_t>(model_.fleet().alive_count()));
+    alive.last_change = now;
+  }
 
   // --- Domain timers (all routed through the TimerTable) ------------------
 
   void ArmVisit(SimTime at, uint32_t zone, uint32_t cycle) {
     timers_.Schedule(at, kCenturyTimerVisit, zone, cycle, 0.0,
-                     [this, zone] { OnZoneVisit(zone); }, kCenturyVisit);
+                     [this, zone] { model_.ZoneVisitAt(zone, sim_.Now(), *this); },
+                     kCenturyVisit);
   }
 
   void ArmSiteFailure(SimTime at, uint32_t idx, SimTime life) {
@@ -116,12 +165,55 @@ class SerialCentury {
     model_.SiteFailAt(idx, sim_.Now(), life);
   }
 
-  void OnZoneVisit(uint32_t zone) { model_.ZoneVisitAt(zone, sim_.Now(), *this); }
-
   Simulation& sim_;
   const CenturyConfig& config_;
   CenturyModel model_;
   TimerTable timers_;
+  BatchProjectScheduler batches_;
+};
+
+// One shard lane: the detailed driver over the lane's column range, on the
+// lane's own simulation, with a lane-local report that the main thread
+// merges in lane order.
+class CenturyShardLane final : public ShardLane {
+ public:
+  CenturyShardLane(const CenturyConfig& config, uint32_t begin, uint32_t end,
+                   FlightRecorder* recorder)
+      : sim_(config.seed), driver_(sim_, config, report_, begin, end, recorder) {
+    sim_.trace().set_min_level(TraceLevel::kFailure);
+    sim_.trace().EnableRetention(false);
+  }
+
+  // No cross-shard lookahead to publish.
+  void Setup(SimTime /*cover*/) override { driver_.Start(); }
+
+  SimTime NextBound() override { return sim_.scheduler().EarliestPending(); }
+
+  void RunWindow(SimTime barrier, SimTime /*cover*/) override {
+    sim_.scheduler().DrainToBarrier(barrier);
+  }
+
+  Scheduler& sched() override { return sim_.scheduler(); }
+
+  // Main thread, lanes quiescent: finishes the lane, then adds its integral
+  // to `alive` and its counters and survival observations to `out`.
+  void FinishInto(AliveSeconds& alive, CenturyReport& out) {
+    driver_.Finish();
+    alive.Add(driver_.model().alive());
+    out.total_failures += report_.total_failures;
+    out.total_replacements += report_.total_replacements;
+    out.proactive_replacements += report_.proactive_replacements;
+    out.units_deployed += report_.units_deployed;
+    out.max_unit_generations = std::max(out.max_unit_generations, report_.max_unit_generations);
+    for (const SurvivalObservation& o : report_.unit_survival.observations()) {
+      out.unit_survival.Observe(o);
+    }
+  }
+
+ private:
+  Simulation sim_;
+  CenturyReport report_;  // Lane-local counters and survival observations.
+  DetailedCentury driver_;
 };
 
 }  // namespace
@@ -175,7 +267,53 @@ CenturyReport RunCenturyScenario(const CenturyConfig& config) {
     return RunShardedCenturyScenario(config);
   }
   CheckConfigOrDie("century", config.Validate());
-  return RunCenturyEngine<SerialCentury>(config);
+  return RunCenturyEngine<DetailedCentury>(config);
+}
+
+CenturyReport RunShardedCenturyScenario(const CenturyConfig& config) {
+  std::vector<std::string> diagnostics = config.Validate();
+  if (config.shard.shards == 0) {
+    diagnostics.push_back("shard.shards is zero: the sharded engine needs at least one lane "
+                          "(use RunCenturyScenario for the serial engine)");
+  }
+  if (config.snapshot.enabled()) {
+    diagnostics.push_back("snapshot checkpoint/resume is not supported by the sharded "
+                          "century engine: run with shard.shards = 0 to checkpoint, or use "
+                          "the sharded district engine which supports both");
+  }
+  CheckConfigOrDie("century-shard", diagnostics);
+
+  const uint32_t shards = std::min(config.shard.shards, config.fleet_size);
+  std::vector<std::unique_ptr<CenturyShardLane>> lanes;
+  std::vector<ShardLane*> lane_ptrs;
+  const uint32_t per_lane = config.fleet_size / shards;
+  const uint32_t remainder = config.fleet_size % shards;
+  uint32_t begin = 0;
+  for (uint32_t i = 0; i < shards; ++i) {
+    const uint32_t end = begin + per_lane + (i < remainder ? 1 : 0);
+    FlightRecorder* recorder =
+        i < config.shard.shard_recorders.size() ? config.shard.shard_recorders[i] : nullptr;
+    lanes.push_back(std::make_unique<CenturyShardLane>(config, begin, end, recorder));
+    lane_ptrs.push_back(lanes.back().get());
+    begin = end;
+  }
+
+  ThreadPool pool(config.shard.workers != 0 ? config.shard.workers : shards);
+  ShardWindowOptions opts;
+  opts.horizon = config.horizon;
+  opts.window =
+      config.shard.window.micros() > 0 ? config.shard.window : SimTime::Days(90);
+  opts.progress = config.shard.shard_progress;
+  opts.replica_progress = config.control.progress;
+
+  CenturyReport report;
+  report.events_executed = RunShardWindows(pool, lane_ptrs, opts);
+  AliveSeconds alive(config.horizon);
+  for (auto& lane : lanes) {
+    lane->FinishInto(alive, report);
+  }
+  alive.FillAvailability(config.horizon, config.fleet_size, report);
+  return report;
 }
 
 }  // namespace centsim

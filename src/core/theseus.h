@@ -63,13 +63,13 @@ struct CenturyConfig {
   // resumed/branched run.
   SnapshotPlan snapshot;
 
-  // Intra-run sharding (src/core/theseus_shard.cc). shards == 0 (default)
-  // runs the serial engine — golden digests unchanged. shards > 0 splits
-  // the fleet into contiguous column ranges advanced in parallel (sites
-  // never interact, so there is no cross-shard traffic); results are
-  // bit-identical across any shards/workers/window choice but differ from
-  // the serial engine's event-order-dependent KaplanMeier observation
-  // sequence. Snapshot checkpointing is not supported under sharding.
+  // Intra-run sharding (src/core/theseus.cc). shards == 0 (default) runs
+  // the serial engine; shards > 0 splits the fleet into contiguous column
+  // ranges advanced in parallel by the same detailed driver (sites never
+  // interact, so there is no cross-shard traffic). The report equals the
+  // serial one at any shards/workers/window choice, except that
+  // Kaplan-Meier observations come in lane order (one lane gives the
+  // serial order). Snapshot checkpointing is not supported under sharding.
   ShardPlan shard;
 
   // Sampled time advance (src/sim/sampling.h, src/core/theseus_sampled.cc).
@@ -111,11 +111,13 @@ struct CenturyReport {
   std::vector<MetricCi> metric_cis;     // Per-metric window-mean intervals.
 };
 
-// Dispatches to the sampled engine when config.sampling.enabled() and to
-// the sharded engine when config.shard.enabled().
+// Dispatches to the sampled engine when config.sampling.enabled(), to the
+// sharded engine when config.shard.enabled(), and else runs the serial
+// engine: the detailed driver over the whole fleet.
 CenturyReport RunCenturyScenario(const CenturyConfig& config);
 
-// The sharded engine directly (config.shard.shards must be > 0).
+// The sharded engine directly (config.shard.shards must be > 0): one
+// detailed driver per lane, merged into the serial engine's report.
 CenturyReport RunShardedCenturyScenario(const CenturyConfig& config);
 
 // The sampled engine directly (config.sampling.mode must be kSampled).

@@ -1,6 +1,6 @@
 // Sampled time advance for the century scenario (ROADMAP item 2).
 //
-// The serial engine (theseus.cc) pushes every site failure and zone visit
+// The detailed driver (theseus.cc) pushes every site failure and zone visit
 // through the event heap and samples each unit life as the minimum of ~8
 // per-component inverse-CDF draws. This engine runs the same scenario as a
 // two-level machine driven by a SamplingController (src/sim/sampling.h):
@@ -85,7 +85,7 @@ class SampledCentury {
     // Close the survivors' open alive intervals at the horizon.
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
       if (model_.fleet().alive(idx)) {
-        model_.alive().AddSpan(model_.fleet().deployed_at(idx), config_.horizon, 1.0);
+        model_.alive().AddSpan(model_.fleet().deployed_at(idx), config_.horizon, 1);
       }
     }
     model_.Finish();
@@ -162,7 +162,7 @@ class SampledCentury {
   // integral always, plus the clipped in-window share while measuring.
   void CloseAliveInterval(uint32_t idx, SimTime end) {
     const SimTime start = model_.fleet().deployed_at(idx);
-    model_.alive().AddSpan(start, end, 1.0);
+    model_.alive().AddSpan(start, end, 1);
     if (in_window_) {
       const SimTime clipped = std::max(start, win_w0_);
       if (end > clipped) {
@@ -436,7 +436,7 @@ class SampledCentury {
     AliveSeconds at_barrier = model_.alive();
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
       if (model_.fleet().alive(idx)) {
-        at_barrier.AddSpan(model_.fleet().deployed_at(idx), barrier, 1.0);
+        at_barrier.AddSpan(model_.fleet().deployed_at(idx), barrier, 1);
       }
     }
     at_barrier.last_change = barrier;
@@ -452,10 +452,10 @@ class SampledCentury {
     const SimTime barrier = sim_.Now();
     const DeviceFleet& fleet = model_.fleet();
     AliveSeconds& alive = model_.alive();
-    alive.AddSpan(alive.last_change, barrier, static_cast<double>(fleet.alive_count()));
+    alive.AddSpan(alive.last_change, barrier, static_cast<int64_t>(fleet.alive_count()));
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
       if (fleet.alive(idx)) {
-        alive.AddSpan(fleet.deployed_at(idx), barrier, -1.0);
+        alive.AddSpan(fleet.deployed_at(idx), barrier, -1);
       }
     }
 

@@ -49,12 +49,12 @@ std::string ExperimentDiary::Render(size_t max_entries) const {
                             : 1;
   for (size_t i = 0; i < entries_.size(); i += stride) {
     const auto& e = entries_[i];
-    out += "[" + e.at.ToString() + "] " + TraceLevelName(e.level) + " " + e.component + ": " +
-           e.text + "\n";
+    out.append("[").append(e.at.ToString()).append("] ").append(TraceLevelName(e.level));
+    out.append(" ").append(e.component).append(": ").append(e.text).append("\n");
   }
   if (stride > 1) {
-    out += "(" + std::to_string(entries_.size()) + " entries total, 1-in-" +
-           std::to_string(stride) + " shown)\n";
+    out.append("(").append(std::to_string(entries_.size())).append(" entries total, 1-in-");
+    out.append(std::to_string(stride)).append(" shown)\n");
   }
   return out;
 }

@@ -58,7 +58,7 @@ enum class SimMode : uint8_t {
 const char* SimModeName(SimMode mode);
 
 // Sampling knobs carried by experiment configs (DistrictConfig,
-// CenturyConfig, FiftyYearConfig), styled after SnapshotPlan/ShardPlan: a
+// CenturyConfig), styled after SnapshotPlan/ShardPlan: a
 // default-constructed plan means "serial engine, byte-for-byte" and every
 // golden digest is unchanged.
 struct SamplingPlan {

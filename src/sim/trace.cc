@@ -19,7 +19,9 @@ const char* TraceLevelName(TraceLevel level) {
 }
 
 std::string TraceRecord::ToString() const {
-  std::string out = "[" + at.ToString() + "] ";
+  std::string out = "[";
+  out += at.ToString();
+  out += "] ";
   out += TraceLevelName(level);
   out += " ";
   out += component;

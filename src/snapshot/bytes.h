@@ -31,6 +31,12 @@ class ByteWriter {
   void U32(uint32_t v) { AppendLe(v); }
   void U64(uint64_t v) { AppendLe(v); }
   void I64(int64_t v) { AppendLe(static_cast<uint64_t>(v)); }
+  // 128-bit integers travel as two u64s, low half first.
+  void U128(unsigned __int128 v) {
+    U64(static_cast<uint64_t>(v));
+    U64(static_cast<uint64_t>(v >> 64));
+  }
+  void I128(__int128 v) { U128(static_cast<unsigned __int128>(v)); }
   void F64(double v) { AppendLe(std::bit_cast<uint64_t>(v)); }
 
   void Bytes(const void* data, size_t size) {
@@ -77,6 +83,12 @@ class ByteReader {
   uint32_t U32() { return static_cast<uint32_t>(TakeLe(4)); }
   uint64_t U64() { return TakeLe(8); }
   int64_t I64() { return static_cast<int64_t>(TakeLe(8)); }
+  unsigned __int128 U128() {
+    const uint64_t lo = U64();
+    const uint64_t hi = U64();
+    return (static_cast<unsigned __int128>(hi) << 64) | lo;
+  }
+  __int128 I128() { return static_cast<__int128>(U128()); }
   double F64() { return std::bit_cast<double>(TakeLe(8)); }
 
   std::string Str() {

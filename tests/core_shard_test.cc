@@ -256,7 +256,7 @@ TEST(DistrictShardTest, ResumedRunCheckpointsOnlyAfterItsRestorePoint) {
   }
 }
 
-// --- Century: shard invariance and serial-counter parity ------------------
+// --- Century: shard invariance and serial parity ---------------------------
 
 TEST(CenturyShardTest, DigestInvariantAcrossShardCounts) {
   CenturyConfig cfg = SmallCentury();
@@ -278,21 +278,17 @@ TEST(CenturyShardTest, DigestInvariantAcrossShardCounts) {
 }
 
 TEST(CenturyShardTest, ShardedCountersMatchSerialEngine) {
-  // The sharded century engine derives the SAME per-site lifetime streams
-  // the serial engine draws (entity-keyed, not order-dependent), so the
-  // integer population counters agree exactly; only the availability
-  // integrals differ in representation (u128-exact vs double-summed).
+  // The serial run and every lane run the same detailed driver: the same
+  // per-site lifetime streams (entity-keyed, not order-dependent) and the
+  // same exact integer availability integral, so the whole digest agrees,
+  // availability included.
   CenturyConfig cfg = SmallCentury();
   const CenturyReport serial = RunCenturyScenario(cfg);
   cfg.shard.shards = 3;
   const CenturyReport sharded = RunCenturyScenario(cfg);
 
-  EXPECT_EQ(sharded.total_failures, serial.total_failures);
-  EXPECT_EQ(sharded.total_replacements, serial.total_replacements);
-  EXPECT_EQ(sharded.proactive_replacements, serial.proactive_replacements);
-  EXPECT_EQ(sharded.units_deployed, serial.units_deployed);
-  EXPECT_EQ(sharded.max_unit_generations, serial.max_unit_generations);
-  EXPECT_NEAR(sharded.mean_availability, serial.mean_availability, 1e-9);
+  EXPECT_GT(serial.total_failures, 0u);
+  EXPECT_EQ(CenturyDigest(sharded), CenturyDigest(serial));
 }
 
 TEST(CenturyShardTest, DigestInvariantAcrossWorkersAndWindows) {

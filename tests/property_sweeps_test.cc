@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <tuple>
 
+#include "src/core/theseus.h"
 #include "src/radio/link_budget.h"
 #include "src/radio/lora.h"
 #include "src/reliability/component.h"
@@ -13,6 +16,7 @@
 #include "src/sim/random.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/stats.h"
+#include "src/telemetry/run_manifest.h"
 
 namespace centsim {
 namespace {
@@ -148,6 +152,96 @@ TEST_P(WeibullConditional, RemainingLifeMatchesConditionalSurvival) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, WeibullConditional, ::testing::Values(0.6, 1.0, 2.0, 4.0));
+
+// --- Century: one answer from every engine layout -----------------------
+//
+// The serial run and each shard lane run one detailed driver, and every
+// engine integrates availability in exact integer site-microseconds. So
+// over device classes, refresh ages, life improvement and whole or
+// fractional horizons (a partial last year), the serial digest equals the
+// digest at any lane count, and the sampled engine's availability does not
+// move with where its windows land.
+
+// Device class, proactive refresh age (years), life improvement per
+// decade, horizon (years).
+using CenturyPoint = std::tuple<DeviceClassKind, int, double, double>;
+
+class CenturyEngineParity : public ::testing::TestWithParam<CenturyPoint> {
+ protected:
+  static CenturyConfig Config() {
+    const auto [device_class, refresh_years, improvement, horizon_years] = GetParam();
+    CenturyConfig cfg;
+    cfg.seed = 31;
+    cfg.fleet_size = 60;
+    cfg.horizon = SimTime::Years(horizon_years);
+    cfg.device_class = device_class;
+    cfg.batch.zone_count = 4;
+    cfg.batch.cycle_period = SimTime::Years(4);
+    cfg.proactive_refresh_age = SimTime::Years(refresh_years);
+    cfg.life_improvement_per_decade = improvement;
+    return cfg;
+  }
+
+  static CenturyConfig Sampled(SimTime window, SimTime period) {
+    CenturyConfig cfg = Config();
+    cfg.sampling.mode = SimMode::kSampled;
+    cfg.sampling.detailed_window = window;
+    cfg.sampling.sample_period = period;
+    cfg.sampling.min_windows = 4;
+    cfg.sampling.ci_target = 0.05;
+    return cfg;
+  }
+};
+
+std::string CenturyDigest(const CenturyReport& r) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  out << r.mean_availability << '|' << r.min_yearly_availability << '|' << r.total_failures
+      << '|' << r.total_replacements << '|' << r.proactive_replacements << '|'
+      << r.units_deployed << '|' << r.max_unit_generations;
+  for (double v : r.yearly_availability) {
+    out << '|' << v;
+  }
+  return ConfigDigest(out.str());
+}
+
+TEST_P(CenturyEngineParity, SerialDigestEqualsEveryLaneCount) {
+  CenturyConfig cfg = Config();
+  const CenturyReport serial = RunCenturyScenario(cfg);
+  ASSERT_GT(serial.total_failures, 0u);
+  const std::string digest = CenturyDigest(serial);
+  for (const uint32_t shards : {1u, 2u, 5u}) {
+    cfg.shard.shards = shards;
+    EXPECT_EQ(CenturyDigest(RunCenturyScenario(cfg)), digest) << "shards=" << shards;
+  }
+}
+
+TEST_P(CenturyEngineParity, SampledAvailabilityInvariantUnderWindowPlacement) {
+  const CenturyReport sparse = RunCenturyScenario(Sampled(SimTime::Days(7), SimTime::Days(170)));
+  const CenturyReport dense = RunCenturyScenario(Sampled(SimTime::Days(45), SimTime::Days(90)));
+  ASSERT_NE(sparse.sim_skipped_us, dense.sim_skipped_us);
+  EXPECT_EQ(sparse.mean_availability, dense.mean_availability);
+  EXPECT_EQ(sparse.yearly_availability, dense.yearly_availability);
+}
+
+std::string CenturyPointName(const ::testing::TestParamInfo<CenturyPoint>& info) {
+  const auto [device_class, refresh_years, improvement, horizon_years] = info.param;
+  std::string name =
+      device_class == DeviceClassKind::kBatteryPowered ? "Battery" : "Harvesting";
+  name += "Refresh";
+  name += std::to_string(refresh_years);
+  name += improvement == 1.0 ? "SameLife" : "LongerLife";
+  name += horizon_years == std::floor(horizon_years) ? "WholeYears" : "PartialYear";
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, CenturyEngineParity,
+    ::testing::Combine(::testing::Values(DeviceClassKind::kBatteryPowered,
+                                         DeviceClassKind::kEnergyHarvesting),
+                       ::testing::Values(0, 10), ::testing::Values(1.0, 1.05),
+                       ::testing::Values(40.0, 37.5)),
+    CenturyPointName);
 
 }  // namespace
 }  // namespace centsim

@@ -45,7 +45,9 @@ TEST(MetricsRegistry, InstrumentPointersStableAcrossGrowth) {
   MetricsRegistry registry;
   Counter* first = registry.GetCounter("c0");
   for (int i = 1; i < 200; ++i) {
-    registry.GetCounter("c" + std::to_string(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    registry.GetCounter(name);
   }
   first->Increment();
   EXPECT_DOUBLE_EQ(registry.GetCounter("c0")->value(), 1.0);

@@ -62,6 +62,9 @@ TEST(BytesTest, RoundTripAllTypes) {
   w.U32(0xDEADBEEF);
   w.U64(0x0123456789ABCDEFULL);
   w.I64(-42);
+  const unsigned __int128 wide = (static_cast<unsigned __int128>(0x0123456789ABCDEFULL) << 64) | 7;
+  w.U128(wide);
+  w.I128(-static_cast<__int128>(wide >> 8));
   w.F64(-0.0);  // Signed zero must survive.
   w.Str("hello");
   w.F64Vec({1.5, -2.25});
@@ -72,6 +75,8 @@ TEST(BytesTest, RoundTripAllTypes) {
   EXPECT_EQ(r.U32(), 0xDEADBEEFu);
   EXPECT_EQ(r.U64(), 0x0123456789ABCDEFULL);
   EXPECT_EQ(r.I64(), -42);
+  EXPECT_TRUE(r.U128() == wide);
+  EXPECT_TRUE(r.I128() == -static_cast<__int128>(wide >> 8));
   const double z = r.F64();
   EXPECT_EQ(z, 0.0);
   EXPECT_TRUE(std::signbit(z));
@@ -590,7 +595,7 @@ std::string CenturyDigest(const CenturyReport& r) {
 
 // Golden pins from tests/core_fleet_test.cc (seed-scheduler parity digests).
 constexpr const char* kGoldenDistrictDigest = "838a9e16cbe806c2";
-constexpr const char* kGoldenCenturyDigest = "716acb8421dbc328";
+constexpr const char* kGoldenCenturyDigest = "01f81cad8cd9b9ed";
 
 DistrictConfig GoldenDistrictConfig() {
   DistrictConfig cfg;
@@ -834,7 +839,7 @@ TEST(CenturySnapshotTest, SiteFailureRecordMustMatchFleet) {
   const CenturyReport saved = RunCenturyScenario(cfg);
   ASSERT_EQ(saved.checkpoints_written, 1u);
   const std::vector<uint32_t> tags = {
-      SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('a', 'c', 'c', 'u'),
+      SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('a', 'l', 'i', 'v'),
       SnapshotTag('s', 'u', 'r', 'v'), SnapshotTag('t', 'i', 'm', 'r'),
       SnapshotTag('s', 'c', 'h', 'd')};
 
@@ -889,6 +894,38 @@ TEST(CenturySnapshotTest, SiteFailureRecordMustMatchFleet) {
     // The untouched checkpoint still resumes.
     resume->snapshot.resume_from = saved.last_checkpoint_path;
     EXPECT_GT(RunCenturyScenario(*resume).restore_seconds, 0.0);
+  }
+}
+
+// A `century` checkpoint keeps its availability integral as exact integer
+// site-microseconds in the 'aliv' chunk. A file without it, such as one
+// whose integral is the earlier format's double 'accu' chunk, is refused by
+// both readers with an error that names the chunk, not misread.
+TEST(CenturySnapshotTest, CheckpointWithoutIntegerChunkRefused) {
+  ScratchDir dir("century_no_integer_chunk");
+  CenturyConfig cfg;
+  cfg.seed = 3;
+  cfg.fleet_size = 100;
+  cfg.horizon = SimTime::Years(20);
+  cfg.batch.zone_count = 4;
+  cfg.batch.cycle_period = SimTime::Years(5);
+  cfg.snapshot.checkpoint_every = SimTime::Years(10);
+  cfg.snapshot.checkpoint_dir = dir.path();
+  const CenturyReport saved = RunCenturyScenario(cfg);
+  ASSERT_EQ(saved.checkpoints_written, 1u);
+  const std::string no_integral = ResealEdited(
+      saved.last_checkpoint_path, dir.path() + "/no_integral.snap",
+      {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('s', 'u', 'r', 'v'),
+       SnapshotTag('t', 'i', 'm', 'r'), SnapshotTag('s', 'c', 'h', 'd')},
+      UINT32_MAX);
+
+  CenturyConfig serial = cfg;
+  serial.snapshot = SnapshotPlan{};
+  CenturyConfig sampled = serial;
+  sampled.sampling.mode = SimMode::kSampled;
+  for (CenturyConfig* resume : {&serial, &sampled}) {
+    resume->snapshot.resume_from = no_integral;
+    EXPECT_DEATH(RunCenturyScenario(*resume), "no 'aliv' chunk");
   }
 }
 

@@ -88,9 +88,9 @@ void AliveSeconds::FillAvailability(SimTime horizon, uint32_t sites,
   report.mean_availability = total_site_seconds > 0 ? seconds(total) / total_site_seconds : 0;
   const std::vector<I128> per_year = Yearly();
   report.yearly_availability.resize(years());
-  const double year_site_seconds = SimTime::Years(1).ToSeconds() * sites;
   for (uint32_t y = 0; y < years(); ++y) {
-    report.yearly_availability[y] = seconds(per_year[y]) / year_site_seconds;
+    report.yearly_availability[y] =
+        seconds(per_year[y]) / (YearSpan(horizon, y).ToSeconds() * sites);
     report.min_yearly_availability =
         std::min(report.min_yearly_availability, report.yearly_availability[y]);
   }

@@ -1,12 +1,20 @@
 #include "src/core/district.h"
 
+#include <algorithm>
 #include <chrono>
+#include <memory>
+#include <span>
 
 #include "src/core/district_model.h"
 #include "src/sim/ensemble.h"
+#include "src/sim/thread_pool.h"
 
 namespace centsim {
 namespace {
+
+// The roll-out deploys the fleet in batches of at most this many sites, so
+// its draw buffers stay the size of a visit's, not of the fleet.
+constexpr uint32_t kRollOutBatch = 65536;
 
 // The serial engine: one scheduler, every domain timer routed through a
 // TimerTable so a checkpoint at a quiescent barrier saves each pending
@@ -16,6 +24,17 @@ namespace {
 // counters (device replacements, gateway failures), so draws depend on the
 // global event order. Scheduled closures capture [this, index] — two
 // words, well inside the event core's inline buffer.
+//
+// Device lives are drawn a batch at a time: a zone visit's dead sites, or
+// a slice of the roll-out. Each site's key is fixed before any of the
+// batch deploys, and a life is a pure function of its key, so a batch that
+// reaches SeriesSystem::kParallelLifeGrain is drawn on the spare cores
+// (SeriesSystem::SampleLives) and the sites then deploy and arm their
+// failures in site order, each timer taking the sequence number it took
+// when sites were drawn one at a time. The draw pool starts with the first
+// such batch, so a small district starts no thread, and never on a pool
+// worker: an ensemble replica or a branch draws inline, as its siblings
+// already hold the cores.
 class SerialDistrict {
  public:
   SerialDistrict(Simulation& sim, const DistrictConfig& config, DistrictReport& report)
@@ -24,7 +43,10 @@ class SerialDistrict {
         model_(sim, config, report),
         // Timer records exist only to be Save()d; a run that will never
         // write a checkpoint routes timers through untracked (free).
-        timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0) {}
+        timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0),
+        // The caller draws a chunk too. A one-core host, and a run on a
+        // pool worker, draw inline.
+        spare_cores_(ThreadPool::OnWorker() ? 0 : ThreadPool::DefaultThreadCount() - 1) {}
 
   void Run() {
     BatchProjectScheduler batches(sim_, DistrictBatches(config_),
@@ -47,9 +69,7 @@ class SerialDistrict {
         model_.SetGatewayAt(g, true, sim_.Now());
         ScheduleGatewayFailure(g);
       }
-      for (uint32_t d = 0; d < config_.device_count; ++d) {
-        DeployDeviceAt(d, sim_.Now());
-      }
+      RollOut();
     }
 
     const auto wall_start = std::chrono::steady_clock::now();
@@ -72,17 +92,59 @@ class SerialDistrict {
     model_.Finish();
   }
 
-  // Model hook: deploys the site's unit at `at` (== Now) and arms its
-  // failure from a counter-keyed life draw.
-  void DeployDeviceAt(uint32_t d, SimTime at) {
-    model_.DeployAt(d, at);
-    RandomStream dev_rng = model_.rng().Derive(0x64650000ULL + static_cast<uint64_t>(d) * 977 +
-                                               model_.report().device_replacements);
-    const SimTime life = model_.device_bom().SampleLife(dev_rng).life;
-    ArmDeviceFailure(at + life, d);
+  // Model hook: a visit's dead sites, ascending, at `at` (== Now). The
+  // model counts them as replacements afterwards; site k's life is keyed
+  // by the count it brings the run to, as if each were counted in turn.
+  void RedeployAt(std::span<const uint32_t> sites, SimTime at) {
+    uint64_t replacements = model_.report().device_replacements;
+    keys_.clear();
+    for (uint32_t d : sites) {
+      keys_.push_back(DeviceLifeKey(d, ++replacements));
+    }
+    const std::span<const SimTime> lives = DrawLives(keys_);
+    for (size_t k = 0; k < sites.size(); ++k) {
+      Deploy(sites[k], at, lives[k]);
+    }
   }
 
  private:
+  // --- Device deploys, a batch at a time --------------------------------
+
+  static uint64_t DeviceLifeKey(uint32_t d, uint64_t replacements) {
+    return 0x64650000ULL + static_cast<uint64_t>(d) * 977 + replacements;
+  }
+
+  // Every site at Now, keyed by the replacement count (zero on a fresh run).
+  void RollOut() {
+    const uint64_t replacements = model_.report().device_replacements;
+    for (uint32_t begin = 0; begin < config_.device_count; begin += kRollOutBatch) {
+      const uint32_t end = std::min(config_.device_count, begin + kRollOutBatch);
+      keys_.clear();
+      for (uint32_t d = begin; d < end; ++d) {
+        keys_.push_back(DeviceLifeKey(d, replacements));
+      }
+      const std::span<const SimTime> lives = DrawLives(keys_);
+      for (uint32_t d = begin; d < end; ++d) {
+        Deploy(d, sim_.Now(), lives[d - begin]);
+      }
+    }
+  }
+
+  // The lives keyed by `keys`, in order; valid until the next call.
+  std::span<const SimTime> DrawLives(std::span<const uint64_t> keys) {
+    if (pool_ == nullptr && spare_cores_ > 0 && keys.size() >= SeriesSystem::kParallelLifeGrain) {
+      pool_ = std::make_unique<ThreadPool>(spare_cores_);
+    }
+    lives_.resize(keys.size());
+    model_.device_bom().SampleLives(model_.rng(), keys, lives_, pool_.get());
+    return lives_;
+  }
+
+  void Deploy(uint32_t d, SimTime at, SimTime life) {
+    model_.DeployAt(d, at);
+    ArmDeviceFailure(at + life, d);
+  }
+
   // --- Domain timers (all routed through the TimerTable) ------------------
 
   void ArmVisit(SimTime at, uint32_t zone, uint32_t cycle) {
@@ -146,6 +208,11 @@ class SerialDistrict {
   const DistrictConfig& config_;
   DistrictModel model_;
   TimerTable timers_;
+  const uint32_t spare_cores_;        // Draw workers beside the caller.
+  std::unique_ptr<ThreadPool> pool_;  // Started by the first batch at the grain.
+  // One batch's life keys and drawn lives.
+  std::vector<uint64_t> keys_;
+  std::vector<SimTime> lives_;
 };
 
 }  // namespace
@@ -181,6 +248,10 @@ std::vector<std::string> DistrictConfig::Validate() const {
   }
   for (std::string& diagnostic : shard.Validate()) {
     diagnostics.push_back(std::move(diagnostic));
+  }
+  if (shard.enabled() && metrics != nullptr) {
+    diagnostics.push_back("metrics registry is not supported by the sharded district engine: "
+                          "run with shard.shards = 0 to bind metrics");
   }
   if (sampling.enabled()) {
     for (std::string& diagnostic : sampling.Validate()) {

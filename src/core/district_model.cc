@@ -417,9 +417,9 @@ void DistrictModel::Finish() {
   report_.mean_device_availability = alive_site_seconds_ / total;
   report_.mean_service_availability = service_site_seconds_ / total;
   report_.yearly_service.resize(years_);
-  const double year_total = SimTime::Years(1).ToSeconds() * config_.device_count;
   for (uint32_t y = 0; y < years_; ++y) {
-    report_.yearly_service[y] = yearly_service_seconds_[y] / year_total;
+    report_.yearly_service[y] = yearly_service_seconds_[y] /
+                                (YearSpan(config_.horizon, y).ToSeconds() * config_.device_count);
     report_.min_yearly_service = std::min(report_.min_yearly_service, report_.yearly_service[y]);
   }
 }

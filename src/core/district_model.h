@@ -7,9 +7,13 @@
 // at an explicit time), the service-availability accumulator, the
 // `district` snapshot chunks and report assembly. An engine keeps only how
 // time advances: which events it arms where, and how it keys its lifetime
-// draws. The sharded engine keeps its own lanes and integer accumulators
-// and takes the geometry, the per-cell service counts, the structural
-// digest and the transition categories from here.
+// draws. A zone visit hands the engine its dead sites as one ascending
+// batch: the serial engine draws the batch's lives together (on spare
+// cores once the batch is large) and then deploys in site order, the
+// sampled engine deploys one site at a time.
+// The sharded engine keeps its own lanes and integer accumulators and
+// takes the geometry, the per-cell service counts, the structural digest
+// and the transition categories from here.
 
 #ifndef SRC_CORE_DISTRICT_MODEL_H_
 #define SRC_CORE_DISTRICT_MODEL_H_
@@ -212,18 +216,20 @@ class DistrictModel {
     ++report_.device_failures;
   }
 
-  // A batch project reaches `zone`: every dead site is counted as a
-  // replacement and redeployed by `engine.DeployDeviceAt(d, at)`, the
-  // engine's deploy-and-arm.
+  // A batch project reaches `zone`: its dead sites, in one ascending
+  // batch, are redeployed by `engine.RedeployAt(sites, at)`, the engine's
+  // deploy-and-arm, and then counted as replacements.
   template <typename Engine>
   void ZoneVisitAt(uint32_t zone, SimTime at, Engine& engine) {
     Record(kDistrictVisit, at, zone);
+    visit_sites_.clear();
     for (uint32_t d : zone_sites_[zone]) {
       if (!fleet_.alive(d)) {
-        ++report_.device_replacements;
-        engine.DeployDeviceAt(d, at);
+        visit_sites_.push_back(d);
       }
     }
+    engine.RedeployAt(visit_sites_, at);
+    report_.device_replacements += visit_sites_.size();
   }
 
   void GatewayFailAt(uint32_t g, SimTime at);
@@ -292,6 +298,7 @@ class DistrictModel {
   const CoverageCells cells_;
   ServiceCounts service_;
   std::vector<std::vector<uint32_t>> zone_sites_;  // Ascending site indices.
+  std::vector<uint32_t> visit_sites_;              // The current visit's batch.
 
   SimTime last_change_;
   double alive_site_seconds_ = 0.0;

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <functional>
 #include <queue>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -102,14 +103,21 @@ class SampledDistrict {
     report.metric_cis = controller.MetricSummaries();
   }
 
-  // Model hook: deploys the site's unit and arms its keyed failure draw.
+  // Model hook: redeploys a visit's dead sites one at a time.
+  void RedeployAt(std::span<const uint32_t> sites, SimTime at) {
+    for (uint32_t d : sites) {
+      DeployDeviceAt(d, at);
+    }
+  }
+
+ private:
+  // Deploys the site's unit and arms its keyed failure draw.
   void DeployDeviceAt(uint32_t d, SimTime at) {
     model_.DeployAt(d, at);
     dev_fail_at_[d] = at + SampleDeviceLife(d);
     ArmNext(kDevFail, d, dev_fail_at_[d]);
   }
 
- private:
   struct Visit {
     SimTime at;
     uint32_t zone = 0;

@@ -620,10 +620,6 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
     diagnostics.push_back("shard.shards is zero: the sharded engine needs at least one lane "
                           "(use RunDistrictScenario for the serial engine)");
   }
-  if (config.metrics != nullptr) {
-    diagnostics.push_back("metrics registry is not supported by the sharded district engine: "
-                          "run with shard.shards = 0 to bind metrics");
-  }
   CheckConfigOrDie("district-shard", diagnostics);
 
   DistrictReport report;
@@ -714,9 +710,9 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
   report.mean_device_availability = U128Seconds(totals.alive_us) / total;
   report.mean_service_availability = U128Seconds(totals.service_us) / total;
   report.yearly_service.resize(years);
-  const double year_total = SimTime::Years(1).ToSeconds() * config.device_count;
   for (uint32_t y = 0; y < years; ++y) {
-    report.yearly_service[y] = U128Seconds(totals.yearly_service_us[y]) / year_total;
+    report.yearly_service[y] = U128Seconds(totals.yearly_service_us[y]) /
+                               (YearSpan(config.horizon, y).ToSeconds() * config.device_count);
     report.min_yearly_service = std::min(report.min_yearly_service, report.yearly_service[y]);
   }
   return report;

@@ -246,6 +246,11 @@ std::vector<std::string> CenturyConfig::Validate() const {
   for (std::string& diagnostic : shard.Validate()) {
     diagnostics.push_back(std::move(diagnostic));
   }
+  if (shard.enabled() && snapshot.enabled()) {
+    diagnostics.push_back("snapshot checkpoint/resume is not supported by the sharded "
+                          "century engine: run with shard.shards = 0 to checkpoint, or use "
+                          "the sharded district engine which supports both");
+  }
   if (sampling.enabled()) {
     for (std::string& diagnostic : sampling.Validate()) {
       diagnostics.push_back(std::move(diagnostic));
@@ -275,11 +280,6 @@ CenturyReport RunShardedCenturyScenario(const CenturyConfig& config) {
   if (config.shard.shards == 0) {
     diagnostics.push_back("shard.shards is zero: the sharded engine needs at least one lane "
                           "(use RunCenturyScenario for the serial engine)");
-  }
-  if (config.snapshot.enabled()) {
-    diagnostics.push_back("snapshot checkpoint/resume is not supported by the sharded "
-                          "century engine: run with shard.shards = 0 to checkpoint, or use "
-                          "the sharded district engine which supports both");
   }
   CheckConfigOrDie("century-shard", diagnostics);
 

@@ -1,7 +1,11 @@
 #include "src/reliability/component.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
+
+#include "src/sim/thread_pool.h"
 
 namespace centsim {
 namespace {
@@ -127,6 +131,36 @@ SeriesSystem::LifeDraw SeriesSystem::SampleLife(RandomStream& rng) const {
     }
   }
   return draw;
+}
+
+void SeriesSystem::SampleLives(const RandomStream& root, std::span<const uint64_t> keys,
+                               std::span<SimTime> lives, ThreadPool* pool) const {
+  assert(keys.size() == lives.size());
+  const auto draw = [this, &root, keys, lives](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      RandomStream rng = root.Derive(keys[i]);
+      lives[i] = SampleLife(rng).life;
+    }
+  };
+  const size_t n = keys.size();
+  if (pool == nullptr || n < kParallelLifeGrain) {
+    draw(0, n);
+    return;
+  }
+  // The caller and the workers claim grain-sized chunks until none is
+  // left, so a worker the host schedules late leaves its share to the
+  // others instead of holding the batch up.
+  std::atomic<size_t> next{0};
+  const auto claim = [&draw, &next, n] {
+    for (size_t begin; (begin = next.fetch_add(kParallelLifeGrain)) < n;) {
+      draw(begin, std::min(n, begin + kParallelLifeGrain));
+    }
+  };
+  for (uint32_t w = 0; w < pool->thread_count(); ++w) {
+    pool->Submit(claim);
+  }
+  claim();
+  pool->Wait();
 }
 
 double SeriesSystem::Survival(SimTime t) const {

@@ -11,13 +11,17 @@
 #ifndef SRC_RELIABILITY_COMPONENT_H_
 #define SRC_RELIABILITY_COMPONENT_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/reliability/hazard.h"
 
 namespace centsim {
+
+class ThreadPool;
 
 enum class ComponentClass : uint8_t {
   kBattery,           // Primary/secondary chemistry; calendar-life bound.
@@ -76,6 +80,17 @@ class SeriesSystem {
     size_t failing_component;  // Index into components(); SIZE_MAX if none.
   };
   LifeDraw SampleLife(RandomStream& rng) const;
+
+  // Sets lives[i] to SampleLife(root.Derive(keys[i])).life for every i
+  // (the spans have equal size). A life is a pure function of its key, so
+  // the batch equals the one-at-a-time loop bit for bit however it is
+  // split: given a pool and at least kParallelLifeGrain keys, contiguous
+  // chunks of that many keys run on the pool's workers and on the caller,
+  // which returns when all are done. The pool must have no other work in
+  // flight.
+  static constexpr size_t kParallelLifeGrain = 1024;
+  void SampleLives(const RandomStream& root, std::span<const uint64_t> keys,
+                   std::span<SimTime> lives, ThreadPool* pool) const;
 
   double Survival(SimTime t) const;
   // System MTTF by numerical integration of the product survival.

@@ -1,12 +1,24 @@
 #include "src/sim/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace centsim {
+namespace {
+
+thread_local bool t_on_worker = false;
+std::atomic<uint64_t> g_workers_started{0};
+
+}  // namespace
 
 ThreadPool::ThreadPool(uint32_t threads) {
   const uint32_t count = std::max(1u, threads);
+  g_workers_started.fetch_add(count, std::memory_order_relaxed);
   workers_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -40,6 +52,7 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::WorkerLoop() {
+  t_on_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -63,7 +76,19 @@ void ThreadPool::WorkerLoop() {
 }
 
 uint32_t ThreadPool::DefaultThreadCount() {
+#ifdef __linux__
+  cpu_set_t cpus;
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
+    return static_cast<uint32_t>(std::max(1, CPU_COUNT(&cpus)));
+  }
+#endif
   return std::max(1u, std::thread::hardware_concurrency());
+}
+
+bool ThreadPool::OnWorker() { return t_on_worker; }
+
+uint64_t ThreadPool::WorkersStarted() {
+  return g_workers_started.load(std::memory_order_relaxed);
 }
 
 }  // namespace centsim

@@ -39,9 +39,18 @@ class ThreadPool {
 
   uint32_t thread_count() const { return static_cast<uint32_t>(workers_.size()); }
 
-  // std::thread::hardware_concurrency with a floor of 1 (the standard
+  // The CPUs this process may run on: its affinity mask on Linux, else
+  // std::thread::hardware_concurrency, with a floor of 1 (the standard
   // allows it to report 0 when unknown).
   static uint32_t DefaultThreadCount();
+
+  // True on a worker thread of any pool. Work that could fan out on a
+  // pool of its own runs inline there: the worker's siblings already hold
+  // the cores.
+  static bool OnWorker();
+
+  // Worker threads started by every pool in the process so far.
+  static uint64_t WorkersStarted();
 
  private:
   void WorkerLoop();

@@ -65,6 +65,16 @@ class SimTime {
   int64_t micros_;
 };
 
+// The part of year `year` (0-based) that a run over [0, horizon) covers: a
+// whole year, except that the last year of a fractional horizon ends at the
+// horizon. Yearly rates divide by this span. Integer micros, so every year
+// of a whole-year horizon spans exactly Years(1).
+constexpr SimTime YearSpan(SimTime horizon, uint32_t year) {
+  const int64_t year_us = SimTime::Years(1).micros();
+  const int64_t left_us = horizon.micros() - static_cast<int64_t>(year) * year_us;
+  return SimTime::Micros(left_us < year_us ? left_us : year_us);
+}
+
 }  // namespace centsim
 
 #endif  // SRC_SIM_TIME_H_

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/sim/profiler.h"
+#include "src/sim/thread_pool.h"
 
 namespace centsim {
 namespace {
@@ -24,6 +25,15 @@ TEST(DistrictTest, PlansGatewaysAndCovers) {
   const auto report = RunDistrictScenario(QuickConfig());
   EXPECT_GT(report.gateway_count, 1u);
   EXPECT_GT(report.initial_coverage, 0.9);
+}
+
+// The serial run starts its draw pool with the first batch of
+// SeriesSystem::kParallelLifeGrain lives, which 800 sites never reach.
+TEST(DistrictTest, SmallDistrictStartsNoThread) {
+  const uint64_t before = ThreadPool::WorkersStarted();
+  const auto report = RunDistrictScenario(QuickConfig());
+  EXPECT_GT(report.device_replacements, 0u);
+  EXPECT_EQ(ThreadPool::WorkersStarted(), before);
 }
 
 TEST(DistrictTest, ServiceBoundedByDeviceAvailability) {

@@ -10,6 +10,7 @@
 #include "src/core/experiment_api.h"
 #include "src/core/montecarlo.h"
 #include "src/sim/ensemble.h"
+#include "src/sim/thread_pool.h"
 
 namespace centsim {
 namespace {
@@ -127,6 +128,34 @@ TEST(CoreEnsembleTest, DistrictExperimentRunsUnderEnsemble) {
               parallel.replicas[i].report.device_failures);
     EXPECT_GT(parallel.replicas[i].report.mean_service_availability, 0.0);
   }
+}
+
+// A district replica runs on an ensemble worker, so it draws its lives
+// inline and starts no pool of its own, although its 4,096-site roll-out
+// crosses SeriesSystem::kParallelLifeGrain. The same replica run on the
+// calling thread draws on the spare cores and reports the same.
+TEST(CoreEnsembleTest, DistrictReplicaDrawsInline) {
+  DistrictConfig cfg;
+  cfg.seed = 29;
+  cfg.device_count = 4096;
+  cfg.area_km2 = 25.6;
+  cfg.zone_grid = 2;
+  cfg.horizon = SimTime::Years(8);
+  const uint64_t before = ThreadPool::WorkersStarted();
+  const auto ensemble = EnsembleRunner<DistrictExperiment>::Run(cfg, Opts(2, 2));
+  EXPECT_EQ(ThreadPool::WorkersStarted() - before, 2u);  // The ensemble's own.
+
+  DistrictConfig alone_cfg = cfg;
+  alone_cfg.seed = ensemble.replicas[0].seed;
+  const uint64_t alone_before = ThreadPool::WorkersStarted();
+  const DistrictReport alone = RunDistrictScenario(alone_cfg);
+  EXPECT_EQ(ThreadPool::WorkersStarted() - alone_before, ThreadPool::DefaultThreadCount() - 1);
+  const DistrictReport& replica = ensemble.replicas[0].report;
+  EXPECT_GT(replica.device_replacements, 0u);
+  EXPECT_EQ(alone.device_failures, replica.device_failures);
+  EXPECT_EQ(alone.device_replacements, replica.device_replacements);
+  EXPECT_EQ(alone.mean_service_availability, replica.mean_service_availability);
+  EXPECT_EQ(alone.yearly_service, replica.yearly_service);
 }
 
 TEST(CoreEnsembleTest, CenturyExperimentRunsUnderEnsemble) {

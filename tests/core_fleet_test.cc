@@ -318,6 +318,35 @@ TEST(FleetGoldenTest, CenturyReportMatchesObjectGraphSeed) {
   EXPECT_EQ(digest, kGoldenCenturyDigest);
 }
 
+// The serial district draws device lives in parallel batches once a batch
+// reaches SeriesSystem::kParallelLifeGrain keys. Of the other district
+// pins, only the roll-out of the 1,500-site golden above reaches it, and
+// none of their zone visits do; this run's roll-out and zone visits
+// (29,930 replacements) do. Recorded from one-at-a-time draws, before the
+// draws were batched.
+TEST(EnginePinTest, SerialDistrictBatchedDraws) {
+  DistrictConfig cfg;
+  cfg.seed = 20260806;
+  cfg.device_count = 40000;
+  cfg.area_km2 = 250.0;
+  cfg.zone_grid = 2;
+  cfg.horizon = SimTime::Years(24);
+  const DistrictReport r = RunDistrictScenario(cfg);
+  std::ostringstream out;
+  out << std::hexfloat;
+  out << r.gateway_count << '|' << r.initial_coverage << '|' << r.mean_device_availability
+      << '|' << r.mean_service_availability << '|' << r.min_yearly_service << '|'
+      << r.device_failures << '|' << r.device_replacements << '|' << r.gateway_failures
+      << '|' << r.gateway_repairs;
+  for (double v : r.yearly_service) {
+    out << '|' << v;
+  }
+  const std::string digest = ConfigDigest(out.str());
+  std::printf("serial district batched-draw pin: %s\n", digest.c_str());
+  EXPECT_EQ(r.device_replacements, 29930u);
+  EXPECT_EQ(digest, "edc4aa498f3a0393");
+}
+
 // --- Engine parity pins ---------------------------------------------------
 //
 // The serial pins above cover only the default engine. These pin the

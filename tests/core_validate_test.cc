@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/experiment_api.h"
+#include "src/sim/metrics.h"
 
 namespace centsim {
 namespace {
@@ -88,6 +89,30 @@ TEST(ValidateTest, CenturyDiagnostics) {
   EXPECT_TRUE(AnyMentions(diagnostics, "fleet_size"));
   EXPECT_TRUE(AnyMentions(diagnostics, "cycle_period"));
   EXPECT_TRUE(AnyMentions(diagnostics, "life_improvement_per_decade"));
+}
+
+// Combinations an engine cannot run are refused up front, not when the run
+// starts.
+TEST(ValidateTest, ShardedCenturyRefusesSnapshotPlan) {
+  CenturyConfig cfg;
+  cfg.snapshot.checkpoint_every = SimTime::Years(10);
+  cfg.snapshot.checkpoint_dir = "checkpoints";
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.shard.shards = 2;
+  const auto diagnostics = cfg.Validate();
+  ASSERT_EQ(diagnostics.size(), 1u);
+  EXPECT_TRUE(AnyMentions(diagnostics, "snapshot checkpoint/resume is not supported"));
+}
+
+TEST(ValidateTest, ShardedDistrictRefusesMetricsRegistry) {
+  MetricsRegistry registry;
+  DistrictConfig cfg;
+  cfg.metrics = &registry;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.shard.shards = 2;
+  const auto diagnostics = cfg.Validate();
+  ASSERT_EQ(diagnostics.size(), 1u);
+  EXPECT_TRUE(AnyMentions(diagnostics, "metrics registry is not supported"));
 }
 
 TEST(ValidateTest, RunEntrypointsFailFastOnInvalidConfig) {

@@ -15,10 +15,12 @@ SPEC = {"end_to_end": [
 ]}
 
 
-def summarize(base_walls, change_walls, base_failed=(0, 20), change_failed=(0, 20)):
+def summarize(base_walls, change_walls, base_failed=(0, 20), change_failed=(0, 20),
+              hosts=None):
     """Runs the summary on one workload whose pairs have these wall times.
     Throughput is 100 / wall. The failed/attempted totals go on pair 0, and
-    the other pairs attempt nothing."""
+    the other pairs attempt nothing. `hosts` maps a side to its runs'
+    (nproc, load1); without it the log has no host fields."""
     with tempfile.TemporaryDirectory() as tmp:
         log = os.path.join(tmp, "runs.jsonl")
         spec = os.path.join(tmp, "BENCHMARK.json")
@@ -28,14 +30,18 @@ def summarize(base_walls, change_walls, base_failed=(0, 20), change_failed=(0, 2
             for side, walls, (failed, attempted) in (("base", base_walls, base_failed),
                                                     ("change", change_walls, change_failed)):
                 for pair, wall in enumerate(walls):
-                    f.write(json.dumps({
+                    result = {
                         "side": side, "workload": "synthetic", "pair": pair,
                         "correct": True,
                         "failed": failed if pair == 0 else 0,
                         "attempted": attempted if pair == 0 else 0,
                         "metrics": {"wall_s": {"value": wall},
                                     "device_years_per_s": {"value": 100.0 / wall}},
-                    }) + "\n")
+                    }
+                    if hosts is not None:
+                        nproc, load1 = hosts[side]
+                        result.update(host_nproc=nproc, host_load1=load1 + 0.1 * pair)
+                    f.write(json.dumps(result) + "\n")
         done = subprocess.run([sys.executable, SUMMARY, log, spec, "base"],
                               capture_output=True, text=True)
         return done.returncode, done.stdout
@@ -79,6 +85,17 @@ noisy_change = [13.0, 7.0, 12.0, 6.0, 10.0, 12.0, 8.0, 11.0, 9.0, 10.5]
 code, out = summarize(noisy_base, noisy_change)
 check("a noisy tie prints UNRESOLVED",
       code == 0 and row(out, "wall_s").endswith("UNRESOLVED"), out)
+
+code, out = summarize(steady, steady)
+check("a log without host fields prints them as not recorded",
+      code == 0 and row(out, "host:").strip() == "host: base not recorded; change not recorded",
+      out)
+
+code, out = summarize(steady, steady, hosts={"base": (4, 0.5), "change": (4, 2.0)})
+check("a log with host fields prints each side's nproc and load range",
+      code == 0 and row(out, "host:").strip() ==
+      "host: base nproc 4, load1 median 0.95 [0.50, 1.40] over 10 runs; "
+      "change nproc 4, load1 median 2.45 [2.00, 2.90] over 10 runs", out)
 
 for error in errors:
     print("FAIL " + error)

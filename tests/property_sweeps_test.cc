@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "src/core/district.h"
 #include "src/core/theseus.h"
 #include "src/radio/link_budget.h"
 #include "src/radio/lora.h"
@@ -242,6 +245,81 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 10), ::testing::Values(1.0, 1.05),
                        ::testing::Values(40.0, 37.5)),
     CenturyPointName);
+
+// --- A partial last year is a rate over the span it covers ----------------
+
+SamplingPlan HalfYearSampling() {
+  SamplingPlan plan;
+  plan.mode = SimMode::kSampled;
+  plan.detailed_window = SimTime::Days(7);
+  plan.sample_period = SimTime::Days(30);
+  plan.min_windows = 4;
+  plan.ci_target = 0.05;
+  return plan;
+}
+
+// Over a half-year horizon, year 0 is the whole run, so its rate is the
+// run's mean: exactly on the integer integrals (the century's, the sharded
+// district's), within rounding on the serial and sampled district's doubles.
+TEST(PartialYearTest, HalfYearHorizonReportsTheMeanAsYearZero) {
+  CenturyConfig century;
+  century.seed = 31;
+  century.fleet_size = 60;
+  century.horizon = SimTime::Years(0.5);
+  century.batch.zone_count = 4;
+  century.batch.cycle_period = SimTime::Days(60);
+  std::vector<CenturyConfig> centuries(3, century);
+  centuries[1].shard.shards = 2;
+  centuries[2].sampling = HalfYearSampling();
+  for (const CenturyConfig& cfg : centuries) {
+    const CenturyReport r = RunCenturyScenario(cfg);
+    ASSERT_EQ(r.yearly_availability.size(), 1u);
+    EXPECT_GT(r.mean_availability, 0.9);
+    EXPECT_EQ(r.yearly_availability[0], r.mean_availability)
+        << "shards " << cfg.shard.shards << ", sampled " << cfg.sampling.enabled();
+    EXPECT_EQ(r.min_yearly_availability, r.mean_availability);
+  }
+
+  DistrictConfig district;
+  district.seed = 31;
+  district.device_count = 400;
+  district.area_km2 = 4.0;
+  district.zone_grid = 2;
+  district.horizon = SimTime::Years(0.5);
+  district.batch_cycle = SimTime::Days(60);
+  std::vector<DistrictConfig> districts(3, district);
+  districts[1].shard.shards = 2;
+  districts[2].sampling = HalfYearSampling();
+  for (const DistrictConfig& cfg : districts) {
+    const DistrictReport r = RunDistrictScenario(cfg);
+    ASSERT_EQ(r.yearly_service.size(), 1u);
+    EXPECT_GT(r.mean_service_availability, 0.5);
+    if (cfg.shard.enabled()) {
+      EXPECT_EQ(r.yearly_service[0], r.mean_service_availability);
+    } else {
+      EXPECT_NEAR(r.yearly_service[0], r.mean_service_availability, 1e-12)
+          << "sampled " << cfg.sampling.enabled();
+    }
+  }
+}
+
+// A 37.5-year century's last half year is a rate like any other year's,
+// not about half of one.
+TEST(PartialYearTest, FractionalCenturyLastYearIsNotHalved) {
+  CenturyConfig cfg;
+  cfg.seed = 31;
+  cfg.fleet_size = 60;
+  cfg.horizon = SimTime::Years(37.5);
+  cfg.device_class = DeviceClassKind::kBatteryPowered;
+  cfg.batch.zone_count = 4;
+  cfg.batch.cycle_period = SimTime::Years(4);
+  const CenturyReport r = RunCenturyScenario(cfg);
+  ASSERT_EQ(r.yearly_availability.size(), 38u);
+  std::printf("century 37.5 y: year 36 %.4f, year 37 %.4f\n", r.yearly_availability[36],
+              r.yearly_availability[37]);
+  EXPECT_GT(r.yearly_availability[37], 0.75 * r.yearly_availability[36]);
+  EXPECT_LE(r.yearly_availability[37], 1.0);
+}
 
 }  // namespace
 }  // namespace centsim

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/sim/stats.h"
+#include "src/sim/thread_pool.h"
 
 namespace centsim {
 namespace {
@@ -112,6 +116,36 @@ TEST(SeriesSystemTest, SurvivalMonotoneNonIncreasing) {
     const double s = sys.Survival(SimTime::Years(y));
     EXPECT_LE(s, prev + 1e-12);
     prev = s;
+  }
+}
+
+// The batch draw is the single draw per key, bit for bit, on either side
+// of the parallel grain, with and without a pool, for every built-in BOM.
+TEST(SeriesSystemTest, SampleLivesEqualsOneDrawPerKey) {
+  ThreadPool pool(3);
+  const RandomStream root(20260806);
+  const SeriesSystem boms[] = {SeriesSystem::BatteryPoweredNode(),
+                               SeriesSystem::EnergyHarvestingNode(),
+                               SeriesSystem::RaspberryPiGateway(), SeriesSystem::HeliumHotspot()};
+  for (const SeriesSystem& bom : boms) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{1023}, size_t{1024}, size_t{5127}}) {
+      std::vector<uint64_t> keys(n);
+      std::vector<SimTime> expected(n);
+      for (size_t i = 0; i < n; ++i) {
+        keys[i] = 0x64650000ULL + i * 977 + i % 5;
+        RandomStream rng = root.Derive(keys[i]);
+        expected[i] = bom.SampleLife(rng).life;
+      }
+      for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+        std::vector<SimTime> lives(n, SimTime::Micros(-1));
+        bom.SampleLives(root, keys, lives, p);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(lives[i].micros(), expected[i].micros())
+              << bom.size() << "-part BOM, batch " << n << ", key " << i
+              << (p != nullptr ? ", pooled" : ", inline");
+        }
+      }
+    }
   }
 }
 

@@ -81,5 +81,24 @@ TEST(ThreadPoolTest, DefaultThreadCountPositive) {
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1u);
 }
 
+TEST(ThreadPoolTest, OnWorkerOnlyInsideTasks) {
+  EXPECT_FALSE(ThreadPool::OnWorker());
+  ThreadPool pool(2);
+  std::atomic<bool> inside{false};
+  pool.Submit([&inside] { inside = ThreadPool::OnWorker(); });
+  pool.Wait();
+  EXPECT_TRUE(inside.load());
+  EXPECT_FALSE(ThreadPool::OnWorker());
+}
+
+TEST(ThreadPoolTest, WorkersStartedCountsEveryPool) {
+  const uint64_t before = ThreadPool::WorkersStarted();
+  {
+    ThreadPool three(3);
+    ThreadPool clamped(0);
+  }
+  EXPECT_EQ(ThreadPool::WorkersStarted() - before, 4u);
+}
+
 }  // namespace
 }  // namespace centsim

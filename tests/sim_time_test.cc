@@ -60,6 +60,15 @@ TEST(SimTimeTest, MaxIsSentinel) {
   EXPECT_EQ(SimTime::Max().ToString(), "inf");
 }
 
+TEST(SimTimeTest, YearSpanEndsAtTheHorizon) {
+  const SimTime year = SimTime::Years(1);
+  EXPECT_EQ(YearSpan(SimTime::Years(3), 0), year);
+  EXPECT_EQ(YearSpan(SimTime::Years(3), 2), year);
+  EXPECT_EQ(YearSpan(SimTime::Years(37.5), 36), year);
+  EXPECT_EQ(YearSpan(SimTime::Years(37.5), 37), SimTime::Years(37.5) - SimTime::Years(37));
+  EXPECT_EQ(YearSpan(SimTime::Days(1), 0), SimTime::Days(1));
+}
+
 TEST(SimTimeTest, ToStringPicksUnits) {
   EXPECT_EQ(SimTime::Years(3).ToString(), "3.00y");
   EXPECT_EQ(SimTime::Days(2).ToString(), "2.00d");

@@ -23,12 +23,15 @@
 # (.bench_build/ at the tree's root); one warm-up run per side does that
 # before the first measured pair. Pair i runs the base first when i is
 # even and the change first when i is odd. Every run's result line goes to
-# <workdir>/runs.jsonl.
+# <workdir>/runs.jsonl, with the host's `nproc` and 1-minute load average
+# read just before the run (host_nproc, host_load1): a gain from parallel
+# work depends on idle cores.
 #
 # tools/paired_summary.py then prints, per workload and end-to-end metric,
 # each side's median, quartiles and IQR, the change/base ratio, the pairs
 # the change won and a GAIN, UNRESOLVED or WORSE THAN BOUND label, and each
-# side's failed-operation share (see its header for the rules).
+# side's failed-operation share and host load (see its header for the
+# rules).
 #
 # Exit status: 0 when no end-to-end median is worse than the base's by more
 # than its bound and the change's failed-operation share is no higher than
@@ -81,21 +84,26 @@ git archive "${BASE_SHA}" | tar -x -C "${BASE_TREE}"
 run() {
   local side="$1" tree="$2" workload="$3" seed="$4" pair="$5" order="$6"
   local out="${WORKDIR}/last_${side}.txt"
+  local cores load1
+  cores="$(nproc)"
+  read -r load1 _ < /proc/loadavg
   if ! python3 "${tree}/perfbench/run.py" --workload "${workload}" --seed "${seed}" \
       --seconds "${RUN_SECONDS}" --trace 0 > "${out}" 2> "${out}.err"; then
     echo "paired_bench: ${side} run of ${workload} seed ${seed} failed:" >&2
     tail -n 20 "${out}" "${out}.err" >&2
     exit 2
   fi
-  python3 - "${out}" "${LOG}" "${side}" "${workload}" "${seed}" "${pair}" "${order}" <<'EOF'
+  python3 - "${out}" "${LOG}" "${side}" "${workload}" "${seed}" "${pair}" "${order}" \
+      "${cores}" "${load1}" <<'EOF'
 import json, sys
-path, log, side, workload, seed, pair, order = sys.argv[1:]
+path, log, side, workload, seed, pair, order, cores, load1 = sys.argv[1:]
 result = json.loads(open(path).read().strip().splitlines()[-1])
-result.update(side=side, workload=workload, seed=int(seed), pair=int(pair), order=int(order))
+result.update(side=side, workload=workload, seed=int(seed), pair=int(pair), order=int(order),
+              host_nproc=int(cores), host_load1=float(load1))
 with open(log, "a") as f:
     f.write(json.dumps(result) + "\n")
 values = "  ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
-print(f"  {side:<6} {values}  failed={result['failed']}")
+print(f"  {side:<6} {values}  failed={result['failed']}  load1={float(load1):.2f}")
 EOF
 }
 

@@ -21,7 +21,10 @@ IQR. A row is labelled
                     not every change run beats every base run.
 Per workload it also prints each side's failed-operation share, failed over
 attempted summed over its runs. Shares, not counts, are compared: the
-faster side attempts more operations.
+faster side attempts more operations. Last, it prints each side's host:
+the `nproc` values and the median and range of the 1-minute load average
+its runs recorded (host_nproc, host_load1), or "not recorded" for a log
+written before those fields existed. They are shown, not judged.
 
 Exit status: 1 when a row is WORSE THAN BOUND or the change's failed share
 is higher than the base's; 0 otherwise.
@@ -41,6 +44,16 @@ def quartiles(values):
 
 def share(failed, attempted):
     return failed / attempted if attempted > 0 else 0.0
+
+
+def host(runs):
+    recorded = [r for r in runs if "host_nproc" in r and "host_load1" in r]
+    if not recorded:
+        return "not recorded"
+    cores = "/".join(str(n) for n in sorted({r["host_nproc"] for r in recorded}))
+    loads = [r["host_load1"] for r in recorded]
+    return (f"nproc {cores}, load1 median {statistics.median(loads):.2f} "
+            f"[{min(loads):.2f}, {max(loads):.2f}] over {len(recorded)} runs")
 
 
 def main(log, spec_path, rev):
@@ -87,6 +100,8 @@ def main(log, spec_path, rev):
               f"({shares['base']:.3%}), change {failed['change']}/{attempted['change']} "
               f"({shares['change']:.3%}); runs with problems: "
               f"base {incorrect['base']}, change {incorrect['change']}")
+        print(f"  host: base {host([side['base', p] for p in pairs])}; "
+              f"change {host([side['change', p] for p in pairs])}")
         if shares["change"] > shares["base"]:
             bad.append(f"{workload}: failed-operation share rose "
                        f"{shares['base']:.3%} -> {shares['change']:.3%}")

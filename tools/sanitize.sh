@@ -16,7 +16,10 @@
 # tier-1 suite includes DistrictShardTest / CenturyShardTest /
 # ShardCoordinatorTest, which drive multi-lane district and century runs
 # on real worker threads — the barrier/plane protocol must come out clean
-# here, not just "passes in practice".
+# here, not just "passes in practice". It also proves the serial
+# district's draw batches: EnginePinTest.SerialDistrictBatchedDraws and
+# SeriesSystemTest.SampleLivesEqualsOneDrawPerKey draw lives on pool
+# workers while the caller draws its own chunk.
 #
 # The default address,undefined run likewise covers the sampled engine:
 # SamplingControllerTest / CenturySampledTest / DistrictSampledTest /

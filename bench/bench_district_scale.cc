@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -24,6 +23,7 @@
 #include "src/city/deployment.h"
 #include "src/core/device.h"
 #include "src/core/district.h"
+#include "src/core/site_seconds.h"
 #include "src/energy/harvester.h"
 #include "src/energy/storage.h"
 #include "src/net/packet.h"
@@ -63,9 +63,10 @@ double ReadRssMb() {
 // per-device metric instrument binding, and a `std::function` failure
 // callback re-armed on every deployment — wired with the seed
 // district's O(devices x gateways) coverage pass and O(devices) zone
-// scans. The availability logic and RNG derivations are kept verbatim, so
-// its report must match RunDistrictScenario bit for bit — the parity
-// check below fails the bench if it does not.
+// scans. The availability logic and RNG derivations are kept verbatim, and
+// availability integrates through the model's exact integer integral
+// (SiteSeconds), so its report must match RunDistrictScenario bit for bit —
+// the parity check below fails the bench if it does not.
 DistrictReport RunObjectGraphDistrict(const DistrictConfig& config, double* build_seconds,
                                       double* run_seconds) {
   using Clock = std::chrono::steady_clock;
@@ -154,32 +155,15 @@ DistrictReport RunObjectGraphDistrict(const DistrictConfig& config, double* buil
 
   uint64_t alive_count = 0;
   uint64_t service_count = 0;
-  SimTime last_change;
-  double alive_site_seconds = 0.0;
-  double service_site_seconds = 0.0;
-  const uint32_t years = static_cast<uint32_t>(std::ceil(config.horizon.ToYears()));
-  std::vector<double> yearly_service_seconds(years, 0.0);
+  SiteSeconds alive_seconds(config.horizon);
+  SiteSeconds service_seconds(config.horizon);
 
   auto in_service = [&](uint32_t d) {
     return devices[d]->alive && devices[d]->covering_operational > 0;
   };
   auto accumulate_to = [&](SimTime now) {
-    if (now <= last_change) {
-      return;
-    }
-    const double span = (now - last_change).ToSeconds();
-    alive_site_seconds += span * static_cast<double>(alive_count);
-    service_site_seconds += span * static_cast<double>(service_count);
-    double t0 = last_change.ToSeconds();
-    const double t1 = now.ToSeconds();
-    const double year_s = SimTime::Years(1).ToSeconds();
-    while (t0 < t1) {
-      const uint32_t y = std::min<uint32_t>(years - 1, static_cast<uint32_t>(t0 / year_s));
-      const double seg = std::min(t1, (y + 1) * year_s) - t0;
-      yearly_service_seconds[y] += seg * static_cast<double>(service_count);
-      t0 += seg;
-    }
-    last_change = now;
+    alive_seconds.AdvanceTo(now, static_cast<int64_t>(alive_count));
+    service_seconds.AdvanceTo(now, static_cast<int64_t>(service_count));
   };
 
   std::function<void(uint32_t, bool)> set_gateway = [&](uint32_t g, bool up) {
@@ -274,15 +258,11 @@ DistrictReport RunObjectGraphDistrict(const DistrictConfig& config, double* buil
     *run_seconds = std::chrono::duration<double>(Clock::now() - run_start).count();
   }
 
-  const double total = config.horizon.ToSeconds() * config.device_count;
-  report.mean_device_availability = alive_site_seconds / total;
-  report.mean_service_availability = service_site_seconds / total;
-  report.yearly_service.resize(years);
-  const double year_total = SimTime::Years(1).ToSeconds() * config.device_count;
-  for (uint32_t y = 0; y < years; ++y) {
-    report.yearly_service[y] = yearly_service_seconds[y] / year_total;
-    report.min_yearly_service = std::min(report.min_yearly_service, report.yearly_service[y]);
-  }
+  report.mean_device_availability =
+      SiteSeconds::Rate(alive_seconds.total, config.horizon, config.device_count);
+  service_seconds.FillRates(config.horizon, config.device_count,
+                            &report.mean_service_availability, &report.yearly_service,
+                            &report.min_yearly_service);
   sim.SetMetrics(nullptr);
   return report;
 }

@@ -13,8 +13,6 @@ namespace {
 // The lifetime RNG root every engine derives its per-site streams from.
 constexpr uint64_t kLifeStream = 0x7468657365757300ULL;
 
-constexpr int64_t kYearUs = SimTime::Years(1).micros();
-
 // `century` snapshot chunk tags.
 constexpr uint32_t kFleetChunk = SnapshotTag('f', 'l', 'e', 't');
 // The exact integer integral and the counters. Earlier formats carried a
@@ -42,60 +40,6 @@ std::string CenturyStructuralDigest(const CenturyConfig& config) {
 
 }  // namespace
 
-void AliveSeconds::AddSpan(SimTime start, SimTime end, int64_t weight) {
-  if (end <= start || weight == 0) {
-    return;
-  }
-  const int64_t t0 = start.micros();
-  const int64_t t1 = end.micros();
-  total += static_cast<I128>(t1 - t0) * weight;
-  const uint32_t y0 = std::min<uint32_t>(years() - 1, static_cast<uint32_t>(t0 / kYearUs));
-  const uint32_t y1 = std::min<uint32_t>(years() - 1, static_cast<uint32_t>(t1 / kYearUs));
-  if (y0 == y1) {
-    yearly[y0] += static_cast<I128>(t1 - t0) * weight;
-    return;
-  }
-  yearly[y0] += static_cast<I128>((y0 + 1) * kYearUs - t0) * weight;
-  yearly[y1] += static_cast<I128>(t1 - y1 * kYearUs) * weight;
-  if (y1 > y0 + 1) {
-    yearly_weight_diff[y0 + 1] += weight;
-    yearly_weight_diff[y1] -= weight;
-  }
-}
-
-void AliveSeconds::Add(const AliveSeconds& other) {
-  total += other.total;
-  for (uint32_t y = 0; y < years(); ++y) {
-    yearly[y] += other.yearly[y];
-    yearly_weight_diff[y] += other.yearly_weight_diff[y];
-  }
-}
-
-std::vector<AliveSeconds::I128> AliveSeconds::Yearly() const {
-  std::vector<I128> out = yearly;
-  I128 running = 0;
-  for (uint32_t y = 0; y < years(); ++y) {
-    running += yearly_weight_diff[y];
-    out[y] += running * kYearUs;
-  }
-  return out;
-}
-
-void AliveSeconds::FillAvailability(SimTime horizon, uint32_t sites,
-                                    CenturyReport& report) const {
-  const auto seconds = [](I128 us) { return static_cast<double>(us) / 1e6; };
-  const double total_site_seconds = horizon.ToSeconds() * sites;
-  report.mean_availability = total_site_seconds > 0 ? seconds(total) / total_site_seconds : 0;
-  const std::vector<I128> per_year = Yearly();
-  report.yearly_availability.resize(years());
-  for (uint32_t y = 0; y < years(); ++y) {
-    report.yearly_availability[y] =
-        seconds(per_year[y]) / (YearSpan(horizon, y).ToSeconds() * sites);
-    report.min_yearly_availability =
-        std::min(report.min_yearly_availability, report.yearly_availability[y]);
-  }
-}
-
 CenturyModel::CenturyModel(Simulation& sim, const CenturyConfig& config, CenturyReport& report,
                            uint32_t begin, uint32_t end, FlightRecorder* recorder)
     : sim_(sim),
@@ -120,7 +64,7 @@ CenturyModel::CenturyModel(Simulation& sim, const CenturyConfig& config, Century
   }
 }
 
-void CenturyModel::SaveCheckpoint(SimTime barrier, const AliveSeconds& alive,
+void CenturyModel::SaveCheckpoint(SimTime barrier, const SiteSeconds& alive,
                                   const std::vector<TimerRecord>& timers) {
   const auto save_start = std::chrono::steady_clock::now();
   SnapshotMeta meta;
@@ -144,11 +88,7 @@ void CenturyModel::SaveCheckpoint(SimTime barrier, const AliveSeconds& alive,
 
   ByteWriter acc;
   acc.I64(alive.last_change.micros());
-  acc.I128(alive.total);
-  acc.U64(alive.years());
-  for (const AliveSeconds::I128 us : alive.Yearly()) {
-    acc.I128(us);
-  }
+  alive.Encode(acc);
   acc.U64(report_.total_failures);
   acc.U64(report_.total_replacements);
   acc.U64(report_.proactive_replacements);
@@ -236,12 +176,7 @@ bool CenturyModel::Restore(const std::string& path, const RearmFn& rearm, std::s
 
   ByteReader acc = reader.Chunk(kAliveChunk);
   alive_.last_change = SimTime::Micros(acc.I64());
-  alive_.total = acc.I128();
-  const bool shaped = acc.U64() == alive_.years();
-  for (AliveSeconds::I128& us : alive_.yearly) {
-    us = acc.I128();
-  }
-  std::fill(alive_.yearly_weight_diff.begin(), alive_.yearly_weight_diff.end(), 0);
+  const bool shaped = alive_.Decode(acc);
   report_.total_failures = acc.U64();
   report_.total_replacements = acc.U64();
   report_.proactive_replacements = acc.U64();
@@ -327,7 +262,8 @@ void CenturyModel::Finish() {
     max_gen = std::max(max_gen, static_cast<double>(fleet_.unit_generation(idx)));
   }
   report_.max_unit_generations = max_gen;
-  alive_.FillAvailability(config_.horizon, config_.fleet_size, report_);
+  alive_.FillRates(config_.horizon, config_.fleet_size, &report_.mean_availability,
+                   &report_.yearly_availability, &report_.min_yearly_availability);
 }
 
 }  // namespace centsim

@@ -4,8 +4,9 @@
 // range, and the sampled engine (theseus_sampled.cc).
 //
 // CenturyModel owns the fleet of sites, the state transitions (each at an
-// explicit time), the exact availability integral, the `century` snapshot
-// chunks and report assembly. A driver keeps only how time advances: which
+// explicit time), the exact availability integral (SiteSeconds, shared
+// with the district model), the `century` snapshot chunks and report
+// assembly. A driver keeps only how time advances: which
 // events it arms where, how it draws a unit's life, and how it closes a
 // unit's alive time. Sites never interact, so the model can cover a whole
 // fleet or one shard lane's contiguous column range.
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "src/core/fleet.h"
+#include "src/core/site_seconds.h"
 #include "src/core/theseus.h"
 #include "src/sim/flight_recorder.h"
 #include "src/sim/simulation.h"
@@ -41,48 +43,12 @@ inline constexpr const char* kCenturyVisit = "century.zone_visit";
 inline constexpr uint64_t kCenturyTimerVisit = 1;
 inline constexpr uint64_t kCenturyTimerSiteFail = 2;
 
-// Alive site-microseconds, over the whole run and per year, as exact signed
-// 128-bit integers. An integer sum does not depend on how its spans are
-// split or ordered, so every engine, lane split and window placement
-// integrates the same value. The detailed driver adds [last_change, now) at
-// every alive-count transition; the sampled walk, which advances one site
-// at a time, adds each closed alive interval (and backs an open one out
-// with weight -1 on restore). Multi-decade spans stay O(1): the years a
-// span covers whole go into a difference array of full-year weights that
-// Yearly() folds back in.
-struct AliveSeconds {
-  using I128 = __int128;
-
-  explicit AliveSeconds(SimTime horizon)
-      : yearly(static_cast<size_t>(std::ceil(horizon.ToYears())), 0),
-        yearly_weight_diff(yearly.size(), 0) {}
-
-  // Adds `weight` alive sites over [start, end).
-  void AddSpan(SimTime start, SimTime end, int64_t weight);
-
-  // Adds another integral over the same horizon (a shard lane's).
-  void Add(const AliveSeconds& other);
-
-  // Per-year integrals: `yearly` with the full-year weights folded in.
-  std::vector<I128> Yearly() const;
-
-  // The report's mean, yearly and lowest yearly availability over `sites`
-  // sites: each integral in seconds over the site-seconds it could hold.
-  void FillAvailability(SimTime horizon, uint32_t sites, CenturyReport& report) const;
-
-  uint32_t years() const { return static_cast<uint32_t>(yearly.size()); }
-
-  SimTime last_change;  // The detailed driver's integration point.
-  I128 total = 0;
-  std::vector<I128> yearly;              // Partial years only.
-  std::vector<I128> yearly_weight_diff;  // Full-year weights.
-};
-
 class CenturyModel {
  public:
   // The model over sites [begin, end) of the config's fleet: the whole
   // fleet, or one shard lane's range (local slot = site index - begin).
-  // Rare transitions go to `recorder` (the run's, or a lane's; may be null).
+  // Rare transitions go to `recorder`: the run's for a whole-fleet model,
+  // null for a shard lane, which runs on a worker thread.
   CenturyModel(Simulation& sim, const CenturyConfig& config, CenturyReport& report,
                uint32_t begin, uint32_t end, FlightRecorder* recorder);
   CenturyModel(const CenturyModel&) = delete;
@@ -94,8 +60,8 @@ class CenturyModel {
   const SeriesSystem& hardware() const { return fleet_.class_spec(cls_).hardware; }
   uint32_t size() const { return end_ - begin_; }
   uint32_t zone_count() const { return std::max(1u, config_.batch.zone_count); }
-  AliveSeconds& alive() { return alive_; }
-  const AliveSeconds& alive() const { return alive_; }
+  SiteSeconds& alive() { return alive_; }
+  const SiteSeconds& alive() const { return alive_; }
 
   // --- Transitions at an explicit time ----------------------------------
 
@@ -171,7 +137,7 @@ class CenturyModel {
   // Writes a `century` checkpoint at the quiescent `barrier`: `alive` is
   // the availability integral as of the barrier, `timers` the engine's
   // pending timers.
-  void SaveCheckpoint(SimTime barrier, const AliveSeconds& alive,
+  void SaveCheckpoint(SimTime barrier, const SiteSeconds& alive,
                       const std::vector<TimerRecord>& timers);
 
   // Restores from the plan's resume snapshot, if there is one: overlays the
@@ -200,7 +166,7 @@ class CenturyModel {
   DeviceFleet fleet_;
   uint32_t cls_ = 0;
   RandomStream rng_;
-  AliveSeconds alive_;
+  SiteSeconds alive_;
 };
 
 // Runs a whole-fleet engine (detailed or sampled) on a fresh simulation of

@@ -61,21 +61,23 @@ struct DistrictConfig {
 
   // Intra-run sharding (src/core/district_shard.cc). shards == 0 (default)
   // runs the serial engine — golden digests unchanged. shards > 0 runs the
-  // city across that many lanes with conservative windowed barriers;
-  // results are bit-identical across any shards/workers/window choice, but
-  // (by design) differ from the serial engine's: the sharded engine keys
-  // per-entity RNG streams and integrates availability in integers so its
-  // merge is order-free. Sharded snapshots use the "district-shard"
+  // city across that many lanes with conservative windowed barriers, each
+  // lane running the serial run's model over its own site range. Results
+  // are bit-identical across any shards/workers/window choice, but (by
+  // design) differ from the serial engine's: the lanes key per-entity RNG
+  // streams, where the serial engine keys its draws by running counters in
+  // global event order. Sharded snapshots use the "district-shard"
   // experiment tag and restore under any shard count.
   ShardPlan shard;
 
   // Sampled time advance (src/sim/sampling.h, src/core/district_sampled.cc).
   // Default off runs the serial engine — golden digests unchanged. When on,
   // the run alternates measured detailed windows with a heap-merged
-  // fast-forward walk; like the sharded engine it keys per-entity RNG
-  // streams, so results agree with the serial engine in distribution, not
-  // bit-for-bit. Mutually exclusive with sharding; sampled district runs
-  // restore from serial checkpoints but do not write checkpoints.
+  // fast-forward walk over the same model; like the shard lanes it keys
+  // per-entity RNG streams, so results agree with the serial engine in
+  // distribution, not bit-for-bit. Mutually exclusive with sharding;
+  // sampled district runs restore from serial checkpoints but do not write
+  // checkpoints.
   SamplingPlan sampling;
 
   // Actionable diagnostics (empty = valid); RunDistrictScenario fails

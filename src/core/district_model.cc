@@ -1,7 +1,7 @@
 #include "src/core/district_model.h"
 
 #include <chrono>
-#include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -21,7 +21,10 @@ constexpr uint64_t kLifeStream = 0x646973740002ULL;
 // `district` snapshot chunk tags.
 constexpr uint32_t kFleetChunk = SnapshotTag('f', 'l', 'e', 't');
 constexpr uint32_t kGatewayChunk = SnapshotTag('g', 'w', 's', 't');
-constexpr uint32_t kAccumChunk = SnapshotTag('a', 'c', 'c', 'u');
+// The in-service count, the exact integer integrals and the counters.
+// Earlier formats carried double integrals under 'accu'; the reader
+// refuses a file without 'intg'.
+constexpr uint32_t kIntegralChunk = SnapshotTag('i', 'n', 't', 'g');
 constexpr uint32_t kTimerChunk = SnapshotTag('t', 'i', 'm', 'r');
 constexpr uint32_t kSchedChunk = SnapshotTag('s', 'c', 'h', 'd');
 constexpr uint32_t kMetricsChunk = SnapshotTag('m', 'e', 't', 'r');
@@ -118,9 +121,9 @@ std::string CheckRestoredCovering(uint32_t site, uint32_t saved, const ServiceCo
 DistrictGeometry::DistrictGeometry(const DistrictConfig& config)
     : plan(PlanParams(config), RandomStream(config.seed).Derive(kPlanStream)),
       gateway_sites(plan.PlanGatewayGrid(config.gateway_range_m)),
-      cells(BuildCoverageCells(
+      cells(std::make_shared<const CoverageCells>(BuildCoverageCells(
           BuildCoverageCsr(plan.sites(), gateway_sites, config.gateway_range_m),
-          static_cast<uint32_t>(plan.sites().size()))) {}
+          static_cast<uint32_t>(plan.sites().size())))) {}
 
 DeviceClassSpec DistrictSiteClass(const DistrictConfig& config) {
   DeviceClassSpec spec;
@@ -151,34 +154,68 @@ std::string DistrictStructuralDigest(const DistrictConfig& config) {
   return StructuralDigestHex(w);
 }
 
-DistrictModel::DistrictModel(Simulation& sim, const DistrictConfig& config,
-                             DistrictReport& report)
-    : DistrictModel(sim, config, report, DistrictGeometry(config)) {}
+void EncodeDistrictTotals(const SiteSeconds& alive, const SiteSeconds& service,
+                          const DistrictReport& counts, ByteWriter& w) {
+  w.I128(alive.total);
+  service.Encode(w);
+  w.U64(counts.device_failures);
+  w.U64(counts.device_replacements);
+  w.U64(counts.gateway_failures);
+  w.U64(counts.gateway_repairs);
+}
 
-// The plan lives only through construction: the run keeps the fleet
+bool DecodeDistrictTotals(ByteReader& r, SiteSeconds* alive, SiteSeconds* service,
+                          DistrictReport* counts) {
+  alive->total = r.I128();
+  const bool shaped = service->Decode(r);
+  counts->device_failures = r.U64();
+  counts->device_replacements = r.U64();
+  counts->gateway_failures = r.U64();
+  counts->gateway_repairs = r.U64();
+  return shaped && r.ok();
+}
+
+void FillDistrictAvailability(const SiteSeconds& alive, const SiteSeconds& service,
+                              const DistrictConfig& config, DistrictReport& report) {
+  report.mean_device_availability =
+      SiteSeconds::Rate(alive.total, config.horizon, config.device_count);
+  service.FillRates(config.horizon, config.device_count, &report.mean_service_availability,
+                    &report.yearly_service, &report.min_yearly_service);
+}
+
+// The geometry lives only through construction: the run keeps the fleet
 // columns and the coverage cells, not the site list.
 DistrictModel::DistrictModel(Simulation& sim, const DistrictConfig& config,
-                             DistrictReport& report, DistrictGeometry geo)
+                             DistrictReport& report)
+    : DistrictModel(sim, config, report, DistrictGeometry(config), 0, config.device_count,
+                    config.control.recorder) {}
+
+DistrictModel::DistrictModel(Simulation& sim, const DistrictConfig& config,
+                             DistrictReport& report, const DistrictGeometry& geo,
+                             uint32_t begin, uint32_t end, FlightRecorder* recorder)
     : sim_(sim),
       config_(config),
       report_(report),
+      begin_(begin),
+      end_(end),
+      recorder_(recorder),
       fleet_(sim),
       rng_(sim.StreamFor(kLifeStream)),
       gateway_bom_(SeriesSystem::RaspberryPiGateway()),
-      years_(static_cast<uint32_t>(std::ceil(config.horizon.ToYears()))),
-      cells_(std::move(geo.cells)),
-      service_(cells_),
-      yearly_service_seconds_(years_, 0.0) {
+      cells_(geo.cells),
+      service_(*cells_),
+      alive_seconds_(config.horizon),
+      service_seconds_(config.horizon) {
   report_.gateway_count = static_cast<uint32_t>(geo.gateway_sites.size());
-  report_.initial_coverage = cells_.CoveredFraction();
+  report_.initial_coverage = cells_->CoveredFraction();
   cls_ = fleet_.InternClass(DistrictSiteClass(config));
-  fleet_.AddSites(geo.plan, cls_, HarvesterModel(), 0, config.device_count);
+  fleet_.AddSites(geo.plan, cls_, HarvesterModel(), begin, end);
   if (config.metrics != nullptr) {
     fleet_.EnableFleetMetrics();
   }
   zone_sites_.resize(geo.plan.zone_count());
-  for (uint32_t d = 0; d < config.device_count; ++d) {
-    zone_sites_[fleet_.zone(d)].push_back(d);
+  for (uint32_t idx = 0; idx < size(); ++idx) {
+    zone_sites_[fleet_.zone(idx)].push_back(idx);
   }
 }
 
@@ -205,6 +242,13 @@ void DistrictModel::SetGatewayAt(uint32_t g, bool up, SimTime at) {
   fleet_.SetCoveredSites(service_.covered());
 }
 
+void DistrictModel::EndRestore(SimTime last_change) {
+  fleet_.RecountAggregates();
+  fleet_.SetCoveredSites(service_.covered());
+  alive_seconds_.last_change = last_change;
+  service_seconds_.last_change = last_change;
+}
+
 void DistrictModel::SaveCheckpoint(SimTime barrier, const std::vector<TimerRecord>& timers) {
   const auto save_start = std::chrono::steady_clock::now();
   SnapshotMeta meta;
@@ -218,9 +262,7 @@ void DistrictModel::SaveCheckpoint(SimTime barrier, const std::vector<TimerRecor
   ByteWriter fleet;
   fleet.U64(config_.device_count);
   for (uint32_t d = 0; d < config_.device_count; ++d) {
-    DeviceFleet::SlotState slot = fleet_.SaveSlotState(d);
-    slot.covering = service_.covering(d);
-    EncodeFleetSlot(slot, fleet);
+    EncodeFleetSlot(SaveSlot(d), fleet);
   }
   fleet.U64(fleet_.class_count());
   for (uint32_t c = 0; c < fleet_.class_count(); ++c) {
@@ -237,15 +279,9 @@ void DistrictModel::SaveCheckpoint(SimTime barrier, const std::vector<TimerRecor
 
   ByteWriter acc;
   acc.U64(service_.in_service());
-  acc.I64(last_change_.micros());
-  acc.F64(alive_site_seconds_);
-  acc.F64(service_site_seconds_);
-  acc.F64Vec(yearly_service_seconds_);
-  acc.U64(report_.device_failures);
-  acc.U64(report_.device_replacements);
-  acc.U64(report_.gateway_failures);
-  acc.U64(report_.gateway_repairs);
-  writer.Add(kAccumChunk, acc);
+  acc.I64(alive_seconds_.last_change.micros());
+  EncodeDistrictTotals(alive_seconds_, service_seconds_, report_, acc);
+  writer.Add(kIntegralChunk, acc);
 
   ByteWriter tr;
   TimerTable::Encode(timers, tr);
@@ -298,6 +334,11 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
   if (!OpenCheckpoint(reader, path, "district", DistrictStructuralDigest(config_), error)) {
     return false;
   }
+  if (!reader.HasChunk(kIntegralChunk)) {
+    *error = "snapshot has no 'intg' chunk (the exact integer availability integrals); it "
+             "was written in an earlier format";
+    return false;
+  }
 
   // Gateways before the fleet: each slot's saved covering count is checked
   // against the cells' up counts as it is decoded.
@@ -307,7 +348,7 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
     return false;
   }
   for (uint32_t g = 0; g < gateway_count() && gw.ok(); ++g) {
-    service_.SetGateway(g, gw.U8() != 0);
+    RestoreGateway(g, gw.U8() != 0);
   }
   if (!gw.ok()) {
     *error = "gateway chunk truncated";
@@ -328,10 +369,7 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
     if (!error->empty()) {
       return false;
     }
-    fleet_.RestoreSlotState(d, slot);
-    if (fleet_.alive(d)) {
-      service_.SiteUp(d);
-    }
+    RestoreSlot(d, slot);
   }
   if (fleet.U64() != fleet_.class_count()) {
     *error = "snapshot class count does not match config";
@@ -345,18 +383,11 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
     return false;
   }
 
-  ByteReader acc = reader.Chunk(kAccumChunk);
+  ByteReader acc = reader.Chunk(kIntegralChunk);
   const uint64_t in_service = acc.U64();
-  last_change_ = SimTime::Micros(acc.I64());
-  alive_site_seconds_ = acc.F64();
-  service_site_seconds_ = acc.F64();
-  const std::vector<double> yearly = acc.F64Vec();
-  report_.device_failures = acc.U64();
-  report_.device_replacements = acc.U64();
-  report_.gateway_failures = acc.U64();
-  report_.gateway_repairs = acc.U64();
-  if (!acc.ok() || yearly.size() != yearly_service_seconds_.size()) {
-    *error = "accumulator chunk truncated or mis-shaped";
+  const SimTime last_change = SimTime::Micros(acc.I64());
+  if (!DecodeDistrictTotals(acc, &alive_seconds_, &service_seconds_, &report_)) {
+    *error = "'intg' chunk truncated or mis-shaped";
     return false;
   }
   if (in_service != service_.in_service()) {
@@ -365,7 +396,6 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
              std::to_string(service_.in_service()) + ")";
     return false;
   }
-  yearly_service_seconds_ = yearly;
 
   if (config_.metrics != nullptr && reader.HasChunk(kMetricsChunk)) {
     ByteReader m = reader.Chunk(kMetricsChunk);
@@ -374,8 +404,7 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
       return false;
     }
   }
-  fleet_.RecountAggregates();
-  fleet_.SetCoveredSites(service_.covered());
+  EndRestore(last_change);
 
   ByteReader sched = reader.Chunk(kSchedChunk);
   const SimTime now = SimTime::Micros(sched.I64());
@@ -412,16 +441,7 @@ void DistrictModel::Finish() {
   AccumulateTo(config_.horizon);
   report_.events_executed = sim_.scheduler().executed_count();
   report_.fleet_bytes_per_device = fleet_.BytesPerDevice();
-
-  const double total = config_.horizon.ToSeconds() * config_.device_count;
-  report_.mean_device_availability = alive_site_seconds_ / total;
-  report_.mean_service_availability = service_site_seconds_ / total;
-  report_.yearly_service.resize(years_);
-  for (uint32_t y = 0; y < years_; ++y) {
-    report_.yearly_service[y] = yearly_service_seconds_[y] /
-                                (YearSpan(config_.horizon, y).ToSeconds() * config_.device_count);
-    report_.min_yearly_service = std::min(report_.min_yearly_service, report_.yearly_service[y]);
-  }
+  FillDistrictAvailability(alive_seconds_, service_seconds_, config_, report_);
 }
 
 }  // namespace centsim

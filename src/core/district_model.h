@@ -1,35 +1,38 @@
-// The district scenario's model (see district.h), written once and shared
-// by its three time-advance engines: serial (district.cc), sampled
+// The district scenario's model (see district.h), written once and run by
+// its three time-advance engines: serial (district.cc), sampled
 // (district_sampled.cc) and sharded (district_shard.cc).
 //
-// DistrictModel owns what the serial and sampled engines share: the fleet
-// and coverage cells built from the geometry, the state transitions (each
-// at an explicit time), the service-availability accumulator, the
-// `district` snapshot chunks and report assembly. An engine keeps only how
-// time advances: which events it arms where, and how it keys its lifetime
-// draws. A zone visit hands the engine its dead sites as one ascending
-// batch: the serial engine draws the batch's lives together (on spare
-// cores once the batch is large) and then deploys in site order, the
-// sampled engine deploys one site at a time.
-// The sharded engine keeps its own lanes and integer accumulators and
-// takes the geometry, the per-cell service counts, the structural digest
-// and the transition categories from here.
+// DistrictModel owns a site range's fleet and service counts over the
+// coverage cells built from the geometry, the state transitions (each at
+// an explicit time), the exact availability integrals (SiteSeconds, shared
+// with the century model), the `district` snapshot chunks and report
+// assembly. The serial and sampled engines run it over the whole district,
+// recording into the run's flight recorder; each shard lane runs it over
+// one contiguous site range with no recorder, and all lanes share one set
+// of coverage cells. An engine keeps only how time advances: which events
+// it arms where, and how it keys its lifetime draws. A zone visit hands
+// the engine its dead sites as one ascending batch: the serial engine
+// draws the batch's lives together (on spare cores once the batch is
+// large) and then deploys in site order; the sampled engine and the lanes
+// deploy one site at a time.
 
 #ifndef SRC_CORE_DISTRICT_MODEL_H_
 #define SRC_CORE_DISTRICT_MODEL_H_
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/city/deployment.h"
 #include "src/core/district.h"
 #include "src/core/fleet.h"
+#include "src/core/site_seconds.h"
 #include "src/sim/flight_recorder.h"
 #include "src/sim/simulation.h"
+#include "src/snapshot/bytes.h"
 #include "src/snapshot/timer_table.h"
 
 namespace centsim {
@@ -80,8 +83,8 @@ CoverageCells BuildCoverageCells(const CoverageCsr& coverage, uint32_t site_coun
 // gateways covering it and of alive sites in it. A site is in service
 // while it is alive and its cell's up count is non-zero, so a deploy or a
 // failure touches one cell and a gateway flip touches only that gateway's
-// cells. A sharded lane reports only its own sites alive; the covered
-// total always counts every site of the geometry.
+// cells. A model over a site range has only its own sites alive in it;
+// the covered total always counts every site of the geometry.
 class ServiceCounts {
  public:
   // Every gateway down, no site alive.
@@ -154,13 +157,14 @@ std::string CheckRestoredCovering(uint32_t site, uint32_t saved, const ServiceCo
 
 // Geometry every engine rebuilds from the config's structural fields: the
 // deployment plan, the gateway grid planned from the radio range, and the
-// coverage cells of the sites within range of each gateway.
+// coverage cells of the sites within range of each gateway, which every
+// model built from this geometry shares.
 struct DistrictGeometry {
   explicit DistrictGeometry(const DistrictConfig& config);
 
   DeploymentPlan plan;
   std::vector<Site> gateway_sites;
-  CoverageCells cells;
+  std::shared_ptr<const CoverageCells> cells;
 };
 
 // The district's one device class.
@@ -175,57 +179,86 @@ BatchProjectParams DistrictBatches(const DistrictConfig& config);
 // event time (repair delay) and the engine choice are deliberately absent.
 std::string DistrictStructuralDigest(const DistrictConfig& config);
 
+// The totals both district snapshot formats carry, in this order: the
+// alive and in-service integrals, the per-year in-service integrals, and
+// the device failure, device replacement, gateway failure and gateway
+// repair counts. Decode restores the alive total, the whole in-service
+// integral and the four counts, and returns false on a truncated chunk or
+// one shaped for another horizon.
+void EncodeDistrictTotals(const SiteSeconds& alive, const SiteSeconds& service,
+                          const DistrictReport& counts, ByteWriter& w);
+bool DecodeDistrictTotals(ByteReader& r, SiteSeconds* alive, SiteSeconds* service,
+                          DistrictReport* counts);
+
+// Fills the report's availability from the district's two integrals over
+// all of the config's sites: the one conversion every engine makes.
+void FillDistrictAvailability(const SiteSeconds& alive, const SiteSeconds& service,
+                              const DistrictConfig& config, DistrictReport& report);
+
 class DistrictModel {
  public:
+  // The whole district, recording rare transitions into the run's flight
+  // recorder. Builds the geometry and keeps only its cells: the site plan
+  // is freed once the fleet is built.
   DistrictModel(Simulation& sim, const DistrictConfig& config, DistrictReport& report);
+  // Sites [begin, end) of `geo` (local slot = site index - begin), sharing
+  // its coverage cells. Rare transitions go to `recorder` (may be null).
+  DistrictModel(Simulation& sim, const DistrictConfig& config, DistrictReport& report,
+                const DistrictGeometry& geo, uint32_t begin, uint32_t end,
+                FlightRecorder* recorder);
   DistrictModel(const DistrictModel&) = delete;
   DistrictModel& operator=(const DistrictModel&) = delete;
 
   DistrictReport& report() { return report_; }
+  DeviceFleet& fleet() { return fleet_; }
   const DeviceFleet& fleet() const { return fleet_; }
+  uint32_t size() const { return end_ - begin_; }
   const SeriesSystem& device_bom() const { return fleet_.class_spec(cls_).hardware; }
   const SeriesSystem& gateway_bom() const { return gateway_bom_; }
   // The run's RNG root (re-keyed by a branch salt on restore).
   const RandomStream& rng() const { return rng_; }
   uint32_t gateway_count() const { return service_.gateway_count(); }
   bool gateway_up(uint32_t g) const { return service_.gateway_up(g); }
-  // Alive sites with an operational covering gateway.
+  // Alive sites of this range with an operational covering gateway.
   uint64_t in_service() const { return service_.in_service(); }
-  double alive_site_seconds() const { return alive_site_seconds_; }
-  double service_site_seconds() const { return service_site_seconds_; }
+  // Alive and in-service site-microseconds up to the last transition.
+  SiteSeconds& alive_seconds() { return alive_seconds_; }
+  const SiteSeconds& alive_seconds() const { return alive_seconds_; }
+  SiteSeconds& service_seconds() { return service_seconds_; }
+  const SiteSeconds& service_seconds() const { return service_seconds_; }
 
-  // --- Transitions at an explicit time ----------------------------------
+  // --- Transitions at an explicit time (idx = local slot) -----------------
   // The engine draws and arms each successor (device failure, gateway
   // repair or failure) itself.
 
   // Powers the site's unit up (a no-op on the columns if it is alive).
-  void DeployAt(uint32_t d, SimTime at) {
+  void DeployAt(uint32_t idx, SimTime at) {
     AccumulateTo(at);
-    if (!fleet_.alive(d)) {
-      fleet_.DeployAt(d, at);
-      service_.SiteUp(d);
+    if (!fleet_.alive(idx)) {
+      fleet_.DeployAt(idx, at);
+      service_.SiteUp(begin_ + idx);
     }
   }
 
-  void DeviceFailAt(uint32_t d, SimTime at) {
+  void DeviceFailAt(uint32_t idx, SimTime at) {
     AccumulateTo(at);
-    if (fleet_.alive(d)) {
-      service_.SiteDown(d);
+    if (fleet_.alive(idx)) {
+      service_.SiteDown(begin_ + idx);
     }
-    fleet_.MarkFailedAt(d, at);
+    fleet_.MarkFailedAt(idx, at);
     ++report_.device_failures;
   }
 
-  // A batch project reaches `zone`: its dead sites, in one ascending
-  // batch, are redeployed by `engine.RedeployAt(sites, at)`, the engine's
-  // deploy-and-arm, and then counted as replacements.
+  // A batch project reaches `zone`: its dead sites in this range, in one
+  // ascending batch, are redeployed by `engine.RedeployAt(slots, at)`, the
+  // engine's deploy-and-arm, and then counted as replacements.
   template <typename Engine>
   void ZoneVisitAt(uint32_t zone, SimTime at, Engine& engine) {
     Record(kDistrictVisit, at, zone);
     visit_sites_.clear();
-    for (uint32_t d : zone_sites_[zone]) {
-      if (!fleet_.alive(d)) {
-        visit_sites_.push_back(d);
+    for (uint32_t idx : zone_sites_[zone]) {
+      if (!fleet_.alive(idx)) {
+        visit_sites_.push_back(idx);
       }
     }
     engine.RedeployAt(visit_sites_, at);
@@ -234,32 +267,40 @@ class DistrictModel {
 
   void GatewayFailAt(uint32_t g, SimTime at);
   void GatewayRepairAt(uint32_t g, SimTime at);
-  // Gateway up/down without the fail/repair accounting (initial bring-up).
+  // Gateway up/down without the fail/repair accounting (initial bring-up,
+  // and a shard lane's copy of another lane's transition).
   void SetGatewayAt(uint32_t g, bool up, SimTime at);
 
-  // The transition accumulator: integrates alive and in-service site-time
-  // (and its per-year split) up to `now`; called before every change.
+  // Integrates alive and in-service site-time up to `now`; called before
+  // every change.
   void AccumulateTo(SimTime now) {
-    if (now <= last_change_) {
-      return;
-    }
-    const double span = (now - last_change_).ToSeconds();
-    const double service = static_cast<double>(service_.in_service());
-    alive_site_seconds_ += span * static_cast<double>(fleet_.alive_count());
-    service_site_seconds_ += span * service;
-    double t0 = last_change_.ToSeconds();
-    const double t1 = now.ToSeconds();
-    const double year_s = SimTime::Years(1).ToSeconds();
-    while (t0 < t1) {
-      const uint32_t y = std::min<uint32_t>(years_ - 1, static_cast<uint32_t>(t0 / year_s));
-      const double seg = std::min(t1, (y + 1) * year_s) - t0;
-      yearly_service_seconds_[y] += seg * service;
-      t0 += seg;
-    }
-    last_change_ = now;
+    alive_seconds_.AdvanceTo(now, static_cast<int64_t>(fleet_.alive_count()));
+    service_seconds_.AdvanceTo(now, static_cast<int64_t>(service_.in_service()));
   }
 
-  // --- Checkpoint/restore (`district` snapshots) -------------------------
+  // --- Snapshot state (both formats) --------------------------------------
+
+  // The slot of site `idx`, with its cell's operational covering count.
+  DeviceFleet::SlotState SaveSlot(uint32_t idx) const {
+    DeviceFleet::SlotState slot = fleet_.SaveSlotState(idx);
+    slot.covering = service_.covering(begin_ + idx);
+    return slot;
+  }
+
+  // Overlays saved state on a fresh model: every gateway's state, then each
+  // slot (whose covering count the reader has checked against those
+  // states with CheckRestoredCovering), then EndRestore, which recounts the
+  // fleet and moves the integration point to `last_change`.
+  void RestoreGateway(uint32_t g, bool up) { service_.SetGateway(g, up); }
+  void RestoreSlot(uint32_t idx, const DeviceFleet::SlotState& slot) {
+    fleet_.RestoreSlotState(idx, slot);
+    if (fleet_.alive(idx)) {
+      service_.SiteUp(begin_ + idx);
+    }
+  }
+  void EndRestore(SimTime last_change);
+
+  // --- Checkpoint/restore (`district` snapshots; whole-district models) ---
 
   // Writes a `district` checkpoint at the quiescent `barrier` carrying the
   // engine's pending timers.
@@ -272,38 +313,35 @@ class DistrictModel {
   using RearmFn = std::function<bool(const std::vector<TimerRecord>&, std::string* error)>;
   bool Resume(const RearmFn& rearm);
 
-  // Closes the accumulators at the horizon and fills the report's results.
+  // Closes the integrals at the horizon and fills the report's results.
   void Finish();
 
  private:
-  // Takes the geometry by value so its cells outlive it in `cells_`.
-  DistrictModel(Simulation& sim, const DistrictConfig& config, DistrictReport& report,
-                DistrictGeometry geo);
   bool Restore(const std::string& path, const RearmFn& rearm, std::string* error);
   void Record(const char* category, SimTime at, uint64_t arg) {
-    if (config_.control.recorder != nullptr) {
-      config_.control.recorder->Record(category, at, arg);
+    if (recorder_ != nullptr) {
+      recorder_->Record(category, at, arg);
     }
   }
 
   Simulation& sim_;
   const DistrictConfig& config_;
   DistrictReport& report_;
+  const uint32_t begin_;
+  const uint32_t end_;
+  FlightRecorder* recorder_;
   DeviceFleet fleet_;
   uint32_t cls_ = 0;
   RandomStream rng_;
   const SeriesSystem gateway_bom_;
-  const uint32_t years_;
 
-  const CoverageCells cells_;
+  const std::shared_ptr<const CoverageCells> cells_;
   ServiceCounts service_;
-  std::vector<std::vector<uint32_t>> zone_sites_;  // Ascending site indices.
+  std::vector<std::vector<uint32_t>> zone_sites_;  // Ascending local slots.
   std::vector<uint32_t> visit_sites_;              // The current visit's batch.
 
-  SimTime last_change_;
-  double alive_site_seconds_ = 0.0;
-  double service_site_seconds_ = 0.0;
-  std::vector<double> yearly_service_seconds_;
+  SiteSeconds alive_seconds_;
+  SiteSeconds service_seconds_;
 };
 
 // Runs a serial or sampled engine on a fresh simulation of the config's

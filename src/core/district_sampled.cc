@@ -5,10 +5,11 @@
 // windows — device failures, gateway fail/repair cycles, and batch visits
 // armed on the real scheduler — with fast-forward spans where the same
 // transitions are advanced by a heap-merged walk in global time order.
-// Both levels drive the shared DistrictModel (district_model.h); because
-// the walk preserves global event order, its transition accumulator (span
-// x service_count at every change) integrates availability exactly in
-// both. This engine keeps only the windows, the walk and its keyed draws.
+// Both levels drive the shared DistrictModel (district_model.h), whose
+// exact integer integrals (span x count at every change) do not depend on
+// where windows fall; a window's samples are rates of the integrals'
+// growth over it. This engine keeps only the windows, the walk and its
+// keyed draws.
 //
 // RNG keying: the serial district derives lifetime streams from global
 // counters (gateway_failures, device_replacements), which makes draws
@@ -21,7 +22,7 @@
 // bit-for-bit.
 //
 // Snapshots: a sampled run restores from a serial "district" checkpoint
-// (fleet/gateway/accumulator chunks map directly; pending timer records
+// (fleet/gateway/integral chunks map directly; pending timer records
 // become walk columns) but does not write checkpoints — DistrictConfig
 // validation rejects the combination.
 
@@ -242,8 +243,8 @@ class SampledDistrict {
     phase_ = Phase::kWindow;
     win_w1_ = w1;
     model_.AccumulateTo(w0);
-    win_service_base_ = model_.service_site_seconds();
-    win_alive_base_ = model_.alive_site_seconds();
+    win_service_base_ = model_.service_seconds().total;
+    win_alive_base_ = model_.alive_seconds().total;
     win_fail_base_ = model_.report().device_failures;
 
     // Arm in kind order — the walk heap's equal-time tie-break.
@@ -267,10 +268,11 @@ class SampledDistrict {
 
   void EndWindow(SimTime w0, SimTime w1) {
     model_.AccumulateTo(w1);
-    const double device_seconds = (w1 - w0).ToSeconds() * config_.device_count;
     const double device_years = (w1 - w0).ToYears() * config_.device_count;
-    service_samples_.Add((model_.service_site_seconds() - win_service_base_) / device_seconds);
-    device_samples_.Add((model_.alive_site_seconds() - win_alive_base_) / device_seconds);
+    service_samples_.Add(SiteSeconds::Rate(model_.service_seconds().total - win_service_base_,
+                                           w1 - w0, config_.device_count));
+    device_samples_.Add(SiteSeconds::Rate(model_.alive_seconds().total - win_alive_base_,
+                                          w1 - w0, config_.device_count));
     fail_samples_.Add(
         static_cast<double>(model_.report().device_failures - win_fail_base_) / device_years);
     phase_ = Phase::kIdle;
@@ -344,8 +346,9 @@ class SampledDistrict {
   Phase phase_ = Phase::kIdle;
   SimTime win_w1_;
   SimTime walk_to_;
-  double win_service_base_ = 0.0;
-  double win_alive_base_ = 0.0;
+  // The integrals at the window's start.
+  SiteSeconds::I128 win_service_base_ = 0;
+  SiteSeconds::I128 win_alive_base_ = 0;
   uint64_t win_fail_base_ = 0;
   std::priority_queue<WalkEvent, std::vector<WalkEvent>, std::greater<WalkEvent>> heap_;
 

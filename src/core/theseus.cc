@@ -8,7 +8,7 @@
 //
 // Determinism: every lifetime draw is keyed by (global site index, unit
 // generation) and the availability integral is exact integer
-// site-microseconds (AliveSeconds), so lanes merge order-free. The report is
+// site-microseconds (SiteSeconds), so lanes merge order-free. The report is
 // the same at any shard, worker or window count, and equal to the serial
 // run's. Kaplan-Meier observations are concatenated in lane order (failures
 // then survivors per lane): one lane gives the serial sequence, more lanes
@@ -127,9 +127,7 @@ class DetailedCentury {
 
  private:
   void Accumulate(SimTime now) {
-    AliveSeconds& alive = model_.alive();
-    alive.AddSpan(alive.last_change, now, static_cast<int64_t>(model_.fleet().alive_count()));
-    alive.last_change = now;
+    model_.alive().AdvanceTo(now, static_cast<int64_t>(model_.fleet().alive_count()));
   }
 
   // --- Domain timers (all routed through the TimerTable) ------------------
@@ -174,12 +172,11 @@ class DetailedCentury {
 
 // One shard lane: the detailed driver over the lane's column range, on the
 // lane's own simulation, with a lane-local report that the main thread
-// merges in lane order.
+// merges in lane order. A lane records nothing: it runs on a worker thread.
 class CenturyShardLane final : public ShardLane {
  public:
-  CenturyShardLane(const CenturyConfig& config, uint32_t begin, uint32_t end,
-                   FlightRecorder* recorder)
-      : sim_(config.seed), driver_(sim_, config, report_, begin, end, recorder) {
+  CenturyShardLane(const CenturyConfig& config, uint32_t begin, uint32_t end)
+      : sim_(config.seed), driver_(sim_, config, report_, begin, end, /*recorder=*/nullptr) {
     sim_.trace().set_min_level(TraceLevel::kFailure);
     sim_.trace().EnableRetention(false);
   }
@@ -197,7 +194,7 @@ class CenturyShardLane final : public ShardLane {
 
   // Main thread, lanes quiescent: finishes the lane, then adds its integral
   // to `alive` and its counters and survival observations to `out`.
-  void FinishInto(AliveSeconds& alive, CenturyReport& out) {
+  void FinishInto(SiteSeconds& alive, CenturyReport& out) {
     driver_.Finish();
     alive.Add(driver_.model().alive());
     out.total_failures += report_.total_failures;
@@ -291,28 +288,26 @@ CenturyReport RunShardedCenturyScenario(const CenturyConfig& config) {
   uint32_t begin = 0;
   for (uint32_t i = 0; i < shards; ++i) {
     const uint32_t end = begin + per_lane + (i < remainder ? 1 : 0);
-    FlightRecorder* recorder =
-        i < config.shard.shard_recorders.size() ? config.shard.shard_recorders[i] : nullptr;
-    lanes.push_back(std::make_unique<CenturyShardLane>(config, begin, end, recorder));
+    lanes.push_back(std::make_unique<CenturyShardLane>(config, begin, end));
     lane_ptrs.push_back(lanes.back().get());
     begin = end;
   }
 
-  ThreadPool pool(config.shard.workers != 0 ? config.shard.workers : shards);
+  ThreadPool pool(ShardWorkerCount(shards, config.shard.workers));
   ShardWindowOptions opts;
   opts.horizon = config.horizon;
   opts.window =
       config.shard.window.micros() > 0 ? config.shard.window : SimTime::Days(90);
-  opts.progress = config.shard.shard_progress;
   opts.replica_progress = config.control.progress;
 
   CenturyReport report;
   report.events_executed = RunShardWindows(pool, lane_ptrs, opts);
-  AliveSeconds alive(config.horizon);
+  SiteSeconds alive(config.horizon);
   for (auto& lane : lanes) {
     lane->FinishInto(alive, report);
   }
-  alive.FillAvailability(config.horizon, config.fleet_size, report);
+  alive.FillRates(config.horizon, config.fleet_size, &report.mean_availability,
+                  &report.yearly_availability, &report.min_yearly_availability);
   return report;
 }
 

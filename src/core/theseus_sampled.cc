@@ -433,7 +433,7 @@ class SampledCentury {
   // copy) and written with last_change == barrier, and the pending walk
   // state is rendered as the serial engine's timer records.
   void SaveCheckpoint(SimTime barrier) {
-    AliveSeconds at_barrier = model_.alive();
+    SiteSeconds at_barrier = model_.alive();
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
       if (model_.fleet().alive(idx)) {
         at_barrier.AddSpan(model_.fleet().deployed_at(idx), barrier, 1);
@@ -451,7 +451,7 @@ class SampledCentury {
     // close does not double-count it.
     const SimTime barrier = sim_.Now();
     const DeviceFleet& fleet = model_.fleet();
-    AliveSeconds& alive = model_.alive();
+    SiteSeconds& alive = model_.alive();
     alive.AddSpan(alive.last_change, barrier, static_cast<int64_t>(fleet.alive_count()));
     for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
       if (fleet.alive(idx)) {

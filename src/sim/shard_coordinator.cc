@@ -20,6 +20,13 @@ int64_t MinLaneBound(const std::vector<ShardLane*>& lanes) {
 
 }  // namespace
 
+uint32_t ShardWorkerCount(uint32_t lanes, uint32_t requested) {
+  if (requested != 0) {
+    return requested;
+  }
+  return ThreadPool::OnWorker() ? 1 : std::min(lanes, ThreadPool::DefaultThreadCount());
+}
+
 uint64_t RunShardWindows(ThreadPool& pool, const std::vector<ShardLane*>& lanes,
                          const ShardWindowOptions& options) {
   assert(!lanes.empty());
@@ -68,17 +75,9 @@ uint64_t RunShardWindows(ThreadPool& pool, const std::vector<ShardLane*>& lanes,
     // barrier + window, so covering through min(barrier + W, horizon) keeps
     // every cross-shard effect a full window ahead of its fire time.
     const int64_t cover = std::min(barrier + window, horizon);
-    for (size_t i = 0; i < lanes.size(); ++i) {
-      ShardLane* lane = lanes[i];
-      ProgressCell* cell =
-          i < options.progress.size() ? options.progress[i] : nullptr;
-      pool.Submit([lane, cell, barrier, cover] {
+    for (ShardLane* lane : lanes) {
+      pool.Submit([lane, barrier, cover] {
         lane->RunWindow(SimTime::Micros(barrier), SimTime::Micros(cover));
-        if (cell != nullptr) {
-          Scheduler& s = lane->sched();
-          cell->Publish(barrier, s.EarliestPending().micros(), s.executed_count(),
-                        s.pending_count(), s.pending_count());
-        }
       });
     }
     pool.Wait();
@@ -106,12 +105,8 @@ uint64_t RunShardWindows(ThreadPool& pool, const std::vector<ShardLane*>& lanes,
   }
 
   uint64_t executed = 0;
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    const uint64_t lane_executed = lanes[i]->sched().executed_count();
-    executed += lane_executed;
-    if (i < options.progress.size() && options.progress[i] != nullptr) {
-      options.progress[i]->MarkDone(horizon, lane_executed);
-    }
+  for (ShardLane* lane : lanes) {
+    executed += lane->sched().executed_count();
   }
   if (options.replica_progress != nullptr) {
     options.replica_progress->MarkDone(horizon, executed);

@@ -72,12 +72,16 @@ struct ShardWindowOptions {
   std::function<void(SimTime)> on_checkpoint;
   // Main thread, at every barrier after Wait (bus plane flip goes here).
   std::function<void()> on_barrier;
-  // Per-lane cells, published by each lane's worker at its window end
-  // (empty, or one per lane; nullptr entries skipped).
-  std::vector<ProgressCell*> progress;
   // Replica-level roll-up, published by the main thread at each barrier.
   ProgressCell* replica_progress = nullptr;
 };
+
+// Worker threads for `lanes` lanes: `requested` when non-zero, else one
+// per lane up to the CPUs this process may run on
+// (ThreadPool::DefaultThreadCount), and one on a pool worker (an ensemble
+// replica or a branch), whose siblings already hold the cores. Results
+// never depend on it.
+uint32_t ShardWorkerCount(uint32_t lanes, uint32_t requested);
 
 // Runs every lane from Setup at options.start through the horizon. Returns
 // total events executed across lanes. Lanes end with Now() == horizon.

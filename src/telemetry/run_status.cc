@@ -84,20 +84,6 @@ std::string ReplicaRowJson(const ReplicaStatusRow& r) {
   if (!r.latest_checkpoint.empty()) {
     out += ", \"latest_checkpoint\": \"" + JsonEscape(r.latest_checkpoint) + "\"";
   }
-  if (!r.shards.empty()) {
-    out += ", \"shards\": [";
-    bool first = true;
-    for (const ReplicaStatusRow::ShardRow& sh : r.shards) {
-      out += first ? "" : ", ";
-      first = false;
-      out += "{\"index\": " + std::to_string(sh.index);
-      out += ", \"sim_us\": " + std::to_string(sh.sim_us);
-      out += ", \"events_executed\": " + std::to_string(sh.executed);
-      out += ", \"events_per_sec\": " + JsonNumber(sh.events_per_sec);
-      out += std::string(", \"done\": ") + (sh.done ? "true" : "false") + "}";
-    }
-    out += "]";
-  }
   out += "}";
   return out;
 }
@@ -213,19 +199,6 @@ void RunStatusMonitor::Start() {
     tracks_[i].last_advance = start_;
     tracks_[i].prev_executed = v.executed;
     tracks_[i].prev_sim_us = v.sim_us;
-    const size_t n_shards = replicas_[i].shards.size();
-    tracks_[i].shard_last_executed.assign(n_shards, 0);
-    tracks_[i].shard_last_sim_us.assign(n_shards, 0);
-    tracks_[i].shard_prev_executed.assign(n_shards, 0);
-    for (size_t k = 0; k < n_shards; ++k) {
-      if (replicas_[i].shards[k].cell == nullptr) {
-        continue;
-      }
-      const ProgressCell::View sv = replicas_[i].shards[k].cell->Load();
-      tracks_[i].shard_last_executed[k] = sv.executed;
-      tracks_[i].shard_last_sim_us[k] = sv.sim_us;
-      tracks_[i].shard_prev_executed[k] = sv.executed;
-    }
   }
   thread_ = std::thread([this] { ThreadBody(); });
 }
@@ -310,22 +283,6 @@ RunStatus RunStatusMonitor::BuildStatusLocked(Clock::time_point now) {
     row.stalled = stalled_[i] != 0 || v.stalled;
     row.stall_kind = row.stalled ? tracks_[i].stall_kind : "";
     row.latest_checkpoint = ReadLatestCheckpointPath(replicas_[i].checkpoint_dir);
-    for (size_t k = 0; k < replicas_[i].shards.size(); ++k) {
-      if (replicas_[i].shards[k].cell == nullptr) {
-        continue;
-      }
-      const ProgressCell::View sv = replicas_[i].shards[k].cell->Load();
-      ReplicaStatusRow::ShardRow shard;
-      shard.index = static_cast<uint32_t>(k);
-      shard.sim_us = sv.sim_us;
-      shard.executed = sv.executed;
-      shard.done = sv.done;
-      if (interval > 0.0 && k < tracks_[i].shard_prev_executed.size()) {
-        shard.events_per_sec =
-            static_cast<double>(sv.executed - tracks_[i].shard_prev_executed[k]) / interval;
-      }
-      row.shards.push_back(shard);
-    }
     if (options_.horizon_us > 0) {
       row.pct_of_horizon =
           v.done ? 100.0
@@ -377,11 +334,6 @@ void RunStatusMonitor::Beat(const char* event) {
   for (size_t i = 0; i < s.replicas.size(); ++i) {
     tracks_[i].prev_executed = s.replicas[i].executed;
     tracks_[i].prev_sim_us = s.replicas[i].sim_us;
-    for (const ReplicaStatusRow::ShardRow& sh : s.replicas[i].shards) {
-      if (sh.index < tracks_[i].shard_prev_executed.size()) {
-        tracks_[i].shard_prev_executed[sh.index] = sh.executed;
-      }
-    }
   }
   prev_total_executed_ = s.events_executed;
   prev_min_sim_us_ = s.sim_us;
@@ -408,23 +360,11 @@ void RunStatusMonitor::CheckWatchdog() {
       continue;
     }
     // Progress = sim time OR executed count moved: a long same-timestamp
-    // event run is progress, a wedged callback is not. For a sharded
-    // replica, any lane moving counts — the replica cell only advances at
-    // barriers, and one wedged lane freezes it for everyone.
-    bool advanced = v.executed != t.last_executed || v.sim_us != t.last_sim_us;
+    // event run is progress, a wedged callback is not. A sharded replica's
+    // cell advances at its barriers.
+    const bool advanced = v.executed != t.last_executed || v.sim_us != t.last_sim_us;
     t.last_executed = v.executed;
     t.last_sim_us = v.sim_us;
-    for (size_t k = 0; k < replicas_[i].shards.size(); ++k) {
-      if (replicas_[i].shards[k].cell == nullptr) {
-        continue;
-      }
-      const ProgressCell::View sv = replicas_[i].shards[k].cell->Load();
-      if (sv.executed != t.shard_last_executed[k] || sv.sim_us != t.shard_last_sim_us[k]) {
-        advanced = true;
-      }
-      t.shard_last_executed[k] = sv.executed;
-      t.shard_last_sim_us[k] = sv.sim_us;
-    }
     if (advanced) {
       t.last_advance = now;
       continue;
@@ -434,7 +374,7 @@ void RunStatusMonitor::CheckWatchdog() {
       continue;
     }
     t.dumped = true;
-    ClassifyStall(i);
+    t.stall_kind = "replica_stalled";
     stalled_[i] = 1;
     replicas_[i].cell->stalled.store(1, std::memory_order_release);
     stalled_count_.fetch_add(1, std::memory_order_acq_rel);
@@ -443,59 +383,11 @@ void RunStatusMonitor::CheckWatchdog() {
   }
 }
 
-void RunStatusMonitor::ClassifyStall(size_t i) {
-  ReplicaTrack& t = tracks_[i];
-  t.stall_kind = "replica_stalled";
-  t.wedged_shards.clear();
-  if (replicas_[i].shards.empty()) {
-    return;
-  }
-  // The laggards are the active (not-done) lanes pinned at the minimum sim
-  // time. A strict subset means the others reached the barrier and are
-  // waiting on these — the wedge is inside the laggards, not the replica.
-  int64_t min_sim = INT64_MAX;
-  size_t active = 0;
-  for (size_t k = 0; k < replicas_[i].shards.size(); ++k) {
-    if (replicas_[i].shards[k].cell == nullptr) {
-      continue;
-    }
-    const ProgressCell::View sv = replicas_[i].shards[k].cell->Load();
-    if (sv.done) {
-      continue;
-    }
-    ++active;
-    min_sim = std::min(min_sim, sv.sim_us);
-  }
-  if (active == 0) {
-    return;
-  }
-  for (size_t k = 0; k < replicas_[i].shards.size(); ++k) {
-    if (replicas_[i].shards[k].cell == nullptr) {
-      continue;
-    }
-    const ProgressCell::View sv = replicas_[i].shards[k].cell->Load();
-    if (!sv.done && sv.sim_us == min_sim) {
-      t.wedged_shards.push_back(k);
-    }
-  }
-  if (t.wedged_shards.size() < active) {
-    t.stall_kind = "shard_wedged";
-  } else {
-    t.wedged_shards.clear();
-  }
-}
-
 void RunStatusMonitor::DumpStalledReplica(size_t i) {
   if (options_.status_dir.empty()) {
     return;
   }
   const std::string base = options_.status_dir + "/replica_" + std::to_string(i);
-  for (const size_t k : tracks_[i].wedged_shards) {
-    if (replicas_[i].shards[k].recorder != nullptr) {
-      WriteFlightRecorderJsonl(*replicas_[i].shards[k].recorder,
-                               base + "_shard_" + std::to_string(k) + "_flight.jsonl");
-    }
-  }
   if (replicas_[i].recorder != nullptr) {
     WriteFlightRecorderJsonl(*replicas_[i].recorder, base + "_flight.jsonl");
     ChromeTraceWriter trace("replica_" + std::to_string(i));

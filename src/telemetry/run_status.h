@@ -40,18 +40,6 @@ int64_t ReadRssBytes();
 
 // One replica's row in run_status.json.
 struct ReplicaStatusRow {
-  // One shard lane's sub-row (sharded engines only): the lane's barrier
-  // frontier and event throughput. A healthy sharded run shows every lane
-  // at the same sim_us (they meet at each barrier); a lane whose row goes
-  // stale while siblings advance is wedged inside a window.
-  struct ShardRow {
-    uint32_t index = 0;
-    int64_t sim_us = 0;
-    uint64_t executed = 0;
-    double events_per_sec = 0.0;  // Over the last heartbeat interval.
-    bool done = false;
-  };
-
   uint32_t index = 0;
   uint64_t seed = 0;
   int64_t sim_us = 0;
@@ -68,12 +56,8 @@ struct ReplicaStatusRow {
   int64_t sim_skipped_us = 0;
   bool done = false;
   bool stalled = false;
-  // Stall diagnosis (set when `stalled`): "shard_wedged" when a strict
-  // subset of this replica's shard lanes stopped at a barrier while
-  // siblings kept moving (dump the laggards, the barrier protocol is stuck
-  // inside them); "replica_stalled" when the whole replica stopped.
+  // Stall diagnosis (set when `stalled`): "replica_stalled".
   std::string stall_kind;
-  std::vector<ShardRow> shards;
   // Newest durable checkpoint (from the replica checkpoint dir's
   // LATEST.json marker); empty when the replica is not checkpointing or
   // none has landed yet. What a custodian resumes from after a crash.
@@ -137,19 +121,11 @@ class RunStatusMonitor {
     double devices_per_replica = 0.0;
   };
 
-  struct ShardHooks {
-    ProgressCell* cell = nullptr;        // Required (per shard lane).
-    FlightRecorder* recorder = nullptr;  // Optional (wedge dumps).
-  };
-
+  // A sharded replica publishes into its one replica cell at each barrier.
   struct ReplicaHooks {
     ProgressCell* cell = nullptr;            // Required.
     FlightRecorder* recorder = nullptr;      // Optional (stall dumps).
     SchedulerSlot* scheduler_slot = nullptr; // Optional (deep snapshots).
-    // Sharded engines: one hook per shard lane (ShardPlan.shard_progress /
-    // shard_recorders). Enables per-shard status sub-rows and lets the
-    // watchdog tell "one lane wedged at a barrier" from "replica stalled".
-    std::vector<ShardHooks> shards;
     uint64_t seed = 0;
     // Optional: where this replica writes checkpoints. Status rows and
     // stall dumps then name the latest durable snapshot, so recovery after
@@ -189,10 +165,6 @@ class RunStatusMonitor {
   RunStatus BuildStatusLocked(Clock::time_point now);
   void Beat(const char* event);  // Build + write + append, under mu_.
   void CheckWatchdog();
-  // Sets tracks_[i].stall_kind / wedged_shards from the shard frontiers:
-  // "shard_wedged" when a strict subset of active lanes sits at the minimum
-  // sim time (the barrier stragglers), else "replica_stalled".
-  void ClassifyStall(size_t i);
   void DumpStalledReplica(size_t i);
 
   Options options_;
@@ -206,14 +178,8 @@ class RunStatusMonitor {
     uint64_t prev_executed = 0;  // At the previous heartbeat.
     int64_t prev_sim_us = 0;
     bool dumped = false;
-    // Per-shard mirrors of the above (sharded replicas only).
-    std::vector<uint64_t> shard_last_executed;
-    std::vector<int64_t> shard_last_sim_us;
-    std::vector<uint64_t> shard_prev_executed;
-    // Stall verdict, set with `dumped`: which lanes to dump and what kind
-    // of stall the status row reports.
+    // Stall verdict, set with `dumped`: what the status row reports.
     std::string stall_kind;
-    std::vector<size_t> wedged_shards;
   };
   std::vector<ReplicaTrack> tracks_;
   std::vector<uint8_t> stalled_;  // Sticky flags; written by monitor only.

@@ -220,8 +220,8 @@ TEST(CoverageCellsTest, PlannedGridsMatchPerSiteRecount) {
   for (const DistrictConfig& cfg : configs) {
     const Geometry geo = PlannedGeometry(cfg);
     const DistrictGeometry district(cfg);
-    ExpectExactPartition(geo, district.cells);
-    DriveRandomTransitions(geo, district.cells, cfg.seed * 7919);
+    ExpectExactPartition(geo, *district.cells);
+    DriveRandomTransitions(geo, *district.cells, cfg.seed * 7919);
   }
 }
 

@@ -22,6 +22,7 @@
 
 #include "src/core/district.h"
 #include "src/core/theseus.h"
+#include "src/sim/thread_pool.h"
 #include "src/sim/time.h"
 #include "src/snapshot/snapshot.h"
 #include "src/telemetry/run_manifest.h"
@@ -129,6 +130,21 @@ TEST(DistrictShardTest, DigestInvariantAcrossWorkerCounts) {
     }
     EXPECT_EQ(d, digest) << "workers=" << workers;
   }
+}
+
+// With workers = 0, a run starts one worker per lane only up to the CPUs
+// the process may run on, so 16 lanes on a smaller host start no more
+// threads than it has CPUs. The report is the one-worker report.
+TEST(DistrictShardTest, DefaultWorkersCappedAtTheCpuCount) {
+  DistrictConfig cfg = SmallDistrict();
+  cfg.shard.shards = 16;
+  cfg.shard.workers = 1;
+  const std::string one_worker = DistrictDigest(RunDistrictScenario(cfg));
+  cfg.shard.workers = 0;
+  const uint64_t before = ThreadPool::WorkersStarted();
+  const std::string default_workers = DistrictDigest(RunDistrictScenario(cfg));
+  EXPECT_LE(ThreadPool::WorkersStarted() - before, ThreadPool::DefaultThreadCount());
+  EXPECT_EQ(default_workers, one_worker);
 }
 
 TEST(DistrictShardTest, DigestInvariantAcrossWindowWidths) {

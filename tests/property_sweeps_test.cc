@@ -259,8 +259,8 @@ SamplingPlan HalfYearSampling() {
 }
 
 // Over a half-year horizon, year 0 is the whole run, so its rate is the
-// run's mean: exactly on the integer integrals (the century's, the sharded
-// district's), within rounding on the serial and sampled district's doubles.
+// run's mean: exactly, since every engine converts the same exact integer
+// integral over the same span.
 TEST(PartialYearTest, HalfYearHorizonReportsTheMeanAsYearZero) {
   CenturyConfig century;
   century.seed = 31;
@@ -294,12 +294,8 @@ TEST(PartialYearTest, HalfYearHorizonReportsTheMeanAsYearZero) {
     const DistrictReport r = RunDistrictScenario(cfg);
     ASSERT_EQ(r.yearly_service.size(), 1u);
     EXPECT_GT(r.mean_service_availability, 0.5);
-    if (cfg.shard.enabled()) {
-      EXPECT_EQ(r.yearly_service[0], r.mean_service_availability);
-    } else {
-      EXPECT_NEAR(r.yearly_service[0], r.mean_service_availability, 1e-12)
-          << "sampled " << cfg.sampling.enabled();
-    }
+    EXPECT_EQ(r.yearly_service[0], r.mean_service_availability)
+        << "shards " << cfg.shard.shards << ", sampled " << cfg.sampling.enabled();
   }
 }
 

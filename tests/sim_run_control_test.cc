@@ -340,7 +340,9 @@ TEST(WatchdogTest, StalledReplicaIsDumpedAndFlagged) {
   EXPECT_FALSE(fs::exists(dir + "/run_status.json.tmp"));
   {
     std::string error;
-    EXPECT_TRUE(JsonLint(ReadAll(dir + "/run_status.json"), &error)) << error;
+    const std::string status = ReadAll(dir + "/run_status.json");
+    EXPECT_TRUE(JsonLint(status, &error)) << error;
+    EXPECT_NE(status.find("\"stall_kind\": \"replica_stalled\""), std::string::npos);
   }
   EXPECT_NE(ReadAll(dir + "/status.jsonl").find("\"event\":\"stall\""), std::string::npos);
 
@@ -378,6 +380,7 @@ TEST(WatchdogTest, HealthyEnsembleHasNoStalls) {
   const std::string status = ReadAll(dir + "/run_status.json");
   EXPECT_TRUE(JsonLint(status, &error)) << error;
   EXPECT_NE(status.find("\"replicas_done\": 3"), std::string::npos);
+  EXPECT_EQ(status.find("\"stall_kind\""), std::string::npos);  // Healthy: omitted.
   EXPECT_NE(ReadAll(dir + "/status.jsonl").find("\"event\":\"final\""), std::string::npos);
 
   fs::remove_all(dir);

@@ -338,26 +338,22 @@ TEST(ShardCoordinatorTest, BusMessagesArriveOneWindowLater) {
   EXPECT_EQ(receiver.received_[0].a, 42u);
 }
 
-TEST(ShardCoordinatorTest, PublishesLaneAndReplicaProgress) {
+TEST(ShardCoordinatorTest, PublishesReplicaProgress) {
   RecordingLane a({100, 4000}, nullptr, 0, 1);
   std::vector<ShardLane*> lanes{&a};
   ThreadPool pool(1);
 
-  ProgressCell lane_cell;
   ProgressCell replica_cell;
   ShardWindowOptions opts;
   opts.horizon = SimTime::Micros(5000);
   opts.window = SimTime::Micros(1000);
-  opts.progress = {&lane_cell};
   opts.replica_progress = &replica_cell;
   RunShardWindows(pool, lanes, opts);
 
-  const ProgressCell::View lane_view = lane_cell.Load();
-  EXPECT_TRUE(lane_view.done);
-  EXPECT_EQ(lane_view.executed, 2u);
   const ProgressCell::View replica_view = replica_cell.Load();
   EXPECT_TRUE(replica_view.done);
   EXPECT_EQ(replica_view.sim_us, 5000);
+  EXPECT_EQ(replica_view.executed, 2u);
 }
 
 }  // namespace

@@ -594,7 +594,7 @@ std::string CenturyDigest(const CenturyReport& r) {
 }
 
 // Golden pins from tests/core_fleet_test.cc (seed-scheduler parity digests).
-constexpr const char* kGoldenDistrictDigest = "838a9e16cbe806c2";
+constexpr const char* kGoldenDistrictDigest = "4e1001a7cba2ca13";
 constexpr const char* kGoldenCenturyDigest = "01f81cad8cd9b9ed";
 
 DistrictConfig GoldenDistrictConfig() {
@@ -711,7 +711,7 @@ TEST(DistrictSnapshotTest, ResumeLatestRecoversAndStructuralMismatchRefused) {
 // A snapshot whose content is wrong but whose checksums are right: every
 // chunk of `path` copied into a fresh SnapshotWriter, with the fleet
 // chunk's `site` slot saved one gateway more covered than it was (unless
-// `site` is UINT32_MAX), with a `district` accumulator chunk's leading
+// `site` is UINT32_MAX), with a `district` integral chunk's leading
 // in-service count one too high, or with the timer chunk's records passed
 // through `edit_timers`.
 std::string ResealEdited(
@@ -736,7 +736,7 @@ std::string ResealEdited(
         EncodeFleetSlot(slot, out);
       }
     }
-    if (tag == SnapshotTag('a', 'c', 'c', 'u') && bump_in_service) {
+    if (tag == SnapshotTag('i', 'n', 't', 'g') && bump_in_service) {
       out.U64(in.U64() + 1);
     }
     if (tag == SnapshotTag('t', 'i', 'm', 'r') && edit_timers) {
@@ -785,7 +785,7 @@ TEST(DistrictSnapshotTest, CoveringMismatchRefusedNamingTheSite) {
   const std::string serial_bad = ResealEdited(
       serial_run.last_checkpoint_path, dir.path() + "/serial_bad.snap",
       {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 's', 't'),
-       SnapshotTag('a', 'c', 'c', 'u'), SnapshotTag('t', 'i', 'm', 'r'),
+       SnapshotTag('i', 'n', 't', 'g'), SnapshotTag('t', 'i', 'm', 'r'),
        SnapshotTag('s', 'c', 'h', 'd')},
       site);
   const std::string sharded_bad = ResealEdited(
@@ -808,7 +808,7 @@ TEST(DistrictSnapshotTest, CoveringMismatchRefusedNamingTheSite) {
   resume_serial.snapshot.resume_from = ResealEdited(
       serial_run.last_checkpoint_path, dir.path() + "/serial_bad_service.snap",
       {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 's', 't'),
-       SnapshotTag('a', 'c', 'c', 'u'), SnapshotTag('t', 'i', 'm', 'r'),
+       SnapshotTag('i', 'n', 't', 'g'), SnapshotTag('t', 'i', 'm', 'r'),
        SnapshotTag('s', 'c', 'h', 'd')},
       UINT32_MAX, /*bump_in_service=*/true);
   EXPECT_DEATH(RunDistrictScenario(resume_serial), "in-service count");
@@ -818,6 +818,43 @@ TEST(DistrictSnapshotTest, CoveringMismatchRefusedNamingTheSite) {
   EXPECT_GT(RunDistrictScenario(resume_serial).restore_seconds, 0.0);
   resume_sharded.snapshot.resume_from = sharded_run.last_checkpoint_path;
   EXPECT_GT(RunDistrictScenario(resume_sharded).restore_seconds, 0.0);
+}
+
+// A serial `district` checkpoint keeps its availability integrals as exact
+// integer site-microseconds in the 'intg' chunk. A file without it, such as
+// one whose integrals are the earlier format's doubles in an 'accu' chunk,
+// is refused by the serial and the sampled reader with an error that names
+// the chunk, not misread.
+TEST(DistrictSnapshotTest, CheckpointWithoutIntegerChunkRefused) {
+  ScratchDir dir("district_no_integer_chunk");
+  DistrictConfig cfg;
+  cfg.seed = 9;
+  cfg.device_count = 300;
+  cfg.area_km2 = 4.0;
+  cfg.zone_grid = 2;
+  cfg.horizon = SimTime::Years(12);
+  cfg.batch_cycle = SimTime::Years(4);
+  cfg.snapshot.checkpoint_every = SimTime::Years(6);
+  cfg.snapshot.checkpoint_dir = dir.path();
+  const DistrictReport saved = RunDistrictScenario(cfg);
+  ASSERT_EQ(saved.checkpoints_written, 1u);
+  const std::string no_integral = ResealEdited(
+      saved.last_checkpoint_path, dir.path() + "/no_integral.snap",
+      {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 's', 't'),
+       SnapshotTag('t', 'i', 'm', 'r'), SnapshotTag('s', 'c', 'h', 'd')},
+      UINT32_MAX);
+
+  DistrictConfig serial = cfg;
+  serial.snapshot = SnapshotPlan{};
+  DistrictConfig sampled = serial;
+  sampled.sampling.mode = SimMode::kSampled;
+  for (DistrictConfig* resume : {&serial, &sampled}) {
+    resume->snapshot.resume_from = no_integral;
+    EXPECT_DEATH(RunDistrictScenario(*resume), "no 'intg' chunk");
+    // The untouched checkpoint still resumes.
+    resume->snapshot.resume_from = saved.last_checkpoint_path;
+    EXPECT_GT(RunDistrictScenario(*resume).restore_seconds, 0.0);
+  }
 }
 
 // --- Restore parity: century -------------------------------------------------

@@ -288,136 +288,6 @@ TEST(RunStatusMonitorTest, BuildStatusWithoutStartIsUsable) {
   EXPECT_FALSE(s.replicas[0].done);
 }
 
-// --- Sharded replica rows and stall classification ---------------------------
-
-TEST(RunStatusShardTest, ShardRowsRenderInStatusAndJson) {
-  ProgressCell replica_cell;
-  replica_cell.Publish(400, 500, 40, 2, 3);
-  ProgressCell s0;
-  ProgressCell s1;
-  s0.Publish(400, 450, 25, 1, 1);
-  s1.Publish(400, 470, 15, 1, 1);
-
-  RunStatusMonitor::Options options;
-  options.horizon_us = 1000;
-  RunStatusMonitor::ReplicaHooks hooks;
-  hooks.cell = &replica_cell;
-  hooks.shards.push_back({&s0, nullptr});
-  hooks.shards.push_back({&s1, nullptr});
-  RunStatusMonitor monitor(options, {hooks});
-
-  const RunStatus s = monitor.BuildStatus();
-  ASSERT_EQ(s.replicas.size(), 1u);
-  ASSERT_EQ(s.replicas[0].shards.size(), 2u);
-  EXPECT_EQ(s.replicas[0].shards[0].index, 0u);
-  EXPECT_EQ(s.replicas[0].shards[0].sim_us, 400);
-  EXPECT_EQ(s.replicas[0].shards[0].executed, 25u);
-  EXPECT_EQ(s.replicas[0].shards[1].executed, 15u);
-  EXPECT_FALSE(s.replicas[0].shards[1].done);
-  EXPECT_TRUE(s.replicas[0].stall_kind.empty());
-
-  const std::string json = s.ToJson();
-  std::string error;
-  EXPECT_TRUE(JsonLint(json, &error)) << error;
-  EXPECT_NE(json.find("\"shards\": ["), std::string::npos);
-  EXPECT_EQ(json.find("\"stall_kind\""), std::string::npos);  // Healthy: omitted.
-}
-
-// One lane frozen mid-window while its siblings sit at a later frontier:
-// the watchdog must diagnose "shard_wedged", dump ONLY the laggard lane's
-// recorder, and carry the verdict into run_status.json.
-TEST(RunStatusShardTest, WatchdogClassifiesShardWedgeAndDumpsLaggard) {
-  const std::string dir = testing::TempDir() + "shard_wedge_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  ProgressCell replica_cell;
-  replica_cell.Publish(100, 200, 10, 1, 1);
-  ProgressCell s0;
-  ProgressCell s1;
-  s0.Publish(100, 150, 5, 1, 1);   // Laggard: pinned at the minimum frontier.
-  s1.Publish(900, 950, 50, 1, 1);  // Reached the barrier, waiting on s0.
-  FlightRecorder rec0(16);
-  rec0.Record("shard.window", SimTime::Micros(100), 0);
-  FlightRecorder rec1(16);
-  rec1.Record("shard.window", SimTime::Micros(900), 1);
-
-  RunStatusMonitor::Options options;
-  options.status_dir = dir;
-  options.heartbeat_seconds = 0.02;
-  options.stall_deadline_seconds = 0.1;
-  options.deep_stall_snapshot = false;
-  options.horizon_us = 1000;
-  RunStatusMonitor::ReplicaHooks hooks;
-  hooks.cell = &replica_cell;
-  hooks.shards.push_back({&s0, &rec0});
-  hooks.shards.push_back({&s1, &rec1});
-  RunStatusMonitor monitor(options, {hooks});
-  monitor.Start();
-  const std::string laggard_dump = dir + "/replica_0_shard_0_flight.jsonl";
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!fs::exists(laggard_dump) && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  monitor.Stop();
-
-  EXPECT_TRUE(monitor.WasStalled(0));
-  ASSERT_TRUE(fs::exists(laggard_dump));
-  EXPECT_FALSE(fs::exists(dir + "/replica_0_shard_1_flight.jsonl"));
-  EXPECT_NE(ReadAll(laggard_dump).find("\"category\":\"shard.window\""), std::string::npos);
-  const std::string status = ReadAll(dir + "/run_status.json");
-  EXPECT_NE(status.find("\"stall_kind\": \"shard_wedged\""), std::string::npos);
-
-  fs::remove_all(dir);
-}
-
-// Every lane frozen at the same frontier: the whole replica stalled — no
-// per-lane verdict, no shard dumps.
-TEST(RunStatusShardTest, WatchdogClassifiesWholeReplicaStall) {
-  const std::string dir = testing::TempDir() + "shard_replica_stall_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  ProgressCell replica_cell;
-  replica_cell.Publish(100, 200, 10, 1, 1);
-  ProgressCell s0;
-  ProgressCell s1;
-  s0.Publish(100, 150, 5, 1, 1);
-  s1.Publish(100, 150, 5, 1, 1);
-  FlightRecorder rec0(16);
-  rec0.Record("shard.window", SimTime::Micros(100), 0);
-  FlightRecorder replica_rec(16);
-  replica_rec.Record("replica.window", SimTime::Micros(100), 0);
-
-  RunStatusMonitor::Options options;
-  options.status_dir = dir;
-  options.heartbeat_seconds = 0.02;
-  options.stall_deadline_seconds = 0.1;
-  options.deep_stall_snapshot = false;
-  options.horizon_us = 1000;
-  RunStatusMonitor::ReplicaHooks hooks;
-  hooks.cell = &replica_cell;
-  hooks.recorder = &replica_rec;
-  hooks.shards.push_back({&s0, &rec0});
-  hooks.shards.push_back({&s1, nullptr});
-  RunStatusMonitor monitor(options, {hooks});
-  monitor.Start();
-  const std::string replica_dump = dir + "/replica_0_flight.jsonl";
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!fs::exists(replica_dump) && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  monitor.Stop();
-
-  EXPECT_TRUE(monitor.WasStalled(0));
-  ASSERT_TRUE(fs::exists(replica_dump));
-  EXPECT_FALSE(fs::exists(dir + "/replica_0_shard_0_flight.jsonl"));
-  EXPECT_NE(ReadAll(dir + "/run_status.json").find("\"stall_kind\": \"replica_stalled\""),
-            std::string::npos);
-
-  fs::remove_all(dir);
-}
-
 // --- Crash-dump registry ------------------------------------------------------
 
 TEST(CrashDumpTest, RegisteredRecordersDumpToTheirPaths) {

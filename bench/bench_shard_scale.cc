@@ -6,21 +6,29 @@
 // is a correctness gate first and a perf record second), and emits
 // BENCH_shard_scale.json.
 //
+// Usage: bench_shard_scale [sites]. The default is 400,000 sites; any
+// count keeps the density of 160 sites per km2. `hardware_threads` and the
+// lane sweep count the CPUs this process may run on (its affinity mask),
+// not the host's.
+//
 // tools/bench_smoke.sh guards the determinism records unconditionally and
 // applies the >= 4x speedup floor only when `hardware_threads` in the fresh
 // record is >= 8 — single-core CI boxes still verify correctness, the
-// speedup claim is only checkable where the cores exist.
+// speedup claim is only checkable where the cores exist. The
+// Bench.shard_scale_determinism ctest runs the determinism checks at
+// 20,000 sites.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/district.h"
+#include "src/sim/thread_pool.h"
 #include "src/sim/time.h"
 #include "src/telemetry/bench_record.h"
 #include "src/telemetry/report.h"
@@ -31,11 +39,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-DistrictConfig BenchConfig() {
+DistrictConfig BenchConfig(uint32_t sites) {
   DistrictConfig cfg;
   cfg.seed = 20260806;
-  cfg.device_count = 400000;
-  cfg.area_km2 = 2500.0;  // The constant-density rule: 160 sites per km2.
+  cfg.device_count = sites;
+  cfg.area_km2 = sites / 160.0;  // The constant-density rule: 160 sites per km2.
   cfg.zone_grid = 4;
   cfg.horizon = SimTime::Years(50);
   return cfg;
@@ -78,12 +86,18 @@ Run TimeRun(const DistrictConfig& base, uint32_t shards, uint32_t workers) {
 }  // namespace
 }  // namespace centsim
 
-int main() {
+int main(int argc, char** argv) {
   using namespace centsim;
-  const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  std::cout << "=== shard scale: one city across " << hw << " hardware threads ===\n\n";
+  const uint32_t sites = argc > 1 ? static_cast<uint32_t>(std::atol(argv[1])) : 400000;
+  if (sites == 0) {
+    std::cerr << "usage: bench_shard_scale [sites], with sites a positive count\n";
+    return 2;
+  }
+  const uint32_t hw = ThreadPool::DefaultThreadCount();
+  std::cout << "=== shard scale: one city of " << sites << " sites across " << hw
+            << " hardware threads ===\n\n";
 
-  const DistrictConfig cfg = BenchConfig();
+  const DistrictConfig cfg = BenchConfig(sites);
   BenchReport bench("shard_scale");
   bench.Add("hardware_threads", static_cast<double>(hw), "count");
 

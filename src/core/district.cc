@@ -246,9 +246,6 @@ std::vector<std::string> DistrictConfig::Validate() const {
   for (std::string& diagnostic : snapshot.Validate()) {
     diagnostics.push_back(std::move(diagnostic));
   }
-  for (std::string& diagnostic : shard.Validate()) {
-    diagnostics.push_back(std::move(diagnostic));
-  }
   if (shard.enabled() && metrics != nullptr) {
     diagnostics.push_back("metrics registry is not supported by the sharded district engine: "
                           "run with shard.shards = 0 to bind metrics");

@@ -61,13 +61,13 @@ struct DistrictConfig {
 
   // Intra-run sharding (src/core/district_shard.cc). shards == 0 (default)
   // runs the serial engine — golden digests unchanged. shards > 0 runs the
-  // city across that many lanes with conservative windowed barriers, each
-  // lane running the serial run's model over its own site range. Results
-  // are bit-identical across any shards/workers/window choice, but (by
-  // design) differ from the serial engine's: the lanes key per-entity RNG
-  // streams, where the serial engine keys its draws by running counters in
-  // global event order. Sharded snapshots use the "district-shard"
-  // experiment tag and restore under any shard count.
+  // city across that many independent lanes, each running the serial run's
+  // model over its own site range and replaying every gateway's keyed
+  // fail/repair timeline itself. Results are bit-identical across any
+  // shards/workers choice, but (by design) differ from the serial engine's:
+  // the lanes key per-entity RNG streams, where the serial engine keys its
+  // draws by running counters in global event order. Sharded snapshots use
+  // the "district-shard" experiment tag and restore under any shard count.
   ShardPlan shard;
 
   // Sampled time advance (src/sim/sampling.h, src/core/district_sampled.cc).

@@ -268,7 +268,7 @@ class DistrictModel {
   void GatewayFailAt(uint32_t g, SimTime at);
   void GatewayRepairAt(uint32_t g, SimTime at);
   // Gateway up/down without the fail/repair accounting (initial bring-up,
-  // and a shard lane's copy of another lane's transition).
+  // and every shard lane but lane 0, which alone counts each transition).
   void SetGatewayAt(uint32_t g, bool up, SimTime at);
 
   // Integrates alive and in-service site-time up to `now`; called before

@@ -1,31 +1,26 @@
-// Sharded district engine: one city advanced by S lanes with conservative
-// windowed synchronization. See DESIGN.md "Sharded engine" for the full
-// protocol; the short version:
+// Sharded district engine: one city advanced by S lanes that share
+// nothing. See DESIGN.md "Sharded engine"; the short version:
 //
 //  - Sites partition into contiguous ranges, one per lane. Each lane runs
 //    the serial run's DistrictModel over its range on its own Simulation;
 //    the geometry (deployment plan, gateway grid, coverage cells) is built
 //    once on the main thread, and every lane's model shares its cells.
-//  - The only cross-shard coupling is gateway up/down state: a transition
-//    of gateway g must adjust the service counts of every lane. Each
-//    lane's model counts service over the shared cells with only its own
-//    sites alive, so a flip costs a lane O(cells of g) whether or not it
-//    holds any of g's sites. Gateway fail/repair is an autonomous process
-//    (device state never feeds back into it), so the owner lane (g mod S)
-//    PRE-SAMPLES the transition timeline: during the window that ends at
-//    barrier B it extends every owned gateway's timeline through B + W,
-//    scheduling its own local copy immediately and broadcasting the rest
-//    via the ShardBus. Messages published in window w are drained at the
-//    start of window w+1 — one full window before the earliest time they
-//    can fire — so no lane ever receives an event in its past.
+//  - The only coupling between sites is gateway up/down state: a
+//    transition of gateway g changes the service counts of every lane.
+//    Gateway fail/repair is an autonomous process (device state never
+//    feeds back into it) whose every draw is keyed by (gateway, ordinal),
+//    so each lane replays every gateway's timeline itself: one cursor per
+//    gateway, its next transition armed on the lane's own scheduler, and
+//    each transition applied to the lane's sites in g's cells. Lane 0
+//    alone counts them. No lane ever needs another lane's events.
 //  - Determinism: the lanes differ from the serial run only in their life
 //    keys and gateway cursors. Every draw is keyed by an (entity, ordinal)
 //    derivation of a lane-independent root, the model integrates
 //    availability in exact integers (order-free sums), and same-timestamp
 //    event orders that differ between shard layouts are tie-commutative
 //    (measure-only coupling: coverage affects accounting, never dynamics or
-//    RNG). Reports are therefore bit-identical across any
-//    shards/workers/window choice.
+//    RNG). Reports are therefore bit-identical across any shard and worker
+//    count.
 //
 // The serial engine keys its draws by running counters in global event
 // order, so the sharded engine's numbers intentionally differ from it;
@@ -46,7 +41,6 @@
 #include "src/core/fleet_codec.h"
 #include "src/mgmt/batch_project.h"
 #include "src/sim/ensemble.h"
-#include "src/sim/shard_bus.h"
 #include "src/sim/shard_coordinator.h"
 #include "src/sim/thread_pool.h"
 #include "src/snapshot/snapshot.h"
@@ -54,9 +48,6 @@
 
 namespace centsim {
 namespace {
-
-constexpr uint32_t kMsgGatewayDown = 1;
-constexpr uint32_t kMsgGatewayUp = 2;
 
 // Lane-independent RNG roots: every lane derives them from a Simulation
 // seeded with config.seed, and every draw is keyed by (entity, ordinal),
@@ -71,17 +62,18 @@ inline uint64_t EntityKey(uint64_t index, uint32_t ordinal) {
 
 // Snapshot chunk tags ("district-shard" experiment). The structural
 // digest is the model's (DistrictStructuralDigest): the shard layout
-// (shards/workers/window) is deliberately absent, so a snapshot taken under
+// (shards/workers) is deliberately absent, so a snapshot taken under
 // K shards restores under any K'.
 constexpr uint32_t kShardFleetChunk = SnapshotTag('f', 'l', 'e', 't');
 constexpr uint32_t kShardGatewayChunk = SnapshotTag('g', 'w', 'r', 'c');
 constexpr uint32_t kShardAccumChunk = SnapshotTag('a', 'c', 'c', 'u');
 
-// Gateway fail/repair recurrence, advanced identically by the emission
-// cursor (through barrier + W), the committed cursor (through the barrier,
-// for checkpoints), and a restoring run (resuming from the saved tuple).
-// Each life draw derives a fresh stream keyed by (gateway, ordinal), so
-// replaying the advance sequence consumes no shared RNG state.
+// Gateway fail/repair recurrence: the next transition of one gateway. Every
+// lane advances its copy as that transition fires, a checkpoint saves it,
+// and a restoring run resumes from the saved tuple. Each life draw derives
+// a fresh stream keyed by (gateway, ordinal), so replaying the advance
+// sequence consumes no shared RNG state and every lane draws the same
+// timeline.
 struct GatewayCursor {
   int64_t next_at_us = 0;
   uint8_t next_is_down = 1;
@@ -127,7 +119,7 @@ struct RestoreState {
   int64_t barrier_us = 0;
   std::vector<DeviceFleet::SlotState> slots;  // Global site order.
   std::vector<uint8_t> gw_up;
-  std::vector<GatewayCursor> cursors;  // Committed, per gateway.
+  std::vector<GatewayCursor> cursors;  // Per gateway.
   // Global totals as of the barrier.
   SiteSeconds alive;
   SiteSeconds service;
@@ -136,17 +128,14 @@ struct RestoreState {
 };
 
 // A `ShardLane` adapter around DistrictModel: the lane keeps only its
-// per-entity life keys, its gateway cursors and their bus broadcasts.
+// per-entity life keys and one cursor per gateway.
 class DistrictShardLane final : public ShardLane {
  public:
-  DistrictShardLane(const DistrictConfig& config, const DistrictGeometry& geo, ShardBus& bus,
-                    uint32_t lane, uint32_t shards, uint32_t begin, uint32_t end,
-                    const RestoreState* restore)
+  DistrictShardLane(const DistrictConfig& config, const DistrictGeometry& geo, uint32_t lane,
+                    uint32_t begin, uint32_t end, const RestoreState* restore)
       : config_(config),
         geo_(geo),
-        bus_(bus),
         lane_(lane),
-        shards_(shards),
         begin_(begin),
         end_(end),
         restore_(restore),
@@ -174,21 +163,18 @@ class DistrictShardLane final : public ShardLane {
 
   // --- ShardLane ----------------------------------------------------------
 
-  void Setup(SimTime cover) override {
+  void Setup() override {
     // Built here, on the lane's worker. A lane records nothing: only the
     // thread that started the run writes to its flight recorder.
     model_.emplace(sim_, config_, report_, geo_, begin_, end_, /*recorder=*/nullptr);
-    const uint32_t n_gw = model_->gateway_count();
-    cursors_.resize(n_gw);
-    committed_.resize(n_gw);
-
     if (restore_ != nullptr) {
-      SetupFromRestore(cover);
+      SetupFromRestore();
       return;
     }
 
     batches_.ScheduleThrough(config_.horizon);
     // t = 0: every gateway up.
+    const uint32_t n_gw = model_->gateway_count();
     for (uint32_t g = 0; g < n_gw; ++g) {
       model_->SetGatewayAt(g, true, sim_.Now());
     }
@@ -196,45 +182,10 @@ class DistrictShardLane final : public ShardLane {
       model_->DeployAt(idx, sim_.Now());
       ArmLife(idx, sim_.Now());
     }
-    for (uint32_t g = lane_; g < n_gw; g += shards_) {
-      cursors_[g] = InitialCursor(gw_root_, model_->gateway_bom(), g);
-      committed_[g] = cursors_[g];
-    }
-    ExtendOwned(cover.micros());
-  }
-
-  SimTime NextBound() override {
-    int64_t bound = sim_.scheduler().EarliestPending().micros();
-    for (uint32_t g = lane_; g < cursors_.size(); g += shards_) {
-      bound = std::min(bound, cursors_[g].next_at_us);
-    }
-    return SimTime::Micros(bound);
-  }
-
-  void RunWindow(SimTime barrier, SimTime cover) override {
-    bus_.DrainInto(lane_, [this](const ShardMessage& m) {
-      const uint32_t g = m.a;
-      const bool up = m.kind == kMsgGatewayUp;
-      sim_.scheduler().ScheduleAt(SimTime::Micros(m.at_us),
-                                  [this, g, up] { ApplyGateway(g, up, /*owned=*/false); },
-                                  up ? kDistrictGatewayRepair : kDistrictGatewayFail);
-    });
-    ExtendOwned(cover.micros());
-    sim_.scheduler().DrainToBarrier(barrier);
-  }
-
-  void AtCheckpointBarrier(SimTime barrier) override {
-    model_->AccumulateTo(barrier);
-    // Advance the committed cursors through the barrier — the identical
-    // draw sequence the emission cursors already consumed, so a restoring
-    // run (even a branch-salted one) resumes exactly where emissions up to
-    // the barrier left off and re-emits the in-flight (barrier, cover]
-    // transitions itself.
-    for (uint32_t g = lane_; g < committed_.size(); g += shards_) {
-      while (committed_[g].next_at_us <= barrier.micros()) {
-        AdvanceCursor(committed_[g], gw_root_, model_->gateway_bom(), g,
-                      config_.gateway_repair_delay.micros());
-      }
+    cursors_.reserve(n_gw);
+    for (uint32_t g = 0; g < n_gw; ++g) {
+      cursors_.push_back(InitialCursor(gw_root_, model_->gateway_bom(), g));
+      ArmGateway(g);
     }
   }
 
@@ -251,21 +202,21 @@ class DistrictShardLane final : public ShardLane {
   // --- Main-thread accessors (lanes quiescent) ----------------------------
 
   const DistrictModel& model() const { return *model_; }
-  const GatewayCursor& committed_cursor(uint32_t g) const { return committed_[g]; }
+  // Gateway g's next transition, the same in every lane at a barrier.
+  const GatewayCursor& cursor(uint32_t g) const { return cursors_[g]; }
 
-  // Adds the lane's integrals, as of its last AccumulateTo, and counts.
-  void AddTotalsTo(SiteSeconds& alive, SiteSeconds& service, DistrictReport& counts) const {
+  // Adds the lane's integrals through its clock, and its counts.
+  void AddTotalsTo(SiteSeconds& alive, SiteSeconds& service, DistrictReport& counts) {
+    model_->AccumulateTo(sim_.Now());
     alive.Add(model_->alive_seconds());
     service.Add(model_->service_seconds());
     AddCounts(report_, counts);
   }
 
-  void FinishAt(SimTime horizon) { model_->AccumulateTo(horizon); }
-
  private:
   // The loader checked every slot's covering count against the restored
   // gateway states (LoadShardSnapshot).
-  void SetupFromRestore(SimTime cover) {
+  void SetupFromRestore() {
     const RestoreState& rs = *restore_;
     const SimTime barrier = SimTime::Micros(rs.barrier_us);
     restore_barrier_us_ = rs.barrier_us;
@@ -296,47 +247,35 @@ class DistrictShardLane final : public ShardLane {
         ArmDeviceFailure(idx, fleet.deadline(idx));
       }
     }
-    for (uint32_t g = lane_; g < cursors_.size(); g += shards_) {
-      cursors_[g] = rs.cursors[g];
-      committed_[g] = cursors_[g];
-    }
-    ExtendOwned(cover.micros());
-  }
-
-  // Pre-sample owned gateways' transition timelines through `cover_us`,
-  // scheduling local copies eagerly (they keep NextBound honest and make
-  // in-flight broadcasts always covered by the sender's bound) and
-  // broadcasting to every other lane.
-  void ExtendOwned(int64_t cover_us) {
-    for (uint32_t g = lane_; g < cursors_.size(); g += shards_) {
-      GatewayCursor& c = cursors_[g];
-      while (c.next_at_us <= cover_us) {
-        const int64_t at = c.next_at_us;
-        const bool down = c.next_is_down != 0;
-        sim_.scheduler().ScheduleAt(SimTime::Micros(at),
-                                    [this, g, down] { ApplyGateway(g, !down, /*owned=*/true); },
-                                    down ? kDistrictGatewayFail : kDistrictGatewayRepair);
-        ShardMessage m;
-        m.at_us = at;
-        m.kind = down ? kMsgGatewayDown : kMsgGatewayUp;
-        m.a = g;
-        bus_.Broadcast(lane_, m);
-        AdvanceCursor(c, gw_root_, model_->gateway_bom(), g,
-                      config_.gateway_repair_delay.micros());
-      }
+    cursors_ = rs.cursors;
+    for (uint32_t g = 0; g < cursors_.size(); ++g) {
+      ArmGateway(g);
     }
   }
 
-  // One gateway transition, applied to this lane's sites in its cells. The
-  // owner's copy also counts it (exactly once fleet-wide).
-  void ApplyGateway(uint32_t g, bool up, bool owned) {
-    if (!owned) {
+  // Arms the transition gateway g's cursor holds.
+  void ArmGateway(uint32_t g) {
+    const GatewayCursor& c = cursors_[g];
+    sim_.scheduler().ScheduleAt(SimTime::Micros(c.next_at_us), [this, g] { OnGateway(g); },
+                                c.next_is_down != 0 ? kDistrictGatewayFail
+                                                    : kDistrictGatewayRepair);
+  }
+
+  // Applies gateway g's transition to this lane's sites in its cells (lane
+  // 0's copy also counts it, exactly once fleet-wide), then advances the
+  // cursor and arms the next transition.
+  void OnGateway(uint32_t g) {
+    GatewayCursor& c = cursors_[g];
+    const bool up = c.next_is_down == 0;
+    if (lane_ != 0) {
       model_->SetGatewayAt(g, up, sim_.Now());
     } else if (up) {
       model_->GatewayRepairAt(g, sim_.Now());
     } else {
       model_->GatewayFailAt(g, sim_.Now());
     }
+    AdvanceCursor(c, gw_root_, model_->gateway_bom(), g, config_.gateway_repair_delay.micros());
+    ArmGateway(g);
   }
 
   void ArmDeviceFailure(uint32_t idx, SimTime at) {
@@ -358,9 +297,7 @@ class DistrictShardLane final : public ShardLane {
 
   const DistrictConfig& config_;
   const DistrictGeometry& geo_;
-  ShardBus& bus_;
   const uint32_t lane_;
-  const uint32_t shards_;
   const uint32_t begin_;
   const uint32_t end_;
   const RestoreState* restore_;
@@ -372,8 +309,7 @@ class DistrictShardLane final : public ShardLane {
   RandomStream gw_root_;
   BatchProjectScheduler batches_;
 
-  std::vector<GatewayCursor> cursors_;     // Emission cursor, owned g only.
-  std::vector<GatewayCursor> committed_;   // Lags at the last barrier.
+  std::vector<GatewayCursor> cursors_;  // Per gateway; each one's next is armed.
   int64_t restore_barrier_us_ = -1;
 };
 
@@ -402,7 +338,7 @@ void SaveShardCheckpoint(const DistrictConfig& config,
   const uint32_t n_gw = lanes[0]->model().gateway_count();
   gw.U64(n_gw);
   for (uint32_t g = 0; g < n_gw; ++g) {
-    const GatewayCursor& c = lanes[g % lanes.size()]->committed_cursor(g);
+    const GatewayCursor& c = lanes[0]->cursor(g);
     gw.U8(lanes[0]->model().gateway_up(g) ? 1 : 0);
     gw.U8(c.next_is_down);
     gw.U32(c.ordinal);
@@ -534,7 +470,6 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
             .count();
   }
 
-  ShardBus bus(shards);
   std::vector<std::unique_ptr<DistrictShardLane>> lanes;
   std::vector<ShardLane*> lane_ptrs;
   const uint32_t per_lane = config.device_count / shards;
@@ -542,7 +477,7 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
   uint32_t begin = 0;
   for (uint32_t i = 0; i < shards; ++i) {
     const uint32_t end = begin + per_lane + (i < remainder ? 1 : 0);
-    lanes.push_back(std::make_unique<DistrictShardLane>(config, geo, bus, i, shards, begin, end,
+    lanes.push_back(std::make_unique<DistrictShardLane>(config, geo, i, begin, end,
                                                         rs ? &*rs : nullptr));
     lane_ptrs.push_back(lanes.back().get());
     begin = end;
@@ -551,12 +486,10 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
 
   ThreadPool pool(ShardWorkerCount(shards, config.shard.workers));
-  ShardWindowOptions opts;
+  ShardRunOptions opts;
   opts.start = SimTime::Micros(rs ? rs->barrier_us : 0);
   opts.horizon = config.horizon;
-  opts.window = config.shard.window.micros() > 0 ? config.shard.window : SimTime::Days(90);
   opts.checkpoint_every = config.snapshot.checkpoint_every;
-  opts.on_barrier = [&bus] { bus.FlipPlanes(); };
   opts.replica_progress = config.control.progress;
   if (config.snapshot.checkpoint_every.micros() > 0) {
     opts.on_checkpoint = [&](SimTime barrier) {
@@ -565,7 +498,7 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
   }
 
   const auto wall_start = std::chrono::steady_clock::now();
-  report.events_executed = RunShardWindows(pool, lane_ptrs, opts);
+  report.events_executed = RunShardLanes(pool, lane_ptrs, opts);
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count() -
       report.save_seconds;
@@ -574,7 +507,6 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
   SiteSeconds service(config.horizon);
   size_t fleet_bytes = 0;
   for (auto& lane : lanes) {
-    lane->FinishAt(config.horizon);
     lane->AddTotalsTo(alive, service, report);
     fleet_bytes += lane->model().fleet().MemoryBytes();
   }

@@ -2,17 +2,16 @@
 //
 // One driver, DetailedCentury, advances the century model over a range of
 // sites on one scheduler: the whole fleet for the serial run, one contiguous
-// column range per shard lane. Century sites never interact, so lanes need
-// no cross-shard traffic: no bus, no gateway timelines, and NextBound() is
-// just each lane's earliest pending event.
+// column range per shard lane. Century sites never interact, so a lane
+// needs nothing from another lane.
 //
 // Determinism: every lifetime draw is keyed by (global site index, unit
 // generation) and the availability integral is exact integer
 // site-microseconds (SiteSeconds), so lanes merge order-free. The report is
-// the same at any shard, worker or window count, and equal to the serial
-// run's. Kaplan-Meier observations are concatenated in lane order (failures
-// then survivors per lane): one lane gives the serial sequence, more lanes
-// the same multiset in another order.
+// the same at any shard or worker count, and equal to the serial run's.
+// Kaplan-Meier observations are concatenated in lane order (failures then
+// survivors per lane): one lane gives the serial sequence, more lanes the
+// same multiset in another order.
 //
 // Snapshot checkpointing runs only serially (the TimerTable capture assumes
 // one scheduler); requesting it with shards is a config error, reported
@@ -181,14 +180,7 @@ class CenturyShardLane final : public ShardLane {
     sim_.trace().EnableRetention(false);
   }
 
-  // No cross-shard lookahead to publish.
-  void Setup(SimTime /*cover*/) override { driver_.Start(); }
-
-  SimTime NextBound() override { return sim_.scheduler().EarliestPending(); }
-
-  void RunWindow(SimTime barrier, SimTime /*cover*/) override {
-    sim_.scheduler().DrainToBarrier(barrier);
-  }
+  void Setup() override { driver_.Start(); }
 
   Scheduler& sched() override { return sim_.scheduler(); }
 
@@ -238,9 +230,6 @@ std::vector<std::string> CenturyConfig::Validate() const {
     diagnostics.push_back("life_improvement_per_decade must be positive (1.0 = no improvement)");
   }
   for (std::string& diagnostic : snapshot.Validate()) {
-    diagnostics.push_back(std::move(diagnostic));
-  }
-  for (std::string& diagnostic : shard.Validate()) {
     diagnostics.push_back(std::move(diagnostic));
   }
   if (shard.enabled() && snapshot.enabled()) {
@@ -294,14 +283,12 @@ CenturyReport RunShardedCenturyScenario(const CenturyConfig& config) {
   }
 
   ThreadPool pool(ShardWorkerCount(shards, config.shard.workers));
-  ShardWindowOptions opts;
+  ShardRunOptions opts;
   opts.horizon = config.horizon;
-  opts.window =
-      config.shard.window.micros() > 0 ? config.shard.window : SimTime::Days(90);
   opts.replica_progress = config.control.progress;
 
   CenturyReport report;
-  report.events_executed = RunShardWindows(pool, lane_ptrs, opts);
+  report.events_executed = RunShardLanes(pool, lane_ptrs, opts);
   SiteSeconds alive(config.horizon);
   for (auto& lane : lanes) {
     lane->FinishInto(alive, report);

@@ -67,7 +67,7 @@ struct CenturyConfig {
   // the serial engine; shards > 0 splits the fleet into contiguous column
   // ranges advanced in parallel by the same detailed driver (sites never
   // interact, so there is no cross-shard traffic). The report equals the
-  // serial one at any shards/workers/window choice, except that
+  // serial one at any shards/workers choice, except that
   // Kaplan-Meier observations come in lane order (one lane gives the
   // serial order). Snapshot checkpointing is not supported under sharding.
   ShardPlan shard;

@@ -163,20 +163,21 @@ class Scheduler {
   // Checkpoint/shard barrier: runs every event at or before `barrier` and
   // leaves the clock exactly there — afterwards no callback is mid-flight
   // and every pending event is strictly later, the quiescent point that
-  // snapshots are taken at and shard lanes synchronize on. Drain semantics
+  // snapshots are taken at and shard lanes are observed at. Drain semantics
   // match RunUntil (which already guarantees Now() == horizon when stopped
   // by it), but this is a real barrier API: it asserts quiescence on exit
-  // (EarliestPending() past the barrier), the invariant the conservative
-  // shard coordinator's window protocol is built on.
+  // (EarliestPending() past the barrier), so a checkpoint or progress
+  // reader at the barrier sees no half-applied instant.
   uint64_t DrainToBarrier(SimTime barrier);
 
-  // Conservative lower bound on the earliest still-queued entry, wherever
-  // it sits (active run tail, near heap, ladder rungs, far stage). Stale
-  // (cancelled) entries are included — they pin the bound early, never
-  // late, which is the safe direction for a lookahead probe. Returns
-  // SimTime::Micros(INT64_MAX) when nothing is queued. Cold-ish (may scan
-  // one rung's buckets and the far stage): meant for barrier points, not
-  // the per-event hot path — that is NextEventLowerBound's job.
+  // Lower bound on the earliest still-queued entry, wherever it sits
+  // (active run tail, near heap, ladder rungs, far stage). Stale
+  // (cancelled) entries are included, so it may read early, never late.
+  // Returns SimTime::Micros(INT64_MAX) when nothing is queued. Cold-ish
+  // (may scan one rung's buckets and the far stage): meant for barrier
+  // points (DrainToBarrier's quiescence check, the shard coordinator's
+  // progress row), not the per-event hot path — that is
+  // NextEventLowerBound's job.
   SimTime EarliestPending() const;
 
   // Restore support: overwrites the clock and counters of an EMPTY

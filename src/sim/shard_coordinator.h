@@ -1,22 +1,16 @@
-// Conservative windowed-barrier coordinator for intra-run sharding
-// (ROADMAP item 1, after D'Angelo et al.'s PADS approach). Each ShardLane
-// wraps one Scheduler over a column range of the fleet; the coordinator
-// advances all lanes in lockstep windows on a ThreadPool:
+// Barrier coordinator for intra-run sharding (ROADMAP item 1). Each
+// ShardLane wraps one Scheduler over a column range of the fleet, and the
+// lanes share nothing: a lane needs no other lane's events, so they could
+// run to the horizon independently. The coordinator still drains them in
+// lockstep on a ThreadPool, to barriers that exist only for observers:
 //
-//   setup:    lanes build state and pre-publish cross-shard effects
-//             through the first barrier B1 (+ one window of cover)
-//   window w: lanes drain the previous window's inboxes, extend their
-//             cross-shard cover through barrier+W, then DrainToBarrier(Bw)
-//   barrier:  main thread flips the bus planes, fires checkpoint hooks on
-//             the grid, polls NextBound() for the next barrier
+//   setup:    every lane builds its state and arms its first events
+//   barrier:  every lane runs DrainToBarrier(B) on a worker; then the main
+//             thread, lanes quiescent, fires the checkpoint hook on the
+//             grid and publishes replica progress
 //
-// Barrier placement: B_{w+1} = min(horizon, next checkpoint grid point,
-// max(B_w + W, min over lanes NextBound())) — i.e. windows can skip ahead
-// over quiescent stretches, but never past a checkpoint and never past any
-// lane's earliest pending work. Lanes must publish every cross-shard
-// effect at least one full window before it fires (they schedule their own
-// local copy eagerly, so NextBound() covers in-flight messages); under
-// that contract skipping is safe and results are invariant to W.
+// Barrier placement: B_{k+1} = min(horizon, B_k + 90 days, next checkpoint
+// grid point). Results never depend on where barriers fall.
 
 #ifndef SRC_SIM_SHARD_COORDINATOR_H_
 #define SRC_SIM_SHARD_COORDINATOR_H_
@@ -37,41 +31,24 @@ class ShardLane {
  public:
   virtual ~ShardLane() = default;
 
-  // Build lane-local state (fleet columns, coverage, timers) and
-  // pre-publish cross-shard effects with fire times <= `cover`. Runs on a
-  // worker thread; the first window's inbox drain delivers what Setup
-  // published.
-  virtual void Setup(SimTime cover) = 0;
+  // Build lane-local state (fleet columns, coverage, timers) and arm the
+  // first events. Runs on a worker thread.
+  virtual void Setup() = 0;
 
-  // Conservative lower bound on this lane's earliest future effect —
-  // min(scheduler EarliestPending, earliest not-yet-published cross-shard
-  // source). Called on the main thread while lanes are quiescent.
-  virtual SimTime NextBound() = 0;
-
-  // Drain inboxes, extend cross-shard cover through `cover`, then run to
-  // `barrier`. Runs on a worker thread.
-  virtual void RunWindow(SimTime barrier, SimTime cover) = 0;
-
-  // Called on the main thread at checkpoint-grid barriers (all lanes
-  // quiescent) so the lane can flush accumulators to the barrier before
-  // the snapshot hook reads them.
-  virtual void AtCheckpointBarrier(SimTime barrier) { (void)barrier; }
-
+  // The lane's scheduler: drained to each barrier on a worker thread, and
+  // read on the main thread while lanes are quiescent.
   virtual Scheduler& sched() = 0;
 };
 
-struct ShardWindowOptions {
+struct ShardRunOptions {
   // Where the lanes' clocks stand at Setup: 0 for a fresh run, the
-  // restored barrier for a resumed one. The first window and the
+  // restored barrier for a resumed one. The barrier cadence and the
   // checkpoint grid both count from here.
   SimTime start;
   SimTime horizon;
-  SimTime window;                    // W; must be > 0
   SimTime checkpoint_every;          // 0 = no checkpoint grid
-  // Main thread, lanes quiescent and flushed, at each grid point < horizon.
+  // Main thread, lanes quiescent, at each grid point < horizon.
   std::function<void(SimTime)> on_checkpoint;
-  // Main thread, at every barrier after Wait (bus plane flip goes here).
-  std::function<void()> on_barrier;
   // Replica-level roll-up, published by the main thread at each barrier.
   ProgressCell* replica_progress = nullptr;
 };
@@ -79,14 +56,15 @@ struct ShardWindowOptions {
 // Worker threads for `lanes` lanes: `requested` when non-zero, else one
 // per lane up to the CPUs this process may run on
 // (ThreadPool::DefaultThreadCount), and one on a pool worker (an ensemble
-// replica or a branch), whose siblings already hold the cores. Results
-// never depend on it.
+// replica or a branch), whose siblings already hold the cores. Never more
+// than `lanes`: each barrier hands out one task per lane. Results never
+// depend on it.
 uint32_t ShardWorkerCount(uint32_t lanes, uint32_t requested);
 
 // Runs every lane from Setup at options.start through the horizon. Returns
 // total events executed across lanes. Lanes end with Now() == horizon.
-uint64_t RunShardWindows(ThreadPool& pool, const std::vector<ShardLane*>& lanes,
-                         const ShardWindowOptions& options);
+uint64_t RunShardLanes(ThreadPool& pool, const std::vector<ShardLane*>& lanes,
+                       const ShardRunOptions& options);
 
 }  // namespace centsim
 

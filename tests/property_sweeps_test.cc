@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -19,6 +20,7 @@
 #include "src/sim/random.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/stats.h"
+#include "src/snapshot/snapshot.h"
 #include "src/telemetry/run_manifest.h"
 
 namespace centsim {
@@ -245,6 +247,106 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 10), ::testing::Values(1.0, 1.05),
                        ::testing::Values(40.0, 37.5)),
     CenturyPointName);
+
+// --- District: one report at every lane count ---------------------------
+//
+// Every district lane replays every gateway's keyed fail/repair timeline
+// and keys each device life by (site, unit generation), so the sharded
+// report is the same at any lane count, and a checkpoint written under one
+// lane count resumes under another. Over both device classes, zone grids 1
+// to 3, a gateway failure and its repair at one timestamp (repair delay 0)
+// and a partial last year, the digest at 1 lane equals the digest at 2, 3
+// and 7, and a 2-lane checkpoint resumed at 3 lanes equals the straight
+// run.
+
+// Device class, zone grid, gateway repair delay (days), partial last year.
+using DistrictPoint = std::tuple<DeviceClassKind, uint32_t, int, bool>;
+
+std::string DistrictPointLabel(const DistrictPoint& point) {
+  const auto [device_class, zone_grid, delay_days, partial_year] = point;
+  std::string name =
+      device_class == DeviceClassKind::kBatteryPowered ? "Battery" : "Harvesting";
+  name += "Grid" + std::to_string(zone_grid);
+  name += "Delay" + std::to_string(delay_days);
+  name += partial_year ? "PartialYear" : "WholeYears";
+  return name;
+}
+
+class DistrictShardParity : public ::testing::TestWithParam<DistrictPoint> {
+ protected:
+  static DistrictConfig Config() {
+    const auto [device_class, zone_grid, delay_days, partial_year] = GetParam();
+    DistrictConfig cfg;
+    cfg.seed = 900 + zone_grid;
+    cfg.device_count = 500 + 211 * zone_grid;
+    cfg.area_km2 = 3.0 + zone_grid;
+    cfg.zone_grid = zone_grid;
+    cfg.horizon = partial_year ? SimTime::Years(7) + SimTime::Days(120) : SimTime::Years(9);
+    cfg.gateway_range_m = 500.0;
+    cfg.gateway_repair_delay = SimTime::Days(delay_days);
+    cfg.batch_cycle = SimTime::Years(2);
+    cfg.device_class = device_class;
+    cfg.shard.shards = 1;
+    return cfg;
+  }
+};
+
+std::string DistrictDigest(const DistrictReport& r) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  out << r.gateway_count << '|' << r.initial_coverage << '|' << r.mean_device_availability
+      << '|' << r.mean_service_availability << '|' << r.min_yearly_service << '|'
+      << r.device_failures << '|' << r.device_replacements << '|' << r.gateway_failures
+      << '|' << r.gateway_repairs;
+  for (double v : r.yearly_service) {
+    out << '|' << v;
+  }
+  return ConfigDigest(out.str());
+}
+
+TEST_P(DistrictShardParity, DigestEqualsEveryLaneCount) {
+  DistrictConfig cfg = Config();
+  const DistrictReport one_lane = RunDistrictScenario(cfg);
+  ASSERT_GT(one_lane.device_failures, 0u);
+  ASSERT_GT(one_lane.gateway_failures, 0u);
+  const std::string digest = DistrictDigest(one_lane);
+  for (const uint32_t shards : {2u, 3u, 7u}) {
+    cfg.shard.shards = shards;
+    EXPECT_EQ(DistrictDigest(RunDistrictScenario(cfg)), digest) << "shards=" << shards;
+  }
+}
+
+TEST_P(DistrictShardParity, TwoLaneCheckpointResumesAtThreeLanes) {
+  const std::string dir = testing::TempDir() + "district_shard_parity_" +
+                          DistrictPointLabel(GetParam());
+  std::filesystem::remove_all(dir);
+  DistrictConfig cfg = Config();
+  cfg.shard.shards = 2;
+  cfg.snapshot.checkpoint_every = SimTime::Years(2);
+  cfg.snapshot.checkpoint_dir = dir;
+  const DistrictReport straight = RunDistrictScenario(cfg);
+  ASSERT_GE(straight.checkpoints_written, 2u);
+
+  DistrictConfig resumed = Config();
+  resumed.shard.shards = 3;
+  resumed.snapshot.resume_from = dir + "/" + CheckpointFileName(SimTime::Years(4).micros());
+  const DistrictReport r = RunDistrictScenario(resumed);
+  EXPECT_GT(r.restore_seconds, 0.0);
+  EXPECT_EQ(DistrictDigest(r), DistrictDigest(straight));
+  std::filesystem::remove_all(dir);
+}
+
+std::string DistrictPointName(const ::testing::TestParamInfo<DistrictPoint>& info) {
+  return DistrictPointLabel(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, DistrictShardParity,
+    ::testing::Combine(::testing::Values(DeviceClassKind::kBatteryPowered,
+                                         DeviceClassKind::kEnergyHarvesting),
+                       ::testing::Values(1u, 2u, 3u), ::testing::Values(0, 30),
+                       ::testing::Values(false, true)),
+    DistrictPointName);
 
 // --- A partial last year is a rate over the span it covers ----------------
 

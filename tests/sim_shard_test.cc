@@ -1,18 +1,17 @@
-// Shard-engine substrate tests: the Scheduler's barrier API, the SPSC
-// inbox/bus fabric, and the windowed-barrier coordinator over fake lanes.
-// These pin the invariants the sharded drivers are built on — quiescence
-// at barriers, exact send-order delivery, plane isolation, and barrier
-// placement against the checkpoint grid.
+// Shard-engine substrate tests: the Scheduler's barrier API and the
+// barrier coordinator over fake lanes. These pin the invariants the
+// sharded drivers are built on — quiescence at barriers, every lane ending
+// on the horizon, and a barrier at every checkpoint grid point.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/scheduler.h"
-#include "src/sim/shard_bus.h"
 #include "src/sim/shard_coordinator.h"
 #include "src/sim/thread_pool.h"
 #include "src/sim/time.h"
@@ -105,250 +104,76 @@ TEST(SchedulerBarrierTest, DrainToBarrierRunsSameTimestampFloodToQuiescence) {
   EXPECT_EQ(sched.EarliestPending().micros(), kInfUs);
 }
 
-// --- SPSC inbox and bus ---------------------------------------------------
-
-TEST(SpscInboxTest, PreservesPushOrderAcrossRingAndSpill) {
-  SpscInbox inbox(/*capacity=*/8);
-  constexpr uint32_t kMessages = 50;  // Ring (8) + spill (42).
-  for (uint32_t i = 0; i < kMessages; ++i) {
-    inbox.Push(ShardMessage{int64_t(i), i, i, i});
-  }
-  EXPECT_EQ(inbox.pushed(), kMessages);
-  EXPECT_GT(inbox.spilled(), 0u);
-
-  std::vector<uint32_t> got;
-  inbox.Drain([&](const ShardMessage& m) { got.push_back(m.kind); });
-  ASSERT_EQ(got.size(), kMessages);
-  for (uint32_t i = 0; i < kMessages; ++i) {
-    EXPECT_EQ(got[i], i);
-  }
-
-  // Reusable after a drain; spill is cleared.
-  inbox.Push(ShardMessage{1, 99, 0, 0});
-  got.clear();
-  inbox.Drain([&](const ShardMessage& m) { got.push_back(m.kind); });
-  EXPECT_EQ(got, (std::vector<uint32_t>{99}));
-}
-
-TEST(ShardBusTest, PlaneIsolationAndFixedMergeOrder) {
-  ShardBus bus(3);
-  // Window w: lanes publish onto the write plane.
-  bus.Send(0, 2, ShardMessage{10, 1, 0, 0});
-  bus.Send(1, 2, ShardMessage{11, 2, 0, 0});
-
-  // Same window: the read plane (previous window) is empty.
-  int drained = 0;
-  bus.DrainInto(2, [&](const ShardMessage&) { ++drained; });
-  EXPECT_EQ(drained, 0);
-
-  // Barrier: flip. Now window w's messages are on the read plane, drained
-  // in ascending source order regardless of send interleaving.
-  bus.FlipPlanes();
-  std::vector<uint32_t> kinds;
-  bus.DrainInto(2, [&](const ShardMessage& m) { kinds.push_back(m.kind); });
-  EXPECT_EQ(kinds, (std::vector<uint32_t>{1, 2}));
-
-  const ShardBus::Stats stats = bus.TotalStats();
-  EXPECT_EQ(stats.pushed, 2u);
-  EXPECT_EQ(stats.spilled, 0u);
-}
-
-TEST(ShardBusTest, BroadcastSkipsSelf) {
-  ShardBus bus(3);
-  bus.Broadcast(1, ShardMessage{5, 7, 0, 0});
-  bus.FlipPlanes();
-  for (uint32_t dst = 0; dst < 3; ++dst) {
-    int got = 0;
-    bus.DrainInto(dst, [&](const ShardMessage&) { ++got; });
-    EXPECT_EQ(got, dst == 1 ? 0 : 1) << "dst " << dst;
-  }
-}
-
 // --- Coordinator over fake lanes -----------------------------------------
 
-// A lane that runs a fixed schedule of local events and records every
-// (barrier, cover) window the coordinator hands it.
+// A lane that runs a fixed schedule of local events.
 class RecordingLane final : public ShardLane {
  public:
-  RecordingLane(std::vector<int64_t> event_times_us, ShardBus* bus, uint32_t lane,
-                uint32_t lanes)
-      : event_times_us_(std::move(event_times_us)), bus_(bus), lane_(lane), lanes_(lanes) {}
+  explicit RecordingLane(std::vector<int64_t> event_times_us)
+      : event_times_us_(std::move(event_times_us)) {}
 
-  void Setup(SimTime cover) override {
-    setup_cover_us_ = cover.micros();
+  void Setup() override {
     for (const int64_t t : event_times_us_) {
       sched_.ScheduleAt(SimTime::Micros(t), [this, t] { executed_at_.push_back(t); });
     }
   }
 
-  SimTime NextBound() override { return sched_.EarliestPending(); }
-
-  void RunWindow(SimTime barrier, SimTime cover) override {
-    if (bus_ != nullptr) {
-      bus_->DrainInto(lane_, [&](const ShardMessage& m) {
-        received_.push_back(m);
-        // Conservative contract: a drained message is strictly in this
-        // lane's future.
-        EXPECT_GT(m.at_us, sched_.Now().micros());
-      });
-    }
-    windows_.push_back({barrier.micros(), cover.micros()});
-    sched_.DrainToBarrier(barrier);
-  }
-
-  void AtCheckpointBarrier(SimTime barrier) override {
-    checkpoints_us_.push_back(barrier.micros());
-  }
-
   Scheduler& sched() override { return sched_; }
-
-  struct Window {
-    int64_t barrier_us;
-    int64_t cover_us;
-  };
 
   Scheduler sched_;
   std::vector<int64_t> event_times_us_;
-  ShardBus* bus_;
-  uint32_t lane_;
-  uint32_t lanes_;
-  int64_t setup_cover_us_ = -1;
   std::vector<int64_t> executed_at_;
-  std::vector<Window> windows_;
-  std::vector<int64_t> checkpoints_us_;
-  std::vector<ShardMessage> received_;
 };
 
 TEST(ShardCoordinatorTest, LanesEndAtHorizonAndCountExecuted) {
-  RecordingLane a({100, 2500, 9000}, nullptr, 0, 2);
-  RecordingLane b({300, 7000}, nullptr, 1, 2);
+  RecordingLane a({100, 2500, 9000});
+  RecordingLane b({300, 7000});
   std::vector<ShardLane*> lanes{&a, &b};
   ThreadPool pool(2);
 
-  ShardWindowOptions opts;
+  ShardRunOptions opts;
   opts.horizon = SimTime::Micros(10000);
-  opts.window = SimTime::Micros(1000);
-  const uint64_t executed = RunShardWindows(pool, lanes, opts);
+  const uint64_t executed = RunShardLanes(pool, lanes, opts);
 
   EXPECT_EQ(executed, 5u);
   EXPECT_EQ(a.sched_.Now().micros(), 10000);
   EXPECT_EQ(b.sched_.Now().micros(), 10000);
   EXPECT_EQ(a.executed_at_, (std::vector<int64_t>{100, 2500, 9000}));
   EXPECT_EQ(b.executed_at_, (std::vector<int64_t>{300, 7000}));
-  // Every window's cover extends one full window past its barrier (clamped
-  // at the horizon), and barriers are monotone.
-  for (const auto& w : a.windows_) {
-    EXPECT_EQ(w.cover_us, std::min<int64_t>(w.barrier_us + 1000, 10000));
-  }
-  for (size_t i = 1; i < a.windows_.size(); ++i) {
-    EXPECT_GT(a.windows_[i].barrier_us, a.windows_[i - 1].barrier_us);
-  }
-  EXPECT_EQ(a.windows_.back().barrier_us, 10000);
-}
-
-TEST(ShardCoordinatorTest, BarriersSkipQuiescentStretchesButStayBelowNextBound) {
-  // One lane with a huge gap: after draining t=100, the next barrier may
-  // jump ahead, but never to or past the earliest pending event minus the
-  // one-microsecond consistency margin.
-  RecordingLane a({100, 1000000}, nullptr, 0, 1);
-  std::vector<ShardLane*> lanes{&a};
-  ThreadPool pool(1);
-
-  ShardWindowOptions opts;
-  opts.horizon = SimTime::Micros(2000000);
-  opts.window = SimTime::Micros(10);
-  RunShardWindows(pool, lanes, opts);
-
-  EXPECT_EQ(a.executed_at_, (std::vector<int64_t>{100, 1000000}));
-  // Far fewer windows than the 200000 a fixed 10us cadence would take.
-  EXPECT_LT(a.windows_.size(), 50u);
-  // No barrier lands in the open gap at or past a pending event's time
-  // while that event is still pending: the skip target is bound - 1.
-  for (const auto& w : a.windows_) {
-    EXPECT_TRUE(w.barrier_us < 1000000 || w.barrier_us >= 1000000)
-        << "vacuous";  // Structure check below is the real assertion.
-  }
-  bool saw_pre_event_barrier = false;
-  for (const auto& w : a.windows_) {
-    if (w.barrier_us == 1000000 - 1) {
-      saw_pre_event_barrier = true;
-    }
-  }
-  EXPECT_TRUE(saw_pre_event_barrier);
 }
 
 TEST(ShardCoordinatorTest, CheckpointGridAlwaysGetsABarrier) {
-  RecordingLane a({100, 950000}, nullptr, 0, 1);
+  RecordingLane a({100, 950000});
   std::vector<ShardLane*> lanes{&a};
   ThreadPool pool(1);
 
   std::vector<int64_t> hooks_us;
-  ShardWindowOptions opts;
+  ShardRunOptions opts;
   opts.horizon = SimTime::Micros(1000000);
-  opts.window = SimTime::Micros(1000);
   opts.checkpoint_every = SimTime::Micros(300000);
-  opts.on_checkpoint = [&](SimTime at) { hooks_us.push_back(at.micros()); };
-  RunShardWindows(pool, lanes, opts);
+  opts.on_checkpoint = [&](SimTime at) {
+    // The lane has drained exactly to the barrier.
+    EXPECT_EQ(a.sched_.Now(), at);
+    hooks_us.push_back(at.micros());
+  };
+  RunShardLanes(pool, lanes, opts);
 
   // Grid points strictly below the horizon each get a checkpoint, even
-  // though the lane is quiescent across most of them (skips clamp to the
-  // grid).
+  // though the lane is quiescent across most of them.
   EXPECT_EQ(hooks_us, (std::vector<int64_t>{300000, 600000, 900000}));
-  EXPECT_EQ(a.checkpoints_us_, hooks_us);
   EXPECT_EQ(a.executed_at_, (std::vector<int64_t>{100, 950000}));
 }
 
-TEST(ShardCoordinatorTest, BusMessagesArriveOneWindowLater) {
-  // Lane 0 broadcasts a message during window w; lane 1 must observe it at
-  // the start of window w+1, timestamped in its future.
-  ShardBus bus(2);
-
-  class SenderLane final : public ShardLane {
-   public:
-    SenderLane(ShardBus* bus, uint32_t lane) : bus_(bus), lane_(lane) {}
-    void Setup(SimTime cover) override {
-      // Publish an effect two windows out, like a gateway owner would.
-      bus_->Broadcast(lane_, ShardMessage{cover.micros() + 500, 1, 42, 0});
-      sched_.ScheduleAt(SimTime::Micros(1), [] {});
-    }
-    SimTime NextBound() override { return sched_.EarliestPending(); }
-    void RunWindow(SimTime barrier, SimTime cover) override {
-      bus_->DrainInto(lane_, [](const ShardMessage&) {});
-      sched_.DrainToBarrier(barrier);
-      (void)cover;
-    }
-    Scheduler& sched() override { return sched_; }
-    Scheduler sched_;
-    ShardBus* bus_;
-    uint32_t lane_;
-  };
-
-  SenderLane sender(&bus, 0);
-  RecordingLane receiver({200}, &bus, 1, 2);
-  std::vector<ShardLane*> lanes{&sender, &receiver};
-  ThreadPool pool(2);
-
-  ShardWindowOptions opts;
-  opts.horizon = SimTime::Micros(5000);
-  opts.window = SimTime::Micros(1000);
-  opts.on_barrier = [&] { bus.FlipPlanes(); };
-  RunShardWindows(pool, lanes, opts);
-
-  ASSERT_EQ(receiver.received_.size(), 1u);
-  EXPECT_EQ(receiver.received_[0].a, 42u);
-}
-
 TEST(ShardCoordinatorTest, PublishesReplicaProgress) {
-  RecordingLane a({100, 4000}, nullptr, 0, 1);
+  RecordingLane a({100, 4000});
   std::vector<ShardLane*> lanes{&a};
   ThreadPool pool(1);
 
   ProgressCell replica_cell;
-  ShardWindowOptions opts;
+  ShardRunOptions opts;
   opts.horizon = SimTime::Micros(5000);
-  opts.window = SimTime::Micros(1000);
   opts.replica_progress = &replica_cell;
-  RunShardWindows(pool, lanes, opts);
+  RunShardLanes(pool, lanes, opts);
 
   const ProgressCell::View replica_view = replica_cell.Load();
   EXPECT_TRUE(replica_view.done);

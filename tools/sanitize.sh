@@ -15,8 +15,9 @@
 # The `thread` run is the proof obligation for the sharded engine: the
 # tier-1 suite includes DistrictShardTest / CenturyShardTest /
 # ShardCoordinatorTest, which drive multi-lane district and century runs
-# on real worker threads — the barrier/plane protocol must come out clean
-# here, not just "passes in practice". It also proves the serial
+# on real worker threads — the lanes, the barriers and the main thread's
+# checkpoint and progress reads at them must come out clean here, not just
+# "passes in practice". It also proves the serial
 # district's draw batches: EnginePinTest.SerialDistrictBatchedDraws and
 # SeriesSystemTest.SampleLivesEqualsOneDrawPerKey draw lives on pool
 # workers while the caller draws its own chunk.

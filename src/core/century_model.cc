@@ -64,43 +64,64 @@ CenturyModel::CenturyModel(Simulation& sim, const CenturyConfig& config, Century
   }
 }
 
-void CenturyModel::SaveCheckpoint(SimTime barrier, const SiteSeconds& alive,
-                                  const std::vector<TimerRecord>& timers) {
+void CenturyModel::SaveCheckpoint(std::span<CenturyModel* const> parts, SimTime barrier,
+                                  const SiteSeconds& alive,
+                                  const std::vector<TimerRecord>& timers, CenturyReport& run) {
   const auto save_start = std::chrono::steady_clock::now();
+  const CenturyModel& first = *parts.front();
+  const CenturyConfig& config = first.config_;
   SnapshotMeta meta;
   meta.experiment = "century";
   meta.library_version = kCentsimVersion;
-  meta.structural_digest = CenturyStructuralDigest(config_);
+  meta.structural_digest = CenturyStructuralDigest(config);
   meta.barrier_us = barrier.micros();
-  meta.seed = config_.seed;
+  meta.seed = config.seed;
   SnapshotWriter writer(std::move(meta));
 
   ByteWriter fleet;
-  fleet.U64(config_.fleet_size);
-  for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
-    EncodeFleetSlot(fleet_.SaveSlotState(idx), fleet);
+  fleet.U64(config.fleet_size);
+  for (const CenturyModel* part : parts) {
+    for (uint32_t idx = 0; idx < part->size(); ++idx) {
+      EncodeFleetSlot(part->fleet_.SaveSlotState(idx), fleet);
+    }
   }
-  fleet.U64(fleet_.class_count());
-  for (uint32_t c = 0; c < fleet_.class_count(); ++c) {
-    fleet.U64(fleet_.class_replacements(c));
+  fleet.U64(first.fleet_.class_count());
+  for (uint32_t c = 0; c < first.fleet_.class_count(); ++c) {
+    uint64_t replacements = 0;
+    for (const CenturyModel* part : parts) {
+      replacements += part->fleet_.class_replacements(c);
+    }
+    fleet.U64(replacements);
   }
   writer.Add(kFleetChunk, fleet);
 
+  CenturyReport totals;
+  for (const CenturyModel* part : parts) {
+    totals.total_failures += part->report_.total_failures;
+    totals.total_replacements += part->report_.total_replacements;
+    totals.proactive_replacements += part->report_.proactive_replacements;
+    totals.units_deployed += part->report_.units_deployed;
+  }
   ByteWriter acc;
   acc.I64(alive.last_change.micros());
   alive.Encode(acc);
-  acc.U64(report_.total_failures);
-  acc.U64(report_.total_replacements);
-  acc.U64(report_.proactive_replacements);
-  acc.U64(report_.units_deployed);
+  acc.U64(totals.total_failures);
+  acc.U64(totals.total_replacements);
+  acc.U64(totals.proactive_replacements);
+  acc.U64(totals.units_deployed);
   writer.Add(kAliveChunk, acc);
 
   ByteWriter surv;
-  const auto& observations = report_.unit_survival.observations();
-  surv.U64(observations.size());
-  for (const SurvivalObservation& o : observations) {
-    surv.I64(o.time.micros());
-    surv.U8(o.failed ? 1 : 0);
+  uint64_t observations = 0;
+  for (const CenturyModel* part : parts) {
+    observations += part->report_.unit_survival.count();
+  }
+  surv.U64(observations);
+  for (const CenturyModel* part : parts) {
+    part->report_.unit_survival.ForEachObservation([&surv](const SurvivalObservation& o) {
+      surv.I64(o.time.micros());
+      surv.U8(o.failed ? 1 : 0);
+    });
   }
   writer.Add(kSurvivalChunk, surv);
 
@@ -108,43 +129,48 @@ void CenturyModel::SaveCheckpoint(SimTime barrier, const SiteSeconds& alive,
   TimerTable::Encode(timers, tr);
   writer.Add(kTimerChunk, tr);
 
+  Scheduler& scheduler = first.sim_.scheduler();
   ByteWriter sched;
   sched.I64(barrier.micros());
-  sched.U64(sim_.scheduler().executed_count());
-  sched.U64(sim_.scheduler().late_schedule_count());
+  sched.U64(scheduler.executed_count());
+  sched.U64(scheduler.late_schedule_count());
   writer.Add(kSchedChunk, sched);
 
   std::string path;
   const uint64_t bytes =
-      WriteCheckpoint(writer, config_.snapshot.checkpoint_dir, barrier.micros(), &path);
+      WriteCheckpoint(writer, config.snapshot.checkpoint_dir, barrier.micros(), &path);
   if (bytes == 0) {
     return;
   }
-  ++report_.checkpoints_written;
-  report_.last_checkpoint_bytes = bytes;
-  report_.last_checkpoint_path = path;
-  report_.save_seconds +=
+  ++run.checkpoints_written;
+  run.last_checkpoint_bytes = bytes;
+  run.last_checkpoint_path = path;
+  run.save_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - save_start).count();
 }
 
-bool CenturyModel::Resume(const RearmFn& rearm) {
-  const std::string path = ResolveResumePath(config_.snapshot);
+bool CenturyModel::Resume(std::span<CenturyModel* const> parts, const RearmFn& rearm,
+                          CenturyReport& run) {
+  const std::string path = ResolveResumePath(parts.front()->config_.snapshot);
   if (path.empty()) {
     return false;
   }
   const auto restore_start = std::chrono::steady_clock::now();
   std::string error;
-  if (!Restore(path, rearm, &error)) {
+  if (!Restore(parts, path, rearm, &error)) {
     CheckConfigOrDie("century", {"cannot resume from " + path + ": " + error});
   }
-  report_.restore_seconds =
+  run.restore_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - restore_start).count();
   return true;
 }
 
-bool CenturyModel::Restore(const std::string& path, const RearmFn& rearm, std::string* error) {
+bool CenturyModel::Restore(std::span<CenturyModel* const> parts, const std::string& path,
+                           const RearmFn& rearm, std::string* error) {
+  CenturyModel& first = *parts.front();
+  const CenturyConfig& config = first.config_;
   SnapshotReader reader;
-  if (!OpenCheckpoint(reader, path, "century", CenturyStructuralDigest(config_), error)) {
+  if (!OpenCheckpoint(reader, path, "century", CenturyStructuralDigest(config), error)) {
     return false;
   }
   if (!reader.HasChunk(kAliveChunk)) {
@@ -154,33 +180,37 @@ bool CenturyModel::Restore(const std::string& path, const RearmFn& rearm, std::s
   }
 
   ByteReader fleet = reader.Chunk(kFleetChunk);
-  if (fleet.U64() != config_.fleet_size) {
+  if (fleet.U64() != config.fleet_size) {
     *error = "snapshot fleet size does not match config";
     return false;
   }
-  for (uint32_t idx = 0; idx < config_.fleet_size && fleet.ok(); ++idx) {
-    fleet_.RestoreSlotState(idx, DecodeFleetSlot(fleet));
+  for (CenturyModel* part : parts) {
+    for (uint32_t idx = 0; idx < part->size() && fleet.ok(); ++idx) {
+      part->fleet_.RestoreSlotState(idx, DecodeFleetSlot(fleet));
+    }
   }
-  if (fleet.U64() != fleet_.class_count()) {
+  if (fleet.U64() != first.fleet_.class_count()) {
     *error = "snapshot class count does not match config";
     return false;
   }
-  for (uint32_t c = 0; c < fleet_.class_count() && fleet.ok(); ++c) {
-    fleet_.RestoreClassReplacements(c, fleet.U64());
+  for (uint32_t c = 0; c < first.fleet_.class_count() && fleet.ok(); ++c) {
+    first.fleet_.RestoreClassReplacements(c, fleet.U64());
   }
   if (!fleet.ok()) {
     *error = "fleet chunk truncated";
     return false;
   }
-  fleet_.RecountAggregates();
+  for (CenturyModel* part : parts) {
+    part->fleet_.RecountAggregates();
+  }
 
   ByteReader acc = reader.Chunk(kAliveChunk);
-  alive_.last_change = SimTime::Micros(acc.I64());
-  const bool shaped = alive_.Decode(acc);
-  report_.total_failures = acc.U64();
-  report_.total_replacements = acc.U64();
-  report_.proactive_replacements = acc.U64();
-  report_.units_deployed = acc.U64();
+  first.alive_.last_change = SimTime::Micros(acc.I64());
+  const bool shaped = first.alive_.Decode(acc);
+  first.report_.total_failures = acc.U64();
+  first.report_.total_replacements = acc.U64();
+  first.report_.proactive_replacements = acc.U64();
+  first.report_.units_deployed = acc.U64();
   if (!acc.ok() || !shaped) {
     *error = "'aliv' chunk truncated or mis-shaped";
     return false;
@@ -196,7 +226,7 @@ bool CenturyModel::Restore(const std::string& path, const RearmFn& rearm, std::s
   for (uint64_t i = 0; i < observation_count && surv.ok(); ++i) {
     const SimTime time = SimTime::Micros(surv.I64());
     const bool failed = surv.U8() != 0;
-    report_.unit_survival.Observe(time, failed);
+    first.report_.unit_survival.Observe(time, failed);
   }
   if (!surv.ok()) {
     *error = "survival chunk truncated";
@@ -213,7 +243,7 @@ bool CenturyModel::Restore(const std::string& path, const RearmFn& rearm, std::s
   }
   // Clock before timers: re-armed ScheduleAt calls must see the barrier
   // as "now".
-  sim_.scheduler().RestoreClock(now, executed, late);
+  first.sim_.scheduler().RestoreClock(now, executed, late);
 
   ByteReader tr = reader.Chunk(kTimerChunk);
   const std::vector<TimerRecord> records = TimerTable::Decode(tr);
@@ -228,13 +258,19 @@ bool CenturyModel::Restore(const std::string& path, const RearmFn& rearm, std::s
     if (r.tag != kCenturyTimerSiteFail) {
       continue;
     }
-    const uint32_t idx = static_cast<uint32_t>(r.a);
-    if (r.a >= config_.fleet_size || !fleet_.alive(idx)) {
+    // The part whose range holds the site: the last one beginning at or
+    // before it.
+    const auto owner = std::upper_bound(
+        parts.begin(), parts.end(), r.a,
+        [](uint64_t site, const CenturyModel* part) { return site < part->begin_; });
+    const CenturyModel& part = **(owner - 1);
+    const uint32_t idx = static_cast<uint32_t>(r.a - part.begin_);
+    if (r.a >= config.fleet_size || !part.fleet_.alive(idx)) {
       *error = "site " + std::to_string(r.a) + " has a pending failure but is dead or outside "
                "the fleet";
       return false;
     }
-    const uint64_t deployed_us = static_cast<uint64_t>(fleet_.deployed_at(idx).micros());
+    const uint64_t deployed_us = static_cast<uint64_t>(part.fleet_.deployed_at(idx).micros());
     if (r.b != static_cast<uint64_t>(r.at_us) - deployed_us) {
       *error = "site " + std::to_string(r.a) + "'s failure record carries a life of " +
                std::to_string(r.b) + " us, not its fail time minus its deployment time";
@@ -245,8 +281,10 @@ bool CenturyModel::Restore(const std::string& path, const RearmFn& rearm, std::s
     return false;
   }
 
-  if (config_.snapshot.branch_salt != 0) {
-    rng_ = rng_.Derive(config_.snapshot.branch_salt);
+  if (config.snapshot.branch_salt != 0) {
+    for (CenturyModel* part : parts) {
+      part->rng_ = part->rng_.Derive(config.snapshot.branch_salt);
+    }
   }
   return true;
 }
@@ -264,6 +302,16 @@ void CenturyModel::Finish() {
   report_.max_unit_generations = max_gen;
   alive_.FillRates(config_.horizon, config_.fleet_size, &report_.mean_availability,
                    &report_.yearly_availability, &report_.min_yearly_availability);
+}
+
+void CenturyModel::MergeInto(SiteSeconds& alive, CenturyReport& out) {
+  alive.Add(alive_);
+  out.total_failures += report_.total_failures;
+  out.total_replacements += report_.total_replacements;
+  out.proactive_replacements += report_.proactive_replacements;
+  out.units_deployed += report_.units_deployed;
+  out.max_unit_generations = std::max(out.max_unit_generations, report_.max_unit_generations);
+  out.unit_survival.Append(std::move(report_.unit_survival));
 }
 
 }  // namespace centsim

@@ -1,7 +1,8 @@
 // The century scenario's model (see theseus.h), written once and shared by
 // its two drivers: the detailed driver (theseus.cc), which runs the serial
 // engine over the whole fleet and each shard lane over the lane's column
-// range, and the sampled engine (theseus_sampled.cc).
+// range, and the sampled engine (theseus_sampled.cc), which walks the fleet
+// in blocks of consecutive sites.
 //
 // CenturyModel owns the fleet of sites, the state transitions (each at an
 // explicit time), the exact availability integral (SiteSeconds, shared
@@ -9,7 +10,7 @@
 // assembly. A driver keeps only how time advances: which
 // events it arms where, how it draws a unit's life, and how it closes a
 // unit's alive time. Sites never interact, so the model can cover a whole
-// fleet or one shard lane's contiguous column range.
+// fleet or one contiguous column range (a shard lane, a walk block).
 
 #ifndef SRC_CORE_CENTURY_MODEL_H_
 #define SRC_CORE_CENTURY_MODEL_H_
@@ -18,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,9 +48,10 @@ inline constexpr uint64_t kCenturyTimerSiteFail = 2;
 class CenturyModel {
  public:
   // The model over sites [begin, end) of the config's fleet: the whole
-  // fleet, or one shard lane's range (local slot = site index - begin).
-  // Rare transitions go to `recorder`: the run's for a whole-fleet model,
-  // null for a shard lane, which runs on a worker thread.
+  // fleet, or one shard lane's or walk block's range (local slot = site
+  // index - begin). Rare transitions go to `recorder`: the run's for a
+  // whole-fleet model, null for a part of the fleet, which may run on a
+  // worker thread.
   CenturyModel(Simulation& sim, const CenturyConfig& config, CenturyReport& report,
                uint32_t begin, uint32_t end, FlightRecorder* recorder);
   CenturyModel(const CenturyModel&) = delete;
@@ -132,30 +135,45 @@ class CenturyModel {
     }
   }
 
-  // --- Checkpoint/restore (`century` snapshots; whole-fleet models) -------
+  // --- Checkpoint/restore (`century` snapshots) --------------------------
+  //
+  // A checkpoint holds the whole fleet. `parts` are the models that cover
+  // it, over consecutive site ranges in site order: one whole-fleet model,
+  // or the sampled engine's walk blocks. `run` is the report that counts
+  // the checkpoints written and the restore time.
 
   // Writes a `century` checkpoint at the quiescent `barrier`: `alive` is
   // the availability integral as of the barrier, `timers` the engine's
-  // pending timers.
-  void SaveCheckpoint(SimTime barrier, const SiteSeconds& alive,
-                      const std::vector<TimerRecord>& timers);
+  // pending timers. Slots are gathered in site order, counters summed and
+  // survival observations concatenated in part order.
+  static void SaveCheckpoint(std::span<CenturyModel* const> parts, SimTime barrier,
+                             const SiteSeconds& alive, const std::vector<TimerRecord>& timers,
+                             CenturyReport& run);
 
-  // Restores from the plan's resume snapshot, if there is one: overlays the
-  // fleet, integral, counters and survival observations, restores the
-  // clock, hands the pending timer records to `rearm` (false + error
-  // refuses them) and applies the branch salt. Dies on a bad snapshot.
-  // Returns false on a fresh start.
+  // Restores from the plan's resume snapshot, if there is one: scatters the
+  // fleet's slots to their parts and the integral, counters and survival
+  // observations to the first part, restores the clock, hands the pending
+  // timer records to `rearm` (false + error refuses them) and applies the
+  // branch salt to every part. Dies on a bad snapshot. Returns false on a
+  // fresh start.
   using RearmFn = std::function<bool(const std::vector<TimerRecord>&, std::string* error)>;
-  bool Resume(const RearmFn& rearm);
+  static bool Resume(std::span<CenturyModel* const> parts, const RearmFn& rearm,
+                     CenturyReport& run);
 
   // Censors the surviving units at the horizon and fills the report's
   // results from the availability integral, over the whole fleet's
-  // site-seconds: a lane's model fills in the lane's share, and the
-  // sharded run fills its own report from the merged integral.
+  // site-seconds: a part's model fills in the part's share, and the run
+  // fills its own report from the merged integral.
   void Finish();
 
+  // After Finish, for a part of the fleet: adds the part's integral to
+  // `alive` and its counters and highest generation to `out`, and moves its
+  // survival observations after those already in `out`.
+  void MergeInto(SiteSeconds& alive, CenturyReport& out);
+
  private:
-  bool Restore(const std::string& path, const RearmFn& rearm, std::string* error);
+  static bool Restore(std::span<CenturyModel* const> parts, const std::string& path,
+                      const RearmFn& rearm, std::string* error);
 
   Simulation& sim_;
   const CenturyConfig& config_;

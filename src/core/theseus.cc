@@ -68,7 +68,8 @@ class DetailedCentury {
       for (int64_t next = (sim_.Now().micros() / every + 1) * every;
            next < config_.horizon.micros(); next += every) {
         sim_.scheduler().DrainToBarrier(SimTime::Micros(next));
-        model_.SaveCheckpoint(SimTime::Micros(next), model_.alive(), timers_.Save());
+        CenturyModel::SaveCheckpoint(whole_, SimTime::Micros(next), model_.alive(),
+                                     timers_.Save(), model_.report());
       }
     }
     sim_.RunUntil(config_.horizon);
@@ -78,14 +79,16 @@ class DetailedCentury {
   // Resumes from the plan's snapshot, or schedules the batch visits through
   // the horizon and deploys every site (the initial roll-out, year 0).
   void Start() {
-    const bool resumed =
-        model_.Resume([this](const std::vector<TimerRecord>& records, std::string* error) {
+    const bool resumed = CenturyModel::Resume(
+        whole_,
+        [this](const std::vector<TimerRecord>& records, std::string* error) {
           if (timers_.Restore(records) != 0) {
             *error = "snapshot carries timer tags this driver does not register";
             return false;
           }
           return true;
-        });
+        },
+        model_.report());
     if (!resumed) {
       batches_.ScheduleThrough(config_.horizon);
       for (uint32_t idx = 0; idx < model_.size(); ++idx) {
@@ -100,7 +103,7 @@ class DetailedCentury {
     model_.Finish();
   }
 
-  const CenturyModel& model() const { return model_; }
+  CenturyModel& model() { return model_; }
 
   // --- Model hooks --------------------------------------------------------
 
@@ -165,6 +168,7 @@ class DetailedCentury {
   Simulation& sim_;
   const CenturyConfig& config_;
   CenturyModel model_;
+  CenturyModel* const whole_[1] = {&model_};  // The checkpoint's one part.
   TimerTable timers_;
   BatchProjectScheduler batches_;
 };
@@ -188,15 +192,7 @@ class CenturyShardLane final : public ShardLane {
   // to `alive` and its counters and survival observations to `out`.
   void FinishInto(SiteSeconds& alive, CenturyReport& out) {
     driver_.Finish();
-    alive.Add(driver_.model().alive());
-    out.total_failures += report_.total_failures;
-    out.total_replacements += report_.total_replacements;
-    out.proactive_replacements += report_.proactive_replacements;
-    out.units_deployed += report_.units_deployed;
-    out.max_unit_generations = std::max(out.max_unit_generations, report_.max_unit_generations);
-    for (const SurvivalObservation& o : report_.unit_survival.observations()) {
-      out.unit_survival.Observe(o);
-    }
+    driver_.model().MergeInto(alive, out);
   }
 
  private:
@@ -244,7 +240,8 @@ std::vector<std::string> CenturyConfig::Validate() const {
     if (shard.enabled()) {
       diagnostics.push_back(
           "sampling and sharding are mutually exclusive: the sampled engine "
-          "advances the whole fleet analytically between windows");
+          "advances the whole fleet analytically between windows, and spreads its own "
+          "walk over the spare cores");
     }
   }
   return diagnostics;

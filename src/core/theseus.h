@@ -76,7 +76,8 @@ struct CenturyConfig {
   // Default off runs the serial engine — golden digests unchanged. When
   // sampling.mode == kSampled the run alternates measured detailed windows
   // with analytic fast-forward and reports paper metrics with confidence
-  // intervals. Mutually exclusive with sharding.
+  // intervals. Mutually exclusive with sharding: the sampled engine walks
+  // the fleet in blocks of consecutive sites on the spare cores itself.
   SamplingPlan sampling;
 
   // Actionable diagnostics (empty = valid); RunCenturyScenario fails
@@ -124,7 +125,9 @@ CenturyReport RunShardedCenturyScenario(const CenturyConfig& config);
 // Alternates measured detailed windows with analytic fast-forward
 // (src/core/theseus_sampled.cc); per-entity keyed lifetime draws make the
 // trajectory reproducible regardless of window placement, and checkpoints
-// cut at window barriers restore into either engine.
+// cut at window barriers restore into either engine. Above one walk block
+// (65,536 sites) the Kaplan-Meier observations come in block order; the
+// rest of the report is the same at any block split.
 CenturyReport RunSampledCenturyScenario(const CenturyConfig& config);
 
 }  // namespace centsim

@@ -1,7 +1,6 @@
 #include "src/reliability/component.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -142,25 +141,14 @@ void SeriesSystem::SampleLives(const RandomStream& root, std::span<const uint64_
       lives[i] = SampleLife(rng).life;
     }
   };
+  // One grain-sized chunk per call: a batch below the grain is one chunk,
+  // drawn on the caller.
   const size_t n = keys.size();
-  if (pool == nullptr || n < kParallelLifeGrain) {
-    draw(0, n);
-    return;
-  }
-  // The caller and the workers claim grain-sized chunks until none is
-  // left, so a worker the host schedules late leaves its share to the
-  // others instead of holding the batch up.
-  std::atomic<size_t> next{0};
-  const auto claim = [&draw, &next, n] {
-    for (size_t begin; (begin = next.fetch_add(kParallelLifeGrain)) < n;) {
-      draw(begin, std::min(n, begin + kParallelLifeGrain));
-    }
-  };
-  for (uint32_t w = 0; w < pool->thread_count(); ++w) {
-    pool->Submit(claim);
-  }
-  claim();
-  pool->Wait();
+  ParallelFor(pool, (n + kParallelLifeGrain - 1) / kParallelLifeGrain,
+              [&draw, n](size_t chunk) {
+                const size_t begin = chunk * kParallelLifeGrain;
+                draw(begin, std::min(n, begin + kParallelLifeGrain));
+              });
 }
 
 double SeriesSystem::Survival(SimTime t) const {

@@ -84,9 +84,9 @@ class SeriesSystem {
   // Sets lives[i] to SampleLife(root.Derive(keys[i])).life for every i
   // (the spans have equal size). A life is a pure function of its key, so
   // the batch equals the one-at-a-time loop bit for bit however it is
-  // split: given a pool and at least kParallelLifeGrain keys, contiguous
-  // chunks of that many keys run on the pool's workers and on the caller,
-  // which returns when all are done. The pool must have no other work in
+  // split: given a pool and more than kParallelLifeGrain keys, contiguous
+  // chunks of that many keys run on the pool's workers and on the caller
+  // (ParallelFor), which returns when all are done. The pool must have no other work in
   // flight.
   static constexpr size_t kParallelLifeGrain = 1024;
   void SampleLives(const RandomStream& root, std::span<const uint64_t> keys,

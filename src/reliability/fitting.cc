@@ -97,7 +97,11 @@ std::optional<WeibullFit> FitWeibull(const std::vector<SurvivalObservation>& obs
 }
 
 std::optional<WeibullFit> FitWeibull(const KaplanMeier& km) {
-  return FitWeibull(km.observations());
+  std::vector<SurvivalObservation> observations;
+  observations.reserve(km.count());
+  km.ForEachObservation(
+      [&observations](const SurvivalObservation& o) { observations.push_back(o); });
+  return FitWeibull(observations);
 }
 
 }  // namespace centsim

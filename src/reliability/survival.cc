@@ -4,19 +4,33 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 namespace centsim {
 
+void KaplanMeier::Append(KaplanMeier&& other) {
+  if (!tail_.empty()) {
+    spliced_count_ += tail_.size();
+    segments_.push_back(std::move(tail_));
+  }
+  for (std::vector<SurvivalObservation>& segment : other.segments_) {
+    segments_.push_back(std::move(segment));
+  }
+  spliced_count_ += other.spliced_count_;
+  tail_ = std::move(other.tail_);
+  other = KaplanMeier();
+}
+
 size_t KaplanMeier::failure_count() const {
   size_t n = 0;
-  for (const auto& o : obs_) {
-    n += o.failed ? 1 : 0;
-  }
+  ForEachObservation([&n](const SurvivalObservation& o) { n += o.failed ? 1 : 0; });
   return n;
 }
 
 std::vector<KaplanMeier::CurvePoint> KaplanMeier::Curve() const {
-  std::vector<SurvivalObservation> sorted = obs_;
+  std::vector<SurvivalObservation> sorted;
+  sorted.reserve(count());
+  ForEachObservation([&sorted](const SurvivalObservation& o) { sorted.push_back(o); });
   std::sort(sorted.begin(), sorted.end(),
             [](const SurvivalObservation& a, const SurvivalObservation& b) {
               if (a.time != b.time) {

@@ -25,14 +25,35 @@ struct SurvivalObservation {
   bool failed;   // false => right-censored.
 };
 
+// Observations are kept in the order they were observed. A run split into
+// parts (shard lanes, walk blocks) observes into one estimator per part and
+// splices them together in part order with Append, which moves each part's
+// storage as a segment instead of copying it: the century holds millions of
+// observations, and a copying merge would hold them twice.
 class KaplanMeier {
  public:
-  void Observe(SimTime time, bool failed) { obs_.push_back({time, failed}); }
-  void Observe(const SurvivalObservation& o) { obs_.push_back(o); }
+  void Observe(SimTime time, bool failed) { tail_.push_back({time, failed}); }
+  void Observe(const SurvivalObservation& o) { tail_.push_back(o); }
 
-  size_t count() const { return obs_.size(); }
+  // Moves `other`'s observations, in order, after this estimator's, and
+  // leaves `other` empty. Later observations follow them.
+  void Append(KaplanMeier&& other);
+
+  size_t count() const { return spliced_count_ + tail_.size(); }
   size_t failure_count() const;
-  const std::vector<SurvivalObservation>& observations() const { return obs_; }
+
+  // Calls fn(observation) for every observation, in order.
+  template <typename Fn>
+  void ForEachObservation(Fn&& fn) const {
+    for (const std::vector<SurvivalObservation>& segment : segments_) {
+      for (const SurvivalObservation& o : segment) {
+        fn(o);
+      }
+    }
+    for (const SurvivalObservation& o : tail_) {
+      fn(o);
+    }
+  }
 
   // Product-limit survival estimate S(t). 1.0 before the first event.
   double SurvivalAt(SimTime t) const;
@@ -54,7 +75,10 @@ class KaplanMeier {
   std::vector<CurvePoint> Curve() const;
 
  private:
-  std::vector<SurvivalObservation> obs_;
+  // Spliced segments, in order, then the tail Observe appends to.
+  std::vector<std::vector<SurvivalObservation>> segments_;
+  size_t spliced_count_ = 0;  // Observations in segments_.
+  std::vector<SurvivalObservation> tail_;
 };
 
 // Tabulated inverse-survival sampler: the sampled engine's lifetime draw.

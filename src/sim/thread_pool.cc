@@ -91,4 +91,25 @@ uint64_t ThreadPool::WorkersStarted() {
   return g_workers_started.load(std::memory_order_relaxed);
 }
 
+void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& body) {
+  if (pool == nullptr || n < 2) {
+    for (size_t i = 0; i < n; ++i) {
+      body(i);
+    }
+    return;
+  }
+  std::atomic<size_t> next{0};
+  const auto claim = [&body, &next, n] {
+    for (size_t i; (i = next.fetch_add(1)) < n;) {
+      body(i);
+    }
+  };
+  const size_t helpers = std::min<size_t>(pool->thread_count(), n - 1);
+  for (size_t w = 0; w < helpers; ++w) {
+    pool->Submit(claim);
+  }
+  claim();
+  pool->Wait();
+}
+
 }  // namespace centsim

@@ -9,6 +9,7 @@
 #define SRC_SIM_THREAD_POOL_H_
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -63,6 +64,14 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
+
+// Calls body(i) once for every i in [0, n), on the caller and on up to
+// n - 1 of `pool`'s workers. Each claims the next unclaimed index until none
+// is left, so a worker the host schedules late leaves its share to the
+// others. Returns when every call has finished. A null pool runs every call
+// on the caller, in index order. The calls must not depend on which thread
+// runs them or in which order.
+void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& body);
 
 }  // namespace centsim
 

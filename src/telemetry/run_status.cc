@@ -388,12 +388,9 @@ void RunStatusMonitor::DumpStalledReplica(size_t i) {
     return;
   }
   const std::string base = options_.status_dir + "/replica_" + std::to_string(i);
-  if (replicas_[i].recorder != nullptr) {
-    WriteFlightRecorderJsonl(*replicas_[i].recorder, base + "_flight.jsonl");
-    ChromeTraceWriter trace("replica_" + std::to_string(i));
-    trace.AddFlightRecording(*replicas_[i].recorder);
-    trace.FlushFile(base + "_flight_trace.json");
-  }
+  // The scheduler snapshot and the recovery note come first: whoever
+  // watches for the flight dump may release the replica once it exists,
+  // and a released replica can finish and clear its scheduler slot.
   if (options_.deep_stall_snapshot && replicas_[i].scheduler_slot != nullptr) {
     // Best-effort: the replica may genuinely still be running. The slot's
     // lock only guarantees the Scheduler object is alive, not quiescent —
@@ -418,6 +415,12 @@ void RunStatusMonitor::DumpStalledReplica(size_t i) {
             "EnsembleOptions.resume_from_checkpoint) to continue from the checkpoint above\"\n";
     note += "}\n";
     AtomicWriteFile(note, base + "_recovery.json");
+  }
+  if (replicas_[i].recorder != nullptr) {
+    WriteFlightRecorderJsonl(*replicas_[i].recorder, base + "_flight.jsonl");
+    ChromeTraceWriter trace("replica_" + std::to_string(i));
+    trace.AddFlightRecording(*replicas_[i].recorder);
+    trace.FlushFile(base + "_flight_trace.json");
   }
 }
 

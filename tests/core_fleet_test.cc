@@ -23,6 +23,7 @@
 #include "src/core/theseus.h"
 #include "src/sim/alloc_probe.h"
 #include "src/sim/metrics.h"
+#include "src/sim/thread_pool.h"
 #include "src/telemetry/run_manifest.h"
 
 namespace centsim {
@@ -383,7 +384,9 @@ std::string DistrictPin(const DistrictReport& r) {
   return ConfigDigest(out.str());
 }
 
-std::string CenturyPin(const CenturyReport& r) {
+// With `sorted_observations`, the Kaplan-Meier observations enter as their
+// sorted multiset instead of in order.
+std::string CenturyPin(const CenturyReport& r, bool sorted_observations = false) {
   std::ostringstream out;
   out << std::hexfloat;
   out << r.mean_availability << '|' << r.min_yearly_availability << '|' << r.total_failures
@@ -392,7 +395,16 @@ std::string CenturyPin(const CenturyReport& r) {
   for (double v : r.yearly_availability) {
     out << '|' << v;
   }
-  for (const SurvivalObservation& o : r.unit_survival.observations()) {
+  std::vector<SurvivalObservation> observations;
+  r.unit_survival.ForEachObservation(
+      [&observations](const SurvivalObservation& o) { observations.push_back(o); });
+  if (sorted_observations) {
+    std::sort(observations.begin(), observations.end(),
+              [](const SurvivalObservation& a, const SurvivalObservation& b) {
+                return a.time != b.time ? a.time < b.time : a.failed && !b.failed;
+              });
+  }
+  for (const SurvivalObservation& o : observations) {
     out << '|' << o.time.micros() << (o.failed ? 'f' : 'c');
   }
   AppendSampling(out, r.sampled, r.windows_measured, r.sim_skipped_us, r.ci_converged,
@@ -528,6 +540,52 @@ TEST(EnginePinTest, SampledCenturyCalendarLargeFleet) {
               straight_pin.c_str(), resumed_pin.c_str());
   EXPECT_EQ(straight_pin, "1e5f69acbc8bef74");
   EXPECT_EQ(resumed_pin, "8703fd540953ab2a");
+}
+
+// Above one walk block: 140,000 sites walk as blocks of 65,536, 65,536 and
+// 8,928 sites. Yearly rounds keep a fully detailed run of it cheap.
+CenturyConfig PinCenturyBlocks() {
+  CenturyConfig cfg = PinCentury();
+  cfg.fleet_size = 140000;
+  cfg.horizon = SimTime::Years(30);
+  cfg.batch.zone_count = 16;
+  cfg.batch.cycle_period = SimTime::Years(1);
+  cfg.proactive_refresh_age = SimTime::Years(15);
+  cfg.life_improvement_per_decade = 1.05;
+  cfg.sampling = PinSampling();
+  return cfg;
+}
+
+// The blocks keep the one-block walk's report: the first pin, with the
+// observations as their sorted multiset, was recorded before the walk was
+// split into blocks. The second pins the whole report with the
+// observations in block order.
+TEST(EnginePinTest, SampledCenturyBlocks) {
+  const CenturyReport r = RunCenturyScenario(PinCenturyBlocks());
+  const std::string multiset = CenturyPin(r, /*sorted_observations=*/true);
+  const std::string in_order = CenturyPin(r);
+  std::printf("sampled century (3 walk blocks) pins: %s in order %s\n", multiset.c_str(),
+              in_order.c_str());
+  EXPECT_GT(r.proactive_replacements, 0u);
+  EXPECT_EQ(multiset, "946eb360c507e697");
+  EXPECT_EQ(in_order, "0984f62339dac775");
+}
+
+// A run on a pool worker (an ensemble replica, a branch) walks its blocks
+// inline and starts no thread; its report is the pooled run's, observation
+// order included.
+TEST(EnginePinTest, SampledCenturyBlocksInlineOnWorker) {
+  const CenturyConfig cfg = PinCenturyBlocks();
+  const std::string pooled = CenturyPin(RunCenturyScenario(cfg));
+  const uint64_t started = ThreadPool::WorkersStarted();
+  std::string inline_pin;
+  {
+    ThreadPool pool(1);
+    pool.Submit([&cfg, &inline_pin] { inline_pin = CenturyPin(RunCenturyScenario(cfg)); });
+    pool.Wait();
+  }
+  EXPECT_EQ(ThreadPool::WorkersStarted() - started, 1u);  // The test's own worker.
+  EXPECT_EQ(inline_pin, pooled);
 }
 
 // Every checkpoint file a run writes, in barrier order, folded into one

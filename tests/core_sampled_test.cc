@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -17,6 +18,7 @@
 #include "src/core/district.h"
 #include "src/core/theseus.h"
 #include "src/sim/sampling.h"
+#include "src/sim/thread_pool.h"
 #include "src/sim/time.h"
 
 namespace centsim {
@@ -74,6 +76,25 @@ CenturyConfig SmallCenturyWithRefresh() {
   CenturyConfig cfg = SmallCentury();
   cfg.proactive_refresh_age = SimTime::Years(10);
   return cfg;
+}
+
+// Above one walk block: 140,000 sites walk as blocks of 65,536, 65,536 and
+// 8,928 sites. Yearly rounds keep a fully detailed run of it cheap.
+CenturyConfig BlocksCentury() {
+  CenturyConfig cfg;
+  cfg.seed = 20260806;
+  cfg.fleet_size = 140000;
+  cfg.horizon = SimTime::Years(30);
+  cfg.batch.zone_count = 16;
+  cfg.batch.cycle_period = SimTime::Years(1);
+  cfg.proactive_refresh_age = SimTime::Years(15);
+  cfg.life_improvement_per_decade = 1.05;
+  return cfg;
+}
+
+std::string Describe(const CenturyConfig& cfg) {
+  return std::to_string(cfg.fleet_size) + " sites, " +
+         (cfg.proactive_refresh_age.micros() > 0 ? "proactive refresh" : "no refresh");
 }
 
 // --- Century: sampled engine ------------------------------------------------
@@ -138,8 +159,8 @@ TEST(CenturySampledTest, TrajectoryInvariantUnderWindowPlacement) {
   // every fast-forward is zero-length). Per-entity RNG keying promises the
   // exact same trajectory from all three. The back-to-back run never
   // walks, so it is the reference for the two that do.
-  for (const CenturyConfig& base : {SmallCentury(), SmallCenturyWithRefresh()}) {
-    SCOPED_TRACE(base.proactive_refresh_age.micros() > 0 ? "proactive refresh" : "no refresh");
+  for (const CenturyConfig& base : {SmallCentury(), SmallCenturyWithRefresh(), BlocksCentury()}) {
+    SCOPED_TRACE(Describe(base));
     CenturyConfig a = base;
     a.sampling = QuickSampling();
     a.sampling.detailed_window = SimTime::Days(7);
@@ -178,6 +199,24 @@ TEST(CenturySampledTest, TrajectoryInvariantUnderWindowPlacement) {
     EXPECT_EQ(rc.sim_skipped_us, 0);
     EXPECT_GT(ra.sim_skipped_us, rb.sim_skipped_us);
   }
+}
+
+// The walk starts workers only above one block, and never more than the
+// blocks beside the caller or the spare cores.
+TEST(CenturySampledTest, WalkStartsWorkersOnlyAboveOneBlock) {
+  CenturyConfig one_block = BlocksCentury();
+  one_block.fleet_size = 50000;
+  one_block.sampling = QuickSampling();
+  uint64_t started = ThreadPool::WorkersStarted();
+  RunCenturyScenario(one_block);
+  EXPECT_EQ(ThreadPool::WorkersStarted(), started);
+
+  CenturyConfig blocks = BlocksCentury();
+  blocks.sampling = QuickSampling();
+  started = ThreadPool::WorkersStarted();
+  RunCenturyScenario(blocks);
+  EXPECT_EQ(ThreadPool::WorkersStarted() - started,
+            std::min<uint64_t>(2, ThreadPool::DefaultThreadCount() - 1));
 }
 
 TEST(CenturySampledTest, DeterministicAcrossRuns) {
@@ -231,8 +270,8 @@ TEST(CenturySampledTest, ExpectationParityAcrossSeeds) {
 // --- Century: snapshots across engines --------------------------------------
 
 TEST(CenturySampledTest, SampledCheckpointRestoresIntoSampled) {
-  for (const CenturyConfig& base : {SmallCentury(), SmallCenturyWithRefresh()}) {
-    SCOPED_TRACE(base.proactive_refresh_age.micros() > 0 ? "proactive refresh" : "no refresh");
+  for (const CenturyConfig& base : {SmallCentury(), SmallCenturyWithRefresh(), BlocksCentury()}) {
+    SCOPED_TRACE(Describe(base));
     ScratchDir dir("sampled_ckpt_sampled");
     CenturyConfig save_cfg = base;
     save_cfg.sampling = QuickSampling();
@@ -276,44 +315,52 @@ TEST(CenturySampledTest, SampledCheckpointRestoresIntoSerial) {
   // restores into EITHER mode. Sampled -> serial continues with the serial
   // event loop from the barrier; draws differ past the barrier (different
   // samplers), so this pins "completes with sane metrics", not parity.
-  ScratchDir dir("sampled_ckpt_serial");
-  CenturyConfig save_cfg = SmallCentury();
-  save_cfg.sampling = QuickSampling();
-  save_cfg.snapshot.checkpoint_every = SimTime::Years(10);
-  save_cfg.snapshot.checkpoint_dir = dir.path();
-  const CenturyReport saved = RunCenturyScenario(save_cfg);
-  ASSERT_FALSE(saved.last_checkpoint_path.empty());
+  // BlocksCentury's checkpoint is gathered from three walk blocks.
+  for (const CenturyConfig& base : {SmallCentury(), BlocksCentury()}) {
+    SCOPED_TRACE(Describe(base));
+    ScratchDir dir("sampled_ckpt_serial");
+    CenturyConfig save_cfg = base;
+    save_cfg.sampling = QuickSampling();
+    save_cfg.snapshot.checkpoint_every = SimTime::Years(10);
+    save_cfg.snapshot.checkpoint_dir = dir.path();
+    const CenturyReport saved = RunCenturyScenario(save_cfg);
+    ASSERT_FALSE(saved.last_checkpoint_path.empty());
 
-  CenturyConfig resume_cfg = SmallCentury();  // sampling off: serial engine.
-  resume_cfg.snapshot.resume_from = saved.last_checkpoint_path;
-  const CenturyReport restored = RunCenturyScenario(resume_cfg);
-  EXPECT_FALSE(restored.sampled);
-  EXPECT_GT(restored.restore_seconds, 0.0);
-  EXPECT_GT(restored.mean_availability, 0.5);
-  EXPECT_LE(restored.mean_availability, 1.0);
-  EXPECT_GT(restored.total_failures, 100u);
-  EXPECT_GT(restored.total_replacements, 50u);
-  EXPECT_EQ(restored.yearly_availability.size(), 30u);
+    CenturyConfig resume_cfg = base;  // sampling off: serial engine.
+    resume_cfg.snapshot.resume_from = saved.last_checkpoint_path;
+    const CenturyReport restored = RunCenturyScenario(resume_cfg);
+    EXPECT_FALSE(restored.sampled);
+    EXPECT_GT(restored.restore_seconds, 0.0);
+    EXPECT_GT(restored.mean_availability, 0.5);
+    EXPECT_LE(restored.mean_availability, 1.0);
+    EXPECT_GT(restored.total_failures, 100u);
+    EXPECT_GT(restored.total_replacements, 50u);
+    EXPECT_EQ(restored.yearly_availability.size(), 30u);
+  }
 }
 
 TEST(CenturySampledTest, SerialCheckpointRestoresIntoSampled) {
-  ScratchDir dir("serial_ckpt_sampled");
-  CenturyConfig save_cfg = SmallCentury();
-  save_cfg.snapshot.checkpoint_every = SimTime::Years(10);
-  save_cfg.snapshot.checkpoint_dir = dir.path();
-  const CenturyReport saved = RunCenturyScenario(save_cfg);
-  ASSERT_FALSE(saved.last_checkpoint_path.empty());
+  // BlocksCentury's checkpoint is scattered to three walk blocks.
+  for (const CenturyConfig& base : {SmallCentury(), BlocksCentury()}) {
+    SCOPED_TRACE(Describe(base));
+    ScratchDir dir("serial_ckpt_sampled");
+    CenturyConfig save_cfg = base;
+    save_cfg.snapshot.checkpoint_every = SimTime::Years(10);
+    save_cfg.snapshot.checkpoint_dir = dir.path();
+    const CenturyReport saved = RunCenturyScenario(save_cfg);
+    ASSERT_FALSE(saved.last_checkpoint_path.empty());
 
-  CenturyConfig resume_cfg = SmallCentury();
-  resume_cfg.sampling = QuickSampling();
-  resume_cfg.snapshot.resume_from = saved.last_checkpoint_path;
-  const CenturyReport restored = RunCenturyScenario(resume_cfg);
-  EXPECT_TRUE(restored.sampled);
-  EXPECT_GT(restored.restore_seconds, 0.0);
-  EXPECT_GT(restored.mean_availability, 0.5);
-  EXPECT_LE(restored.mean_availability, 1.0);
-  EXPECT_GT(restored.total_failures, saved.total_failures / 4);
-  EXPECT_EQ(restored.yearly_availability.size(), 30u);
+    CenturyConfig resume_cfg = base;
+    resume_cfg.sampling = QuickSampling();
+    resume_cfg.snapshot.resume_from = saved.last_checkpoint_path;
+    const CenturyReport restored = RunCenturyScenario(resume_cfg);
+    EXPECT_TRUE(restored.sampled);
+    EXPECT_GT(restored.restore_seconds, 0.0);
+    EXPECT_GT(restored.mean_availability, 0.5);
+    EXPECT_LE(restored.mean_availability, 1.0);
+    EXPECT_GT(restored.total_failures, saved.total_failures / 4);
+    EXPECT_EQ(restored.yearly_availability.size(), 30u);
+  }
 }
 
 // --- District: sampled engine ------------------------------------------------

@@ -288,8 +288,7 @@ TEST(CenturyShardTest, DigestInvariantAcrossShardCounts) {
     EXPECT_EQ(CenturyDigest(r), digest) << "shards=" << shards;
     // The survival curve sees the same observations (lane-concatenated
     // order, identical per-lane content).
-    EXPECT_EQ(r.unit_survival.observations().size(),
-              base.unit_survival.observations().size());
+    EXPECT_EQ(r.unit_survival.count(), base.unit_survival.count());
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/reliability/component.h"
@@ -116,6 +117,41 @@ TEST(KaplanMeierTest, CurveAtRiskCountsDecrease) {
     prev_at_risk = pt.at_risk;
     EXPECT_GT(pt.events, 0u);
   }
+}
+
+// Append splices another estimator's observations after this one's, in
+// order, and later observations follow them; the curve is the one a single
+// estimator observing the same sequence gives.
+TEST(KaplanMeierTest, AppendKeepsObservationOrder) {
+  RandomStream rng(5);
+  KaplanMeier whole;
+  KaplanMeier parts[3];
+  KaplanMeier merged;
+  for (int p = 0; p < 3; ++p) {
+    for (int i = 0; i < 20 + 7 * p; ++i) {
+      const SurvivalObservation o{SimTime::Years(rng.Uniform(0.1, 30.0)), rng.NextBool(0.7)};
+      whole.Observe(o);
+      parts[p].Observe(o);
+    }
+    merged.Append(std::move(parts[p]));
+    EXPECT_EQ(parts[p].count(), 0u);
+  }
+  const SurvivalObservation last{SimTime::Years(31), false};
+  whole.Observe(last);
+  merged.Observe(last);
+
+  std::vector<SurvivalObservation> want;
+  std::vector<SurvivalObservation> got;
+  whole.ForEachObservation([&want](const SurvivalObservation& o) { want.push_back(o); });
+  merged.ForEachObservation([&got](const SurvivalObservation& o) { got.push_back(o); });
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(merged.count(), whole.count());
+  EXPECT_EQ(merged.failure_count(), whole.failure_count());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << i;
+    EXPECT_EQ(got[i].failed, want[i].failed) << i;
+  }
+  EXPECT_EQ(merged.RestrictedMean(SimTime::Years(40)), whole.RestrictedMean(SimTime::Years(40)));
 }
 
 // --- SurvivalTable (the sampled engine's one-draw life sampler) -------------

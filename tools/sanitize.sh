@@ -20,7 +20,11 @@
 # "passes in practice". It also proves the serial
 # district's draw batches: EnginePinTest.SerialDistrictBatchedDraws and
 # SeriesSystemTest.SampleLivesEqualsOneDrawPerKey draw lives on pool
-# workers while the caller draws its own chunk.
+# workers while the caller draws its own chunk. And it proves the sampled
+# century's block walk: EnginePinTest.SampledCenturyBlocks and the
+# 140,000-site CenturySampledTest cases roll out, walk and censor three
+# blocks on pool workers and the caller, while the window hooks arm and run
+# each block's visits and failures on the main thread between walks.
 #
 # The default address,undefined run likewise covers the sampled engine:
 # SamplingControllerTest / CenturySampledTest / DistrictSampledTest /

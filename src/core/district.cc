@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "src/core/district_model.h"
 #include "src/sim/ensemble.h"
@@ -16,21 +17,26 @@ namespace {
 // its draw buffers stay the size of a visit's, not of the fleet.
 constexpr uint32_t kRollOutBatch = 65536;
 
-// The serial engine: one scheduler, every domain timer routed through a
-// TimerTable so a checkpoint at a quiescent barrier saves each pending
-// timer as a plain record and a restored run re-arms them in (time, seq)
-// order — the registry pattern that makes save-at-year-N/restore runs
-// bit-identical to straight runs. Lifetime streams are keyed by running
-// counters (device replacements, gateway failures), so draws depend on the
-// global event order. Scheduled closures capture [this, index] — two
-// words, well inside the event core's inline buffer.
+// The serial engine: one scheduler for zone visits and gateway
+// transitions, every one routed through a TimerTable, and the model's
+// failure calendar for unit failures, drained with them by RunTo
+// (district_model.h). A checkpoint at a quiescent barrier saves each
+// pending timer and failure as a plain record and a restored run re-arms
+// them in (time, seq) order — the registry pattern that makes
+// save-at-year-N/restore runs bit-identical to straight runs. A failure
+// takes its sequence number from the scheduler when it is armed
+// (Scheduler::TakeSequence), so the records number failures and timers in
+// one arm order. Lifetime streams are keyed by running counters (device
+// replacements, gateway failures), so draws depend on the global event
+// order. Scheduled closures capture [this, index] — two words, well
+// inside the event core's inline buffer.
 //
 // Device lives are drawn a batch at a time: a zone visit's dead sites, or
 // a slice of the roll-out. Each site's key is fixed before any of the
 // batch deploys, and a life is a pure function of its key, so a batch that
 // reaches SeriesSystem::kParallelLifeGrain is drawn on the spare cores
 // (SeriesSystem::SampleLives) and the sites then deploy and arm their
-// failures in site order, each timer taking the sequence number it took
+// failures in site order, each failure taking the sequence number it took
 // when sites were drawn one at a time. The draw pool starts with the first
 // such batch, so a small district starts no thread, and never on a pool
 // worker: an ensemble replica or a branch draws inline, as its siblings
@@ -46,7 +52,11 @@ class SerialDistrict {
         timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0),
         // The caller draws a chunk too. A one-core host, and a run on a
         // pool worker, draw inline.
-        spare_cores_(ThreadPool::OnWorker() ? 0 : ThreadPool::DefaultThreadCount() - 1) {}
+        spare_cores_(ThreadPool::OnWorker() ? 0 : ThreadPool::DefaultThreadCount() - 1) {
+    if (timers_.tracking()) {
+      fail_seq_.resize(config.device_count);
+    }
+  }
 
   void Run() {
     BatchProjectScheduler batches(sim_, DistrictBatches(config_),
@@ -80,11 +90,11 @@ class SerialDistrict {
       const int64_t every = config_.snapshot.checkpoint_every.micros();
       for (int64_t next = (sim_.Now().micros() / every + 1) * every;
            next < config_.horizon.micros(); next += every) {
-        sim_.scheduler().DrainToBarrier(SimTime::Micros(next));
-        model_.SaveCheckpoint(SimTime::Micros(next), timers_.Save());
+        model_.RunTo(SimTime::Micros(next));
+        model_.SaveCheckpoint(SimTime::Micros(next), PendingTimers());
       }
     }
-    sim_.RunUntil(config_.horizon);
+    model_.RunTo(config_.horizon);
     DistrictReport& report = model_.report();
     report.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count() -
@@ -145,7 +155,8 @@ class SerialDistrict {
     ArmDeviceFailure(at + life, d);
   }
 
-  // --- Domain timers (all routed through the TimerTable) ------------------
+  // --- Domain timers: visits and gateways through the TimerTable, failures
+  // through the model's calendar
 
   void ArmVisit(SimTime at, uint32_t zone, uint32_t cycle) {
     timers_.Schedule(at, kDistrictTimerVisit, zone, cycle, 0.0,
@@ -163,8 +174,24 @@ class SerialDistrict {
   }
 
   void ArmDeviceFailure(SimTime at, uint32_t d) {
-    timers_.Schedule(at, kDistrictTimerDeviceFail, d, 0, 0.0,
-                     [this, d] { model_.DeviceFailAt(d, sim_.Now()); }, kDistrictDeviceFail);
+    model_.ArmFailure(d, at);
+    const uint64_t seq = sim_.scheduler().TakeSequence();
+    if (!fail_seq_.empty()) {
+      fail_seq_[d] = seq;
+    }
+  }
+
+  // The scheduler's pending timers and the calendar's pending failures,
+  // past-horizon ones included, as records in (time, seq) order.
+  std::vector<TimerRecord> PendingTimers() const {
+    std::vector<TimerRecord> records = timers_.Save();
+    model_.calendar().ForEach([&](const FailureCalendar::Entry& e) {
+      records.push_back({kDistrictTimerDeviceFail, e.at_us, fail_seq_[e.slot], e.slot, 0, 0.0});
+    });
+    std::sort(records.begin(), records.end(), [](const TimerRecord& a, const TimerRecord& b) {
+      return a.at_us != b.at_us ? a.at_us < b.at_us : a.seq < b.seq;
+    });
+    return records;
   }
 
   void RegisterTimerRearms() {
@@ -208,6 +235,9 @@ class SerialDistrict {
   const DistrictConfig& config_;
   DistrictModel model_;
   TimerTable timers_;
+  // Per site: the sequence number its pending failure took; kept only by a
+  // run that writes checkpoints.
+  std::vector<uint64_t> fail_seq_;
   const uint32_t spare_cores_;        // Draw workers beside the caller.
   std::unique_ptr<ThreadPool> pool_;  // Started by the first batch at the grain.
   // One batch's life keys and drawn lives.

@@ -98,6 +98,10 @@ struct DistrictReport {
   uint64_t gateway_repairs = 0;
 
   // Perf accounting (additive; excluded from parity digests).
+  // Events run: zone visits, gateway transitions and unit failures, the
+  // failures drained from the model's failure calendar included. A shard
+  // lane runs its own copy of every visit and gateway transition; the
+  // sampled engine counts its detailed windows' events only.
   uint64_t events_executed = 0;
   double wall_seconds = 0.0;           // sim.RunUntil only.
   double build_seconds = 0.0;          // Geometry + fleet construction.

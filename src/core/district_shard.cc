@@ -13,6 +13,10 @@
 //    gateway, its next transition armed on the lane's own scheduler, and
 //    each transition applied to the lane's sites in g's cells. Lane 0
 //    alone counts them. No lane ever needs another lane's events.
+//  - A lane's scheduler holds only zone visits and gateway transitions. Its
+//    unit failures wait in its model's failure calendar, and the
+//    coordinator drains a lane to each barrier through the lane's
+//    DrainToBarrier, the model's RunTo (district_model.h).
 //  - Determinism: the lanes differ from the serial run only in their life
 //    keys and gateway cursors. Every draw is keyed by an (entity, ordinal)
 //    derivation of a lane-independent root, the model integrates
@@ -190,6 +194,13 @@ class DistrictShardLane final : public ShardLane {
   }
 
   Scheduler& sched() override { return sim_.scheduler(); }
+  void DrainToBarrier(SimTime barrier) override { model_->RunTo(barrier); }
+  uint64_t pending_count() override {
+    return sim_.scheduler().pending_count() + model_->calendar().pending();
+  }
+  SimTime EarliestPending() override {
+    return std::min(sim_.scheduler().EarliestPending(), model_->calendar().Earliest());
+  }
 
   // Model hook: a visit's dead slots, ascending, at `at` (== Now).
   void RedeployAt(std::span<const uint32_t> slots, SimTime at) {
@@ -236,15 +247,14 @@ class DistrictShardLane final : public ShardLane {
     }
     model_->EndRestore(barrier);
     sim_.scheduler().RestoreClock(barrier, lane_ == 0 ? rs.executed : 0, 0);
-    // Visits before failures: straight runs arm every visit at setup, so
-    // visits always carry lower sequence numbers than run-time-armed
-    // failure events and win same-timestamp ties. Re-arming in this order
-    // (then failures in ascending slot order) preserves that.
+    // The visits after the barrier, then each live unit's pending failure
+    // (its deadline) into the calendar. A visit wins a tie with a failure
+    // by RunTo's drain order, as in the straight run.
     batches_.ScheduleThrough(config_.horizon);
     const DeviceFleet& fleet = model_->fleet();
     for (uint32_t idx = 0; idx < model_->size(); ++idx) {
       if (fleet.alive(idx) && fleet.deadline(idx) > barrier) {
-        ArmDeviceFailure(idx, fleet.deadline(idx));
+        model_->ArmFailure(idx, fleet.deadline(idx));
       }
     }
     cursors_ = rs.cursors;
@@ -278,11 +288,6 @@ class DistrictShardLane final : public ShardLane {
     ArmGateway(g);
   }
 
-  void ArmDeviceFailure(uint32_t idx, SimTime at) {
-    sim_.scheduler().ScheduleAt(at, [this, idx] { model_->DeviceFailAt(idx, sim_.Now()); },
-                                kDistrictDeviceFail);
-  }
-
   // Draws the life of the unit deployed at `at` and arms its failure, one
   // life at a time: keyed by (global index, unit generation), the draw is
   // identical no matter which lane owns the site or when its replacement
@@ -292,7 +297,7 @@ class DistrictShardLane final : public ShardLane {
     RandomStream dev_rng = dev_root_.Derive(EntityKey(begin_ + idx, fleet.unit_generation(idx)));
     const SimTime fail_at = at + model_->device_bom().SampleLife(dev_rng).life;
     fleet.set_deadline(idx, fail_at);  // Snapshot re-arm source.
-    ArmDeviceFailure(idx, fail_at);
+    model_->ArmFailure(idx, fail_at);
   }
 
   const DistrictConfig& config_;

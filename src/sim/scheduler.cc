@@ -298,8 +298,12 @@ void Scheduler::RunTop() {
   slot.fn();
   const uint64_t t1 = timed ? profiler_->NowNs() : 0;
   pool_.FinishFire(top.slot);
-  profiler_->EndEvent(category != nullptr ? category : kDefaultEventCategory, top.at, timed, t0,
-                      t1);
+  EndProfiledEvent(category != nullptr ? category : kDefaultEventCategory, top.at, timed, t0, t1);
+}
+
+void Scheduler::EndProfiledEvent(const char* category, SimTime at, bool timed, uint64_t t0,
+                                 uint64_t t1) {
+  profiler_->EndEvent(category, at, timed, t0, t1);
   // Run-control hooks ride the profiler's two sampling countdowns, so the
   // unsampled hot path stays exactly as before: the flight recorder logs
   // the 1-in-time_sample_every events already being wall-timed, and the
@@ -307,12 +311,11 @@ void Scheduler::RunTop() {
   if (timed && recorder_ != nullptr) {
     // Reuse the profiler's post-event clock reading (absolute steady ns)
     // instead of paying a third read; re-based onto the recorder's epoch.
-    recorder_->RecordAt(category != nullptr ? category : kDefaultEventCategory, top.at, live_,
-                        t1 - recorder_->epoch_ns());
+    recorder_->RecordAt(category, at, live_, t1 - recorder_->epoch_ns());
   }
   if (profiler_->DepthSampleDue()) {
     const uint64_t entries = heap_.size() + staged_ + (run_.size() - run_idx_);
-    profiler_->RecordDepth(top.at, pending_count(), entries);
+    profiler_->RecordDepth(at, pending_count(), entries);
     if (progress_ != nullptr) {
       progress_->Publish(now_.micros(), NextEventLowerBound(), executed_, live_, entries);
     }

@@ -160,6 +160,34 @@ class Scheduler {
   // Runs a single event if one is pending. Returns false if queue is empty.
   bool Step();
 
+  // Time of the next queued event, or SimTime::Max() when nothing is
+  // queued. Not const: it may move staged entries into the near heap.
+  SimTime NextEventAt() { return EnsureNext() ? NextAt() : SimTime::Max(); }
+
+  // Runs `fn` as an event that was never queued here: a model that keeps
+  // one kind of event in its own time-ordered calendar drains it through
+  // this, interleaved with Step. `at` is no earlier than Now() and no
+  // later than NextEventAt(). The clock moves to `at`, and the event counts
+  // as executed and is profiled under `category` as a queued one is; the
+  // depth samples still count this queue alone.
+  template <typename F>
+  void RunUnqueued(SimTime at, const char* category, F&& fn) {
+    now_ = at;
+    ++executed_;
+    if (profiler_ == nullptr) {
+      fn();
+      return;
+    }
+    const bool timed = profiler_->BeginEvent();
+    const uint64_t t0 = timed ? profiler_->NowNs() : 0;
+    fn();
+    EndProfiledEvent(category, at, timed, t0, timed ? profiler_->NowNs() : 0);
+  }
+
+  // Takes a sequence number for an event kept outside the queue, so that a
+  // checkpoint can order it among the queued timers as it was armed.
+  uint64_t TakeSequence() { return next_seq_++; }
+
   // Checkpoint/shard barrier: runs every event at or before `barrier` and
   // leaves the clock exactly there — afterwards no callback is mid-flight
   // and every pending event is strictly later, the quiescent point that
@@ -282,6 +310,9 @@ class Scheduler {
 
   // Pops and runs the top live entry. Precondition: one exists.
   void RunTop();
+  // A profiled event's bookkeeping after its callback: category totals,
+  // the flight recorder's timed sample, depth samples and progress.
+  void EndProfiledEvent(const char* category, SimTime at, bool timed, uint64_t t0, uint64_t t1);
   // Drops stale (cancelled/superseded) entries from the top of the heap.
   void SkimStale();
   // Cold path of a past-time ScheduleAt: counts and returns Now().

@@ -14,6 +14,12 @@ constexpr int64_t kBarrierCadenceUs = SimTime::Days(90).micros();
 
 }  // namespace
 
+void ShardLane::DrainToBarrier(SimTime barrier) { sched().DrainToBarrier(barrier); }
+
+uint64_t ShardLane::pending_count() { return sched().pending_count(); }
+
+SimTime ShardLane::EarliestPending() { return sched().EarliestPending(); }
+
 uint32_t ShardWorkerCount(uint32_t lanes, uint32_t requested) {
   if (requested != 0) {
     return std::min(requested, lanes);
@@ -39,7 +45,7 @@ uint64_t RunShardLanes(ThreadPool& pool, const std::vector<ShardLane*>& lanes,
     }
     barrier = next;
     for (ShardLane* lane : lanes) {
-      pool.Submit([lane, barrier] { lane->sched().DrainToBarrier(SimTime::Micros(barrier)); });
+      pool.Submit([lane, barrier] { lane->DrainToBarrier(SimTime::Micros(barrier)); });
     }
     pool.Wait();
 
@@ -52,8 +58,8 @@ uint64_t RunShardLanes(ThreadPool& pool, const std::vector<ShardLane*>& lanes,
       int64_t next_event = INT64_MAX;
       for (ShardLane* lane : lanes) {
         executed += lane->sched().executed_count();
-        pending += lane->sched().pending_count();
-        next_event = std::min(next_event, lane->sched().EarliestPending().micros());
+        pending += lane->pending_count();
+        next_event = std::min(next_event, lane->EarliestPending().micros());
       }
       options.replica_progress->Publish(barrier, next_event, executed, pending, pending);
     }

@@ -5,9 +5,9 @@
 // lockstep on a ThreadPool, to barriers that exist only for observers:
 //
 //   setup:    every lane builds its state and arms its first events
-//   barrier:  every lane runs DrainToBarrier(B) on a worker; then the main
-//             thread, lanes quiescent, fires the checkpoint hook on the
-//             grid and publishes replica progress
+//   barrier:  every lane drains to B (ShardLane::DrainToBarrier) on a
+//             worker; then the main thread, lanes quiescent, fires the
+//             checkpoint hook on the grid and publishes replica progress
 //
 // Barrier placement: B_{k+1} = min(horizon, B_k + 90 days, next checkpoint
 // grid point). Results never depend on where barriers fall.
@@ -35,9 +35,21 @@ class ShardLane {
   // first events. Runs on a worker thread.
   virtual void Setup() = 0;
 
-  // The lane's scheduler: drained to each barrier on a worker thread, and
-  // read on the main thread while lanes are quiescent.
+  // The lane's scheduler, read on the main thread while lanes are
+  // quiescent. Its executed count is the lane's: an event a lane keeps
+  // outside the queue counts there too (Scheduler::RunUnqueued).
   virtual Scheduler& sched() = 0;
+
+  // Runs every event at or before `barrier` and leaves the lane's clock
+  // there; runs on a worker thread. The default drains the scheduler; a
+  // lane that keeps events outside it drains those too, in time order.
+  virtual void DrainToBarrier(SimTime barrier);
+
+  // The lane's pending events, and a lower bound on the earliest one's time
+  // (SimTime::Max() when none), read on the main thread while lanes are
+  // quiescent. The defaults read the scheduler.
+  virtual uint64_t pending_count();
+  virtual SimTime EarliestPending();
 };
 
 struct ShardRunOptions {

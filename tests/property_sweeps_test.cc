@@ -257,7 +257,8 @@ INSTANTIATE_TEST_SUITE_P(
 // to 3, a gateway failure and its repair at one timestamp (repair delay 0)
 // and a partial last year, the digest at 1 lane equals the digest at 2, 3
 // and 7, and a 2-lane checkpoint resumed at 3 lanes equals the straight
-// run.
+// run. The serial engine's own checkpoint, resumed, equals its straight
+// run too.
 
 // Device class, zone grid, gateway repair delay (days), partial last year.
 using DistrictPoint = std::tuple<DeviceClassKind, uint32_t, int, bool>;
@@ -333,6 +334,32 @@ TEST_P(DistrictShardParity, TwoLaneCheckpointResumesAtThreeLanes) {
   const DistrictReport r = RunDistrictScenario(resumed);
   EXPECT_GT(r.restore_seconds, 0.0);
   EXPECT_EQ(DistrictDigest(r), DistrictDigest(straight));
+  std::filesystem::remove_all(dir);
+}
+
+// The serial engine's resume path: its failures wait in the model's
+// calendar, and a `district` checkpoint carries them as timer records that
+// a resumed run arms into the calendar again.
+TEST_P(DistrictShardParity, SerialCheckpointResumesAtYearFour) {
+  const std::string dir = testing::TempDir() + "district_serial_parity_" +
+                          DistrictPointLabel(GetParam());
+  std::filesystem::remove_all(dir);
+  DistrictConfig cfg = Config();
+  cfg.shard.shards = 0;
+  const DistrictReport plain = RunDistrictScenario(cfg);
+  cfg.snapshot.checkpoint_every = SimTime::Years(2);
+  cfg.snapshot.checkpoint_dir = dir;
+  const DistrictReport straight = RunDistrictScenario(cfg);
+  ASSERT_GE(straight.checkpoints_written, 2u);
+  EXPECT_EQ(DistrictDigest(straight), DistrictDigest(plain));
+
+  DistrictConfig resumed = Config();
+  resumed.shard.shards = 0;
+  resumed.snapshot.resume_from = dir + "/" + CheckpointFileName(SimTime::Years(4).micros());
+  const DistrictReport r = RunDistrictScenario(resumed);
+  EXPECT_GT(r.restore_seconds, 0.0);
+  EXPECT_EQ(DistrictDigest(r), DistrictDigest(straight));
+  EXPECT_EQ(r.events_executed, straight.events_executed);
   std::filesystem::remove_all(dir);
 }
 

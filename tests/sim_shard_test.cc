@@ -1,16 +1,19 @@
 // Shard-engine substrate tests: the Scheduler's barrier API and the
 // barrier coordinator over fake lanes. These pin the invariants the
 // sharded drivers are built on — quiescence at barriers, every lane ending
-// on the horizon, and a barrier at every checkpoint grid point.
+// on the horizon, a barrier at every checkpoint grid point, and a progress
+// row that counts a lane's events kept outside its scheduler.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
 
+#include "src/sim/run_progress.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/shard_coordinator.h"
 #include "src/sim/thread_pool.h"
@@ -179,6 +182,84 @@ TEST(ShardCoordinatorTest, PublishesReplicaProgress) {
   EXPECT_TRUE(replica_view.done);
   EXPECT_EQ(replica_view.sim_us, 5000);
   EXPECT_EQ(replica_view.executed, 2u);
+}
+
+// A lane that keeps some events outside its scheduler, in a sorted list
+// of its own, as a district lane keeps unit failures in its model's
+// calendar: it drains them between scheduler events, a scheduler event
+// first at equal times, and runs each as an unqueued event.
+class CalendarLane final : public ShardLane {
+ public:
+  CalendarLane(std::vector<int64_t> queued_us, std::vector<int64_t> unqueued_us)
+      : queued_us_(std::move(queued_us)), unqueued_us_(std::move(unqueued_us)) {}
+
+  void Setup() override {
+    for (const int64_t t : queued_us_) {
+      sched_.ScheduleAt(SimTime::Micros(t), [this, t] { executed_at_.push_back(t); });
+    }
+  }
+
+  Scheduler& sched() override { return sched_; }
+
+  void DrainToBarrier(SimTime barrier) override {
+    for (; next_ < unqueued_us_.size() && unqueued_us_[next_] <= barrier.micros(); ++next_) {
+      const int64_t t = unqueued_us_[next_];
+      while (sched_.NextEventAt().micros() <= t) {
+        sched_.Step();
+      }
+      sched_.RunUnqueued(SimTime::Micros(t), "unqueued", [this, t] { executed_at_.push_back(t); });
+    }
+    sched_.DrainToBarrier(barrier);
+  }
+
+  uint64_t pending_count() override {
+    return sched_.pending_count() + (unqueued_us_.size() - next_);
+  }
+
+  SimTime EarliestPending() override {
+    const SimTime unqueued =
+        next_ < unqueued_us_.size() ? SimTime::Micros(unqueued_us_[next_]) : SimTime::Max();
+    return std::min(sched_.EarliestPending(), unqueued);
+  }
+
+  Scheduler sched_;
+  std::vector<int64_t> queued_us_;
+  std::vector<int64_t> unqueued_us_;
+  size_t next_ = 0;
+  std::vector<int64_t> executed_at_;
+};
+
+// The coordinator drains such a lane through its hook, and its progress
+// row counts the lane's unqueued events as executed and pending, and
+// names the earliest of them as the next event. Each checkpoint hook reads
+// the row the previous barrier published.
+TEST(ShardCoordinatorTest, ProgressRowCountsEventsOutsideTheScheduler) {
+  CalendarLane a({100, 4000, 9000}, {2500, 4000, 7000});
+  std::vector<ShardLane*> lanes{&a};
+  ThreadPool pool(1);
+
+  ProgressCell replica_cell;
+  std::vector<ProgressCell::View> rows;
+  ShardRunOptions opts;
+  opts.horizon = SimTime::Micros(10000);
+  opts.checkpoint_every = SimTime::Micros(3000);
+  opts.replica_progress = &replica_cell;
+  opts.on_checkpoint = [&](SimTime) { rows.push_back(replica_cell.Load()); };
+  EXPECT_EQ(RunShardLanes(pool, lanes, opts), 6u);
+
+  EXPECT_EQ(a.executed_at_, (std::vector<int64_t>{100, 2500, 4000, 4000, 7000, 9000}));
+  ASSERT_EQ(rows.size(), 3u);
+  // The row of the barrier at 3000: two events ran, four wait, the next at
+  // 4000. Then the barrier at 6000: four ran, two wait, the next at 7000.
+  EXPECT_EQ(rows[1].sim_us, 3000);
+  EXPECT_EQ(rows[1].executed, 2u);
+  EXPECT_EQ(rows[1].pending, 4u);
+  EXPECT_EQ(rows[1].next_event_us, 4000);
+  EXPECT_EQ(rows[2].sim_us, 6000);
+  EXPECT_EQ(rows[2].executed, 4u);
+  EXPECT_EQ(rows[2].pending, 2u);
+  EXPECT_EQ(rows[2].next_event_us, 7000);
+  EXPECT_EQ(replica_cell.Load().executed, 6u);
 }
 
 }  // namespace

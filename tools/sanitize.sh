@@ -24,12 +24,21 @@
 # century's block walk: EnginePinTest.SampledCenturyBlocks and the
 # 140,000-site CenturySampledTest cases roll out, walk and censor three
 # blocks on pool workers and the caller, while the window hooks arm and run
-# each block's visits and failures on the main thread between walks.
+# each block's visits and failures on the main thread between walks. And
+# it proves the lanes' failure calendars: every lane drains its model's
+# calendar on a pool worker (DistrictModel::RunTo), and the main thread
+# reads its pending count and earliest failure at each barrier, which the
+# DistrictShardParity sweep (DigestEqualsEveryLaneCount,
+# TwoLaneCheckpointResumesAtThreeLanes) and DistrictShardTest exercise.
 #
 # The default address,undefined run likewise covers the sampled engine:
 # SamplingControllerTest / CenturySampledTest / DistrictSampledTest /
 # SurvivalTableTest exercise the fast-forward walk, the transition
-# calendar, and checkpoint restore into both modes under ASan/UBSan.
+# calendar, and checkpoint restore into both modes under ASan/UBSan. It
+# covers the detailed district's failure calendar too: DistrictDrainTest
+# arms failures by hand around visits, barriers, the horizon and the
+# bucket being drained, and DistrictShardParity.SerialCheckpointResumesAtYearFour
+# restores serial checkpoints into the calendar over 24 configs.
 #
 # Both trees are built without NDEBUG, so every assert() in src/ runs
 # here. The regular RelWithDebInfo and Release builds compile them out.

@@ -8,7 +8,7 @@
 // tools/bench_smoke.sh fails the build if the sampled engine is less than
 // 10x faster than detailed on this workload or if any metric drifts more
 // than 1%. The sampled engine walks this fleet's 4 blocks on the spare
-// cores, but pinned to one CPU it still clears the floor (17-23x on a
+// cores, but pinned to one CPU it still clears the floor (13-18x on a
 // 4-CPU host), so the gate applies on every machine, single-core CI boxes
 // included.
 

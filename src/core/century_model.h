@@ -1,8 +1,8 @@
 // The century scenario's model (see theseus.h), written once and shared by
-// its two drivers: the detailed driver (theseus.cc), which runs the serial
-// engine over the whole fleet and each shard lane over the lane's column
-// range, and the sampled engine (theseus_sampled.cc), which walks the fleet
-// in blocks of consecutive sites.
+// its two drivers: the detailed driver (DetailedCentury below, theseus.cc),
+// which runs the serial engine over the whole fleet, and the sampled engine
+// (theseus_sampled.cc), which walks the fleet in blocks of consecutive
+// sites.
 //
 // CenturyModel owns the fleet of sites, the state transitions (each at an
 // explicit time), the exact availability integral (SiteSeconds, shared
@@ -10,7 +10,7 @@
 // assembly. A driver keeps only how time advances: which
 // events it arms where, how it draws a unit's life, and how it closes a
 // unit's alive time. Sites never interact, so the model can cover a whole
-// fleet or one contiguous column range (a shard lane, a walk block).
+// fleet or one contiguous column range (a walk block).
 
 #ifndef SRC_CORE_CENTURY_MODEL_H_
 #define SRC_CORE_CENTURY_MODEL_H_
@@ -23,9 +23,11 @@
 #include <string>
 #include <vector>
 
+#include "src/core/failure_calendar.h"
 #include "src/core/fleet.h"
 #include "src/core/site_seconds.h"
 #include "src/core/theseus.h"
+#include "src/mgmt/batch_project.h"
 #include "src/sim/flight_recorder.h"
 #include "src/sim/simulation.h"
 #include "src/snapshot/timer_table.h"
@@ -48,10 +50,9 @@ inline constexpr uint64_t kCenturyTimerSiteFail = 2;
 class CenturyModel {
  public:
   // The model over sites [begin, end) of the config's fleet: the whole
-  // fleet, or one shard lane's or walk block's range (local slot = site
-  // index - begin). Rare transitions go to `recorder`: the run's for a
-  // whole-fleet model, null for a part of the fleet, which may run on a
-  // worker thread.
+  // fleet, or one walk block's range (local slot = site index - begin).
+  // Rare transitions go to `recorder`: the run's for a whole-fleet model,
+  // null for a part of the fleet, which may run on a worker thread.
   CenturyModel(Simulation& sim, const CenturyConfig& config, CenturyReport& report,
                uint32_t begin, uint32_t end, FlightRecorder* recorder);
   CenturyModel(const CenturyModel&) = delete;
@@ -185,6 +186,65 @@ class CenturyModel {
   uint32_t cls_ = 0;
   RandomStream rng_;
   SiteSeconds alive_;
+};
+
+// The detailed engine (theseus.cc): the model over the whole fleet,
+// advanced one transition at a time. The scheduler holds only zone visits,
+// routed through a TimerTable so that a checkpoint saves them as records;
+// site failures wait in a FailureCalendar drained between visits. A
+// failure takes a scheduler sequence number when armed, kept per site by a
+// checkpointing run, so a checkpoint saves the pending failures as
+// kCenturyTimerSiteFail records in one arm order with the visits, and a
+// restored run arms them back into the calendar. A proactive refresh
+// cancels nothing: the calendar skips the retired unit's failure.
+class DetailedCentury {
+ public:
+  DetailedCentury(Simulation& sim, const CenturyConfig& config, CenturyReport& report);
+
+  // Resumes from the plan's snapshot or deploys every site at year 0,
+  // writes a checkpoint at every grid point and runs to the horizon.
+  void Run();
+
+  CenturyModel& model() { return model_; }
+
+  // Model hooks (CenturyModel::VisitSiteAt): a deploy draws the unit's
+  // life and arms its failure; a retirement closes the unit's alive time.
+  void DeploySiteAt(uint32_t idx, SimTime at);
+  void RetireSiteAt(uint32_t /*idx*/, SimTime at) { Accumulate(at); }
+
+  // Arms the failure of the site's current unit at `at`.
+  void ArmSiteFailure(SimTime at, uint32_t idx) {
+    calendar_.Arm(at, idx);
+    const uint64_t seq = sim_.scheduler().TakeSequence();
+    if (!fail_seq_.empty()) {
+      fail_seq_[idx] = seq;
+    }
+  }
+  // Runs every visit and live failure at or before `limit`, a visit first
+  // at a shared microsecond, and leaves the clock at `limit`.
+  void RunTo(SimTime limit);
+  // Writes a `century` checkpoint at the quiescent `barrier`.
+  void SaveCheckpoint(SimTime barrier) {
+    CenturyModel::SaveCheckpoint(whole_, barrier, model_.alive(), PendingTimers(),
+                                 model_.report());
+  }
+
+ private:
+  void Accumulate(SimTime now) {
+    model_.alive().AdvanceTo(now, static_cast<int64_t>(model_.fleet().alive_count()));
+  }
+  void ArmVisit(SimTime at, uint32_t zone, uint32_t cycle);
+  // The pending visits and failures as records in (time, seq) order.
+  std::vector<TimerRecord> PendingTimers() const;
+
+  Simulation& sim_;
+  const CenturyConfig& config_;
+  CenturyModel model_;
+  CenturyModel* const whole_[1] = {&model_};  // The checkpoint's one part.
+  TimerTable timers_;
+  BatchProjectScheduler batches_;
+  FailureCalendar calendar_;
+  std::vector<uint64_t> fail_seq_;  // Per site, in a checkpointing run.
 };
 
 // Runs a whole-fleet engine (detailed or sampled) on a fresh simulation of

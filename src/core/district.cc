@@ -184,14 +184,11 @@ class SerialDistrict {
   // The scheduler's pending timers and the calendar's pending failures,
   // past-horizon ones included, as records in (time, seq) order.
   std::vector<TimerRecord> PendingTimers() const {
-    std::vector<TimerRecord> records = timers_.Save();
+    std::vector<TimerRecord> failures;
     model_.calendar().ForEach([&](const FailureCalendar::Entry& e) {
-      records.push_back({kDistrictTimerDeviceFail, e.at_us, fail_seq_[e.slot], e.slot, 0, 0.0});
+      failures.push_back({kDistrictTimerDeviceFail, e.at_us, fail_seq_[e.slot], e.slot, 0, 0.0});
     });
-    std::sort(records.begin(), records.end(), [](const TimerRecord& a, const TimerRecord& b) {
-      return a.at_us != b.at_us ? a.at_us < b.at_us : a.seq < b.seq;
-    });
-    return records;
+    return timers_.Save(std::move(failures));
   }
 
   void RegisterTimerRearms() {

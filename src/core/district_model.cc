@@ -30,11 +30,6 @@ constexpr uint32_t kTimerChunk = SnapshotTag('t', 'i', 'm', 'r');
 constexpr uint32_t kSchedChunk = SnapshotTag('s', 'c', 'h', 'd');
 constexpr uint32_t kMetricsChunk = SnapshotTag('m', 'e', 't', 'r');
 
-// While RunTo runs a failure, it prefetches the fleet and site-cell lines
-// of the failure this many entries later, so that the random misses of
-// consecutive failures overlap, as in the century walk.
-constexpr size_t kDrainPrefetchAhead = 16;
-
 DeploymentPlan::Params PlanParams(const DistrictConfig& config) {
   DeploymentPlan::Params dp;
   dp.site_count = config.device_count;
@@ -189,60 +184,6 @@ void FillDistrictAvailability(const SiteSeconds& alive, const SiteSeconds& servi
                     &report.yearly_service, &report.min_yearly_service);
 }
 
-FailureCalendar::FailureCalendar(SimTime horizon)
-    : buckets_(static_cast<size_t>(std::max<int64_t>(horizon.micros(), 0) / kBucketUs) + 2) {}
-
-const FailureCalendar::Entry* FailureCalendar::NextInLaterBucket(SimTime limit) {
-  for (;;) {
-    std::vector<Entry>& bucket = buckets_[cur_];
-    if (!sorted_) {
-      std::sort(bucket.begin() + static_cast<std::ptrdiff_t>(pos_), bucket.end(),
-                [](const Entry& a, const Entry& b) {
-                  return a.at_us != b.at_us ? a.at_us < b.at_us : a.slot < b.slot;
-                });
-      sorted_ = true;
-    }
-    if (pos_ < bucket.size()) {
-      return bucket[pos_].at_us <= limit.micros() ? &bucket[pos_] : nullptr;
-    }
-    // Spent: free it, and pass empty buckets up to the next non-empty one,
-    // but never into one that starts after `limit`: this drain cannot
-    // reach its entries, more may still arrive before the run does, and
-    // the last bucket, past the horizon, stays unsorted.
-    std::vector<Entry>().swap(bucket);
-    pos_ = 0;
-    while (cur_ + 1 < buckets_.size() &&
-           static_cast<int64_t>(cur_ + 1) * kBucketUs <= limit.micros()) {
-      ++cur_;
-      if (!buckets_[cur_].empty()) {
-        sorted_ = false;
-        break;
-      }
-    }
-    if (buckets_[cur_].empty()) {
-      return nullptr;
-    }
-  }
-}
-
-uint64_t FailureCalendar::pending() const {
-  uint64_t n = 0;
-  for (size_t b = cur_; b < buckets_.size(); ++b) {
-    n += buckets_[b].size();
-  }
-  return n - pos_;
-}
-
-SimTime FailureCalendar::Earliest() const {
-  int64_t earliest = INT64_MAX;
-  for (size_t b = cur_; b < buckets_.size() && earliest == INT64_MAX; ++b) {
-    for (size_t k = b == cur_ ? pos_ : 0; k < buckets_[b].size(); ++k) {
-      earliest = std::min(earliest, buckets_[b][k].at_us);
-    }
-  }
-  return SimTime::Micros(earliest);
-}
-
 // The geometry lives only through construction: the run keeps the fleet
 // columns and the coverage cells, not the site list.
 DistrictModel::DistrictModel(Simulation& sim, const DistrictConfig& config,
@@ -264,7 +205,7 @@ DistrictModel::DistrictModel(Simulation& sim, const DistrictConfig& config,
       gateway_bom_(SeriesSystem::RaspberryPiGateway()),
       cells_(geo.cells),
       service_(*cells_),
-      calendar_(config.horizon),
+      calendar_(fleet_, config.horizon),
       alive_seconds_(config.horizon),
       service_seconds_(config.horizon) {
   report_.gateway_count = static_cast<uint32_t>(geo.gateway_sites.size());
@@ -303,30 +244,12 @@ void DistrictModel::SetGatewayAt(uint32_t g, bool up, SimTime at) {
   fleet_.SetCoveredSites(service_.covered());
 }
 
+// A failure also touches its site's coverage cell line.
 void DistrictModel::RunTo(SimTime limit) {
-  Scheduler& sched = sim_.scheduler();
-  // A failure arms nothing on the scheduler, so only a Step moves its head.
-  SimTime next_event = sched.NextEventAt();
-  for (;;) {
-    const FailureCalendar::Entry* failure = calendar_.Next(limit);
-    if (next_event <= limit && (failure == nullptr || next_event.micros() <= failure->at_us)) {
-      sched.Step();
-      next_event = sched.NextEventAt();
-      continue;
-    }
-    if (failure == nullptr) {
-      break;
-    }
-    if (const FailureCalendar::Entry* ahead = calendar_.Ahead(kDrainPrefetchAhead)) {
-      fleet_.PrefetchLifecycle(ahead->slot);
-      __builtin_prefetch(cells_->site_cell.data() + begin_ + ahead->slot);
-    }
-    const uint32_t idx = failure->slot;
-    const SimTime at = SimTime::Micros(failure->at_us);
-    calendar_.Pop();
-    sched.RunUnqueued(at, kDistrictDeviceFail, [this, idx, at] { DeviceFailAt(idx, at); });
-  }
-  sched.DrainToBarrier(limit);
+  calendar_.RunTo(
+      sim_.scheduler(), limit, kDistrictDeviceFail,
+      [this](uint32_t idx) { __builtin_prefetch(cells_->site_cell.data() + begin_ + idx); },
+      [this](uint32_t idx, SimTime at) { DeviceFailAt(idx, at); });
 }
 
 void DistrictModel::EndRestore(SimTime last_change) {

@@ -17,15 +17,11 @@
 // deploy one site at a time.
 //
 // Unit failures, nearly every event of a detailed run, never enter the
-// scheduler of the serial engine or a lane. Each is one (time, slot) entry
-// in the model's FailureCalendar, and RunTo drains the calendar between
-// scheduler events (zone visits, gateway transitions): an entry runs after
-// every scheduler event at or before its microsecond. So a zone visit sees
-// a site whose failure falls on the visit's microsecond still alive, as in
-// one queue where every visit is armed before any failure. No other tie
-// can show in a result: a gateway transition and a failure at one instant
-// commute under the exact integrals, as do two failures. The sampled
-// engine's detailed windows arm failures on the scheduler.
+// scheduler of the serial engine or a lane: each waits in the model's
+// FailureCalendar (failure_calendar.h, shared with the detailed century),
+// which RunTo drains between scheduler events (zone visits, gateway
+// transitions). The sampled engine's detailed windows arm failures on the
+// scheduler.
 
 #ifndef SRC_CORE_DISTRICT_MODEL_H_
 #define SRC_CORE_DISTRICT_MODEL_H_
@@ -41,6 +37,7 @@
 
 #include "src/city/deployment.h"
 #include "src/core/district.h"
+#include "src/core/failure_calendar.h"
 #include "src/core/fleet.h"
 #include "src/core/site_seconds.h"
 #include "src/sim/flight_recorder.h"
@@ -208,81 +205,6 @@ bool DecodeDistrictTotals(ByteReader& r, SiteSeconds* alive, SiteSeconds* servic
 void FillDistrictAvailability(const SiteSeconds& alive, const SiteSeconds& service,
                               const DistrictConfig& config, DistrictReport& report);
 
-// The pending unit failures of one district model: a (time, slot) entry
-// per failure, in fixed-width time buckets up to the horizon's, and one
-// last bucket for every failure after those, which a run to the horizon
-// never reaches: they wait there unsorted, for checkpoints. A bucket is
-// sorted when the run reaches it, by time and then slot. A failure armed
-// after that into the current bucket, or into one the run has passed,
-// joins the current bucket, whose remainder is sorted again before its
-// next entry is read.
-class FailureCalendar {
- public:
-  struct Entry {
-    int64_t at_us;
-    uint32_t slot;
-  };
-
-  explicit FailureCalendar(SimTime horizon);
-
-  // Arms the failure of `slot`'s unit at `at`, no earlier than the clock.
-  void Arm(SimTime at, uint32_t slot) {
-    size_t b = std::min(static_cast<size_t>(at.micros() / kBucketUs), buckets_.size() - 1);
-    if (b <= cur_) {
-      b = cur_;
-      sorted_ = false;
-    }
-    buckets_[b].push_back({at.micros(), slot});
-  }
-
-  // The earliest pending failure if it is at or before `limit`, else null.
-  // Valid until the next Arm or Pop.
-  const Entry* Next(SimTime limit) {
-    const std::vector<Entry>& bucket = buckets_[cur_];
-    if (sorted_ && pos_ < bucket.size()) {
-      return bucket[pos_].at_us <= limit.micros() ? &bucket[pos_] : nullptr;
-    }
-    return NextInLaterBucket(limit);
-  }
-
-  // The entry `k` places after the one Next returned, when the current
-  // bucket holds it: the drain prefetches its lines.
-  const Entry* Ahead(size_t k) const {
-    const std::vector<Entry>& bucket = buckets_[cur_];
-    return pos_ + k < bucket.size() ? &bucket[pos_ + k] : nullptr;
-  }
-
-  // Drops the entry Next returned.
-  void Pop() { ++pos_; }
-
-  // Calls fn(entry) for every pending failure, in no particular order.
-  template <typename Fn>
-  void ForEach(const Fn& fn) const {
-    for (size_t b = cur_; b < buckets_.size(); ++b) {
-      for (size_t k = b == cur_ ? pos_ : 0; k < buckets_[b].size(); ++k) {
-        fn(buckets_[b][k]);
-      }
-    }
-  }
-  // Pending failures, past-horizon ones included, and the earliest one's
-  // time (SimTime::Max() when none). Cold: they scan buckets.
-  uint64_t pending() const;
-  SimTime Earliest() const;
-
- private:
-  // One bucket spans this many microseconds of simulated time.
-  static constexpr int64_t kBucketUs = 14LL * 24 * 3600 * 1000000;  // 14 days.
-
-  // Next's slow path: sorts the current bucket, or moves to the next
-  // non-empty bucket that starts at or before `limit`.
-  const Entry* NextInLaterBucket(SimTime limit);
-
-  std::vector<std::vector<Entry>> buckets_;
-  size_t cur_ = 0;       // The bucket the run is in; earlier ones are empty.
-  size_t pos_ = 0;       // Its first pending entry.
-  bool sorted_ = false;  // Its entries from pos_ on are in order.
-};
-
 class DistrictModel {
  public:
   // The whole district, recording rare transitions into the run's flight
@@ -365,10 +287,8 @@ class DistrictModel {
   void ArmFailure(uint32_t idx, SimTime at) { calendar_.Arm(at, idx); }
 
   // Runs every scheduler event and armed failure at or before `limit` in
-  // time order, a scheduler event before a failure at the same microsecond,
-  // and leaves the clock at `limit`: the quiescent point DrainToBarrier
-  // leaves. Each failure runs as an unqueued scheduler event, so it is
-  // counted and profiled under kDistrictDeviceFail.
+  // time order and leaves the clock at `limit` (FailureCalendar::RunTo).
+  // Each failure is counted and profiled under kDistrictDeviceFail.
   void RunTo(SimTime limit);
 
   const FailureCalendar& calendar() const { return calendar_; }

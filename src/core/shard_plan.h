@@ -1,4 +1,4 @@
-// Intra-run sharding plan: how one city is partitioned across cores. A
+// The district's intra-run sharding plan: how one city is split across cores. A
 // default-constructed plan (shards == 0) selects the serial engine — the
 // path every golden digest is pinned against. Any shards > 0 selects the
 // sharded engine, whose results are bit-identical across ANY shard count
@@ -7,10 +7,7 @@
 // replays every gateway's keyed timeline itself. Lanes key their life
 // draws per entity, so the sharded district differs from the serial
 // district, which keys draws by running counters in global event order.
-// The century's serial run and its lanes are one detailed driver, so a
-// sharded century gives the serial report, with Kaplan-Meier observations
-// in lane order.
-// See DESIGN.md "Sharded engine".
+// The century has no lanes. See DESIGN.md "Sharded engine".
 
 #ifndef SRC_CORE_SHARD_PLAN_H_
 #define SRC_CORE_SHARD_PLAN_H_
@@ -21,8 +18,7 @@ namespace centsim {
 
 struct ShardPlan {
   // Number of shard lanes. 0 = serial engine (default; goldens preserved
-  // byte-for-byte). 1..N = sharded engine; digests are invariant in N
-  // (and, for the century, equal to the serial engine's).
+  // byte-for-byte). 1..N = sharded engine; digests are invariant in N.
   uint32_t shards = 0;
   // Worker threads driving the lanes. 0 = one per lane, up to the CPUs the
   // process may run on, and one on a pool worker (ShardWorkerCount).

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/shard_plan.h"
 #include "src/mgmt/batch_project.h"
 #include "src/reliability/component.h"
 #include "src/reliability/survival.h"
@@ -63,21 +62,12 @@ struct CenturyConfig {
   // resumed/branched run.
   SnapshotPlan snapshot;
 
-  // Intra-run sharding (src/core/theseus.cc). shards == 0 (default) runs
-  // the serial engine; shards > 0 splits the fleet into contiguous column
-  // ranges advanced in parallel by the same detailed driver (sites never
-  // interact, so there is no cross-shard traffic). The report equals the
-  // serial one at any shards/workers choice, except that
-  // Kaplan-Meier observations come in lane order (one lane gives the
-  // serial order). Snapshot checkpointing is not supported under sharding.
-  ShardPlan shard;
-
   // Sampled time advance (src/sim/sampling.h, src/core/theseus_sampled.cc).
   // Default off runs the serial engine — golden digests unchanged. When
   // sampling.mode == kSampled the run alternates measured detailed windows
   // with analytic fast-forward and reports paper metrics with confidence
-  // intervals. Mutually exclusive with sharding: the sampled engine walks
-  // the fleet in blocks of consecutive sites on the spare cores itself.
+  // intervals. The sampled engine walks the fleet in blocks of consecutive
+  // sites on the spare cores.
   SamplingPlan sampling;
 
   // Actionable diagnostics (empty = valid); RunCenturyScenario fails
@@ -112,14 +102,10 @@ struct CenturyReport {
   std::vector<MetricCi> metric_cis;     // Per-metric window-mean intervals.
 };
 
-// Dispatches to the sampled engine when config.sampling.enabled(), to the
-// sharded engine when config.shard.enabled(), and else runs the serial
-// engine: the detailed driver over the whole fleet.
+// Dispatches to the sampled engine when config.sampling.enabled(), and
+// else runs the serial engine: the detailed driver over the whole fleet,
+// one transition at a time (DetailedCentury, century_model.h).
 CenturyReport RunCenturyScenario(const CenturyConfig& config);
-
-// The sharded engine directly (config.shard.shards must be > 0): one
-// detailed driver per lane, merged into the serial engine's report.
-CenturyReport RunShardedCenturyScenario(const CenturyConfig& config);
 
 // The sampled engine directly (config.sampling.mode must be kSampled).
 // Alternates measured detailed windows with analytic fast-forward

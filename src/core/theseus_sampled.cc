@@ -1,8 +1,8 @@
 // Sampled time advance for the century scenario (DESIGN.md, "Sampled
 // simulation").
 //
-// The detailed driver (theseus.cc) pushes every site failure and zone visit
-// through the event heap and samples each unit life as the minimum of ~8
+// The detailed driver (theseus.cc) runs every site failure and zone visit
+// as an event and samples each unit life as the minimum of ~8
 // per-component inverse-CDF draws. This engine runs the same scenario as a
 // two-level machine driven by a SamplingController (src/sim/sampling.h):
 //
@@ -20,13 +20,13 @@
 // Walk blocks: the fleet is split into fixed blocks of kWalkBlockSites
 // consecutive sites. A block holds a CenturyModel over its range with a
 // block-local report, its own fail_at_ column and its own transition
-// calendar, as a shard lane holds a range for the detailed engine. Sites
+// calendar. Sites
 // never interact, so the roll-out, every fast-forward span and the final
 // censoring run the blocks on the caller and the spare cores. The visit
 // schedule, the survival table, the controller, the window hooks and the
 // window accumulators stay here on the main thread; window visits and
 // armed failures address the blocks in block order. At the horizon the
-// blocks merge like lanes: exact integrals and counters summed, the highest
+// blocks merge: exact integrals and counters summed, the highest
 // generation, and the Kaplan-Meier observations spliced in block order.
 //
 // Determinism: unit lives are drawn from per-entity keyed streams
@@ -70,7 +70,7 @@ class SampledCentury {
         // pool worker, walk inline.
         spare_cores_(ThreadPool::OnWorker() ? 0 : ThreadPool::DefaultThreadCount() - 1) {
     // Only a block that is the whole fleet records: more blocks walk on
-    // worker threads, as shard lanes run.
+    // worker threads.
     const bool one_block = config.fleet_size <= kWalkBlockSites;
     for (uint32_t begin = 0; begin < config.fleet_size; begin += kWalkBlockSites) {
       const uint32_t end = std::min(config.fleet_size, begin + kWalkBlockSites);

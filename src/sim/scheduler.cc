@@ -1,5 +1,6 @@
 #include "src/sim/scheduler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -317,7 +318,13 @@ void Scheduler::EndProfiledEvent(const char* category, SimTime at, bool timed, u
     const uint64_t entries = heap_.size() + staged_ + (run_.size() - run_idx_);
     profiler_->RecordDepth(at, pending_count(), entries);
     if (progress_ != nullptr) {
-      progress_->Publish(now_.micros(), NextEventLowerBound(), executed_, live_, entries);
+      int64_t next = NextEventLowerBound();
+      uint64_t unqueued = 0;
+      if (unqueued_ != nullptr) {
+        unqueued = unqueued_->pending();
+        next = std::min(next, unqueued_->Earliest().micros());
+      }
+      progress_->Publish(now_.micros(), next, executed_, live_ + unqueued, entries + unqueued);
     }
   }
 }

@@ -74,6 +74,16 @@ struct SchedulerSnapshot {
 
 class Scheduler {
  public:
+  // Events a model keeps in its own time-ordered store and runs through
+  // RunUnqueued: their count, and a lower bound on the earliest one's time
+  // (SimTime::Max() when none), read on progress publishes.
+  class Unqueued {
+   public:
+    virtual ~Unqueued() = default;
+    virtual uint64_t pending() const = 0;
+    virtual SimTime Earliest() const = 0;
+  };
+
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -127,6 +137,10 @@ class Scheduler {
   // (sim time, next event, executed, queue depth) for the monitor thread.
   void SetProgressCell(ProgressCell* cell) { progress_ = cell; }
   ProgressCell* progress_cell() const { return progress_; }
+
+  // While set, progress publishes add `events` to the queue's pending count
+  // and next-event bound; depth samples still count this queue alone.
+  void SetUnqueued(const Unqueued* events) { unqueued_ = events; }
 
   // Wires every hook in one call (nullptr members are skipped, so an
   // already-attached profiler survives hooks carrying none). Detach clears
@@ -328,6 +342,7 @@ class Scheduler {
   SchedulerProfiler* profiler_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   ProgressCell* progress_ = nullptr;
+  const Unqueued* unqueued_ = nullptr;
   EventPool pool_;
   std::vector<HeapEntry> heap_;  // The near window, in 4-ary heap order.
   // Entries at micros >= near_limit_ stage in rungs_/far_; everything

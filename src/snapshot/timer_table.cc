@@ -28,9 +28,8 @@ bool TimerTable::Cancel(EventId id) {
   return true;
 }
 
-std::vector<TimerRecord> TimerTable::Save() const {
-  std::vector<TimerRecord> records;
-  records.reserve(live_);
+std::vector<TimerRecord> TimerTable::Save(std::vector<TimerRecord> records) const {
+  records.reserve(records.size() + live_);
   for (const Entry& e : entries_) {
     if (e.live) {
       records.push_back(e.rec);

@@ -107,8 +107,9 @@ class TimerTable {
   // if the event already fired or was cancelled (record already released).
   bool Cancel(EventId id);
 
-  // Live records sorted by (at, seq) — the re-arm order.
-  std::vector<TimerRecord> Save() const;
+  // Live records sorted by (at, seq) — the re-arm order — together with
+  // `records`, the caller's records of events kept outside the table.
+  std::vector<TimerRecord> Save(std::vector<TimerRecord> records = {}) const;
 
   // Re-arms every record through its tag's registered callback, in the
   // given order. Records carrying an unregistered tag are counted (return

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/district_model.h"
+#include "src/sim/metrics.h"
 #include "src/sim/profiler.h"
 #include "src/sim/thread_pool.h"
 
@@ -154,6 +155,31 @@ TEST(DistrictTest, EventsExecutedCountsEveryTransition) {
   ASSERT_GT(lane.device_failures, 0u);
   EXPECT_GT(lane.events_executed,
             lane.device_failures + lane.gateway_failures + lane.gateway_repairs);
+}
+
+// A serial run's progress rows count the unit failures waiting in its
+// failure calendar: the last row, published at the last event, counts at
+// least one pending failure per unit alive at the horizon.
+TEST(DistrictTest, ProgressRowCountsPendingFailures) {
+  DistrictConfig cfg = QuickConfig();
+  cfg.device_count = 200;
+  cfg.horizon = SimTime::Years(20);
+  MetricsRegistry registry;
+  cfg.metrics = &registry;
+  SchedulerProfiler::Options every;
+  every.queue_depth_sample_every = 1;
+  SchedulerProfiler profiler(every);
+  ProgressCell cell;
+  cfg.control.profiler = &profiler;
+  cfg.control.progress = &cell;
+  const DistrictReport report = RunDistrictScenario(cfg);
+  const Gauge* alive = registry.GetGauge("fleet.alive_devices", {});
+  ASSERT_NE(alive, nullptr);
+  ASSERT_GT(alive->value(), 0.0);
+  const ProgressCell::View row = cell.Load();
+  EXPECT_EQ(row.executed, report.events_executed);
+  EXPECT_GE(static_cast<double>(row.pending), alive->value());
+  EXPECT_GE(row.queue_entries, row.pending);
 }
 
 // --- The failure calendar's drain contract (DistrictModel::RunTo) ---------

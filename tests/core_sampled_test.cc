@@ -452,11 +452,6 @@ TEST(DistrictSampledTest, SerialCheckpointRestoresIntoSampled) {
 // --- Validation --------------------------------------------------------------
 
 TEST(SampledValidateTest, SamplingAndShardingAreMutuallyExclusive) {
-  CenturyConfig century = QuickCentury();
-  century.sampling = QuickSampling();
-  century.shard.shards = 2;
-  EXPECT_FALSE(century.Validate().empty());
-
   DistrictConfig district = QuickDistrict();
   district.sampling = QuickSampling();
   district.shard.shards = 2;

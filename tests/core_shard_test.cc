@@ -1,4 +1,4 @@
-// Sharded-engine determinism tests (ROADMAP item 1): the same city run
+// Sharded district determinism tests (ROADMAP item 1): the same city run
 // under ANY shard count or worker count must produce bit-identical
 // reports — the property that makes "how many cores" a pure
 // wall-clock knob. Also pins the sharded snapshot contract: a checkpoint
@@ -6,9 +6,9 @@
 // same digest as an uninterrupted run.
 //
 // The serial (shards == 0) path's golden digests are pinned separately in
-// core_fleet_test.cc (FleetGoldenTest); RunDistrictScenario/
-// RunCenturyScenario dispatch through the same entry points these tests
-// use, so those pins double as the serial-dispatch regression check.
+// core_fleet_test.cc (FleetGoldenTest); RunDistrictScenario dispatches
+// through the same entry point these tests use, so those pins double as
+// the serial-dispatch regression check.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/core/district.h"
-#include "src/core/theseus.h"
 #include "src/sim/thread_pool.h"
 #include "src/sim/time.h"
 #include "src/snapshot/snapshot.h"
@@ -61,18 +60,6 @@ std::string DistrictDigest(const DistrictReport& r) {
   return ConfigDigest(out.str());
 }
 
-std::string CenturyDigest(const CenturyReport& r) {
-  std::ostringstream out;
-  out << std::hexfloat;
-  out << r.mean_availability << '|' << r.min_yearly_availability << '|' << r.total_failures
-      << '|' << r.total_replacements << '|' << r.proactive_replacements << '|'
-      << r.units_deployed << '|' << r.max_unit_generations;
-  for (double v : r.yearly_availability) {
-    out << '|' << v;
-  }
-  return ConfigDigest(out.str());
-}
-
 DistrictConfig SmallDistrict() {
   DistrictConfig cfg;
   cfg.seed = 20260808;
@@ -82,18 +69,6 @@ DistrictConfig SmallDistrict() {
   cfg.horizon = SimTime::Years(6);
   cfg.gateway_range_m = 700.0;
   cfg.batch_cycle = SimTime::Years(2);
-  return cfg;
-}
-
-CenturyConfig SmallCentury() {
-  CenturyConfig cfg;
-  cfg.seed = 20260808;
-  cfg.fleet_size = 150;
-  cfg.horizon = SimTime::Years(40);
-  cfg.batch.zone_count = 8;
-  cfg.batch.cycle_period = SimTime::Years(5);
-  cfg.proactive_refresh_age = SimTime::Years(15);
-  cfg.life_improvement_per_decade = 1.05;
   return cfg;
 }
 
@@ -270,52 +245,6 @@ TEST(DistrictShardTest, ResumedRunCheckpointsOnlyAfterItsRestorePoint) {
               FileBytes(straight_dir.path() + "/" + name))
         << name;
   }
-}
-
-// --- Century: shard invariance and serial parity ---------------------------
-
-TEST(CenturyShardTest, DigestInvariantAcrossShardCounts) {
-  CenturyConfig cfg = SmallCentury();
-  cfg.shard.shards = 1;
-  const CenturyReport base = RunCenturyScenario(cfg);
-  const std::string digest = CenturyDigest(base);
-  EXPECT_GT(base.total_failures, 0u);
-  EXPECT_GT(base.proactive_replacements, 0u);
-
-  for (const uint32_t shards : {2u, 4u}) {
-    cfg.shard.shards = shards;
-    const CenturyReport r = RunCenturyScenario(cfg);
-    EXPECT_EQ(CenturyDigest(r), digest) << "shards=" << shards;
-    // The survival curve sees the same observations (lane-concatenated
-    // order, identical per-lane content).
-    EXPECT_EQ(r.unit_survival.count(), base.unit_survival.count());
-  }
-}
-
-TEST(CenturyShardTest, ShardedCountersMatchSerialEngine) {
-  // The serial run and every lane run the same detailed driver: the same
-  // per-site lifetime streams (entity-keyed, not order-dependent) and the
-  // same exact integer availability integral, so the whole digest agrees,
-  // availability included.
-  CenturyConfig cfg = SmallCentury();
-  const CenturyReport serial = RunCenturyScenario(cfg);
-  cfg.shard.shards = 3;
-  const CenturyReport sharded = RunCenturyScenario(cfg);
-
-  EXPECT_GT(serial.total_failures, 0u);
-  EXPECT_EQ(CenturyDigest(sharded), CenturyDigest(serial));
-}
-
-TEST(CenturyShardTest, DigestInvariantAcrossWorkerCounts) {
-  CenturyConfig cfg = SmallCentury();
-  cfg.shard.shards = 2;
-  const std::string digest = CenturyDigest(RunCenturyScenario(cfg));
-
-  cfg.shard.workers = 1;
-  EXPECT_EQ(CenturyDigest(RunCenturyScenario(cfg)), digest);
-
-  cfg.shard.workers = 2;
-  EXPECT_EQ(CenturyDigest(RunCenturyScenario(cfg)), digest);
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "src/core/century_model.h"
 #include "src/sim/profiler.h"
+#include "src/snapshot/snapshot.h"
 
 namespace centsim {
 namespace {
@@ -125,6 +129,169 @@ TEST(CenturyTest, TransitionsProfileUnderTheirCategories) {
               (std::set<std::string>{"century.site_failure", "century.zone_visit"}))
         << "sampled=" << sampled;
   }
+}
+
+// A serial run's progress rows count the site failures waiting in its
+// failure calendar: the last row, published at the last event, counts at
+// least one pending failure per unit alive at the horizon.
+TEST(CenturyTest, ProgressRowCountsPendingFailures) {
+  CenturyConfig cfg = QuickConfig();
+  cfg.fleet_size = 100;
+  cfg.horizon = SimTime::Years(30);
+  SchedulerProfiler::Options every;
+  every.queue_depth_sample_every = 1;
+  SchedulerProfiler profiler(every);
+  ProgressCell cell;
+  cfg.control.profiler = &profiler;
+  cfg.control.progress = &cell;
+  const CenturyReport report = RunCenturyScenario(cfg);
+  // Without refresh, the censored observations are the horizon's survivors.
+  uint64_t survivors = 0;
+  report.unit_survival.ForEachObservation(
+      [&survivors](const SurvivalObservation& o) { survivors += o.failed ? 0 : 1; });
+  const ProgressCell::View row = cell.Load();
+  ASSERT_GT(survivors, 0u);
+  EXPECT_EQ(row.executed, report.events_executed);
+  EXPECT_GE(row.pending, survivors);
+  EXPECT_GE(row.queue_entries, row.pending);
+}
+
+// --- The failure calendar's drain contract (DetailedCentury::RunTo) -------
+//
+// The district's contract (DistrictDrainTest, core_district_test.cc) with
+// proactive refresh: four sites in two zones, every one deployed at t = 0
+// with no failure armed. Each test arms failures and schedules zone visits
+// by hand, then drains with RunTo; checkpoints go to a directory of its own.
+class CenturyDrainTest : public ::testing::Test {
+ protected:
+  CenturyDrainTest() : sim_(config_.seed), century_(sim_, config_, report_) {
+    for (uint32_t idx = 0; idx < config_.fleet_size; ++idx) {
+      century_.model().DeployAt(idx, SimTime());
+    }
+  }
+  ~CenturyDrainTest() override { std::filesystem::remove_all(config_.snapshot.checkpoint_dir); }
+
+  static CenturyConfig Config() {
+    CenturyConfig cfg;
+    cfg.seed = 7;
+    cfg.fleet_size = 4;
+    cfg.horizon = SimTime::Years(2);
+    cfg.batch.zone_count = 2;
+    cfg.proactive_refresh_age = SimTime::Days(100);
+    cfg.snapshot.checkpoint_every = SimTime::Years(1);
+    cfg.snapshot.checkpoint_dir =
+        testing::TempDir() + "century_drain_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    return cfg;
+  }
+
+  // Zone `zone`'s visit at `at`, as the engine arms one.
+  void ScheduleVisit(uint32_t zone, SimTime at) {
+    sim_.scheduler().ScheduleAt(
+        at, [this, zone, at] { century_.model().ZoneVisitAt(zone, at, century_); },
+        kCenturyVisit);
+  }
+
+  // The site-failure records of the checkpoint written last.
+  std::vector<TimerRecord> SavedFailures() {
+    SnapshotReader reader;
+    std::string error;
+    EXPECT_TRUE(reader.Open(report_.last_checkpoint_path, &error)) << error;
+    ByteReader chunk = reader.Chunk(SnapshotTag('t', 'i', 'm', 'r'));
+    std::vector<TimerRecord> failures;
+    for (const TimerRecord& r : TimerTable::Decode(chunk)) {
+      if (r.tag == kCenturyTimerSiteFail) {
+        failures.push_back(r);
+      }
+    }
+    EXPECT_TRUE(chunk.ok());
+    return failures;
+  }
+
+  bool alive(uint32_t idx) { return century_.model().fleet().alive(idx); }
+  uint64_t executed() { return sim_.scheduler().executed_count(); }
+
+  const CenturyConfig config_ = Config();
+  Simulation sim_;
+  CenturyReport report_;
+  DetailedCentury century_;
+};
+
+// A visit wins its microsecond: the site is still alive when its zone is
+// visited, so the visit leaves it to fail after.
+TEST_F(CenturyDrainTest, FailureAtAVisitsMicrosecondIsNotReplacedByIt) {
+  const SimTime t = SimTime::Days(30);
+  century_.ArmSiteFailure(t, 0);
+  ScheduleVisit(0, t);
+  century_.RunTo(t);
+  EXPECT_FALSE(alive(0));
+  EXPECT_EQ(report_.total_failures, 1u);
+  EXPECT_EQ(report_.total_replacements, 0u);
+  EXPECT_EQ(executed(), 2u);
+}
+
+// A visit past the refresh age retires zone 0's units (sites 0 and 2) and
+// deploys their successors. Site 0's retired unit keeps its failure in the
+// calendar: it is not saved at the next barrier, and when the drain passes
+// it, it neither runs nor counts as an event. Only the successors' own
+// failures, as saved, run.
+TEST_F(CenturyDrainTest, RefreshedUnitsFailureNeitherRunsNorCountsNorIsSaved) {
+  const SimTime retired_failure = SimTime::Days(300);
+  const SimTime barrier = SimTime::Days(250);
+  century_.ArmSiteFailure(retired_failure, 0);
+  ScheduleVisit(0, SimTime::Days(200));
+  century_.RunTo(barrier);
+  ASSERT_EQ(report_.proactive_replacements, 2u);
+  century_.SaveCheckpoint(barrier);
+  ASSERT_EQ(report_.checkpoints_written, 1u);
+
+  const std::vector<TimerRecord> saved = SavedFailures();
+  uint64_t due = report_.total_failures;  // The successors' failures through the stale time.
+  for (const TimerRecord& r : saved) {
+    EXPECT_TRUE(r.a == 0 || r.a == 2) << "site " << r.a;
+    EXPECT_TRUE(alive(static_cast<uint32_t>(r.a)));
+    EXPECT_NE(r.at_us, retired_failure.micros());
+    due += r.at_us <= retired_failure.micros() ? 1 : 0;
+  }
+  EXPECT_EQ(saved.size(), static_cast<size_t>(alive(0)) + static_cast<size_t>(alive(2)));
+
+  century_.RunTo(retired_failure);
+  EXPECT_NE(century_.model().fleet().failed_at(0), retired_failure);
+  EXPECT_EQ(report_.total_failures, due);
+  EXPECT_EQ(executed(), 1u + due);  // The visit and the successors' failures.
+}
+
+// A failure at the limit runs before RunTo stops there, at a checkpoint
+// barrier (before the checkpoint is cut) and at the horizon alike; one a
+// microsecond later waits.
+TEST_F(CenturyDrainTest, FailureAtTheLimitRunsAndOneMicrosecondLaterWaits) {
+  const SimTime barrier = SimTime::Years(1);
+  const SimTime horizon = config_.horizon;
+  const SimTime micro = SimTime::Micros(1);
+  century_.ArmSiteFailure(barrier, 0);
+  century_.ArmSiteFailure(barrier + micro, 1);
+  century_.ArmSiteFailure(horizon, 2);
+  century_.ArmSiteFailure(horizon + micro, 3);
+
+  century_.RunTo(barrier);
+  EXPECT_EQ(sim_.Now(), barrier);
+  EXPECT_FALSE(alive(0));
+  EXPECT_TRUE(alive(1));
+  century_.SaveCheckpoint(barrier);
+  std::set<uint64_t> saved_sites;
+  for (const TimerRecord& r : SavedFailures()) {
+    saved_sites.insert(r.a);
+  }
+  EXPECT_EQ(saved_sites, (std::set<uint64_t>{1, 2, 3}));
+
+  century_.RunTo(horizon);
+  EXPECT_EQ(sim_.Now(), horizon);
+  EXPECT_FALSE(alive(1));
+  EXPECT_FALSE(alive(2));
+  EXPECT_TRUE(alive(3));
+  EXPECT_EQ(century_.model().fleet().failed_at(2), horizon);
+  EXPECT_EQ(report_.total_failures, 3u);
+  EXPECT_EQ(executed(), 3u);
 }
 
 }  // namespace

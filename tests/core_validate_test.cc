@@ -93,17 +93,6 @@ TEST(ValidateTest, CenturyDiagnostics) {
 
 // Combinations an engine cannot run are refused up front, not when the run
 // starts.
-TEST(ValidateTest, ShardedCenturyRefusesSnapshotPlan) {
-  CenturyConfig cfg;
-  cfg.snapshot.checkpoint_every = SimTime::Years(10);
-  cfg.snapshot.checkpoint_dir = "checkpoints";
-  EXPECT_TRUE(cfg.Validate().empty());
-  cfg.shard.shards = 2;
-  const auto diagnostics = cfg.Validate();
-  ASSERT_EQ(diagnostics.size(), 1u);
-  EXPECT_TRUE(AnyMentions(diagnostics, "snapshot checkpoint/resume is not supported"));
-}
-
 TEST(ValidateTest, ShardedDistrictRefusesMetricsRegistry) {
   MetricsRegistry registry;
   DistrictConfig cfg;

@@ -158,14 +158,13 @@ TEST_P(WeibullConditional, RemainingLifeMatchesConditionalSurvival) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, WeibullConditional, ::testing::Values(0.6, 1.0, 2.0, 4.0));
 
-// --- Century: one answer from every engine layout -----------------------
+// --- Century: a resumed run continues the straight one -----------------
 //
-// The serial run and each shard lane run one detailed driver, and every
-// engine integrates availability in exact integer site-microseconds. So
-// over device classes, refresh ages, life improvement and whole or
-// fractional horizons (a partial last year), the serial digest equals the
-// digest at any lane count, and the sampled engine's availability does not
-// move with where its windows land.
+// Over device classes, refresh ages, life improvement and whole or
+// fractional horizons (a partial last year), a serial run resumed from its
+// year-20 checkpoint continues the straight run exactly, and the sampled
+// engine's availability, integrated in exact integer site-microseconds,
+// does not move with where its windows land.
 
 // Device class, proactive refresh age (years), life improvement per
 // decade, horizon (years).
@@ -210,15 +209,53 @@ std::string CenturyDigest(const CenturyReport& r) {
   return ConfigDigest(out.str());
 }
 
-TEST_P(CenturyEngineParity, SerialDigestEqualsEveryLaneCount) {
+// Every field of the digest, then every Kaplan-Meier observation in order
+// and the event count.
+std::string CenturyPin(const CenturyReport& r) {
+  std::ostringstream out;
+  out << CenturyDigest(r);
+  r.unit_survival.ForEachObservation([&out](const SurvivalObservation& o) {
+    out << '|' << o.time.micros() << (o.failed ? 'f' : 'c');
+  });
+  out << '|' << r.events_executed;
+  return ConfigDigest(out.str());
+}
+
+std::string CenturyPointLabel(const CenturyPoint& point) {
+  const auto [device_class, refresh_years, improvement, horizon_years] = point;
+  std::string name =
+      device_class == DeviceClassKind::kBatteryPowered ? "Battery" : "Harvesting";
+  name += "Refresh";
+  name += std::to_string(refresh_years);
+  name += improvement == 1.0 ? "SameLife" : "LongerLife";
+  name += horizon_years == std::floor(horizon_years) ? "WholeYears" : "PartialYear";
+  return name;
+}
+
+// The serial engine's resume path: a checkpoint carries the pending visits
+// and the failure calendar's pending failures as timer records, which a
+// resumed run arms again. Checkpointing moves nothing, and the run resumed
+// from year 20 equals the straight run.
+TEST_P(CenturyEngineParity, SerialCheckpointResumesAtYearTwenty) {
+  const std::string dir = testing::TempDir() + "century_serial_parity_" +
+                          CenturyPointLabel(GetParam());
+  std::filesystem::remove_all(dir);
   CenturyConfig cfg = Config();
-  const CenturyReport serial = RunCenturyScenario(cfg);
-  ASSERT_GT(serial.total_failures, 0u);
-  const std::string digest = CenturyDigest(serial);
-  for (const uint32_t shards : {1u, 2u, 5u}) {
-    cfg.shard.shards = shards;
-    EXPECT_EQ(CenturyDigest(RunCenturyScenario(cfg)), digest) << "shards=" << shards;
-  }
+  const CenturyReport plain = RunCenturyScenario(cfg);
+  ASSERT_GT(plain.total_failures, 0u);
+  cfg.snapshot.checkpoint_every = SimTime::Years(10);
+  cfg.snapshot.checkpoint_dir = dir;
+  const CenturyReport straight = RunCenturyScenario(cfg);
+  ASSERT_EQ(straight.checkpoints_written, 3u);
+  EXPECT_EQ(CenturyPin(straight), CenturyPin(plain));
+
+  CenturyConfig resumed = Config();
+  resumed.snapshot.resume_from = dir + "/" + CheckpointFileName(SimTime::Years(20).micros());
+  const CenturyReport r = RunCenturyScenario(resumed);
+  EXPECT_GT(r.restore_seconds, 0.0);
+  EXPECT_EQ(CenturyPin(r), CenturyPin(straight));
+  EXPECT_EQ(r.events_executed, straight.events_executed);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_P(CenturyEngineParity, SampledAvailabilityInvariantUnderWindowPlacement) {
@@ -230,14 +267,7 @@ TEST_P(CenturyEngineParity, SampledAvailabilityInvariantUnderWindowPlacement) {
 }
 
 std::string CenturyPointName(const ::testing::TestParamInfo<CenturyPoint>& info) {
-  const auto [device_class, refresh_years, improvement, horizon_years] = info.param;
-  std::string name =
-      device_class == DeviceClassKind::kBatteryPowered ? "Battery" : "Harvesting";
-  name += "Refresh";
-  name += std::to_string(refresh_years);
-  name += improvement == 1.0 ? "SameLife" : "LongerLife";
-  name += horizon_years == std::floor(horizon_years) ? "WholeYears" : "PartialYear";
-  return name;
+  return CenturyPointLabel(info.param);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -397,15 +427,14 @@ TEST(PartialYearTest, HalfYearHorizonReportsTheMeanAsYearZero) {
   century.horizon = SimTime::Years(0.5);
   century.batch.zone_count = 4;
   century.batch.cycle_period = SimTime::Days(60);
-  std::vector<CenturyConfig> centuries(3, century);
-  centuries[1].shard.shards = 2;
-  centuries[2].sampling = HalfYearSampling();
+  std::vector<CenturyConfig> centuries(2, century);
+  centuries[1].sampling = HalfYearSampling();
   for (const CenturyConfig& cfg : centuries) {
     const CenturyReport r = RunCenturyScenario(cfg);
     ASSERT_EQ(r.yearly_availability.size(), 1u);
     EXPECT_GT(r.mean_availability, 0.9);
     EXPECT_EQ(r.yearly_availability[0], r.mean_availability)
-        << "shards " << cfg.shard.shards << ", sampled " << cfg.sampling.enabled();
+        << "sampled " << cfg.sampling.enabled();
     EXPECT_EQ(r.min_yearly_availability, r.mean_availability);
   }
 

@@ -13,11 +13,10 @@
 # through the CENTSIM_TSAN CMake option instead of CENTSIM_SANITIZE.
 #
 # The `thread` run is the proof obligation for the sharded engine: the
-# tier-1 suite includes DistrictShardTest / CenturyShardTest /
-# ShardCoordinatorTest, which drive multi-lane district and century runs
-# on real worker threads — the lanes, the barriers and the main thread's
-# checkpoint and progress reads at them must come out clean here, not just
-# "passes in practice". It also proves the serial
+# tier-1 suite includes DistrictShardTest / ShardCoordinatorTest, which
+# drive multi-lane district runs on real worker threads — the lanes, the
+# barriers and the main thread's checkpoint and progress reads at them
+# must come out clean here, not just "passes in practice". It also proves the serial
 # district's draw batches: EnginePinTest.SerialDistrictBatchedDraws and
 # SeriesSystemTest.SampleLivesEqualsOneDrawPerKey draw lives on pool
 # workers while the caller draws its own chunk. And it proves the sampled
@@ -26,19 +25,23 @@
 # blocks on pool workers and the caller, while the window hooks arm and run
 # each block's visits and failures on the main thread between walks. And
 # it proves the lanes' failure calendars: every lane drains its model's
-# calendar on a pool worker (DistrictModel::RunTo), and the main thread
-# reads its pending count and earliest failure at each barrier, which the
-# DistrictShardParity sweep (DigestEqualsEveryLaneCount,
+# calendar (src/core/failure_calendar.h) on a pool worker, and the main
+# thread reads its pending count and earliest failure at each barrier,
+# which the DistrictShardParity sweep (DigestEqualsEveryLaneCount,
 # TwoLaneCheckpointResumesAtThreeLanes) and DistrictShardTest exercise.
 #
 # The default address,undefined run likewise covers the sampled engine:
 # SamplingControllerTest / CenturySampledTest / DistrictSampledTest /
 # SurvivalTableTest exercise the fast-forward walk, the transition
 # calendar, and checkpoint restore into both modes under ASan/UBSan. It
-# covers the detailed district's failure calendar too: DistrictDrainTest
-# arms failures by hand around visits, barriers, the horizon and the
-# bucket being drained, and DistrictShardParity.SerialCheckpointResumesAtYearFour
-# restores serial checkpoints into the calendar over 24 configs.
+# covers the failure calendar of both detailed engines too:
+# DistrictDrainTest and CenturyDrainTest arm failures by hand around
+# visits, barriers, the horizon, the bucket being drained and a proactive
+# refresh; DistrictShardParity.SerialCheckpointResumesAtYearFour (24
+# configs) and CenturyEngineParity.SerialCheckpointResumesAtYearTwenty (16
+# configs) restore serial checkpoints into the calendar; and
+# DistrictTest/CenturyTest.ProgressRowCountsPendingFailures read its
+# counts into the progress row.
 #
 # Both trees are built without NDEBUG, so every assert() in src/ runs
 # here. The regular RelWithDebInfo and Release builds compile them out.

@@ -13,14 +13,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/district.h"
+#include "src/sim/run_progress.h"
 #include "src/sim/thread_pool.h"
 #include "src/sim/time.h"
 #include "src/snapshot/snapshot.h"
@@ -134,6 +138,162 @@ TEST(DistrictShardTest, ExplicitWorkersCappedAtTheLaneCount) {
   const std::string eight_workers = DistrictDigest(RunDistrictScenario(cfg));
   EXPECT_LE(ThreadPool::WorkersStarted() - before, 2u);
   EXPECT_EQ(eight_workers, one_worker);
+}
+
+// --- District: the barrier loop ----------------------------------------
+//
+// The lanes drain together to a barrier every 90 simulated days and at
+// each checkpoint grid point; with every lane quiescent there, the run
+// writes the checkpoint and publishes its progress row.
+
+// The checkpoint files in `dir`, by name (zero-padded barriers sort in
+// time order).
+std::vector<std::string> CheckpointFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("checkpoint_", 0) == 0) {
+      names.push_back(name);
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// A 100-day grid falls between the 90-day barriers, and six sites leave
+// most grid points with no event near them: each point below the horizon
+// still gets its checkpoint. A period longer than the horizon writes none.
+TEST(DistrictShardTest, CheckpointAtEveryGridPointBelowTheHorizon) {
+  ScratchDir dir("shard_checkpoint_grid");
+  DistrictConfig cfg = SmallDistrict();
+  cfg.device_count = 6;
+  cfg.horizon = SimTime::Years(2);
+  cfg.shard.shards = 3;
+  cfg.snapshot.checkpoint_every = SimTime::Days(100);
+  cfg.snapshot.checkpoint_dir = dir.path();
+  const DistrictReport report = RunDistrictScenario(cfg);
+
+  std::vector<std::string> expected;
+  for (int64_t at = SimTime::Days(100).micros(); at < cfg.horizon.micros();
+       at += SimTime::Days(100).micros()) {
+    expected.push_back(CheckpointFileName(at));
+  }
+  ASSERT_EQ(expected.size(), 7u);
+  EXPECT_EQ(CheckpointFiles(dir.path()), expected);
+  EXPECT_EQ(report.checkpoints_written, 7u);
+
+  ScratchDir none_dir("shard_checkpoint_none");
+  cfg.snapshot.checkpoint_every = SimTime::Years(3);
+  cfg.snapshot.checkpoint_dir = none_dir.path();
+  EXPECT_EQ(RunDistrictScenario(cfg).checkpoints_written, 0u);
+  EXPECT_TRUE(CheckpointFiles(none_dir.path()).empty());
+}
+
+// A one-day horizon, shorter than the barrier cadence, still drains every
+// lane to the horizon: a lane left short of it would integrate its sites
+// over less than the day and lower the device availability. An hourly
+// batch cycle over 16 zones lands some zone visits inside the day. Each
+// lane runs its own copy of every visit and gateway transition and its own
+// sites' failures, so the lanes' sum is the failures plus one copy of the
+// rest per lane.
+TEST(DistrictShardTest, OneDayHorizonEndsEveryLaneAtTheHorizon) {
+  DistrictConfig cfg = SmallDistrict();
+  cfg.horizon = SimTime::Days(1);
+  cfg.zone_grid = 4;
+  cfg.batch_cycle = SimTime::Hours(1);
+  cfg.shard.shards = 1;
+  const DistrictReport one = RunDistrictScenario(cfg);
+  cfg.shard.shards = 3;
+  ProgressCell cell;
+  cfg.control.progress = &cell;
+  const DistrictReport three = RunDistrictScenario(cfg);
+
+  EXPECT_EQ(DistrictDigest(three), DistrictDigest(one));
+  EXPECT_EQ(three.mean_device_availability, 1.0);
+  const uint64_t shared = one.events_executed - one.device_failures;
+  EXPECT_GT(shared, 0u);
+  EXPECT_EQ(three.events_executed, three.device_failures + 3 * shared);
+  const ProgressCell::View row = cell.Load();
+  EXPECT_EQ(row.sim_us, cfg.horizon.micros());
+  EXPECT_EQ(row.executed, three.events_executed);
+}
+
+// With a progress cell, the last row is done at the horizon and counts the
+// run's events.
+TEST(DistrictShardTest, ProgressRowDoneAtTheHorizon) {
+  DistrictConfig cfg = SmallDistrict();
+  cfg.shard.shards = 3;
+  ProgressCell cell;
+  cfg.control.progress = &cell;
+  const DistrictReport report = RunDistrictScenario(cfg);
+  const ProgressCell::View row = cell.Load();
+  EXPECT_TRUE(row.done);
+  EXPECT_EQ(row.sim_us, cfg.horizon.micros());
+  EXPECT_EQ(row.executed, report.events_executed);
+  EXPECT_GT(report.events_executed, report.device_failures);
+}
+
+// The row published at each barrier counts the lanes' unit failures,
+// which wait in their models' calendars and not on their schedulers, in
+// `pending`, and names the earliest pending event in `next_event_us`, as
+// the serial run's row does (DistrictTest.ProgressRowCountsPendingFailures).
+//
+// `pending`: a reader polls the row while the run writes a checkpoint
+// every 30 days. A lane's scheduler holds at most one transition per
+// gateway and the run's zone visits, so a row above that many per lane
+// counts calendar entries. Rows are read without a lock, so one may mix
+// two barriers' fields; either barrier's count clears the bound, and a
+// mix with the final row's zero is skipped.
+//
+// `next_event_us`: the done row keeps the horizon barrier's, which names
+// the earliest of the lanes' calendar failures: a run to that instant
+// (lanes key every draw per entity, so a longer horizon replays the same
+// trajectory) has exactly one more unit failure and the same gateway
+// counts, and a run to the instant before has none.
+TEST(DistrictShardTest, ProgressRowCountsCalendarFailures) {
+  ScratchDir dir("shard_progress_rows");
+  DistrictConfig cfg = SmallDistrict();
+  cfg.shard.shards = 3;
+  cfg.snapshot.checkpoint_every = SimTime::Days(30);
+  cfg.snapshot.checkpoint_dir = dir.path();
+  ProgressCell cell;
+  cfg.control.progress = &cell;
+
+  std::atomic<bool> finished{false};
+  DistrictReport report;
+  std::thread run([&] {
+    report = RunDistrictScenario(cfg);
+    finished.store(true);
+  });
+  uint64_t rows_read = 0;
+  uint64_t min_pending = UINT64_MAX;
+  while (!finished.load()) {
+    const ProgressCell::View row = cell.Load();
+    if (row.ticks > 0 && !row.done && row.pending != 0) {
+      ++rows_read;
+      min_pending = std::min(min_pending, row.pending);
+    }
+  }
+  run.join();
+
+  const uint64_t zones = cfg.zone_grid * cfg.zone_grid;
+  const uint64_t cycles = cfg.horizon.micros() / cfg.batch_cycle.micros() + 1;
+  const uint64_t scheduler_bound = cfg.shard.shards * (report.gateway_count + zones * cycles);
+  ASSERT_GT(rows_read, 0u);
+  EXPECT_GT(min_pending, scheduler_bound);
+
+  const ProgressCell::View done = cell.Load();
+  ASSERT_TRUE(done.done);
+  EXPECT_GT(done.next_event_us, cfg.horizon.micros());
+  DistrictConfig longer = SmallDistrict();
+  longer.shard.shards = 3;
+  longer.horizon = SimTime::Micros(done.next_event_us);
+  const DistrictReport at_next = RunDistrictScenario(longer);
+  EXPECT_EQ(at_next.device_failures, report.device_failures + 1);
+  EXPECT_EQ(at_next.gateway_failures, report.gateway_failures);
+  EXPECT_EQ(at_next.gateway_repairs, report.gateway_repairs);
+  longer.horizon = SimTime::Micros(done.next_event_us - 1);
+  EXPECT_EQ(RunDistrictScenario(longer).device_failures, report.device_failures);
 }
 
 TEST(DistrictShardTest, ShardCountBeyondDeviceCountClamps) {

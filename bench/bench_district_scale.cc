@@ -26,6 +26,7 @@
 #include "src/core/site_seconds.h"
 #include "src/energy/harvester.h"
 #include "src/energy/storage.h"
+#include "src/mgmt/batch_project.h"
 #include "src/net/packet.h"
 #include "src/reliability/component.h"
 #include "src/sim/metrics.h"
@@ -229,7 +230,7 @@ DistrictReport RunObjectGraphDistrict(const DistrictConfig& config, double* buil
   BatchProjectParams batch;
   batch.zone_count = config.zone_grid * config.zone_grid;
   batch.cycle_period = config.batch_cycle;
-  BatchProjectScheduler batches(sim, batch, [&](uint32_t zone, uint32_t) {
+  std::function<void(uint32_t)> visit_zone = [&](uint32_t zone) {
     for (uint32_t d = 0; d < config.device_count; ++d) {
       if (devices[d]->zone == zone && !devices[d]->alive) {
         ++report.device_replacements;
@@ -237,8 +238,10 @@ DistrictReport RunObjectGraphDistrict(const DistrictConfig& config, double* buil
         deploy_device(d);
       }
     }
-  });
-  batches.ScheduleThrough(config.horizon);
+  };
+  for (const BatchVisit& v : BatchVisits(sim, batch, config.horizon)) {
+    sim.scheduler().ScheduleAt(v.at, [&visit_zone, zone = v.zone] { visit_zone(zone); });
+  }
 
   if (build_seconds) {
     *build_seconds = std::chrono::duration<double>(Clock::now() - build_start).count();

@@ -242,10 +242,18 @@ class DetailedCentury {
   CenturyModel model_;
   CenturyModel* const whole_[1] = {&model_};  // The checkpoint's one part.
   TimerTable timers_;
-  BatchProjectScheduler batches_;
   FailureCalendar calendar_;
   std::vector<uint64_t> fail_seq_;  // Per site, in a checkpointing run.
 };
+
+// The sampled engine, which RunCenturyScenario runs when
+// config.sampling.enabled(). Alternates measured detailed windows with
+// analytic fast-forward (theseus_sampled.cc); per-entity keyed lifetime
+// draws make the trajectory reproducible regardless of window placement,
+// and checkpoints cut at window barriers restore into either engine. Above
+// one walk block (65,536 sites) the Kaplan-Meier observations come in
+// block order; the rest of the report is the same at any block split.
+CenturyReport RunSampledCenturyScenario(const CenturyConfig& config);
 
 // Runs a whole-fleet engine (detailed or sampled) on a fresh simulation of
 // the config's seed, with the config's run control attached for the run's

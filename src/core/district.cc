@@ -52,17 +52,13 @@ class SerialDistrict {
         timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0),
         // The caller draws a chunk too. A one-core host, and a run on a
         // pool worker, draw inline.
-        spare_cores_(ThreadPool::OnWorker() ? 0 : ThreadPool::DefaultThreadCount() - 1) {
+        spare_cores_(ThreadPool::SpareCores()) {
     if (timers_.tracking()) {
       fail_seq_.resize(config.device_count);
     }
   }
 
   void Run() {
-    BatchProjectScheduler batches(sim_, DistrictBatches(config_),
-                                  [this](uint32_t zone, uint32_t) { OnZoneVisit(zone); });
-    batches.SetVisitScheduler(
-        [this](SimTime at, uint32_t zone, uint32_t cycle) { ArmVisit(at, zone, cycle); });
     RegisterTimerRearms();
 
     const bool resumed =
@@ -74,7 +70,9 @@ class SerialDistrict {
           return true;
         });
     if (!resumed) {
-      batches.ScheduleThrough(config_.horizon);
+      for (const BatchVisit& v : BatchVisits(sim_, DistrictBatches(config_), config_.horizon)) {
+        ArmVisit(v.at, v.zone, v.cycle);
+      }
       for (uint32_t g = 0; g < model_.gateway_count(); ++g) {
         model_.SetGatewayAt(g, true, sim_.Now());
         ScheduleGatewayFailure(g);

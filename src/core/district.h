@@ -63,7 +63,8 @@ struct DistrictConfig {
   // runs the serial engine — golden digests unchanged. shards > 0 runs the
   // city across that many independent lanes, each running the serial run's
   // model over its own site range and replaying every gateway's keyed
-  // fail/repair timeline itself. Results are bit-identical across any
+  // fail/repair timeline itself, drained on the calling thread and the pool
+  // threads shard.workers allows. Results are bit-identical across any
   // shards/workers choice, but (by design) differ from the serial engine's:
   // the lanes key per-entity RNG streams, where the serial engine keys its
   // draws by running counters in global event order. Sharded snapshots use
@@ -131,14 +132,9 @@ struct DistrictReport {
 // the sharded engine when config.shard.enabled().
 DistrictReport RunDistrictScenario(const DistrictConfig& config);
 
-// The sharded engine directly (config.shard.shards must be > 0).
+// The sharded engine directly (config.shard.shards must be > 0), which
+// perfbench times on one lane against the default engine.
 DistrictReport RunShardedDistrictScenario(const DistrictConfig& config);
-
-// The sampled engine directly (config.sampling.mode must be kSampled).
-// Detailed windows run the device/gateway/visit events on the real
-// scheduler; between windows a heap-merged walk advances the same
-// transitions in global time order (src/core/district_sampled.cc).
-DistrictReport RunSampledDistrictScenario(const DistrictConfig& config);
 
 }  // namespace centsim
 

@@ -8,9 +8,11 @@
 // with the century model), the `district` snapshot chunks and report
 // assembly. The serial and sampled engines run it over the whole district,
 // recording into the run's flight recorder; each shard lane runs it over
-// one contiguous site range with no recorder, and all lanes share one set
-// of coverage cells. An engine keeps only how time advances: which events
-// it arms where, and how it keys its lifetime draws. A zone visit hands
+// one contiguous site range with no recorder, on whichever thread drains
+// the lane, and all lanes share one set of coverage cells. An engine keeps
+// only how time advances: which events it arms where, and how it keys its
+// lifetime draws. Every engine arms the same zone visits, the BatchVisits
+// list over DistrictBatches' cadence. A zone visit hands
 // the engine its dead sites as one ascending batch: the serial engine
 // draws the batch's lives together (on spare cores once the batch is
 // large) and then deploys in site order; the sampled engine and the lanes
@@ -366,6 +368,13 @@ class DistrictModel {
   SiteSeconds alive_seconds_;
   SiteSeconds service_seconds_;
 };
+
+// The sampled engine, which RunDistrictScenario runs when
+// config.sampling.enabled(). Detailed windows run the device/gateway/visit
+// events on the real scheduler; between windows a heap-merged walk
+// advances the same transitions in global time order
+// (district_sampled.cc).
+DistrictReport RunSampledDistrictScenario(const DistrictConfig& config);
 
 // Runs a serial or sampled engine on a fresh simulation of the config's
 // seed, with the config's metrics registry and run control attached for

@@ -119,10 +119,6 @@ class SampledDistrict {
     ArmNext(kDevFail, d, dev_fail_at_[d]);
   }
 
-  struct Visit {
-    SimTime at;
-    uint32_t zone = 0;
-  };
   // Event kinds, also the equal-time tie-break order (windows arm in this
   // order; the walk heap sorts by it). Sub-microsecond-jittered continuous
   // event times make exact ties vanishingly rare either way.
@@ -131,13 +127,9 @@ class SampledDistrict {
   using WalkEvent = std::tuple<int64_t, uint8_t, uint32_t>;  // (at_us, kind, entity).
 
   void RecordVisitSchedule() {
-    BatchProjectScheduler batches(sim_, DistrictBatches(config_), [](uint32_t, uint32_t) {});
-    batches.SetVisitScheduler([this](SimTime at, uint32_t zone, uint32_t /*cycle*/) {
-      visits_.push_back({at, zone});
-    });
-    batches.ScheduleThrough(config_.horizon);
+    visits_ = BatchVisits(sim_, DistrictBatches(config_), config_.horizon);
     std::stable_sort(visits_.begin(), visits_.end(),
-                     [](const Visit& a, const Visit& b) { return a.at < b.at; });
+                     [](const BatchVisit& a, const BatchVisit& b) { return a.at < b.at; });
   }
 
   // A serial checkpoint's pending timers become walk columns: visit
@@ -250,7 +242,7 @@ class SampledDistrict {
     // Arm in kind order — the walk heap's equal-time tie-break.
     const auto first = std::lower_bound(
         visits_.begin(), visits_.end(), w0,
-        [](const Visit& v, SimTime t) { return v.at < t; });
+        [](const BatchVisit& v, SimTime t) { return v.at < t; });
     for (auto it = first; it != visits_.end() && it->at < w1; ++it) {
       ArmNext(kVisit, it->zone, it->at);
     }
@@ -286,7 +278,7 @@ class SampledDistrict {
     // Seed the heap from the columns, plus the visit cursor.
     size_t vi = static_cast<size_t>(
         std::lower_bound(visits_.begin(), visits_.end(), from,
-                         [](const Visit& v, SimTime t) { return v.at < t; }) -
+                         [](const BatchVisit& v, SimTime t) { return v.at < t; }) -
         visits_.begin());
     if (vi < visits_.size() && visits_[vi].at < to) {
       heap_.push({visits_[vi].at.micros(), kVisit, static_cast<uint32_t>(vi)});
@@ -338,7 +330,7 @@ class SampledDistrict {
   SurvivalTable gw_table_;
 
   // Walk columns: each entity's next pending transition.
-  std::vector<Visit> visits_;            // Full schedule, time-sorted.
+  std::vector<BatchVisit> visits_;       // Full schedule, time-sorted.
   std::vector<SimTime> dev_fail_at_;     // Valid while the device is alive.
   std::vector<SimTime> gw_next_at_;      // Fail when up, repair when down.
   std::vector<uint32_t> gw_ordinal_;     // Life draws consumed per gateway.
@@ -361,10 +353,6 @@ class SampledDistrict {
 
 DistrictReport RunSampledDistrictScenario(const DistrictConfig& config) {
   CheckConfigOrDie("district-sampled", config.Validate());
-  if (!config.sampling.enabled()) {
-    CheckConfigOrDie("district-sampled",
-                     {"RunSampledDistrictScenario requires sampling.mode == kSampled"});
-  }
   return RunDistrictEngine<SampledDistrict>(config);
 }
 

@@ -14,9 +14,13 @@
 //    each transition applied to the lane's sites in g's cells. Lane 0
 //    alone counts them. No lane ever needs another lane's events.
 //  - A lane's scheduler holds only zone visits and gateway transitions. Its
-//    unit failures wait in its model's failure calendar, and the
-//    coordinator drains a lane to each barrier through the lane's
-//    DrainToBarrier, the model's RunTo (district_model.h).
+//    unit failures wait in its model's failure calendar, and a drain to a
+//    barrier is the model's RunTo (district_model.h).
+//  - The lanes drain together to barriers that exist only for observers:
+//    every 90 simulated days and at each checkpoint grid point, where the
+//    run writes the checkpoint and publishes its progress row. Each drain
+//    is one ParallelFor over the lanes, on the caller and the run's pool,
+//    so any thread may drain any lane; results never depend on which.
 //  - Determinism: the lanes differ from the serial run only in their life
 //    keys and gateway cursors. Every draw is keyed by an (entity, ordinal)
 //    derivation of a lane-independent root, the model integrates
@@ -45,7 +49,7 @@
 #include "src/core/fleet_codec.h"
 #include "src/mgmt/batch_project.h"
 #include "src/sim/ensemble.h"
-#include "src/sim/shard_coordinator.h"
+#include "src/sim/run_progress.h"
 #include "src/sim/thread_pool.h"
 #include "src/snapshot/snapshot.h"
 #include "src/telemetry/run_manifest.h"
@@ -63,6 +67,9 @@ constexpr uint64_t kShardGatewayRoot = 0x7368646400000002ULL;
 inline uint64_t EntityKey(uint64_t index, uint32_t ordinal) {
   return (index << 24) | ordinal;
 }
+
+// Simulated time between progress barriers.
+constexpr int64_t kBarrierCadenceUs = SimTime::Days(90).micros();
 
 // Snapshot chunk tags ("district-shard" experiment). The structural
 // digest is the model's (DistrictStructuralDigest): the shard layout
@@ -131,9 +138,9 @@ struct RestoreState {
   uint64_t executed = 0;  // Events executed across lanes.
 };
 
-// A `ShardLane` adapter around DistrictModel: the lane keeps only its
-// per-entity life keys and one cursor per gateway.
-class DistrictShardLane final : public ShardLane {
+// One lane: the serial run's DistrictModel over a site range, with the
+// lane's per-entity life keys and one cursor per gateway.
+class DistrictShardLane {
  public:
   DistrictShardLane(const DistrictConfig& config, const DistrictGeometry& geo, uint32_t lane,
                     uint32_t begin, uint32_t end, const RestoreState* restore)
@@ -145,38 +152,25 @@ class DistrictShardLane final : public ShardLane {
         restore_(restore),
         sim_(config.seed),
         dev_root_(sim_.StreamFor(kShardDeviceRoot)),
-        gw_root_(sim_.StreamFor(kShardGatewayRoot)),
-        batches_(sim_, DistrictBatches(config), [](uint32_t, uint32_t) {}) {
+        gw_root_(sim_.StreamFor(kShardGatewayRoot)) {
     sim_.trace().EnableRetention(false);
-    // All lanes arm every zone's visits (identical jitter draws from the
-    // shared seed) but only walk their own slice of the zone. The filter
-    // also implements restore: a resumed run re-draws the full visit grid
-    // and keeps only visits strictly after the barrier — barrier-coincident
-    // visits already ran in the saving run's DrainToBarrier.
-    batches_.SetVisitScheduler([this](SimTime at, uint32_t zone, uint32_t) {
-      if (at.micros() > restore_barrier_us_) {
-        sim_.scheduler().ScheduleAt(
-            at, [this, zone] { model_->ZoneVisitAt(zone, sim_.Now(), *this); }, kDistrictVisit);
-      }
-    });
     if (restore_ != nullptr && config_.snapshot.branch_salt != 0) {
       dev_root_ = dev_root_.Derive(config_.snapshot.branch_salt);
       gw_root_ = gw_root_.Derive(config_.snapshot.branch_salt);
     }
   }
 
-  // --- ShardLane ----------------------------------------------------------
-
-  void Setup() override {
-    // Built here, on the lane's worker. A lane records nothing: only the
-    // thread that started the run writes to its flight recorder.
+  // Builds the lane's model and arms its first events, on whichever thread
+  // claims the lane. A lane records nothing: only the thread that started
+  // the run writes to its flight recorder.
+  void Setup() {
     model_.emplace(sim_, config_, report_, geo_, begin_, end_, /*recorder=*/nullptr);
     if (restore_ != nullptr) {
       SetupFromRestore();
       return;
     }
 
-    batches_.ScheduleThrough(config_.horizon);
+    ArmVisits(-1);
     // t = 0: every gateway up.
     const uint32_t n_gw = model_->gateway_count();
     for (uint32_t g = 0; g < n_gw; ++g) {
@@ -193,12 +187,18 @@ class DistrictShardLane final : public ShardLane {
     }
   }
 
-  Scheduler& sched() override { return sim_.scheduler(); }
-  void DrainToBarrier(SimTime barrier) override { model_->RunTo(barrier); }
-  uint64_t pending_count() override {
+  // Runs every event at or before `barrier` and leaves the clock there.
+  void DrainTo(SimTime barrier) { model_->RunTo(barrier); }
+
+  // Read with the lanes quiescent: the events the lane has run, its
+  // calendar's failures included (Scheduler::RunUnqueued), the pending
+  // scheduler events and failures, and a lower bound on the earliest of
+  // them (SimTime::Max() when none).
+  uint64_t executed() { return sim_.scheduler().executed_count(); }
+  uint64_t pending() {
     return sim_.scheduler().pending_count() + model_->calendar().pending();
   }
-  SimTime EarliestPending() override {
+  SimTime EarliestPending() {
     return std::min(sim_.scheduler().EarliestPending(), model_->calendar().Earliest());
   }
 
@@ -210,7 +210,7 @@ class DistrictShardLane final : public ShardLane {
     }
   }
 
-  // --- Main-thread accessors (lanes quiescent) ----------------------------
+  // --- Read on the run's thread, lanes quiescent -------------------------
 
   const DistrictModel& model() const { return *model_; }
   // Gateway g's next transition, the same in every lane at a barrier.
@@ -230,7 +230,6 @@ class DistrictShardLane final : public ShardLane {
   void SetupFromRestore() {
     const RestoreState& rs = *restore_;
     const SimTime barrier = SimTime::Micros(rs.barrier_us);
-    restore_barrier_us_ = rs.barrier_us;
     for (uint32_t g = 0; g < model_->gateway_count(); ++g) {
       model_->RestoreGateway(g, rs.gw_up[g] != 0);
     }
@@ -250,7 +249,7 @@ class DistrictShardLane final : public ShardLane {
     // The visits after the barrier, then each live unit's pending failure
     // (its deadline) into the calendar. A visit wins a tie with a failure
     // by RunTo's drain order, as in the straight run.
-    batches_.ScheduleThrough(config_.horizon);
+    ArmVisits(rs.barrier_us);
     const DeviceFleet& fleet = model_->fleet();
     for (uint32_t idx = 0; idx < model_->size(); ++idx) {
       if (fleet.alive(idx) && fleet.deadline(idx) > barrier) {
@@ -260,6 +259,21 @@ class DistrictShardLane final : public ShardLane {
     cursors_ = rs.cursors;
     for (uint32_t g = 0; g < cursors_.size(); ++g) {
       ArmGateway(g);
+    }
+  }
+
+  // Arms every zone's visits after `after_us`: every lane arms them all (the
+  // same list from the shared seed) and walks its own sites of the zone. A
+  // resumed lane keeps the visits strictly after its barrier: one at the
+  // barrier ran in the saving run.
+  void ArmVisits(int64_t after_us) {
+    for (const BatchVisit& v : BatchVisits(sim_, DistrictBatches(config_), config_.horizon)) {
+      if (v.at.micros() > after_us) {
+        const uint32_t zone = v.zone;
+        sim_.scheduler().ScheduleAt(
+            v.at, [this, zone] { model_->ZoneVisitAt(zone, sim_.Now(), *this); },
+            kDistrictVisit);
+      }
     }
   }
 
@@ -312,15 +326,23 @@ class DistrictShardLane final : public ShardLane {
   std::optional<DistrictModel> model_;
   RandomStream dev_root_;
   RandomStream gw_root_;
-  BatchProjectScheduler batches_;
 
   std::vector<GatewayCursor> cursors_;  // Per gateway; each one's next is armed.
-  int64_t restore_barrier_us_ = -1;
 };
 
-void SaveShardCheckpoint(const DistrictConfig& config,
-                         const std::vector<std::unique_ptr<DistrictShardLane>>& lanes,
-                         SimTime barrier, DistrictReport& report) {
+using Lanes = std::vector<std::unique_ptr<DistrictShardLane>>;
+
+// Events the lanes have run, together.
+uint64_t EventsExecuted(const Lanes& lanes) {
+  uint64_t executed = 0;
+  for (const auto& lane : lanes) {
+    executed += lane->executed();
+  }
+  return executed;
+}
+
+void SaveShardCheckpoint(const DistrictConfig& config, const Lanes& lanes, SimTime barrier,
+                         DistrictReport& report) {
   const auto save_start = std::chrono::steady_clock::now();
   SnapshotMeta meta;
   meta.experiment = "district-shard";
@@ -354,15 +376,13 @@ void SaveShardCheckpoint(const DistrictConfig& config,
   SiteSeconds alive(config.horizon);
   SiteSeconds service(config.horizon);
   DistrictReport counts;
-  uint64_t executed = 0;
   for (const auto& lane : lanes) {
     lane->AddTotalsTo(alive, service, counts);
-    executed += lane->sched().executed_count();
   }
   ByteWriter acc;
   acc.I64(barrier.micros());
   EncodeDistrictTotals(alive, service, counts, acc);
-  acc.U64(executed);
+  acc.U64(EventsExecuted(lanes));
   writer.Add(kShardAccumChunk, acc);
 
   std::string path;
@@ -475,8 +495,7 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
             .count();
   }
 
-  std::vector<std::unique_ptr<DistrictShardLane>> lanes;
-  std::vector<ShardLane*> lane_ptrs;
+  Lanes lanes;
   const uint32_t per_lane = config.device_count / shards;
   const uint32_t remainder = config.device_count % shards;
   uint32_t begin = 0;
@@ -484,26 +503,55 @@ DistrictReport RunShardedDistrictScenario(const DistrictConfig& config) {
     const uint32_t end = begin + per_lane + (i < remainder ? 1 : 0);
     lanes.push_back(std::make_unique<DistrictShardLane>(config, geo, i, begin, end,
                                                         rs ? &*rs : nullptr));
-    lane_ptrs.push_back(lanes.back().get());
     begin = end;
   }
   report.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
 
-  ThreadPool pool(ShardWorkerCount(shards, config.shard.workers));
-  ShardRunOptions opts;
-  opts.start = SimTime::Micros(rs ? rs->barrier_us : 0);
-  opts.horizon = config.horizon;
-  opts.checkpoint_every = config.snapshot.checkpoint_every;
-  opts.replica_progress = config.control.progress;
-  if (config.snapshot.checkpoint_every.micros() > 0) {
-    opts.on_checkpoint = [&](SimTime barrier) {
-      SaveShardCheckpoint(config, lanes, barrier, report);
-    };
+  // Threads draining lanes, the caller's included: `workers`, else the
+  // caller and the spare cores, and never more than lanes.
+  const uint32_t threads = std::min(
+      shards, config.shard.workers != 0 ? config.shard.workers : ThreadPool::SpareCores() + 1);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) {
+    pool = std::make_unique<ThreadPool>(threads - 1);
   }
+  const auto for_each_lane = [&lanes, &pool](const auto& fn) {
+    ParallelFor(pool.get(), lanes.size(), [&lanes, &fn](size_t i) { fn(*lanes[i]); });
+  };
 
   const auto wall_start = std::chrono::steady_clock::now();
-  report.events_executed = RunShardLanes(pool, lane_ptrs, opts);
+  for_each_lane([](DistrictShardLane& lane) { lane.Setup(); });
+  // Barriers every 90 days and at each checkpoint grid point, counted from
+  // the start (a resumed run's barrier); results never depend on where
+  // they fall.
+  const int64_t horizon = config.horizon.micros();
+  const int64_t every = config.snapshot.checkpoint_every.micros();
+  ProgressCell* const progress = config.control.progress;
+  for (int64_t barrier = rs ? rs->barrier_us : 0; barrier < horizon;) {
+    int64_t next = std::min(barrier + kBarrierCadenceUs, horizon);
+    if (every > 0) {
+      next = std::min(next, (barrier / every + 1) * every);
+    }
+    barrier = next;
+    for_each_lane([barrier](DistrictShardLane& lane) { lane.DrainTo(SimTime::Micros(barrier)); });
+    if (every > 0 && barrier % every == 0 && barrier < horizon) {
+      SaveShardCheckpoint(config, lanes, SimTime::Micros(barrier), report);
+    }
+    if (progress != nullptr) {
+      uint64_t pending = 0;
+      SimTime next_event = SimTime::Max();
+      for (const auto& lane : lanes) {
+        pending += lane->pending();
+        next_event = std::min(next_event, lane->EarliestPending());
+      }
+      progress->Publish(barrier, next_event.micros(), EventsExecuted(lanes), pending, pending);
+    }
+  }
+  report.events_executed = EventsExecuted(lanes);
+  if (progress != nullptr) {
+    progress->MarkDone(horizon, report.events_executed);
+  }
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count() -
       report.save_seconds;

@@ -114,7 +114,9 @@ class FailureCalendar final : public Scheduler::Unqueued {
 
   // The entries not yet drained and the earliest one's time (SimTime::Max()
   // when none), past-horizon ones and those of units that have left their
-  // slot included. Cold: they scan buckets.
+  // slot included: what a progress row counts beside the scheduler's queue,
+  // the serial run's through Scheduler::Unqueued and a shard lane's at each
+  // barrier. Cold: they scan buckets.
   uint64_t pending() const override;
   SimTime Earliest() const override;
 

@@ -20,10 +20,11 @@ struct ShardPlan {
   // Number of shard lanes. 0 = serial engine (default; goldens preserved
   // byte-for-byte). 1..N = sharded engine; digests are invariant in N.
   uint32_t shards = 0;
-  // Worker threads driving the lanes. 0 = one per lane, up to the CPUs the
-  // process may run on, and one on a pool worker (ShardWorkerCount).
-  // An explicit count is capped at the lane count. Results never depend
-  // on this — only wall clock does.
+  // Threads draining the lanes, the calling thread included, so 1 drains
+  // every lane on the caller. 0 = one per lane, up to the CPUs the process
+  // may run on, and only the caller on a pool worker (an ensemble replica
+  // or a branch; ThreadPool::SpareCores). Any count is capped at the lane
+  // count. Results never depend on this — only wall clock does.
   uint32_t workers = 0;
 
   bool enabled() const { return shards > 0; }

@@ -23,13 +23,10 @@ DetailedCentury::DetailedCentury(Simulation& sim, const CenturyConfig& config,
       config_(config),
       model_(sim, config, report, 0, config.fleet_size, config.control.recorder),
       timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0),
-      batches_(sim, config.batch, [](uint32_t, uint32_t) {}),
       calendar_(model_.fleet(), config.horizon) {
   if (timers_.tracking()) {
     fail_seq_.resize(model_.size());
   }
-  batches_.SetVisitScheduler(
-      [this](SimTime at, uint32_t zone, uint32_t cycle) { ArmVisit(at, zone, cycle); });
   timers_.Register(kCenturyTimerVisit, [this](const TimerRecord& r) {
     ArmVisit(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a), static_cast<uint32_t>(r.b));
   });
@@ -52,7 +49,9 @@ void DetailedCentury::Run() {
       },
       model_.report());
   if (!resumed) {
-    batches_.ScheduleThrough(config_.horizon);
+    for (const BatchVisit& v : BatchVisits(sim_, config_.batch, config_.horizon)) {
+      ArmVisit(v.at, v.zone, v.cycle);
+    }
     for (uint32_t idx = 0; idx < model_.size(); ++idx) {
       DeploySiteAt(idx, sim_.Now());
     }

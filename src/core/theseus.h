@@ -107,15 +107,6 @@ struct CenturyReport {
 // one transition at a time (DetailedCentury, century_model.h).
 CenturyReport RunCenturyScenario(const CenturyConfig& config);
 
-// The sampled engine directly (config.sampling.mode must be kSampled).
-// Alternates measured detailed windows with analytic fast-forward
-// (src/core/theseus_sampled.cc); per-entity keyed lifetime draws make the
-// trajectory reproducible regardless of window placement, and checkpoints
-// cut at window barriers restore into either engine. Above one walk block
-// (65,536 sites) the Kaplan-Meier observations come in block order; the
-// rest of the report is the same at any block split.
-CenturyReport RunSampledCenturyScenario(const CenturyConfig& config);
-
 }  // namespace centsim
 
 #endif  // SRC_CORE_THESEUS_H_

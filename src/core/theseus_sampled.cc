@@ -68,7 +68,7 @@ class SampledCentury {
         report_(report),
         // The caller walks a block too. A one-core host, and a run on a
         // pool worker, walk inline.
-        spare_cores_(ThreadPool::OnWorker() ? 0 : ThreadPool::DefaultThreadCount() - 1) {
+        spare_cores_(ThreadPool::SpareCores()) {
     // Only a block that is the whole fleet records: more blocks walk on
     // worker threads.
     const bool one_block = config.fleet_size <= kWalkBlockSites;
@@ -131,12 +131,6 @@ class SampledCentury {
   }
 
  private:
-  struct Visit {
-    SimTime at;
-    uint32_t zone = 0;
-    uint32_t cycle = 0;
-  };
-
   // Transition calendar entry: a coarse time-bucketed queue of upcoming
   // site transitions, so fast-forward spans and window arming only touch
   // sites that actually transition instead of scanning the whole fleet. A
@@ -501,19 +495,14 @@ class SampledCentury {
     return tally;
   }
 
-  // The batch project's full visit schedule, recorded without touching the
-  // scheduler: SetVisitScheduler replaces event placement and draws the
-  // per-visit jitter identically to the serial engine's ScheduleThrough.
+  // The batch project's full visit schedule, the serial engine's, in time
+  // order.
   void RecordVisitSchedule() {
-    BatchProjectScheduler batches(sim_, config_.batch, [](uint32_t, uint32_t) {});
-    batches.SetVisitScheduler([this](SimTime at, uint32_t zone, uint32_t cycle) {
-      visits_.push_back({at, zone, cycle});
-    });
-    batches.ScheduleThrough(config_.horizon);
+    visits_ = BatchVisits(sim_, config_.batch, config_.horizon);
     std::stable_sort(visits_.begin(), visits_.end(),
-                     [](const Visit& a, const Visit& b) { return a.at < b.at; });
+                     [](const BatchVisit& a, const BatchVisit& b) { return a.at < b.at; });
     zone_visits_.assign(models_.front()->zone_count(), {});
-    for (const Visit& v : visits_) {
+    for (const BatchVisit& v : visits_) {
       zone_visits_[v.zone].push_back(v.at);
     }
   }
@@ -550,7 +539,7 @@ class SampledCentury {
     // equal-time tie-break, and the walk mirrors it (visit wins ties).
     const auto first = std::lower_bound(
         visits_.begin(), visits_.end(), w0,
-        [](const Visit& v, SimTime t) { return v.at < t; });
+        [](const BatchVisit& v, SimTime t) { return v.at < t; });
     for (auto it = first; it != visits_.end() && it->at < w1; ++it) {
       const uint32_t zone = it->zone;
       sim_.scheduler().ScheduleAt(it->at, [this, zone] { VisitZone(zone); }, kCenturyVisit);
@@ -596,7 +585,7 @@ class SampledCentury {
     std::vector<TimerRecord> records;
     const auto first = std::lower_bound(
         visits_.begin(), visits_.end(), barrier,
-        [](const Visit& v, SimTime t) { return v.at < t; });
+        [](const BatchVisit& v, SimTime t) { return v.at < t; });
     for (auto it = first; it != visits_.end(); ++it) {
       records.push_back({kCenturyTimerVisit, it->at.micros(), 0, it->zone, it->cycle, 0.0});
     }
@@ -671,7 +660,7 @@ class SampledCentury {
   std::unique_ptr<ThreadPool> pool_;  // Started by the first multi-block call.
 
   // Pre-recorded batch visit schedule (time-sorted; per-zone views).
-  std::vector<Visit> visits_;
+  std::vector<BatchVisit> visits_;
   std::vector<std::vector<SimTime>> zone_visits_;
 
   // Detailed-window state.
@@ -698,10 +687,6 @@ class SampledCentury {
 
 CenturyReport RunSampledCenturyScenario(const CenturyConfig& config) {
   CheckConfigOrDie("century-sampled", config.Validate());
-  if (!config.sampling.enabled()) {
-    CheckConfigOrDie("century-sampled",
-                     {"RunSampledCenturyScenario requires sampling.mode == kSampled"});
-  }
   return RunCenturyEngine<SampledCentury>(config);
 }
 

@@ -2,33 +2,21 @@
 
 namespace centsim {
 
-BatchProjectScheduler::BatchProjectScheduler(Simulation& sim, BatchProjectParams params,
-                                             ZoneVisit on_visit)
-    : sim_(sim),
-      params_(params),
-      on_visit_(std::move(on_visit)),
-      rng_(sim.StreamFor(0x6261746368ULL)) {}
-
-void BatchProjectScheduler::ScheduleThrough(SimTime horizon) {
-  const SimTime slot = params_.cycle_period * (1.0 / params_.zone_count);
+std::vector<BatchVisit> BatchVisits(const Simulation& sim, const BatchProjectParams& params,
+                                    SimTime horizon) {
+  RandomStream rng = sim.StreamFor(0x6261746368ULL);
+  const SimTime slot = params.cycle_period * (1.0 / params.zone_count);
+  std::vector<BatchVisit> visits;
   for (uint32_t cycle = 0;; ++cycle) {
-    const SimTime cycle_start = params_.cycle_period * static_cast<double>(cycle);
+    const SimTime cycle_start = params.cycle_period * static_cast<double>(cycle);
     if (cycle_start > horizon) {
-      break;
+      return visits;
     }
-    for (uint32_t zone = 0; zone < params_.zone_count; ++zone) {
-      SimTime at = cycle_start + slot * static_cast<double>(zone) +
-                   SimTime::Seconds(rng_.Uniform(0.0, params_.visit_jitter.ToSeconds()));
-      if (at > horizon || at < sim_.Now()) {
-        continue;
-      }
-      ++visits_;
-      const uint32_t z = zone;
-      const uint32_t c = cycle;
-      if (schedule_visit_) {
-        schedule_visit_(at, z, c);
-      } else {
-        sim_.scheduler().ScheduleAt(at, [this, z, c] { on_visit_(z, c); });
+    for (uint32_t zone = 0; zone < params.zone_count; ++zone) {
+      const SimTime at = cycle_start + slot * static_cast<double>(zone) +
+                         SimTime::Seconds(rng.Uniform(0.0, params.visit_jitter.ToSeconds()));
+      if (at <= horizon) {
+        visits.push_back({at, zone, cycle});
       }
     }
   }

@@ -2,16 +2,16 @@
 // geographical batches to keep costs down — one project repaves a block,
 // installs its traffic sensors, and replaces its streetlights."
 //
-// The scheduler walks the city's zones on a staggered cadence; each visit
-// fires a callback in which the fleet layer replaces failed devices (and,
-// optionally, refreshes working-but-old ones). Between visits, failed
-// devices in a zone simply stay dark — en-masse replacement is intractable.
+// A project walks the city's zones on a staggered cadence; at each visit
+// the fleet layer replaces failed devices (and, optionally, refreshes
+// working-but-old ones). Between visits, failed devices in a zone simply
+// stay dark — en-masse replacement is intractable.
 
 #ifndef SRC_MGMT_BATCH_PROJECT_H_
 #define SRC_MGMT_BATCH_PROJECT_H_
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "src/sim/simulation.h"
 
@@ -25,39 +25,20 @@ struct BatchProjectParams {
   SimTime visit_jitter = SimTime::Days(60);
 };
 
-class BatchProjectScheduler {
- public:
-  using ZoneVisit = std::function<void(uint32_t zone, uint32_t cycle)>;
-
-  BatchProjectScheduler(Simulation& sim, BatchProjectParams params, ZoneVisit on_visit);
-
-  // Schedules visits from now through `horizon`. Zones are staggered
-  // uniformly across the cycle period, so at any moment some zone is
-  // freshly refreshed and another is due (the paper's pipelining).
-  void ScheduleThrough(SimTime horizon);
-
-  // Routes visit scheduling through a caller-owned path instead of a direct
-  // ScheduleAt (checkpointing drivers route visits through their timer
-  // table so pending visits can be saved and re-armed). ScheduleThrough
-  // draws its jitter identically either way; the override only changes who
-  // places the event. The callee must eventually call FireVisit(zone,
-  // cycle) at the given time.
-  using VisitScheduler = std::function<void(SimTime at, uint32_t zone, uint32_t cycle)>;
-  void SetVisitScheduler(VisitScheduler scheduler) { schedule_visit_ = std::move(scheduler); }
-
-  // Delivers one visit callback; the re-arm path for routed visits.
-  void FireVisit(uint32_t zone, uint32_t cycle) { on_visit_(zone, cycle); }
-
-  uint64_t visits_scheduled() const { return visits_; }
-
- private:
-  Simulation& sim_;
-  BatchProjectParams params_;
-  ZoneVisit on_visit_;
-  VisitScheduler schedule_visit_;
-  RandomStream rng_;
-  uint64_t visits_ = 0;
+struct BatchVisit {
+  SimTime at;
+  uint32_t zone = 0;
+  uint32_t cycle = 0;
 };
+
+// Every visit from time zero through `horizon`, cycle by cycle and, within
+// a cycle, zone by zone. Zones are staggered uniformly across the cycle
+// period, so at any moment some zone is freshly refreshed and another is
+// due (the paper's pipelining), and each visit is jittered within its slot
+// by one draw from `sim`'s batch stream. A cycle's draws are made for every
+// zone, so the list through a later horizon begins with this one.
+std::vector<BatchVisit> BatchVisits(const Simulation& sim, const BatchProjectParams& params,
+                                    SimTime horizon);
 
 }  // namespace centsim
 

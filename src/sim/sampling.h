@@ -10,7 +10,7 @@
 //                     [w, w + detailed_window): the driver arms every
 //                     domain event that falls inside the window and the
 //                     controller drains to the window barrier
-//                     (Scheduler::DrainToBarrier, the shard-work API);
+//                     (Scheduler::DrainToBarrier);
 //   fast-forward      each registered domain analytically advances its
 //                     state over the skipped span (closed-form harvester
 //                     integrals, hazard-rate survival walks), then the

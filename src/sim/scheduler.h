@@ -217,7 +217,7 @@ class Scheduler {
   // (cancelled) entries are included, so it may read early, never late.
   // Returns SimTime::Micros(INT64_MAX) when nothing is queued. Cold-ish
   // (may scan one rung's buckets and the far stage): meant for barrier
-  // points (DrainToBarrier's quiescence check, the shard coordinator's
+  // points (DrainToBarrier's quiescence check, the sharded district's
   // progress row), not the per-event hot path — that is
   // NextEventLowerBound's job.
   SimTime EarliestPending() const;

@@ -87,6 +87,8 @@ uint32_t ThreadPool::DefaultThreadCount() {
 
 bool ThreadPool::OnWorker() { return t_on_worker; }
 
+uint32_t ThreadPool::SpareCores() { return OnWorker() ? 0 : DefaultThreadCount() - 1; }
+
 uint64_t ThreadPool::WorkersStarted() {
   return g_workers_started.load(std::memory_order_relaxed);
 }

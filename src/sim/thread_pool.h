@@ -50,6 +50,11 @@ class ThreadPool {
   // the cores.
   static bool OnWorker();
 
+  // Threads a run may start beside its caller, which works too: one per
+  // CPU but the caller's (DefaultThreadCount() - 1), and none on a pool
+  // worker (OnWorker()).
+  static uint32_t SpareCores();
+
   // Worker threads started by every pool in the process so far.
   static uint64_t WorkersStarted();
 

@@ -585,6 +585,41 @@ TEST(EnginePinTest, SampledCenturyBlocksInlineOnWorker) {
   EXPECT_EQ(inline_pin, pooled);
 }
 
+// The sharded district drains its lanes on the caller and on up to
+// `workers` - 1 pool threads. With workers = 1, and on a pool worker (an
+// ensemble replica, a branch), it starts no thread; with workers = 0 on
+// the main thread, one per lane up to the CPUs, the caller included. The
+// report is the same in every case.
+TEST(EnginePinTest, ShardedDistrictDrainsOnTheCaller) {
+  DistrictConfig cfg = PinDistrict();
+  cfg.shard.shards = 3;
+  const auto threads_started = [](const auto& run) {
+    const uint64_t before = ThreadPool::WorkersStarted();
+    run();
+    return ThreadPool::WorkersStarted() - before;
+  };
+
+  cfg.shard.workers = 1;
+  std::string one_worker;
+  EXPECT_EQ(threads_started([&] { one_worker = DistrictPin(RunDistrictScenario(cfg)); }), 0u);
+  EXPECT_EQ(one_worker, "6dfdf848810a5d3b");
+
+  cfg.shard.workers = 0;
+  std::string pooled;
+  EXPECT_EQ(threads_started([&] { pooled = DistrictPin(RunDistrictScenario(cfg)); }),
+            std::min(3u, ThreadPool::DefaultThreadCount()) - 1);
+  EXPECT_EQ(pooled, one_worker);
+
+  std::string on_worker;
+  EXPECT_EQ(threads_started([&] {
+              ThreadPool pool(1);
+              pool.Submit([&] { on_worker = DistrictPin(RunDistrictScenario(cfg)); });
+              pool.Wait();
+            }),
+            1u);  // The test's own worker.
+  EXPECT_EQ(on_worker, one_worker);
+}
+
 // Every checkpoint file a run writes, in barrier order, folded into one
 // digest: pins the `district`, `district-shard` and `century` layouts byte
 // for byte (the snapshot tests only prove a writer and its reader agree).

@@ -111,9 +111,9 @@ TEST(DistrictShardTest, DigestInvariantAcrossWorkerCounts) {
   }
 }
 
-// With workers = 0, a run starts one worker per lane only up to the CPUs
-// the process may run on, so 16 lanes on a smaller host start no more
-// threads than it has CPUs. The report is the one-worker report.
+// With workers = 0, the caller and the spare cores drain the lanes, so 16
+// lanes on a smaller host start fewer threads than it has CPUs. The report
+// is the one-worker report.
 TEST(DistrictShardTest, DefaultWorkersCappedAtTheCpuCount) {
   DistrictConfig cfg = SmallDistrict();
   cfg.shard.shards = 16;
@@ -127,7 +127,7 @@ TEST(DistrictShardTest, DefaultWorkersCappedAtTheCpuCount) {
 }
 
 // An explicit worker count beyond the lane count is capped at it: each
-// barrier hands out one task per lane, so more workers would only idle.
+// drain hands out one lane per claim, so more threads would only idle.
 TEST(DistrictShardTest, ExplicitWorkersCappedAtTheLaneCount) {
   DistrictConfig cfg = SmallDistrict();
   cfg.shard.shards = 2;

@@ -12,13 +12,15 @@ TEST(BatchProjectTest, EveryZoneVisitedEachCycle) {
   params.zone_count = 8;
   params.cycle_period = SimTime::Years(8);
   params.visit_jitter = SimTime::Days(10);
+  // Three cycles end before the horizon; the fourth starts on it, so its
+  // jittered visits all fall past it.
   std::vector<int> visits(8, 0);
-  BatchProjectScheduler sched(sim, params, [&](uint32_t zone, uint32_t) { ++visits[zone]; });
-  sched.ScheduleThrough(SimTime::Years(24));
-  sim.RunUntil(SimTime::Years(24));
+  for (const BatchVisit& v : BatchVisits(sim, params, SimTime::Years(24))) {
+    EXPECT_LE(v.at, SimTime::Years(24));
+    ++visits[v.zone];
+  }
   for (int v : visits) {
-    EXPECT_GE(v, 2);  // ~3 cycles; jitter may push one past the horizon.
-    EXPECT_LE(v, 3);
+    EXPECT_EQ(v, 3);
   }
 }
 
@@ -28,27 +30,37 @@ TEST(BatchProjectTest, VisitsStaggeredAcrossCycle) {
   params.zone_count = 4;
   params.cycle_period = SimTime::Years(4);
   params.visit_jitter = SimTime::Days(1);
-  std::vector<SimTime> times;
-  BatchProjectScheduler sched(sim, params, [&](uint32_t, uint32_t) { times.push_back(sim.Now()); });
-  sched.ScheduleThrough(SimTime::Years(4));
-  sim.RunUntil(SimTime::Years(4));
-  ASSERT_GE(times.size(), 4u);
-  // Zones are spread ~1 year apart, not clustered at cycle start.
-  EXPECT_GT((times[1] - times[0]).ToDays(), 300.0);
+  const std::vector<BatchVisit> visits = BatchVisits(sim, params, SimTime::Years(4));
+  ASSERT_EQ(visits.size(), 4u);
+  // Zone z's visit falls in its slot, z years into the cycle, within the
+  // jitter: the zones are spread across the cycle, not clustered at its
+  // start.
+  for (uint32_t z = 0; z < 4; ++z) {
+    EXPECT_EQ(visits[z].zone, z);
+    EXPECT_GE(visits[z].at, SimTime::Years(z));
+    EXPECT_LT(visits[z].at, SimTime::Years(z) + SimTime::Days(1));
+  }
 }
 
+// Cycle by cycle, zones in order, each visit carrying its cycle; the list
+// through a later horizon begins with this one.
 TEST(BatchProjectTest, CyclePassedToCallback) {
   Simulation sim(3);
   BatchProjectParams params;
   params.zone_count = 2;
   params.cycle_period = SimTime::Years(2);
   params.visit_jitter = SimTime::Days(1);
-  uint32_t max_cycle = 0;
-  BatchProjectScheduler sched(sim, params,
-                              [&](uint32_t, uint32_t cycle) { max_cycle = std::max(max_cycle, cycle); });
-  sched.ScheduleThrough(SimTime::Years(7));
-  sim.RunUntil(SimTime::Years(7));
-  EXPECT_GE(max_cycle, 2u);
+  const std::vector<BatchVisit> visits = BatchVisits(sim, params, SimTime::Years(7));
+  ASSERT_EQ(visits.size(), 7u);  // Zone 1 of cycle 3 falls past the horizon.
+  for (uint32_t i = 0; i < visits.size(); ++i) {
+    EXPECT_EQ(visits[i].cycle, i / 2);
+    EXPECT_EQ(visits[i].zone, i % 2);
+  }
+  const std::vector<BatchVisit> longer = BatchVisits(sim, params, SimTime::Years(9));
+  ASSERT_GT(longer.size(), visits.size());
+  for (uint32_t i = 0; i < visits.size(); ++i) {
+    EXPECT_EQ(longer[i].at, visits[i].at);
+  }
 }
 
 TEST(DiaryTest, HarvestsMaintenanceRecords) {

@@ -13,10 +13,14 @@
 # through the CENTSIM_TSAN CMake option instead of CENTSIM_SANITIZE.
 #
 # The `thread` run is the proof obligation for the sharded engine: the
-# tier-1 suite includes DistrictShardTest / ShardCoordinatorTest, which
-# drive multi-lane district runs on real worker threads — the lanes, the
-# barriers and the main thread's checkpoint and progress reads at them
-# must come out clean here, not just "passes in practice". It also proves the serial
+# tier-1 suite includes DistrictShardTest and
+# EnginePinTest.ShardedDistrictDrainsOnTheCaller, which drive multi-lane
+# district runs on the caller and real worker threads, any of which may
+# drain a lane at any barrier — the lanes, the barriers and the caller's
+# checkpoint and progress reads at them must come out clean here, not just
+# "passes in practice"; DistrictShardTest.ProgressRowCountsCalendarFailures
+# also reads the progress row from another thread while the run
+# publishes it. It also proves the serial
 # district's draw batches: EnginePinTest.SerialDistrictBatchedDraws and
 # SeriesSystemTest.SampleLivesEqualsOneDrawPerKey draw lives on pool
 # workers while the caller draws its own chunk. And it proves the sampled
@@ -25,8 +29,8 @@
 # blocks on pool workers and the caller, while the window hooks arm and run
 # each block's visits and failures on the main thread between walks. And
 # it proves the lanes' failure calendars: every lane drains its model's
-# calendar (src/core/failure_calendar.h) on a pool worker, and the main
-# thread reads its pending count and earliest failure at each barrier,
+# calendar (src/core/failure_calendar.h) on whichever thread claims it, and
+# the caller reads its pending count and earliest failure at each barrier,
 # which the DistrictShardParity sweep (DigestEqualsEveryLaneCount,
 # TwoLaneCheckpointResumesAtThreeLanes) and DistrictShardTest exercise.
 #

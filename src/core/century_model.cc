@@ -60,7 +60,7 @@ CenturyModel::CenturyModel(Simulation& sim, const CenturyConfig& config, Century
   fleet_.Reserve(size());
   // Zone partition: site index modulo zone count (uniform spread).
   for (uint32_t idx = begin; idx < end; ++idx) {
-    fleet_.Add(cls_, 0.0, 0.0, idx % zone_count(), HarvesterModel());
+    fleet_.AddSite(cls_, idx % zone_count());
   }
 }
 

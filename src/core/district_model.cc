@@ -211,7 +211,7 @@ DistrictModel::DistrictModel(Simulation& sim, const DistrictConfig& config,
   report_.gateway_count = static_cast<uint32_t>(geo.gateway_sites.size());
   report_.initial_coverage = cells_->CoveredFraction();
   cls_ = fleet_.InternClass(DistrictSiteClass(config));
-  fleet_.AddSites(geo.plan, cls_, HarvesterModel(), begin, end);
+  fleet_.AddSites(geo.plan, cls_, begin, end);
   if (config.metrics != nullptr) {
     fleet_.EnableFleetMetrics();
   }

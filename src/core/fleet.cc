@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 
 namespace centsim {
 namespace {
@@ -63,6 +64,11 @@ std::string InternKey(const DeviceClassSpec& spec) {
   return key;
 }
 
+[[noreturn]] void DieMixedFleet(const char* what) {
+  std::fprintf(stderr, "DeviceFleet: %s; a fleet holds one kind of slot\n", what);
+  std::abort();
+}
+
 }  // namespace
 
 uint32_t DeviceFleet::InternClass(const DeviceClassSpec& spec) {
@@ -96,8 +102,6 @@ uint32_t DeviceFleet::InternClass(const DeviceClassSpec& spec) {
 void DeviceFleet::Reserve(size_t devices) {
   handle_gen_.reserve(devices);
   class_.reserve(devices);
-  x_.reserve(devices);
-  y_.reserve(devices);
   zone_.reserve(devices);
   alive_.reserve(devices);
   unit_gen_.reserve(devices);
@@ -105,20 +109,14 @@ void DeviceFleet::Reserve(size_t devices) {
   failed_at_.reserve(devices);
   deadline_.reserve(devices);
   failure_event_.reserve(devices);
-  energy_.reserve(devices);
-  tx_.reserve(devices);
-  harvester_.reserve(devices);
 }
 
-DeviceHandle DeviceFleet::Add(uint32_t cls, double x_m, double y_m, uint32_t zone,
-                              const HarvesterModel& harvester) {
+DeviceHandle DeviceFleet::AddCore(uint32_t cls, uint32_t zone) {
   uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<uint32_t>(handle_gen_.size());
     handle_gen_.push_back(1);
     class_.push_back(cls);
-    x_.push_back(x_m);
-    y_.push_back(y_m);
     zone_.push_back(zone);
     alive_.push_back(0);
     unit_gen_.push_back(0);
@@ -126,16 +124,10 @@ DeviceHandle DeviceFleet::Add(uint32_t cls, double x_m, double y_m, uint32_t zon
     failed_at_.push_back(SimTime());
     deadline_.push_back(SimTime());
     failure_event_.push_back(kInvalidEventId);
-    energy_.push_back(EnergyColumn{EnergyStorage::InitialState(classes_[cls].spec.storage),
-                                   SimTime()});
-    tx_.push_back(EnergyCounters{});
-    harvester_.push_back(harvester);
   } else {
     slot = free_.back();
     free_.pop_back();
     class_[slot] = cls;
-    x_[slot] = x_m;
-    y_[slot] = y_m;
     zone_[slot] = zone;
     alive_[slot] = 0;
     unit_gen_[slot] = 0;
@@ -143,22 +135,53 @@ DeviceHandle DeviceFleet::Add(uint32_t cls, double x_m, double y_m, uint32_t zon
     failed_at_[slot] = SimTime();
     deadline_[slot] = SimTime();
     failure_event_[slot] = kInvalidEventId;
-    energy_[slot] =
-        EnergyColumn{EnergyStorage::InitialState(classes_[cls].spec.storage), SimTime()};
-    tx_[slot] = EnergyCounters{};
-    harvester_[slot] = harvester;
   }
   return Pack(slot, handle_gen_[slot]);
 }
 
-DeviceHandle DeviceFleet::AddSites(const DeploymentPlan& plan, uint32_t cls,
-                                   const HarvesterModel& harvester, uint32_t begin,
+DeviceHandle DeviceFleet::Add(uint32_t cls, double x_m, double y_m, uint32_t zone,
+                              const HarvesterModel& harvester) {
+  if (energy_.size() != handle_gen_.size()) {
+    DieMixedFleet("Add(cls, x, y, zone, harvester) on a fleet of lifecycle-only sites");
+  }
+  const DeviceHandle h = AddCore(cls, zone);
+  const uint32_t slot = SlotOf(h);
+  const EnergyColumn energy{EnergyStorage::InitialState(classes_[cls].spec.storage), SimTime()};
+  if (slot == energy_.size()) {
+    const size_t capacity = handle_gen_.capacity();
+    x_.reserve(capacity);
+    y_.reserve(capacity);
+    energy_.reserve(capacity);
+    tx_.reserve(capacity);
+    harvester_.reserve(capacity);
+    x_.push_back(x_m);
+    y_.push_back(y_m);
+    energy_.push_back(energy);
+    tx_.push_back(EnergyCounters{});
+    harvester_.push_back(harvester);
+  } else {
+    x_[slot] = x_m;
+    y_[slot] = y_m;
+    energy_[slot] = energy;
+    tx_[slot] = EnergyCounters{};
+    harvester_[slot] = harvester;
+  }
+  return h;
+}
+
+DeviceHandle DeviceFleet::AddSite(uint32_t cls, uint32_t zone) {
+  if (has_edge()) {
+    DieMixedFleet("AddSite(cls, zone) on a fleet of edge devices");
+  }
+  return AddCore(cls, zone);
+}
+
+DeviceHandle DeviceFleet::AddSites(const DeploymentPlan& plan, uint32_t cls, uint32_t begin,
                                    uint32_t end) {
   DeviceHandle first = kInvalidDeviceHandle;
   Reserve(capacity() + (end - begin));
   for (uint32_t i = begin; i < end; ++i) {
-    const Site& site = plan.sites()[i];
-    const DeviceHandle h = Add(cls, site.x_m, site.y_m, site.zone, harvester);
+    const DeviceHandle h = AddSite(cls, plan.sites()[i].zone);
     if (first == kInvalidDeviceHandle) {
       first = h;
     }
@@ -244,21 +267,6 @@ FastForwardResult DeviceFleet::FastForwardEnergyAt(uint32_t slot, SimTime to) {
                                   record.spec.report_interval);
 }
 
-FastForwardResult DeviceFleet::FastForwardEnergy(SimTime to) {
-  FastForwardResult total;
-  for (uint32_t slot = 0; slot < handle_gen_.size(); ++slot) {
-    if (alive_[slot] == 0) {
-      continue;
-    }
-    const FastForwardResult r = FastForwardEnergyAt(slot, to);
-    total.harvested_j += r.harvested_j;
-    total.attempts += r.attempts;
-    total.granted += r.granted;
-    total.denied += r.denied;
-  }
-  return total;
-}
-
 SimTime DeviceFleet::EstimateNextAffordableAt(uint32_t slot, SimTime now, double joules) const {
   const ClassRecord& record = classes_[class_[slot]];
   return EnergyOps::EstimateNextAffordable(harvester_[slot], record.spec.storage,
@@ -273,12 +281,18 @@ DeviceFleet::SlotState DeviceFleet::SaveSlotState(uint32_t slot) const {
   s.deployed_at_us = deployed_at_[slot].micros();
   s.failed_at_us = failed_at_[slot].micros();
   s.deadline_us = deadline_[slot].micros();
-  s.charge_j = energy_[slot].storage.charge_j;
-  s.capacity_now_j = energy_[slot].storage.capacity_now_j;
-  s.energy_last_update_us = energy_[slot].storage.last_update.micros();
-  s.energy_last_advance_us = energy_[slot].last_advance.micros();
-  s.tx_granted = tx_[slot].tx_granted;
-  s.tx_denied = tx_[slot].tx_denied;
+  // A lifecycle-only slot writes what an untouched edge slot holds.
+  const EnergyStorage::State storage =
+      has_edge() ? energy_[slot].storage
+                 : EnergyStorage::InitialState(classes_[class_[slot]].spec.storage);
+  s.charge_j = storage.charge_j;
+  s.capacity_now_j = storage.capacity_now_j;
+  s.energy_last_update_us = storage.last_update.micros();
+  if (has_edge()) {
+    s.energy_last_advance_us = energy_[slot].last_advance.micros();
+    s.tx_granted = tx_[slot].tx_granted;
+    s.tx_denied = tx_[slot].tx_denied;
+  }
   return s;
 }
 
@@ -290,6 +304,9 @@ void DeviceFleet::RestoreSlotState(uint32_t slot, const SlotState& s) {
   failed_at_[slot] = SimTime::Micros(s.failed_at_us);
   deadline_[slot] = SimTime::Micros(s.deadline_us);
   failure_event_[slot] = kInvalidEventId;  // Rebuilt by timer re-arm.
+  if (!has_edge()) {
+    return;
+  }
   energy_[slot].storage.charge_j = s.charge_j;
   energy_[slot].storage.capacity_now_j = s.capacity_now_j;
   energy_[slot].storage.last_update = SimTime::Micros(s.energy_last_update_us);
@@ -331,8 +348,6 @@ size_t DeviceFleet::MemoryBytes() const {
   size_t bytes = 0;
   bytes += handle_gen_.capacity() * sizeof(uint32_t);
   bytes += class_.capacity() * sizeof(uint32_t);
-  bytes += x_.capacity() * sizeof(double);
-  bytes += y_.capacity() * sizeof(double);
   bytes += zone_.capacity() * sizeof(uint32_t);
   bytes += alive_.capacity() * sizeof(uint8_t);
   bytes += unit_gen_.capacity() * sizeof(uint32_t);
@@ -340,6 +355,8 @@ size_t DeviceFleet::MemoryBytes() const {
   bytes += failed_at_.capacity() * sizeof(SimTime);
   bytes += deadline_.capacity() * sizeof(SimTime);
   bytes += failure_event_.capacity() * sizeof(EventId);
+  bytes += x_.capacity() * sizeof(double);
+  bytes += y_.capacity() * sizeof(double);
   bytes += energy_.capacity() * sizeof(EnergyColumn);
   bytes += tx_.capacity() * sizeof(EnergyCounters);
   bytes += harvester_.capacity() * sizeof(HarvesterModel);

@@ -13,7 +13,7 @@ void KaplanMeier::Append(KaplanMeier&& other) {
     spliced_count_ += tail_.size();
     segments_.push_back(std::move(tail_));
   }
-  for (std::vector<SurvivalObservation>& segment : other.segments_) {
+  for (std::vector<int64_t>& segment : other.segments_) {
     segments_.push_back(std::move(segment));
   }
   spliced_count_ += other.spliced_count_;
@@ -28,34 +28,30 @@ size_t KaplanMeier::failure_count() const {
 }
 
 std::vector<KaplanMeier::CurvePoint> KaplanMeier::Curve() const {
-  std::vector<SurvivalObservation> sorted;
+  std::vector<int64_t> sorted;
   sorted.reserve(count());
-  ForEachObservation([&sorted](const SurvivalObservation& o) { sorted.push_back(o); });
-  std::sort(sorted.begin(), sorted.end(),
-            [](const SurvivalObservation& a, const SurvivalObservation& b) {
-              if (a.time != b.time) {
-                return a.time < b.time;
-              }
-              // Failures before censorings at equal times (convention).
-              return a.failed && !b.failed;
-            });
+  for (const std::vector<int64_t>& segment : segments_) {
+    sorted.insert(sorted.end(), segment.begin(), segment.end());
+  }
+  sorted.insert(sorted.end(), tail_.begin(), tail_.end());
+  std::sort(sorted.begin(), sorted.end());
 
   std::vector<CurvePoint> curve;
   double s = 1.0;
   uint64_t at_risk = sorted.size();
   size_t i = 0;
   while (i < sorted.size()) {
-    const SimTime t = sorted[i].time;
+    const int64_t time_us = sorted[i] >> 1;
     uint64_t events = 0;
     uint64_t leaving = 0;
-    while (i < sorted.size() && sorted[i].time == t) {
-      events += sorted[i].failed ? 1 : 0;
+    while (i < sorted.size() && (sorted[i] >> 1) == time_us) {
+      events += (sorted[i] & 1) == 0 ? 1 : 0;
       ++leaving;
       ++i;
     }
     if (events > 0 && at_risk > 0) {
       s *= 1.0 - static_cast<double>(events) / static_cast<double>(at_risk);
-      curve.push_back({t, s, at_risk, events});
+      curve.push_back({SimTime::Micros(time_us), s, at_risk, events});
     }
     at_risk -= leaving;
   }

@@ -25,15 +25,19 @@ struct SurvivalObservation {
   bool failed;   // false => right-censored.
 };
 
-// Observations are kept in the order they were observed. A run split into
+// Observations are kept in the order they were observed, each packed into
+// one signed 64-bit word: the time in microseconds times two, plus one if
+// censored. Ascending word order is the curve's order (time, then failures
+// before censorings at equal times), so Curve() sorts the words directly.
+// Times must lie within ±2^62 µs (about 146,000 years). A run split into
 // parts (shard lanes, walk blocks) observes into one estimator per part and
 // splices them together in part order with Append, which moves each part's
 // storage as a segment instead of copying it: the century holds millions of
 // observations, and a copying merge would hold them twice.
 class KaplanMeier {
  public:
-  void Observe(SimTime time, bool failed) { tail_.push_back({time, failed}); }
-  void Observe(const SurvivalObservation& o) { tail_.push_back(o); }
+  void Observe(SimTime time, bool failed) { tail_.push_back(Pack(time, failed)); }
+  void Observe(const SurvivalObservation& o) { Observe(o.time, o.failed); }
 
   // Moves `other`'s observations, in order, after this estimator's, and
   // leaves `other` empty. Later observations follow them.
@@ -45,13 +49,13 @@ class KaplanMeier {
   // Calls fn(observation) for every observation, in order.
   template <typename Fn>
   void ForEachObservation(Fn&& fn) const {
-    for (const std::vector<SurvivalObservation>& segment : segments_) {
-      for (const SurvivalObservation& o : segment) {
-        fn(o);
+    for (const std::vector<int64_t>& segment : segments_) {
+      for (const int64_t word : segment) {
+        fn(Unpack(word));
       }
     }
-    for (const SurvivalObservation& o : tail_) {
-      fn(o);
+    for (const int64_t word : tail_) {
+      fn(Unpack(word));
     }
   }
 
@@ -75,10 +79,17 @@ class KaplanMeier {
   std::vector<CurvePoint> Curve() const;
 
  private:
+  static int64_t Pack(SimTime time, bool failed) {
+    return time.micros() * 2 + (failed ? 0 : 1);
+  }
+  static SurvivalObservation Unpack(int64_t word) {
+    return {SimTime::Micros(word >> 1), (word & 1) == 0};
+  }
+
   // Spliced segments, in order, then the tail Observe appends to.
-  std::vector<std::vector<SurvivalObservation>> segments_;
+  std::vector<std::vector<int64_t>> segments_;
   size_t spliced_count_ = 0;  // Observations in segments_.
-  std::vector<SurvivalObservation> tail_;
+  std::vector<int64_t> tail_;
 };
 
 // Tabulated inverse-survival sampler: the sampled engine's lifetime draw.

@@ -24,16 +24,20 @@ class SchedulerProfiler;
 class FlightRecorder;
 
 // Single-writer (the replica's simulation thread), multi-reader (the
-// monitor). Fields are published individually with relaxed stores and
-// sequenced by a release increment of `ticks`, so a reader that acquires
-// `ticks` sees values at least as fresh as that tick.
+// monitor), as a seqlock: a publish leaves `ticks` odd while it stores a
+// row and even (two more than before) once the row is whole, and Load
+// retries until it reads the same even `ticks` before and after the
+// fields, so a loaded row is one publish's, never a mix of two. Field
+// stores are release and field loads acquire: a reader that sees any
+// field of a publish in flight then sees its odd `ticks` and retries.
+// `stalled` is the watchdog's, written outside the sequence.
 struct ProgressCell {
   std::atomic<int64_t> sim_us{0};
   std::atomic<int64_t> next_event_us{0};
   std::atomic<uint64_t> executed{0};
   std::atomic<uint64_t> pending{0};       // Live (non-cancelled) events.
   std::atomic<uint64_t> queue_entries{0}; // Raw heap + staged + run tail.
-  std::atomic<uint64_t> ticks{0};         // Publishes so far.
+  std::atomic<uint64_t> ticks{0};         // Twice the publishes so far; odd mid-publish.
   std::atomic<uint8_t> done{0};
   std::atomic<uint8_t> stalled{0};        // Set by the watchdog, sticky.
   // Sampled-engine columns (src/sim/sampling.h): which time-advance level
@@ -44,36 +48,36 @@ struct ProgressCell {
   std::atomic<uint8_t> mode{0};
   std::atomic<int64_t> sim_skipped_us{0};
 
-  void PublishSampling(uint8_t level, int64_t skipped_us) {
-    mode.store(level, std::memory_order_relaxed);
-    sim_skipped_us.store(skipped_us, std::memory_order_relaxed);
-    // No tick bump: the caller follows with Publish(), whose release
-    // increment sequences these stores too.
-  }
-
   void Publish(int64_t now_us, int64_t next_us, uint64_t executed_count, uint64_t live,
                uint64_t entries) {
-    sim_us.store(now_us, std::memory_order_relaxed);
-    next_event_us.store(next_us, std::memory_order_relaxed);
-    executed.store(executed_count, std::memory_order_relaxed);
-    pending.store(live, std::memory_order_relaxed);
-    queue_entries.store(entries, std::memory_order_relaxed);
-    ticks.fetch_add(1, std::memory_order_release);
+    Write([&] { StoreRow(now_us, next_us, executed_count, live, entries); });
+  }
+
+  // A sampled engine's row: its level and skipped time with a Publish of
+  // (now, now, executed, 0, 0), in one publish.
+  void PublishSampling(uint8_t level, int64_t skipped_us, int64_t now_us,
+                       uint64_t executed_count) {
+    Write([&] {
+      mode.store(level, std::memory_order_release);
+      sim_skipped_us.store(skipped_us, std::memory_order_release);
+      StoreRow(now_us, now_us, executed_count, 0, 0);
+    });
   }
 
   // Final publish when the replica's Run() returns.
   void MarkDone(int64_t final_sim_us, uint64_t final_executed) {
-    sim_us.store(final_sim_us, std::memory_order_relaxed);
-    executed.store(final_executed, std::memory_order_relaxed);
-    pending.store(0, std::memory_order_relaxed);
-    queue_entries.store(0, std::memory_order_relaxed);
-    done.store(1, std::memory_order_relaxed);
-    ticks.fetch_add(1, std::memory_order_release);
+    Write([&] {
+      sim_us.store(final_sim_us, std::memory_order_release);
+      executed.store(final_executed, std::memory_order_release);
+      pending.store(0, std::memory_order_release);
+      queue_entries.store(0, std::memory_order_release);
+      done.store(1, std::memory_order_release);
+    });
   }
 
-  // Consistent-enough read for status reporting (tick acquired first).
+  // One publish's row.
   struct View {
-    uint64_t ticks = 0;
+    uint64_t ticks = 0;  // Publishes so far.
     int64_t sim_us = 0;
     int64_t next_event_us = 0;
     uint64_t executed = 0;
@@ -86,17 +90,43 @@ struct ProgressCell {
   };
   View Load() const {
     View v;
-    v.ticks = ticks.load(std::memory_order_acquire);
-    v.sim_us = sim_us.load(std::memory_order_relaxed);
-    v.next_event_us = next_event_us.load(std::memory_order_relaxed);
-    v.executed = executed.load(std::memory_order_relaxed);
-    v.pending = pending.load(std::memory_order_relaxed);
-    v.queue_entries = queue_entries.load(std::memory_order_relaxed);
-    v.done = done.load(std::memory_order_relaxed) != 0;
+    for (;;) {
+      const uint64_t before = ticks.load(std::memory_order_acquire);
+      v.sim_us = sim_us.load(std::memory_order_acquire);
+      v.next_event_us = next_event_us.load(std::memory_order_acquire);
+      v.executed = executed.load(std::memory_order_acquire);
+      v.pending = pending.load(std::memory_order_acquire);
+      v.queue_entries = queue_entries.load(std::memory_order_acquire);
+      v.done = done.load(std::memory_order_acquire) != 0;
+      v.mode = mode.load(std::memory_order_acquire);
+      v.sim_skipped_us = sim_skipped_us.load(std::memory_order_acquire);
+      if (before % 2 == 0 && ticks.load(std::memory_order_relaxed) == before) {
+        v.ticks = before / 2;
+        break;
+      }
+    }
     v.stalled = stalled.load(std::memory_order_relaxed) != 0;
-    v.mode = mode.load(std::memory_order_relaxed);
-    v.sim_skipped_us = sim_skipped_us.load(std::memory_order_relaxed);
     return v;
+  }
+
+ private:
+  // Only the one writer moves `ticks`, so a plain load-and-store pair
+  // brackets the row.
+  template <typename Fn>
+  void Write(Fn&& store_row) {
+    const uint64_t seq = ticks.load(std::memory_order_relaxed);
+    ticks.store(seq + 1, std::memory_order_relaxed);
+    store_row();
+    ticks.store(seq + 2, std::memory_order_release);
+  }
+
+  void StoreRow(int64_t now_us, int64_t next_us, uint64_t executed_count, uint64_t live,
+                uint64_t entries) {
+    sim_us.store(now_us, std::memory_order_release);
+    next_event_us.store(next_us, std::memory_order_release);
+    executed.store(executed_count, std::memory_order_release);
+    pending.store(live, std::memory_order_release);
+    queue_entries.store(entries, std::memory_order_release);
   }
 };
 

@@ -119,9 +119,8 @@ void SamplingController::PublishProgress(SimMode level) {
   if (progress_ == nullptr) {
     return;
   }
-  progress_->PublishSampling(level == SimMode::kSampled ? 1 : 0, outcome_.sim_skipped_us);
-  progress_->Publish(scheduler_.Now().micros(), scheduler_.Now().micros(),
-                     scheduler_.executed_count(), 0, 0);
+  progress_->PublishSampling(level == SimMode::kSampled ? 1 : 0, outcome_.sim_skipped_us,
+                             scheduler_.Now().micros(), scheduler_.executed_count());
 }
 
 SamplingOutcome SamplingController::Run(SimTime horizon) {

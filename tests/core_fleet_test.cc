@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/century_model.h"
 #include "src/core/device.h"
 #include "src/core/district.h"
 #include "src/core/network_fabric.h"
@@ -171,9 +172,130 @@ TEST(DeviceFleetTest, PerDeviceColumnFootprintStaysUnderBudget) {
   for (uint32_t i = 0; i < 10000; ++i) {
     fleet.Add(cls, i, 0, 0, HarvesterModel());
   }
-  // The ISSUE budget: <= ~200 bytes of fleet state per device.
+  // Edge devices: <= ~200 bytes of fleet state per device.
   EXPECT_LE(fleet.BytesPerDevice(), 200.0);
   EXPECT_GT(fleet.BytesPerDevice(), 0.0);
+}
+
+// Lifecycle-only sites (the century's and the district's) allocate the
+// core columns alone: 49 bytes per slot.
+TEST(DeviceFleetTest, LifecycleOnlySitesStayUnder64BytesPerSlot) {
+  Simulation sim(1);
+  DeviceFleet fleet(sim);
+  const uint32_t cls = fleet.InternClass(TestSpec());
+  fleet.Reserve(10000);
+  for (uint32_t i = 0; i < 10000; ++i) {
+    fleet.AddSite(cls, i % 7);
+  }
+  EXPECT_LE(fleet.BytesPerDevice(), 64.0);
+  EXPECT_GT(fleet.BytesPerDevice(), 0.0);
+  EXPECT_EQ(fleet.size(), 10000u);
+  EXPECT_EQ(fleet.zone(9), 2u);
+}
+
+DeviceClassSpec StorageSpec() {
+  DeviceClassSpec spec = TestSpec("storage-class");
+  spec.storage.capacity_j = 7.25;
+  spec.storage.initial_fraction = 0.3;
+  return spec;
+}
+
+void ExpectSameSlotState(const DeviceFleet::SlotState& a, const DeviceFleet::SlotState& b) {
+  EXPECT_EQ(a.alive, b.alive);
+  EXPECT_EQ(a.handle_generation, b.handle_generation);
+  EXPECT_EQ(a.unit_generation, b.unit_generation);
+  EXPECT_EQ(a.deployed_at_us, b.deployed_at_us);
+  EXPECT_EQ(a.failed_at_us, b.failed_at_us);
+  EXPECT_EQ(a.deadline_us, b.deadline_us);
+  EXPECT_EQ(a.covering, b.covering);
+  EXPECT_EQ(a.charge_j, b.charge_j);
+  EXPECT_EQ(a.capacity_now_j, b.capacity_now_j);
+  EXPECT_EQ(a.energy_last_update_us, b.energy_last_update_us);
+  EXPECT_EQ(a.energy_last_advance_us, b.energy_last_advance_us);
+  EXPECT_EQ(a.tx_granted, b.tx_granted);
+  EXPECT_EQ(a.tx_denied, b.tx_denied);
+}
+
+// A lifecycle-only slot's checkpoint state is the one an untouched edge
+// slot of its class saves, so the fleet chunk keeps every byte; restoring
+// one ignores the energy fields.
+TEST(DeviceFleetTest, LifecycleOnlySlotSavesAsAnUntouchedEdgeSlot) {
+  Simulation sim(1);
+  DeviceFleet sites(sim);
+  DeviceFleet edge(sim);
+  const uint32_t site_cls = sites.InternClass(StorageSpec());
+  const uint32_t edge_cls = edge.InternClass(StorageSpec());
+  sites.AddSite(site_cls, 3);
+  sites.AddSite(site_cls, 4);
+  edge.Add(edge_cls, 10.0, 20.0, 3, HarvesterModel());
+  edge.Add(edge_cls, 30.0, 40.0, 4, HarvesterModel());
+  for (DeviceFleet* fleet : {&sites, &edge}) {
+    fleet->DeployAt(0, SimTime::Days(2));
+    fleet->set_deadline(0, SimTime::Years(9));
+    fleet->DeployAt(1, SimTime::Days(1));
+    fleet->MarkFailedAt(1, SimTime::Days(5));
+  }
+  for (uint32_t slot = 0; slot < 2; ++slot) {
+    ExpectSameSlotState(sites.SaveSlotState(slot), edge.SaveSlotState(slot));
+  }
+  const DeviceFleet::SlotState untouched = edge.SaveSlotState(0);
+  EXPECT_EQ(untouched.charge_j, 7.25 * 0.3);
+  EXPECT_EQ(untouched.capacity_now_j, 7.25);
+
+  DeviceFleet::SlotState changed = edge.SaveSlotState(1);
+  changed.unit_generation = 6;
+  changed.charge_j = 1.0;
+  changed.energy_last_advance_us = 77;
+  changed.tx_granted = 5;
+  sites.RestoreSlotState(1, changed);
+  const DeviceFleet::SlotState restored = sites.SaveSlotState(1);
+  EXPECT_EQ(restored.unit_generation, 6u);
+  EXPECT_EQ(restored.charge_j, untouched.charge_j);
+  EXPECT_EQ(restored.energy_last_advance_us, 0);
+  EXPECT_EQ(restored.tx_granted, 0u);
+}
+
+TEST(DeviceFleetTest, MixingLifecycleOnlyAndEdgeAddsAborts) {
+  Simulation sim(1);
+  DeviceFleet sites(sim);
+  const uint32_t site_cls = sites.InternClass(TestSpec());
+  sites.AddSite(site_cls, 0);
+  EXPECT_DEATH(sites.Add(site_cls, 0.0, 0.0, 0, HarvesterModel()), "lifecycle-only sites");
+  // A freed lifecycle-only slot does not make room for an edge device.
+  sites.Remove(DeviceFleet::Pack(0, 1));
+  EXPECT_DEATH(sites.Add(site_cls, 0.0, 0.0, 0, HarvesterModel()), "lifecycle-only sites");
+
+  DeviceFleet edge(sim);
+  const uint32_t edge_cls = edge.InternClass(TestSpec());
+  edge.Add(edge_cls, 0.0, 0.0, 0, HarvesterModel());
+  EXPECT_DEATH(edge.AddSite(edge_cls, 0), "edge devices");
+}
+
+// The district's and the century's fleets hold lifecycle-only sites.
+TEST(DeviceFleetTest, DistrictAndCenturyFleetsStayUnder64BytesPerSite) {
+  DistrictConfig district;
+  district.seed = 5;
+  district.device_count = 3000;
+  district.area_km2 = 4.0;
+  district.zone_grid = 2;
+  district.horizon = SimTime::Years(2);
+  const DistrictReport serial = RunDistrictScenario(district);
+  EXPECT_LE(serial.fleet_bytes_per_device, 64.0);
+  EXPECT_GT(serial.fleet_bytes_per_device, 0.0);
+  district.shard.shards = 2;
+  const DistrictReport sharded = RunDistrictScenario(district);
+  EXPECT_LE(sharded.fleet_bytes_per_device, 64.0);
+  EXPECT_GT(sharded.fleet_bytes_per_device, 0.0);
+
+  CenturyConfig century;
+  century.seed = 5;
+  century.fleet_size = 3000;
+  century.horizon = SimTime::Years(2);
+  Simulation sim(century.seed);
+  CenturyReport report;
+  const CenturyModel model(sim, century, report, 0, century.fleet_size, nullptr);
+  EXPECT_LE(model.fleet().BytesPerDevice(), 64.0);
+  EXPECT_GT(model.fleet().BytesPerDevice(), 0.0);
 }
 
 // --- Facade handle semantics --------------------------------------------

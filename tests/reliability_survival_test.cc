@@ -154,6 +154,69 @@ TEST(KaplanMeierTest, AppendKeepsObservationOrder) {
   EXPECT_EQ(merged.RestrictedMean(SimTime::Years(40)), whole.RestrictedMean(SimTime::Years(40)));
 }
 
+// Each observation is packed into one 64-bit word; the extremes a run
+// produces come back exactly, failed and censored, through a splice.
+TEST(KaplanMeierTest, PackedObservationsRoundTrip) {
+  const SimTime times[] = {SimTime::Micros(0), SimTime::Micros(1), SimTime::Years(100)};
+  std::vector<SurvivalObservation> want;
+  for (const SimTime t : times) {
+    want.push_back({t, true});
+    want.push_back({t, false});
+  }
+  KaplanMeier first;
+  KaplanMeier second;
+  for (size_t i = 0; i < want.size(); ++i) {
+    (i < 3 ? first : second).Observe(want[i]);
+  }
+  first.Append(std::move(second));
+  std::vector<SurvivalObservation> got;
+  first.ForEachObservation([&got](const SurvivalObservation& o) { got.push_back(o); });
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << i;
+    EXPECT_EQ(got[i].failed, want[i].failed) << i;
+  }
+  EXPECT_EQ(first.count(), 6u);
+  EXPECT_EQ(first.failure_count(), 3u);
+}
+
+// Failures and censorings tied at one time, observed interleaved: every
+// tied observation leaves the risk set at that time and only the failures
+// count as events.
+TEST(KaplanMeierTest, TiedFailuresAndCensoringsKeepTheCurve) {
+  KaplanMeier km;
+  const bool at_one[] = {false, true, true};   // 2 failures, 1 censoring.
+  const bool at_two[] = {false, true, false};  // 1 failure, 2 censorings.
+  for (const bool failed : at_one) {
+    km.Observe(SimTime::Years(1), failed);
+  }
+  km.Observe(SimTime::Years(4), false);
+  for (const bool failed : at_two) {
+    km.Observe(SimTime::Years(2), failed);
+  }
+  km.Observe(SimTime::Years(3), true);
+  km.Observe(SimTime::Years(4), false);
+  km.Observe(SimTime::Years(4), false);
+
+  const auto curve = km.Curve();
+  ASSERT_EQ(curve.size(), 3u);
+  double s = 1.0 - 2.0 / 10.0;
+  EXPECT_EQ(curve[0].time, SimTime::Years(1));
+  EXPECT_EQ(curve[0].survival, s);
+  EXPECT_EQ(curve[0].at_risk, 10u);
+  EXPECT_EQ(curve[0].events, 2u);
+  s *= 1.0 - 1.0 / 7.0;
+  EXPECT_EQ(curve[1].time, SimTime::Years(2));
+  EXPECT_EQ(curve[1].survival, s);
+  EXPECT_EQ(curve[1].at_risk, 7u);
+  EXPECT_EQ(curve[1].events, 1u);
+  s *= 1.0 - 1.0 / 4.0;
+  EXPECT_EQ(curve[2].time, SimTime::Years(3));
+  EXPECT_EQ(curve[2].survival, s);
+  EXPECT_EQ(curve[2].at_risk, 4u);
+  EXPECT_EQ(curve[2].events, 1u);
+}
+
 // --- SurvivalTable (the sampled engine's one-draw life sampler) -------------
 
 TEST(SurvivalTableTest, RecoversExponentialDistribution) {

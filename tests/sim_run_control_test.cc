@@ -127,6 +127,49 @@ TEST(RunControlHooksTest, ProgressCellPublishesOnDepthSamples) {
   EXPECT_FALSE(view.stalled);
 }
 
+// One writer publishes row k as (k, k, k, k, k) while a reader loads: a
+// loaded row must be one publish's, never a mix of two, and its tick count
+// names that publish. The last row is the done row.
+TEST(ProgressCellTest, LoadedRowsNeverMixTwoPublishes) {
+  constexpr int64_t kPublishes = 1000000;
+  ProgressCell cell;
+  std::atomic<bool> reading{false};
+  std::atomic<bool> finished{false};
+  std::thread writer([&] {
+    while (!reading.load()) {
+    }
+    for (int64_t k = 1; k <= kPublishes; ++k) {
+      const auto u = static_cast<uint64_t>(k);
+      cell.Publish(k, k, u, u, u);
+    }
+    cell.MarkDone(kPublishes + 1, kPublishes + 1);
+    finished.store(true);
+  });
+  uint64_t rows = 0;
+  uint64_t mixed = 0;
+  uint64_t last_ticks = 0;
+  reading.store(true);
+  while (!finished.load()) {
+    const ProgressCell::View v = cell.Load();
+    ++rows;
+    const auto k = static_cast<uint64_t>(v.sim_us);
+    const bool one_row =
+        v.done ? v.executed == k && v.pending == 0 && v.queue_entries == 0
+               : static_cast<uint64_t>(v.next_event_us) == k && v.executed == k &&
+                     v.pending == k && v.queue_entries == k;
+    mixed += (one_row && v.ticks == k && v.ticks >= last_ticks) ? 0 : 1;
+    last_ticks = v.ticks;
+  }
+  writer.join();
+  EXPECT_GT(rows, 0u);
+  EXPECT_EQ(mixed, 0u);
+  const ProgressCell::View done = cell.Load();
+  EXPECT_TRUE(done.done);
+  EXPECT_EQ(done.ticks, static_cast<uint64_t>(kPublishes) + 1);
+  EXPECT_EQ(done.next_event_us, kPublishes);
+  EXPECT_FALSE(done.stalled);
+}
+
 TEST(RunControlHooksTest, FlightRecorderSamplesOnTimedEvents) {
   Scheduler sched;
   SchedulerProfiler profiler(FastSampling());

@@ -152,10 +152,10 @@ if speedup < 3.0:
 else:
     print(f"  ok speedup_vs_object_graph_100k: {speedup:.2f}x (floor 3x)")
 bytes_1m = fresh.get("fleet_bytes_per_device_1m", {"value": 1e9})["value"]
-if bytes_1m > 200.0:
-    failures.append(f"fleet_bytes_per_device_1m: {bytes_1m:.1f} B > 200 B budget")
+if bytes_1m > 64.0:
+    failures.append(f"fleet_bytes_per_device_1m: {bytes_1m:.1f} B > 64 B budget")
 else:
-    print(f"  ok fleet_bytes_per_device_1m: {bytes_1m:.1f} B (budget 200 B)")
+    print(f"  ok fleet_bytes_per_device_1m: {bytes_1m:.1f} B (budget 64 B)")
 parity = fresh.get("parity_checks_passed", {"value": 0.0})["value"]
 if parity < 2:
     failures.append(f"parity_checks_passed: {parity:.0f} < 2")

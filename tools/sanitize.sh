@@ -33,6 +33,9 @@
 # the caller reads its pending count and earliest failure at each barrier,
 # which the DistrictShardParity sweep (DigestEqualsEveryLaneCount,
 # TwoLaneCheckpointResumesAtThreeLanes) and DistrictShardTest exercise.
+# And it proves the progress row's seqlock:
+# ProgressCellTest.LoadedRowsNeverMixTwoPublishes loads rows on one
+# thread while another publishes a million of them.
 #
 # The default address,undefined run likewise covers the sampled engine:
 # SamplingControllerTest / CenturySampledTest / DistrictSampledTest /
@@ -45,7 +48,14 @@
 # configs) and CenturyEngineParity.SerialCheckpointResumesAtYearTwenty (16
 # configs) restore serial checkpoints into the calendar; and
 # DistrictTest/CenturyTest.ProgressRowCountsPendingFailures read its
-# counts into the progress row.
+# counts into the progress row. It covers the fleet's split into a
+# lifecycle core and an edge group: DeviceFleetTest's
+# LifecycleOnlySitesStayUnder64BytesPerSlot,
+# LifecycleOnlySlotSavesAsAnUntouchedEdgeSlot,
+# MixingLifecycleOnlyAndEdgeAddsAborts and
+# DistrictAndCenturyFleetsStayUnder64BytesPerSite; and the packed
+# Kaplan-Meier words: KaplanMeierTest.PackedObservationsRoundTrip and
+# TiedFailuresAndCensoringsKeepTheCurve.
 #
 # Both trees are built without NDEBUG, so every assert() in src/ runs
 # here. The regular RelWithDebInfo and Release builds compile them out.

@@ -19,7 +19,8 @@ constexpr uint32_t kFleetChunk = SnapshotTag('f', 'l', 'e', 't');
 // double integral under 'accu'; the reader refuses a file without 'aliv'.
 constexpr uint32_t kAliveChunk = SnapshotTag('a', 'l', 'i', 'v');
 constexpr uint32_t kSurvivalChunk = SnapshotTag('s', 'u', 'r', 'v');
-constexpr uint32_t kTimerChunk = SnapshotTag('t', 'i', 'm', 'r');
+// The barrier, the scheduler's counters and the time from which zone
+// visits are pending. No timer chunk: the visits follow from the config.
 constexpr uint32_t kSchedChunk = SnapshotTag('s', 'c', 'h', 'd');
 
 // Structural fields the fleet build and visit pre-scheduling bake into a
@@ -65,8 +66,8 @@ CenturyModel::CenturyModel(Simulation& sim, const CenturyConfig& config, Century
 }
 
 void CenturyModel::SaveCheckpoint(std::span<CenturyModel* const> parts, SimTime barrier,
-                                  const SiteSeconds& alive,
-                                  const std::vector<TimerRecord>& timers, CenturyReport& run) {
+                                  SimTime visits_from, const SiteSeconds& alive,
+                                  CenturyReport& run) {
   const auto save_start = std::chrono::steady_clock::now();
   const CenturyModel& first = *parts.front();
   const CenturyConfig& config = first.config_;
@@ -125,15 +126,12 @@ void CenturyModel::SaveCheckpoint(std::span<CenturyModel* const> parts, SimTime 
   }
   writer.Add(kSurvivalChunk, surv);
 
-  ByteWriter tr;
-  TimerTable::Encode(timers, tr);
-  writer.Add(kTimerChunk, tr);
-
   Scheduler& scheduler = first.sim_.scheduler();
   ByteWriter sched;
   sched.I64(barrier.micros());
   sched.U64(scheduler.executed_count());
   sched.U64(scheduler.late_schedule_count());
+  sched.I64(visits_from.micros());
   writer.Add(kSchedChunk, sched);
 
   std::string path;
@@ -149,24 +147,25 @@ void CenturyModel::SaveCheckpoint(std::span<CenturyModel* const> parts, SimTime 
       std::chrono::duration<double>(std::chrono::steady_clock::now() - save_start).count();
 }
 
-bool CenturyModel::Resume(std::span<CenturyModel* const> parts, const RearmFn& rearm,
-                          CenturyReport& run) {
+std::optional<SimTime> CenturyModel::Resume(std::span<CenturyModel* const> parts,
+                                            CenturyReport& run) {
   const std::string path = ResolveResumePath(parts.front()->config_.snapshot);
   if (path.empty()) {
-    return false;
+    return std::nullopt;
   }
   const auto restore_start = std::chrono::steady_clock::now();
+  SimTime visits_from;
   std::string error;
-  if (!Restore(parts, path, rearm, &error)) {
+  if (!Restore(parts, path, &visits_from, &error)) {
     CheckConfigOrDie("century", {"cannot resume from " + path + ": " + error});
   }
   run.restore_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - restore_start).count();
-  return true;
+  return visits_from;
 }
 
 bool CenturyModel::Restore(std::span<CenturyModel* const> parts, const std::string& path,
-                           const RearmFn& rearm, std::string* error) {
+                           SimTime* visits_from, std::string* error) {
   CenturyModel& first = *parts.front();
   const CenturyConfig& config = first.config_;
   SnapshotReader reader;
@@ -179,6 +178,25 @@ bool CenturyModel::Restore(std::span<CenturyModel* const> parts, const std::stri
     return false;
   }
 
+  ByteReader sched = reader.Chunk(kSchedChunk);
+  const SimTime barrier = SimTime::Micros(sched.I64());
+  const uint64_t executed = sched.U64();
+  const uint64_t late = sched.U64();
+  *visits_from = SimTime::Micros(sched.I64());
+  if (!sched.ok()) {
+    *error = "scheduler chunk truncated";
+    return false;
+  }
+  *error = CheckRestoredBarrier(barrier, config.horizon);
+  // Its writer ran the visits before the barrier, and perhaps those at it.
+  if (error->empty() && (*visits_from < barrier || *visits_from > barrier + SimTime::Micros(1))) {
+    *error = "zone visits pending from neither the barrier nor 1 us after it";
+  }
+  if (!error->empty()) {
+    return false;
+  }
+  first.sim_.scheduler().RestoreClock(barrier, executed, late);
+
   ByteReader fleet = reader.Chunk(kFleetChunk);
   if (fleet.U64() != config.fleet_size) {
     *error = "snapshot fleet size does not match config";
@@ -186,7 +204,12 @@ bool CenturyModel::Restore(std::span<CenturyModel* const> parts, const std::stri
   }
   for (CenturyModel* part : parts) {
     for (uint32_t idx = 0; idx < part->size() && fleet.ok(); ++idx) {
-      part->fleet_.RestoreSlotState(idx, DecodeFleetSlot(fleet));
+      const DeviceFleet::SlotState slot = DecodeFleetSlot(fleet);
+      *error = CheckRestoredDeadline(part->begin_ + idx, slot, barrier);
+      if (!error->empty()) {
+        return false;
+      }
+      part->fleet_.RestoreSlotState(idx, slot);
     }
   }
   if (fleet.U64() != first.fleet_.class_count()) {
@@ -230,54 +253,6 @@ bool CenturyModel::Restore(std::span<CenturyModel* const> parts, const std::stri
   }
   if (!surv.ok()) {
     *error = "survival chunk truncated";
-    return false;
-  }
-
-  ByteReader sched = reader.Chunk(kSchedChunk);
-  const SimTime now = SimTime::Micros(sched.I64());
-  const uint64_t executed = sched.U64();
-  const uint64_t late = sched.U64();
-  if (!sched.ok()) {
-    *error = "scheduler chunk truncated";
-    return false;
-  }
-  // Clock before timers: re-armed ScheduleAt calls must see the barrier
-  // as "now".
-  first.sim_.scheduler().RestoreClock(now, executed, late);
-
-  ByteReader tr = reader.Chunk(kTimerChunk);
-  const std::vector<TimerRecord> records = TimerTable::Decode(tr);
-  if (!tr.ok()) {
-    *error = "timer chunk truncated";
-    return false;
-  }
-  // A pending failure names a live unit, and its life is the unit's fail
-  // time minus its restored deployment time, as the sampled engine derives
-  // it. Unsigned arithmetic: both operands come from the file.
-  for (const TimerRecord& r : records) {
-    if (r.tag != kCenturyTimerSiteFail) {
-      continue;
-    }
-    // The part whose range holds the site: the last one beginning at or
-    // before it.
-    const auto owner = std::upper_bound(
-        parts.begin(), parts.end(), r.a,
-        [](uint64_t site, const CenturyModel* part) { return site < part->begin_; });
-    const CenturyModel& part = **(owner - 1);
-    const uint32_t idx = static_cast<uint32_t>(r.a - part.begin_);
-    if (r.a >= config.fleet_size || !part.fleet_.alive(idx)) {
-      *error = "site " + std::to_string(r.a) + " has a pending failure but is dead or outside "
-               "the fleet";
-      return false;
-    }
-    const uint64_t deployed_us = static_cast<uint64_t>(part.fleet_.deployed_at(idx).micros());
-    if (r.b != static_cast<uint64_t>(r.at_us) - deployed_us) {
-      *error = "site " + std::to_string(r.a) + "'s failure record carries a life of " +
-               std::to_string(r.b) + " us, not its fail time minus its deployment time";
-      return false;
-    }
-  }
-  if (!rearm(records, error)) {
     return false;
   }
 

@@ -11,6 +11,9 @@
 // events it arms where, how it draws a unit's life, and how it closes a
 // unit's alive time. Sites never interact, so the model can cover a whole
 // fleet or one contiguous column range (a walk block).
+// A `century` checkpoint is fleet state, not timers: an alive slot's
+// deadline is its pending failure, and the zone visits follow from the
+// config from the time the file names, so either engine resumes either's.
 
 #ifndef SRC_CORE_CENTURY_MODEL_H_
 #define SRC_CORE_CENTURY_MODEL_H_
@@ -18,7 +21,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,7 +33,6 @@
 #include "src/mgmt/batch_project.h"
 #include "src/sim/flight_recorder.h"
 #include "src/sim/simulation.h"
-#include "src/snapshot/timer_table.h"
 
 namespace centsim {
 
@@ -38,14 +40,6 @@ namespace centsim {
 // engine, and the flight-recorder category.
 inline constexpr const char* kCenturySiteFail = "century.site_failure";
 inline constexpr const char* kCenturyVisit = "century.zone_visit";
-
-// Domain timer tags of the `century` snapshot format (TimerRecord.tag).
-// Operands: visit a=zone b=cycle; site failure a=site b=the unit's sampled
-// life in micros (the failure feeds it to the survival estimator). A site
-// failure names a live site, and its life equals its fire time minus the
-// site's deployment time; restore refuses a record where either fails.
-inline constexpr uint64_t kCenturyTimerVisit = 1;
-inline constexpr uint64_t kCenturyTimerSiteFail = 2;
 
 class CenturyModel {
  public:
@@ -144,22 +138,19 @@ class CenturyModel {
   // the checkpoints written and the restore time.
 
   // Writes a `century` checkpoint at the quiescent `barrier`: `alive` is
-  // the availability integral as of the barrier, `timers` the engine's
-  // pending timers. Slots are gathered in site order, counters summed and
-  // survival observations concatenated in part order.
+  // the integral as of the barrier, and the engine has run no zone visit
+  // from `visits_from` on. Slots are gathered in site order, counters
+  // summed and survival observations concatenated in part order.
   static void SaveCheckpoint(std::span<CenturyModel* const> parts, SimTime barrier,
-                             const SiteSeconds& alive, const std::vector<TimerRecord>& timers,
-                             CenturyReport& run);
+                             SimTime visits_from, const SiteSeconds& alive, CenturyReport& run);
 
   // Restores from the plan's resume snapshot, if there is one: scatters the
   // fleet's slots to their parts and the integral, counters and survival
-  // observations to the first part, restores the clock, hands the pending
-  // timer records to `rearm` (false + error refuses them) and applies the
-  // branch salt to every part. Dies on a bad snapshot. Returns false on a
-  // fresh start.
-  using RearmFn = std::function<bool(const std::vector<TimerRecord>&, std::string* error)>;
-  static bool Resume(std::span<CenturyModel* const> parts, const RearmFn& rearm,
-                     CenturyReport& run);
+  // observations to the first part, restores the clock and applies the
+  // branch salt to every part. Returns the time from which the file's zone
+  // visits are pending, or nothing on a fresh start. Dies on a bad
+  // snapshot.
+  static std::optional<SimTime> Resume(std::span<CenturyModel* const> parts, CenturyReport& run);
 
   // Censors the surviving units at the horizon and fills the report's
   // results from the availability integral, over the whole fleet's
@@ -174,7 +165,7 @@ class CenturyModel {
 
  private:
   static bool Restore(std::span<CenturyModel* const> parts, const std::string& path,
-                      const RearmFn& rearm, std::string* error);
+                      SimTime* visits_from, std::string* error);
 
   Simulation& sim_;
   const CenturyConfig& config_;
@@ -189,14 +180,10 @@ class CenturyModel {
 };
 
 // The detailed engine (theseus.cc): the model over the whole fleet,
-// advanced one transition at a time. The scheduler holds only zone visits,
-// routed through a TimerTable so that a checkpoint saves them as records;
-// site failures wait in a FailureCalendar drained between visits. A
-// failure takes a scheduler sequence number when armed, kept per site by a
-// checkpointing run, so a checkpoint saves the pending failures as
-// kCenturyTimerSiteFail records in one arm order with the visits, and a
-// restored run arms them back into the calendar. A proactive refresh
-// cancels nothing: the calendar skips the retired unit's failure.
+// advanced one transition at a time. The scheduler holds only zone visits;
+// site failures wait in a FailureCalendar drained between visits, whose
+// deadlines a checkpoint stamps and a restore arms back. A proactive
+// refresh cancels nothing: the calendar skips the retired unit's failure.
 class DetailedCentury {
  public:
   DetailedCentury(Simulation& sim, const CenturyConfig& config, CenturyReport& report);
@@ -213,19 +200,15 @@ class DetailedCentury {
   void RetireSiteAt(uint32_t /*idx*/, SimTime at) { Accumulate(at); }
 
   // Arms the failure of the site's current unit at `at`.
-  void ArmSiteFailure(SimTime at, uint32_t idx) {
-    calendar_.Arm(at, idx);
-    const uint64_t seq = sim_.scheduler().TakeSequence();
-    if (!fail_seq_.empty()) {
-      fail_seq_[idx] = seq;
-    }
-  }
+  void ArmSiteFailure(SimTime at, uint32_t idx) { calendar_.Arm(at, idx); }
   // Runs every visit and live failure at or before `limit`, a visit first
   // at a shared microsecond, and leaves the clock at `limit`.
   void RunTo(SimTime limit);
-  // Writes a `century` checkpoint at the quiescent `barrier`.
+  // Writes a `century` checkpoint at the quiescent `barrier`, whose visits
+  // RunTo has run.
   void SaveCheckpoint(SimTime barrier) {
-    CenturyModel::SaveCheckpoint(whole_, barrier, model_.alive(), PendingTimers(),
+    calendar_.StampDeadlines();
+    CenturyModel::SaveCheckpoint(whole_, barrier, barrier + SimTime::Micros(1), model_.alive(),
                                  model_.report());
   }
 
@@ -233,17 +216,12 @@ class DetailedCentury {
   void Accumulate(SimTime now) {
     model_.alive().AdvanceTo(now, static_cast<int64_t>(model_.fleet().alive_count()));
   }
-  void ArmVisit(SimTime at, uint32_t zone, uint32_t cycle);
-  // The pending visits and failures as records in (time, seq) order.
-  std::vector<TimerRecord> PendingTimers() const;
 
   Simulation& sim_;
   const CenturyConfig& config_;
   CenturyModel model_;
   CenturyModel* const whole_[1] = {&model_};  // The checkpoint's one part.
-  TimerTable timers_;
   FailureCalendar calendar_;
-  std::vector<uint64_t> fail_seq_;  // Per site, in a checkpointing run.
 };
 
 // The sampled engine, which RunCenturyScenario runs when

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -18,29 +19,29 @@ namespace {
 constexpr uint32_t kRollOutBatch = 65536;
 
 // The serial engine: one scheduler for zone visits and gateway
-// transitions, every one routed through a TimerTable, and the model's
-// failure calendar for unit failures, drained with them by RunTo
-// (district_model.h). A checkpoint at a quiescent barrier saves each
-// pending timer and failure as a plain record and a restored run re-arms
-// them in (time, seq) order — the registry pattern that makes
-// save-at-year-N/restore runs bit-identical to straight runs. A failure
-// takes its sequence number from the scheduler when it is armed
-// (Scheduler::TakeSequence), so the records number failures and timers in
-// one arm order. Lifetime streams are keyed by running counters (device
-// replacements, gateway failures), so draws depend on the global event
-// order. Scheduled closures capture [this, index] — two words, well
-// inside the event core's inline buffer.
+// transitions, and the model's failure calendar for unit failures, drained
+// with them by RunTo (district_model.h). Lifetime streams are keyed by
+// running counters (device replacements, gateway failures), so draws
+// depend on the global event order. Scheduled closures capture [this,
+// index] — two words, well inside the event core's inline buffer.
+//
+// A checkpoint is state: the fleet, whose deadlines the calendar stamps,
+// and each gateway's pending transition as a record. Only gateway
+// transitions go through a TimerTable, as their order within one
+// microsecond feeds the counter-keyed draws: a restored run re-arms them in
+// (time, seq) order after the visits past the barrier, which it arms from
+// the config as a fresh run arms every visit first. A restored run is
+// thus bit-identical to the straight one.
 //
 // Device lives are drawn a batch at a time: a zone visit's dead sites, or
 // a slice of the roll-out. Each site's key is fixed before any of the
 // batch deploys, and a life is a pure function of its key, so a batch that
 // reaches SeriesSystem::kParallelLifeGrain is drawn on the spare cores
 // (SeriesSystem::SampleLives) and the sites then deploy and arm their
-// failures in site order, each failure taking the sequence number it took
-// when sites were drawn one at a time. The draw pool starts with the first
-// such batch, so a small district starts no thread, and never on a pool
-// worker: an ensemble replica or a branch draws inline, as its siblings
-// already hold the cores.
+// failures in site order. The draw pool starts with the first such batch,
+// so a small district starts no thread, and never on a pool worker: an
+// ensemble replica or a branch draws inline, as its siblings already hold
+// the cores.
 class SerialDistrict {
  public:
   SerialDistrict(Simulation& sim, const DistrictConfig& config, DistrictReport& report)
@@ -53,26 +54,26 @@ class SerialDistrict {
         // The caller draws a chunk too. A one-core host, and a run on a
         // pool worker, draw inline.
         spare_cores_(ThreadPool::SpareCores()) {
-    if (timers_.tracking()) {
-      fail_seq_.resize(config.device_count);
-    }
+    timers_.Register(kDistrictTimerGatewayFail, [this](const TimerRecord& r) {
+      ArmGatewayFailure(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a));
+    });
+    timers_.Register(kDistrictTimerGatewayRepair, [this](const TimerRecord& r) {
+      ArmGatewayRepair(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a));
+    });
   }
 
   void Run() {
-    RegisterTimerRearms();
-
-    const bool resumed =
-        model_.Resume([this](const std::vector<TimerRecord>& records, std::string* error) {
-          if (timers_.Restore(records) != 0) {
-            *error = "snapshot carries timer tags this driver does not register";
-            return false;
-          }
-          return true;
-        });
-    if (!resumed) {
-      for (const BatchVisit& v : BatchVisits(sim_, DistrictBatches(config_), config_.horizon)) {
-        ArmVisit(v.at, v.zone, v.cycle);
-      }
+    std::vector<TimerRecord> gateways;
+    const std::optional<SimTime> visits_from = model_.Resume(&gateways);
+    for (const BatchVisit& v : BatchVisits(sim_, DistrictBatches(config_), config_.horizon,
+                                           visits_from.value_or(SimTime()))) {
+      const uint32_t zone = v.zone;
+      sim_.scheduler().ScheduleAt(v.at, [this, zone] { OnZoneVisit(zone); }, kDistrictVisit);
+    }
+    if (visits_from) {
+      timers_.Restore(gateways);  // The model has checked every record is a gateway's.
+      model_.calendar().ArmDeadlines();
+    } else {
       for (uint32_t g = 0; g < model_.gateway_count(); ++g) {
         model_.SetGatewayAt(g, true, sim_.Now());
         ScheduleGatewayFailure(g);
@@ -89,7 +90,7 @@ class SerialDistrict {
       for (int64_t next = (sim_.Now().micros() / every + 1) * every;
            next < config_.horizon.micros(); next += every) {
         model_.RunTo(SimTime::Micros(next));
-        model_.SaveCheckpoint(SimTime::Micros(next), PendingTimers());
+        model_.SaveCheckpoint(SimTime::Micros(next), timers_.Save());
       }
     }
     model_.RunTo(config_.horizon);
@@ -150,16 +151,10 @@ class SerialDistrict {
 
   void Deploy(uint32_t d, SimTime at, SimTime life) {
     model_.DeployAt(d, at);
-    ArmDeviceFailure(at + life, d);
+    model_.ArmFailure(d, at + life);
   }
 
-  // --- Domain timers: visits and gateways through the TimerTable, failures
-  // through the model's calendar
-
-  void ArmVisit(SimTime at, uint32_t zone, uint32_t cycle) {
-    timers_.Schedule(at, kDistrictTimerVisit, zone, cycle, 0.0,
-                     [this, zone] { OnZoneVisit(zone); }, kDistrictVisit);
-  }
+  // --- Gateway timers, through the TimerTable ----------------------------
 
   void ArmGatewayFailure(SimTime at, uint32_t g) {
     timers_.Schedule(at, kDistrictTimerGatewayFail, g, 0, 0.0,
@@ -169,40 +164,6 @@ class SerialDistrict {
   void ArmGatewayRepair(SimTime at, uint32_t g) {
     timers_.Schedule(at, kDistrictTimerGatewayRepair, g, 0, 0.0,
                      [this, g] { OnGatewayRepair(g); }, kDistrictGatewayRepair);
-  }
-
-  void ArmDeviceFailure(SimTime at, uint32_t d) {
-    model_.ArmFailure(d, at);
-    const uint64_t seq = sim_.scheduler().TakeSequence();
-    if (!fail_seq_.empty()) {
-      fail_seq_[d] = seq;
-    }
-  }
-
-  // The scheduler's pending timers and the calendar's pending failures,
-  // past-horizon ones included, as records in (time, seq) order.
-  std::vector<TimerRecord> PendingTimers() const {
-    std::vector<TimerRecord> failures;
-    model_.calendar().ForEach([&](const FailureCalendar::Entry& e) {
-      failures.push_back({kDistrictTimerDeviceFail, e.at_us, fail_seq_[e.slot], e.slot, 0, 0.0});
-    });
-    return timers_.Save(std::move(failures));
-  }
-
-  void RegisterTimerRearms() {
-    timers_.Register(kDistrictTimerVisit, [this](const TimerRecord& r) {
-      ArmVisit(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a),
-               static_cast<uint32_t>(r.b));
-    });
-    timers_.Register(kDistrictTimerGatewayFail, [this](const TimerRecord& r) {
-      ArmGatewayFailure(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a));
-    });
-    timers_.Register(kDistrictTimerGatewayRepair, [this](const TimerRecord& r) {
-      ArmGatewayRepair(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a));
-    });
-    timers_.Register(kDistrictTimerDeviceFail, [this](const TimerRecord& r) {
-      ArmDeviceFailure(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a));
-    });
   }
 
   // --- Gateway transitions: the model's, plus counter-keyed draws ---------
@@ -229,10 +190,7 @@ class SerialDistrict {
   Simulation& sim_;
   const DistrictConfig& config_;
   DistrictModel model_;
-  TimerTable timers_;
-  // Per site: the sequence number its pending failure took; kept only by a
-  // run that writes checkpoints.
-  std::vector<uint64_t> fail_seq_;
+  TimerTable timers_;  // Gateway transitions.
   const uint32_t spare_cores_;        // Draw workers beside the caller.
   std::unique_ptr<ThreadPool> pool_;  // Started by the first batch at the grain.
   // One batch's life keys and drawn lives.

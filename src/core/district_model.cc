@@ -26,6 +26,7 @@ constexpr uint32_t kGatewayChunk = SnapshotTag('g', 'w', 's', 't');
 // Earlier formats carried double integrals under 'accu'; the reader
 // refuses a file without 'intg'.
 constexpr uint32_t kIntegralChunk = SnapshotTag('i', 'n', 't', 'g');
+// One record per gateway: its pending failure or repair.
 constexpr uint32_t kTimerChunk = SnapshotTag('t', 'i', 'm', 'r');
 constexpr uint32_t kSchedChunk = SnapshotTag('s', 'c', 'h', 'd');
 constexpr uint32_t kMetricsChunk = SnapshotTag('m', 'e', 't', 'r');
@@ -117,6 +118,20 @@ std::string CheckRestoredCovering(uint32_t site, uint32_t saved, const ServiceCo
   return "site " + std::to_string(site) + " was saved covered by " + std::to_string(saved) +
          " operational gateways, but the restored gateway states cover it with " +
          std::to_string(service.covering(site));
+}
+
+std::string CheckRestoredGatewayNext(uint64_t g, bool up, bool fails, int64_t at_us,
+                                     SimTime barrier) {
+  const std::string gateway = "gateway " + std::to_string(g);
+  if (up != fails) {
+    return gateway + " was saved " + (up ? "up" : "down") + " but its next transition is a " +
+           (fails ? "failure" : "repair");
+  }
+  if (at_us < barrier.micros()) {
+    return gateway + "'s next transition at " + std::to_string(at_us) +
+           " us is before the barrier at " + std::to_string(barrier.micros()) + " us";
+  }
+  return "";
 }
 
 DistrictGeometry::DistrictGeometry(const DistrictConfig& config)
@@ -259,8 +274,9 @@ void DistrictModel::EndRestore(SimTime last_change) {
   service_seconds_.last_change = last_change;
 }
 
-void DistrictModel::SaveCheckpoint(SimTime barrier, const std::vector<TimerRecord>& timers) {
+void DistrictModel::SaveCheckpoint(SimTime barrier, const std::vector<TimerRecord>& gateways) {
   const auto save_start = std::chrono::steady_clock::now();
+  calendar_.StampDeadlines();
   SnapshotMeta meta;
   meta.experiment = "district";
   meta.library_version = kCentsimVersion;
@@ -294,7 +310,7 @@ void DistrictModel::SaveCheckpoint(SimTime barrier, const std::vector<TimerRecor
   writer.Add(kIntegralChunk, acc);
 
   ByteWriter tr;
-  TimerTable::Encode(timers, tr);
+  TimerTable::Encode(gateways, tr);
   writer.Add(kTimerChunk, tr);
 
   ByteWriter sched;
@@ -323,22 +339,22 @@ void DistrictModel::SaveCheckpoint(SimTime barrier, const std::vector<TimerRecor
   Record("district.checkpoint", barrier, static_cast<uint64_t>(barrier.micros()));
 }
 
-bool DistrictModel::Resume(const RearmFn& rearm) {
+std::optional<SimTime> DistrictModel::Resume(std::vector<TimerRecord>* gateways) {
   const std::string path = ResolveResumePath(config_.snapshot);
   if (path.empty()) {
-    return false;
+    return std::nullopt;
   }
   const auto restore_start = std::chrono::steady_clock::now();
   std::string error;
-  if (!Restore(path, rearm, &error)) {
+  if (!Restore(path, gateways, &error)) {
     CheckConfigOrDie("district", {"cannot resume from " + path + ": " + error});
   }
   report_.restore_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - restore_start).count();
-  return true;
+  return sim_.Now() + SimTime::Micros(1);
 }
 
-bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
+bool DistrictModel::Restore(const std::string& path, std::vector<TimerRecord>* gateways,
                             std::string* error) {
   SnapshotReader reader;
   if (!OpenCheckpoint(reader, path, "district", DistrictStructuralDigest(config_), error)) {
@@ -349,6 +365,20 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
              "was written in an earlier format";
     return false;
   }
+
+  ByteReader sched = reader.Chunk(kSchedChunk);
+  const SimTime barrier = SimTime::Micros(sched.I64());
+  const uint64_t executed = sched.U64();
+  const uint64_t late = sched.U64();
+  if (!sched.ok()) {
+    *error = "scheduler chunk truncated";
+    return false;
+  }
+  *error = CheckRestoredBarrier(barrier, config_.horizon);
+  if (!error->empty()) {
+    return false;
+  }
+  sim_.scheduler().RestoreClock(barrier, executed, late);
 
   // Gateways before the fleet: each slot's saved covering count is checked
   // against the cells' up counts as it is decoded.
@@ -376,6 +406,9 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
       break;
     }
     *error = CheckRestoredCovering(d, slot.covering, service_);
+    if (error->empty()) {
+      *error = CheckRestoredDeadline(d, slot, barrier);
+    }
     if (!error->empty()) {
       return false;
     }
@@ -416,26 +449,34 @@ bool DistrictModel::Restore(const std::string& path, const RearmFn& rearm,
   }
   EndRestore(last_change);
 
-  ByteReader sched = reader.Chunk(kSchedChunk);
-  const SimTime now = SimTime::Micros(sched.I64());
-  const uint64_t executed = sched.U64();
-  const uint64_t late = sched.U64();
-  if (!sched.ok()) {
-    *error = "scheduler chunk truncated";
-    return false;
-  }
-  // Clock before timers: re-armed ScheduleAt calls must see the barrier
-  // as "now" so none of them count as late.
-  sim_.scheduler().RestoreClock(now, executed, late);
-
   ByteReader tr = reader.Chunk(kTimerChunk);
-  const std::vector<TimerRecord> records = TimerTable::Decode(tr);
+  *gateways = TimerTable::Decode(tr);
   if (!tr.ok()) {
     *error = "timer chunk truncated";
     return false;
   }
-  if (!rearm(records, error)) {
-    return false;
+  std::vector<uint8_t> pending(gateway_count(), 0);
+  for (const TimerRecord& r : *gateways) {
+    if (r.tag != kDistrictTimerGatewayFail && r.tag != kDistrictTimerGatewayRepair) {
+      *error = "snapshot carries timer tags this driver does not register";
+    } else if (r.a >= gateway_count()) {
+      *error = "gateway " + std::to_string(r.a) + " has a pending transition but the plan has " +
+               std::to_string(gateway_count()) + " gateways";
+    } else if (pending[r.a]++ != 0) {
+      *error = "gateway " + std::to_string(r.a) + " has more than one pending transition";
+    } else {
+      *error = CheckRestoredGatewayNext(r.a, gateway_up(static_cast<uint32_t>(r.a)),
+                                        r.tag == kDistrictTimerGatewayFail, r.at_us, barrier);
+    }
+    if (!error->empty()) {
+      return false;
+    }
+  }
+  for (uint32_t g = 0; g < gateway_count(); ++g) {
+    if (pending[g] == 0) {
+      *error = "gateway " + std::to_string(g) + " has no pending transition";
+      return false;
+    }
   }
 
   // What-if divergence: re-key the RNG root so post-restore lifetime

@@ -24,6 +24,9 @@
 // which RunTo drains between scheduler events (zone visits, gateway
 // transitions). The sampled engine's detailed windows arm failures on the
 // scheduler.
+// A `district` checkpoint is fleet and gateway state and one record per
+// gateway, its pending transition. An alive slot's deadline is its pending
+// failure; the zone visits after the barrier follow from the config.
 
 #ifndef SRC_CORE_DISTRICT_MODEL_H_
 #define SRC_CORE_DISTRICT_MODEL_H_
@@ -32,8 +35,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,13 +59,11 @@ inline constexpr const char* kDistrictVisit = "district.zone_visit";
 inline constexpr const char* kDistrictGatewayFail = "district.gateway_fail";
 inline constexpr const char* kDistrictGatewayRepair = "district.gateway_repair";
 
-// Domain timer tags of the `district` snapshot format (TimerRecord.tag).
-// Operands: visit a=zone b=cycle; gateway timers a=gateway; device failure
-// a=slot.
-inline constexpr uint64_t kDistrictTimerVisit = 1;
+// Domain timer tags of the `district` snapshot format (TimerRecord.tag):
+// a gateway's pending failure or repair, a=gateway. Earlier formats also
+// gave visits tag 1 and device failures tag 4; a reader refuses them.
 inline constexpr uint64_t kDistrictTimerGatewayFail = 2;
 inline constexpr uint64_t kDistrictTimerGatewayRepair = 3;
-inline constexpr uint64_t kDistrictTimerDeviceFail = 4;
 
 // Sites grouped by their exact covering-gateway set. All sites of a cell
 // are covered by the same gateways, so at every instant they share one
@@ -161,11 +162,15 @@ class ServiceCounts {
   uint64_t covered_ = 0;
 };
 
-// Restore check shared by the district snapshot readers: a slot saved with
-// `saved` operational gateways covering it must match the count the
-// restored gateway states give. Empty when they agree, else an error
-// naming the site.
+// Restore checks shared by the district snapshot readers, each empty when
+// the file agrees with itself, else an error naming the site or gateway: a
+// slot saved with `saved` operational gateways covering it must match the
+// count the restored gateway states give, and gateway g's next transition,
+// a failure if `fails`, at `at_us`, must be the next of its saved state
+// (`up` fails next, down is repaired next) and not before `barrier`.
 std::string CheckRestoredCovering(uint32_t site, uint32_t saved, const ServiceCounts& service);
+std::string CheckRestoredGatewayNext(uint64_t g, bool up, bool fails, int64_t at_us,
+                                     SimTime barrier);
 
 // Geometry every engine rebuilds from the config's structural fields: the
 // deployment plan, the gateway grid planned from the radio range, and the
@@ -293,6 +298,7 @@ class DistrictModel {
   // Each failure is counted and profiled under kDistrictDeviceFail.
   void RunTo(SimTime limit);
 
+  FailureCalendar& calendar() { return calendar_; }
   const FailureCalendar& calendar() const { return calendar_; }
 
   // Integrates alive and in-service site-time up to `now`; called before
@@ -312,9 +318,10 @@ class DistrictModel {
   }
 
   // Overlays saved state on a fresh model: every gateway's state, then each
-  // slot (whose covering count the reader has checked against those
-  // states with CheckRestoredCovering), then EndRestore, which recounts the
-  // fleet and moves the integration point to `last_change`.
+  // slot (whose covering count and deadline the reader has checked with
+  // CheckRestoredCovering and CheckRestoredDeadline), then EndRestore,
+  // which recounts the fleet and moves the integration point to
+  // `last_change`.
   void RestoreGateway(uint32_t g, bool up) { service_.SetGateway(g, up); }
   void RestoreSlot(uint32_t idx, const DeviceFleet::SlotState& slot) {
     fleet_.RestoreSlotState(idx, slot);
@@ -326,22 +333,23 @@ class DistrictModel {
 
   // --- Checkpoint/restore (`district` snapshots; whole-district models) ---
 
-  // Writes a `district` checkpoint at the quiescent `barrier` carrying the
-  // engine's pending timers.
-  void SaveCheckpoint(SimTime barrier, const std::vector<TimerRecord>& timers);
+  // Writes a `district` checkpoint at the quiescent `barrier`, with the
+  // engine's pending gateway transitions as `gateways`.
+  void SaveCheckpoint(SimTime barrier, const std::vector<TimerRecord>& gateways);
 
   // Restores from the plan's resume snapshot, if there is one: overlays the
-  // model state, restores the clock, hands the pending timer records to
-  // `rearm` (false + error refuses them) and applies the branch salt. Dies
-  // on a bad snapshot. Returns false on a fresh start.
-  using RearmFn = std::function<bool(const std::vector<TimerRecord>&, std::string* error)>;
-  bool Resume(const RearmFn& rearm);
+  // model state, restores the clock, applies the branch salt and fills
+  // `gateways` with the checked gateway records for the engine to re-arm
+  // after its visits. Returns the time from which the file's visits are
+  // pending, 1 us after its barrier (its one writer, the serial engine,
+  // ran the barrier's), or nothing on a fresh start. Dies on a bad file.
+  std::optional<SimTime> Resume(std::vector<TimerRecord>* gateways);
 
   // Closes the integrals at the horizon and fills the report's results.
   void Finish();
 
  private:
-  bool Restore(const std::string& path, const RearmFn& rearm, std::string* error);
+  bool Restore(const std::string& path, std::vector<TimerRecord>* gateways, std::string* error);
   void Record(const char* category, SimTime at, uint64_t arg) {
     if (recorder_ != nullptr) {
       recorder_->Record(category, at, arg);

@@ -22,13 +22,17 @@
 // bit-for-bit.
 //
 // Snapshots: a sampled run restores from a serial "district" checkpoint
-// (fleet/gateway/integral chunks map directly; pending timer records
-// become walk columns) but does not write checkpoints — DistrictConfig
-// validation rejects the combination.
+// but does not write checkpoints — DistrictConfig validation rejects the
+// combination. The file is state, so it maps straight onto the walk
+// columns: an alive slot's deadline is its unit's failure time, the
+// column the walk reads; each gateway's record is its next transition;
+// and the visits after the barrier, which the serial run had not reached,
+// are taken from the config.
 
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <span>
 #include <tuple>
@@ -55,18 +59,19 @@ class SampledDistrict {
     const SeriesSystem& gateway_bom = model_.gateway_bom();
     gw_table_ = SurvivalTable::Build(
         [&gateway_bom](SimTime t) { return gateway_bom.Survival(t); });
-    dev_fail_at_.assign(config.device_count, SimTime::Max());
     gw_next_at_.assign(model_.gateway_count(), SimTime::Max());
     gw_ordinal_.assign(model_.gateway_count(), 0);
   }
 
   void Run() {
-    RecordVisitSchedule();
-    const bool resumed = model_.Resume(
-        [this](const std::vector<TimerRecord>& records, std::string* error) {
-          return TakeTimerRecords(records, error);
-        });
-    if (resumed) {
+    std::vector<TimerRecord> gateways;
+    const std::optional<SimTime> visits_from = model_.Resume(&gateways);
+    RecordVisitSchedule(visits_from.value_or(SimTime()));
+    if (visits_from) {
+      // The model has checked one record per gateway, its next transition.
+      for (const TimerRecord& r : gateways) {
+        gw_next_at_[r.a] = SimTime::Micros(r.at_us);
+      }
       // Per-entity roots follow a branch salt's re-key of the model root.
       dev_root_ = model_.rng().Derive(1);
       gw_root_ = model_.rng().Derive(2);
@@ -112,11 +117,12 @@ class SampledDistrict {
   }
 
  private:
-  // Deploys the site's unit and arms its keyed failure draw.
+  // Deploys the site's unit and arms its keyed failure draw, which the
+  // fleet keeps as the slot's deadline.
   void DeployDeviceAt(uint32_t d, SimTime at) {
     model_.DeployAt(d, at);
-    dev_fail_at_[d] = at + SampleDeviceLife(d);
-    ArmNext(kDevFail, d, dev_fail_at_[d]);
+    model_.fleet().set_deadline(d, at + SampleDeviceLife(d));
+    ArmNext(kDevFail, d, model_.fleet().deadline(d));
   }
 
   // Event kinds, also the equal-time tie-break order (windows arm in this
@@ -126,42 +132,12 @@ class SampledDistrict {
   enum class Phase : uint8_t { kIdle, kWindow, kWalk };
   using WalkEvent = std::tuple<int64_t, uint8_t, uint32_t>;  // (at_us, kind, entity).
 
-  void RecordVisitSchedule() {
-    visits_ = BatchVisits(sim_, DistrictBatches(config_), config_.horizon);
+  // The visit schedule in time order from `from` on: every visit of a
+  // fresh run, or those a resumed run's file left pending.
+  void RecordVisitSchedule(SimTime from) {
+    visits_ = BatchVisits(sim_, DistrictBatches(config_), config_.horizon, from);
     std::stable_sort(visits_.begin(), visits_.end(),
                      [](const BatchVisit& a, const BatchVisit& b) { return a.at < b.at; });
-  }
-
-  // A serial checkpoint's pending timers become walk columns: visit
-  // records are redundant with the re-recorded schedule (keyed jitter
-  // draws), the rest carry each entity's next transition time.
-  bool TakeTimerRecords(const std::vector<TimerRecord>& records, std::string* error) {
-    for (const TimerRecord& r : records) {
-      const uint32_t entity = static_cast<uint32_t>(r.a);
-      switch (r.tag) {
-        case kDistrictTimerVisit:
-          break;
-        case kDistrictTimerGatewayFail:
-        case kDistrictTimerGatewayRepair:
-          if (entity >= gw_next_at_.size()) {
-            *error = "gateway timer record out of range";
-            return false;
-          }
-          gw_next_at_[entity] = SimTime::Micros(r.at_us);
-          break;
-        case kDistrictTimerDeviceFail:
-          if (entity >= config_.device_count) {
-            *error = "device timer record out of range";
-            return false;
-          }
-          dev_fail_at_[entity] = SimTime::Micros(r.at_us);
-          break;
-        default:
-          *error = "snapshot carries timer tags this driver does not register";
-          return false;
-      }
-    }
-    return true;
   }
 
   // Per-entity keyed draws (see file comment): one NextDouble per life.
@@ -251,9 +227,10 @@ class SampledDistrict {
         ArmNext(model_.gateway_up(g) ? kGwFail : kGwRepair, g, gw_next_at_[g]);
       }
     }
+    const DeviceFleet& fleet = model_.fleet();
     for (uint32_t d = 0; d < config_.device_count; ++d) {
-      if (model_.fleet().alive(d) && dev_fail_at_[d] < w1) {
-        ArmNext(kDevFail, d, dev_fail_at_[d]);
+      if (fleet.alive(d) && fleet.deadline(d) < w1) {
+        ArmNext(kDevFail, d, fleet.deadline(d));
       }
     }
   }
@@ -289,9 +266,10 @@ class SampledDistrict {
                     static_cast<uint8_t>(model_.gateway_up(g) ? kGwFail : kGwRepair), g});
       }
     }
+    const DeviceFleet& fleet = model_.fleet();
     for (uint32_t d = 0; d < config_.device_count; ++d) {
-      if (model_.fleet().alive(d) && dev_fail_at_[d] >= from && dev_fail_at_[d] < to) {
-        heap_.push({dev_fail_at_[d].micros(), kDevFail, d});
+      if (fleet.alive(d) && fleet.deadline(d) >= from && fleet.deadline(d) < to) {
+        heap_.push({fleet.deadline(d).micros(), kDevFail, d});
       }
     }
     while (!heap_.empty()) {
@@ -329,9 +307,9 @@ class SampledDistrict {
   SurvivalTable dev_table_;
   SurvivalTable gw_table_;
 
-  // Walk columns: each entity's next pending transition.
-  std::vector<BatchVisit> visits_;       // Full schedule, time-sorted.
-  std::vector<SimTime> dev_fail_at_;     // Valid while the device is alive.
+  // Walk columns: each entity's next pending transition. A device's is its
+  // fleet slot's deadline, valid while it is alive.
+  std::vector<BatchVisit> visits_;       // Pending schedule, time-sorted.
   std::vector<SimTime> gw_next_at_;      // Fail when up, repair when down.
   std::vector<uint32_t> gw_ordinal_;     // Life draws consumed per gateway.
 

@@ -15,7 +15,8 @@
 //    alone counts them. No lane ever needs another lane's events.
 //  - A lane's scheduler holds only zone visits and gateway transitions. Its
 //    unit failures wait in its model's failure calendar, and a drain to a
-//    barrier is the model's RunTo (district_model.h).
+//    barrier is the model's RunTo (district_model.h). A checkpoint saves
+//    them as the fleet's deadlines and the visits follow from the config.
 //  - The lanes drain together to barriers that exist only for observers:
 //    every 90 simulated days and at each checkpoint grid point, where the
 //    run writes the checkpoint and publishes its progress row. Each drain
@@ -170,7 +171,7 @@ class DistrictShardLane {
       return;
     }
 
-    ArmVisits(-1);
+    ArmVisits(SimTime());
     // t = 0: every gateway up.
     const uint32_t n_gw = model_->gateway_count();
     for (uint32_t g = 0; g < n_gw; ++g) {
@@ -213,6 +214,8 @@ class DistrictShardLane {
   // --- Read on the run's thread, lanes quiescent -------------------------
 
   const DistrictModel& model() const { return *model_; }
+  // Writes the lane's pending failures into its fleet's deadlines.
+  void StampDeadlines() { model_->calendar().StampDeadlines(); }
   // Gateway g's next transition, the same in every lane at a barrier.
   const GatewayCursor& cursor(uint32_t g) const { return cursors_[g]; }
 
@@ -249,31 +252,24 @@ class DistrictShardLane {
     // The visits after the barrier, then each live unit's pending failure
     // (its deadline) into the calendar. A visit wins a tie with a failure
     // by RunTo's drain order, as in the straight run.
-    ArmVisits(rs.barrier_us);
-    const DeviceFleet& fleet = model_->fleet();
-    for (uint32_t idx = 0; idx < model_->size(); ++idx) {
-      if (fleet.alive(idx) && fleet.deadline(idx) > barrier) {
-        model_->ArmFailure(idx, fleet.deadline(idx));
-      }
-    }
+    ArmVisits(barrier + SimTime::Micros(1));
+    model_->calendar().ArmDeadlines();
     cursors_ = rs.cursors;
     for (uint32_t g = 0; g < cursors_.size(); ++g) {
       ArmGateway(g);
     }
   }
 
-  // Arms every zone's visits after `after_us`: every lane arms them all (the
+  // Arms every zone's visits from `from`: every lane arms them all (the
   // same list from the shared seed) and walks its own sites of the zone. A
   // resumed lane keeps the visits strictly after its barrier: one at the
   // barrier ran in the saving run.
-  void ArmVisits(int64_t after_us) {
-    for (const BatchVisit& v : BatchVisits(sim_, DistrictBatches(config_), config_.horizon)) {
-      if (v.at.micros() > after_us) {
-        const uint32_t zone = v.zone;
-        sim_.scheduler().ScheduleAt(
-            v.at, [this, zone] { model_->ZoneVisitAt(zone, sim_.Now(), *this); },
-            kDistrictVisit);
-      }
+  void ArmVisits(SimTime from) {
+    for (const BatchVisit& v :
+         BatchVisits(sim_, DistrictBatches(config_), config_.horizon, from)) {
+      const uint32_t zone = v.zone;
+      sim_.scheduler().ScheduleAt(
+          v.at, [this, zone] { model_->ZoneVisitAt(zone, sim_.Now(), *this); }, kDistrictVisit);
     }
   }
 
@@ -307,11 +303,9 @@ class DistrictShardLane {
   // identical no matter which lane owns the site or when its replacement
   // lands.
   void ArmLife(uint32_t idx, SimTime at) {
-    DeviceFleet& fleet = model_->fleet();
-    RandomStream dev_rng = dev_root_.Derive(EntityKey(begin_ + idx, fleet.unit_generation(idx)));
-    const SimTime fail_at = at + model_->device_bom().SampleLife(dev_rng).life;
-    fleet.set_deadline(idx, fail_at);  // Snapshot re-arm source.
-    model_->ArmFailure(idx, fail_at);
+    RandomStream dev_rng =
+        dev_root_.Derive(EntityKey(begin_ + idx, model_->fleet().unit_generation(idx)));
+    model_->ArmFailure(idx, at + model_->device_bom().SampleLife(dev_rng).life);
   }
 
   const DistrictConfig& config_;
@@ -355,6 +349,7 @@ void SaveShardCheckpoint(const DistrictConfig& config, const Lanes& lanes, SimTi
   ByteWriter fleet;
   fleet.U64(config.device_count);
   for (const auto& lane : lanes) {
+    lane->StampDeadlines();
     for (uint32_t idx = 0; idx < lane->model().size(); ++idx) {
       EncodeFleetSlot(lane->model().SaveSlot(idx), fleet);
     }
@@ -437,16 +432,6 @@ bool LoadShardSnapshot(const std::string& path, const DistrictConfig& config,
     *error = "gateway chunk truncated";
     return false;
   }
-  ServiceCounts restored(*geo.cells);
-  for (uint32_t g = 0; g < n_gw; ++g) {
-    restored.SetGateway(g, rs.gw_up[g] != 0);
-  }
-  for (uint32_t d = 0; d < config.device_count; ++d) {
-    *error = CheckRestoredCovering(d, rs.slots[d].covering, restored);
-    if (!error->empty()) {
-      return false;
-    }
-  }
 
   ByteReader acc = reader.Chunk(kShardAccumChunk);
   rs.barrier_us = acc.I64();
@@ -458,6 +443,30 @@ bool LoadShardSnapshot(const std::string& path, const DistrictConfig& config,
   if (!acc.ok()) {
     *error = "accumulator chunk truncated";
     return false;
+  }
+
+  const SimTime barrier = SimTime::Micros(rs.barrier_us);
+  *error = CheckRestoredBarrier(barrier, config.horizon);
+  if (!error->empty()) {
+    return false;
+  }
+  ServiceCounts restored(*geo.cells);
+  for (uint32_t g = 0; g < n_gw; ++g) {
+    *error = CheckRestoredGatewayNext(g, rs.gw_up[g] != 0, rs.cursors[g].next_is_down != 0,
+                                      rs.cursors[g].next_at_us, barrier);
+    if (!error->empty()) {
+      return false;
+    }
+    restored.SetGateway(g, rs.gw_up[g] != 0);
+  }
+  for (uint32_t d = 0; d < config.device_count; ++d) {
+    *error = CheckRestoredCovering(d, rs.slots[d].covering, restored);
+    if (error->empty()) {
+      *error = CheckRestoredDeadline(d, rs.slots[d], barrier);
+    }
+    if (!error->empty()) {
+      return false;
+    }
   }
   return true;
 }

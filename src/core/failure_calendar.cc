@@ -2,7 +2,7 @@
 
 namespace centsim {
 
-FailureCalendar::FailureCalendar(const DeviceFleet& fleet, SimTime horizon)
+FailureCalendar::FailureCalendar(DeviceFleet& fleet, SimTime horizon)
     : fleet_(fleet),
       buckets_(static_cast<size_t>(std::max<int64_t>(horizon.micros(), 0) / kBucketUs) + 2) {}
 
@@ -35,6 +35,25 @@ const FailureCalendar::Entry* FailureCalendar::NextInLaterBucket(SimTime limit) 
     }
     if (buckets_[cur_].empty()) {
       return nullptr;
+    }
+  }
+}
+
+void FailureCalendar::StampDeadlines() {
+  for (size_t b = cur_; b < buckets_.size(); ++b) {
+    for (size_t k = b == cur_ ? pos_ : 0; k < buckets_[b].size(); ++k) {
+      const Entry& entry = buckets_[b][k];
+      if (entry.generation == fleet_.unit_generation(entry.slot)) {
+        fleet_.set_deadline(entry.slot, SimTime::Micros(entry.at_us));
+      }
+    }
+  }
+}
+
+void FailureCalendar::ArmDeadlines() {
+  for (uint32_t slot = 0; slot < fleet_.capacity(); ++slot) {
+    if (fleet_.alive(slot)) {
+      Arm(fleet_.deadline(slot), slot);
     }
   }
 }

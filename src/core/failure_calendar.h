@@ -4,6 +4,9 @@
 // (DetailedCentury). A failure needs no closure: each is one 16-byte
 // entry, its time, its slot and the unit generation it was armed for.
 //
+// A checkpoint holds no entry: an alive slot's DeviceFleet::deadline is its
+// pending failure, stamped only when a checkpoint is cut, never per arm.
+//
 // An entry runs after every scheduler event at or before its microsecond,
 // so a zone visit sees a site whose failure falls on the visit's
 // microsecond still alive, as in one queue where every visit is armed
@@ -46,7 +49,7 @@ class FailureCalendar final : public Scheduler::Unqueued {
   };
 
   // The calendar of `fleet`'s units over a run to `horizon`.
-  FailureCalendar(const DeviceFleet& fleet, SimTime horizon);
+  FailureCalendar(DeviceFleet& fleet, SimTime horizon);
 
   // Arms the failure of the unit now in `slot` at `at`, no earlier than the
   // clock.
@@ -98,19 +101,11 @@ class FailureCalendar final : public Scheduler::Unqueued {
     sched.SetUnqueued(nullptr);
   }
 
-  // Calls fn(entry) for every pending failure of a unit still in its slot,
-  // past-horizon ones included, in no particular order.
-  template <typename Fn>
-  void ForEach(const Fn& fn) const {
-    for (size_t b = cur_; b < buckets_.size(); ++b) {
-      for (size_t k = b == cur_ ? pos_ : 0; k < buckets_[b].size(); ++k) {
-        const Entry& entry = buckets_[b][k];
-        if (entry.generation == fleet_.unit_generation(entry.slot)) {
-          fn(entry);
-        }
-      }
-    }
-  }
+  // Writes each pending failure of a unit still in its slot, past-horizon
+  // ones included, into the slot's deadline (every alive unit has one), and
+  // arms each alive slot's deadline back, for a checkpoint and a restore.
+  void StampDeadlines();
+  void ArmDeadlines();
 
   // The entries not yet drained and the earliest one's time (SimTime::Max()
   // when none), past-horizon ones and those of units that have left their
@@ -144,7 +139,7 @@ class FailureCalendar final : public Scheduler::Unqueued {
   // non-empty bucket that starts at or before `limit`.
   const Entry* NextInLaterBucket(SimTime limit);
 
-  const DeviceFleet& fleet_;
+  DeviceFleet& fleet_;
   std::vector<std::vector<Entry>> buckets_;
   size_t cur_ = 0;       // The bucket the run is in; earlier ones are empty.
   size_t pos_ = 0;       // Its first pending entry.

@@ -280,7 +280,7 @@ DeviceFleet::SlotState DeviceFleet::SaveSlotState(uint32_t slot) const {
   s.unit_generation = unit_gen_[slot];
   s.deployed_at_us = deployed_at_[slot].micros();
   s.failed_at_us = failed_at_[slot].micros();
-  s.deadline_us = deadline_[slot].micros();
+  s.deadline_us = alive_[slot] != 0 ? deadline_[slot].micros() : 0;
   // A lifecycle-only slot writes what an untouched edge slot holds.
   const EnergyStorage::State storage =
       has_edge() ? energy_[slot].storage
@@ -303,7 +303,7 @@ void DeviceFleet::RestoreSlotState(uint32_t slot, const SlotState& s) {
   deployed_at_[slot] = SimTime::Micros(s.deployed_at_us);
   failed_at_[slot] = SimTime::Micros(s.failed_at_us);
   deadline_[slot] = SimTime::Micros(s.deadline_us);
-  failure_event_[slot] = kInvalidEventId;  // Rebuilt by timer re-arm.
+  failure_event_[slot] = kInvalidEventId;  // Rebuilt by the engine's re-arm.
   if (!has_edge()) {
     return;
   }

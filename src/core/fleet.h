@@ -150,6 +150,8 @@ class DeviceFleet {
   uint32_t unit_generation(uint32_t slot) const { return unit_gen_[slot]; }
   SimTime deployed_at(uint32_t slot) const { return deployed_at_[slot]; }
   SimTime failed_at(uint32_t slot) const { return failed_at_[slot]; }
+  // The alive unit's pending failure: kept by EdgeDevice and the sampled
+  // engines, stamped for a checkpoint by FailureCalendar's.
   SimTime deadline(uint32_t slot) const { return deadline_[slot]; }
   void set_deadline(uint32_t slot, SimTime t) { deadline_[slot] = t; }
   EventId failure_event(uint32_t slot) const { return failure_event_[slot]; }
@@ -198,6 +200,8 @@ class DeviceFleet {
     __builtin_prefetch(failed_at_.data() + slot, 1);
     __builtin_prefetch(class_.data() + slot);
   }
+  // Starts loading the slot's deadline line, for a walk that reads it.
+  void PrefetchDeadline(uint32_t slot) const { __builtin_prefetch(deadline_.data() + slot, 1); }
 
   // --- Coverage -----------------------------------------------------------
 
@@ -243,8 +247,10 @@ class DeviceFleet {
 
   // The mutable portion of one slot's columns: everything a checkpoint must
   // carry. Geometry (position, zone, class, harvester) is rebuilt from the
-  // config by the restoring driver, and failure_event ids are rebuilt by
-  // timer re-arm, so neither appears here. Doubles round-trip as raw bit
+  // config by the restoring driver, and failure_event ids by the engine
+  // that re-arms the failures, so neither appears here. `deadline_us` is
+  // an alive slot's pending failure, the one place a checkpoint keeps it;
+  // a dead slot saves 0. Doubles round-trip as raw bit
   // patterns so restored energy arithmetic continues bit-identically.
   // `covering` is not a fleet column: SaveSlotState leaves it 0 and
   // RestoreSlotState ignores it. The district engines write the count of

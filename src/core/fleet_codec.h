@@ -1,9 +1,12 @@
 // Byte codec for DeviceFleet::SlotState — shared by every fleet-backed
 // driver's checkpoint chunks. 13 fields, 85 bytes per slot, encoded in
-// declaration order.
+// declaration order — and the restore checks every reader makes of its
+// barrier and of a slot's pending failure.
 
 #ifndef SRC_CORE_FLEET_CODEC_H_
 #define SRC_CORE_FLEET_CODEC_H_
+
+#include <string>
 
 #include "src/core/fleet.h"
 #include "src/snapshot/bytes.h"
@@ -42,6 +45,29 @@ inline DeviceFleet::SlotState DecodeFleetSlot(ByteReader& r) {
   s.tx_granted = r.U64();
   s.tx_denied = r.U64();
   return s;
+}
+
+// A checkpoint is cut inside the run it resumes, at a barrier in [0,
+// horizon). Empty when `barrier` is, else an error naming it.
+inline std::string CheckRestoredBarrier(SimTime barrier, SimTime horizon) {
+  if (barrier >= SimTime() && barrier < horizon) {
+    return "";
+  }
+  return "barrier at " + std::to_string(barrier.micros()) + " us is outside the run, which ends at " +
+         std::to_string(horizon.micros()) + " us";
+}
+
+// An alive slot's deadline is its unit's pending failure, which a run
+// drained to the checkpoint's `barrier` cannot have left before it. Empty
+// when the slot of `site` passes, else an error naming the site.
+inline std::string CheckRestoredDeadline(uint64_t site, const DeviceFleet::SlotState& s,
+                                         SimTime barrier) {
+  if (s.alive == 0 || s.deadline_us >= barrier.micros()) {
+    return "";
+  }
+  return "site " + std::to_string(site) + " is alive with its pending failure at " +
+         std::to_string(s.deadline_us) + " us, before the barrier at " +
+         std::to_string(barrier.micros()) + " us";
 }
 
 }  // namespace centsim

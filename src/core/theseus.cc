@@ -5,9 +5,14 @@
 // Determinism: every lifetime draw is keyed by (site index, unit
 // generation), and the availability integral is exact integer
 // site-microseconds (SiteSeconds).
+//
+// Checkpoints hold no timer: a resumed run arms the visits from the config
+// as a fresh one does, from the time its file names, and the failures from
+// the fleet's deadlines.
 
 #include "src/core/theseus.h"
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,36 +27,19 @@ DetailedCentury::DetailedCentury(Simulation& sim, const CenturyConfig& config,
     : sim_(sim),
       config_(config),
       model_(sim, config, report, 0, config.fleet_size, config.control.recorder),
-      timers_(sim.scheduler(), config.snapshot.checkpoint_every.micros() > 0),
-      calendar_(model_.fleet(), config.horizon) {
-  if (timers_.tracking()) {
-    fail_seq_.resize(model_.size());
-  }
-  timers_.Register(kCenturyTimerVisit, [this](const TimerRecord& r) {
-    ArmVisit(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a), static_cast<uint32_t>(r.b));
-  });
-  // The model has checked each failure record's life against its site's
-  // deployment time, from which a failure derives it.
-  timers_.Register(kCenturyTimerSiteFail, [this](const TimerRecord& r) {
-    ArmSiteFailure(SimTime::Micros(r.at_us), static_cast<uint32_t>(r.a));
-  });
-}
+      calendar_(model_.fleet(), config.horizon) {}
 
 void DetailedCentury::Run() {
-  const bool resumed = CenturyModel::Resume(
-      whole_,
-      [this](const std::vector<TimerRecord>& records, std::string* error) {
-        if (timers_.Restore(records) != 0) {
-          *error = "snapshot carries timer tags this driver does not register";
-          return false;
-        }
-        return true;
-      },
-      model_.report());
-  if (!resumed) {
-    for (const BatchVisit& v : BatchVisits(sim_, config_.batch, config_.horizon)) {
-      ArmVisit(v.at, v.zone, v.cycle);
-    }
+  const std::optional<SimTime> visits_from = CenturyModel::Resume(whole_, model_.report());
+  for (const BatchVisit& v :
+       BatchVisits(sim_, config_.batch, config_.horizon, visits_from.value_or(SimTime()))) {
+    const uint32_t zone = v.zone;
+    sim_.scheduler().ScheduleAt(
+        v.at, [this, zone] { model_.ZoneVisitAt(zone, sim_.Now(), *this); }, kCenturyVisit);
+  }
+  if (visits_from) {
+    calendar_.ArmDeadlines();
+  } else {
     for (uint32_t idx = 0; idx < model_.size(); ++idx) {
       DeploySiteAt(idx, sim_.Now());
     }
@@ -86,22 +74,6 @@ void DetailedCentury::RunTo(SimTime limit) {
                     Accumulate(at);
                     model_.SiteFailAt(idx, at, at - model_.fleet().deployed_at(idx));
                   });
-}
-
-void DetailedCentury::ArmVisit(SimTime at, uint32_t zone, uint32_t cycle) {
-  timers_.Schedule(at, kCenturyTimerVisit, zone, cycle, 0.0,
-                   [this, zone] { model_.ZoneVisitAt(zone, sim_.Now(), *this); },
-                   kCenturyVisit);
-}
-
-std::vector<TimerRecord> DetailedCentury::PendingTimers() const {
-  std::vector<TimerRecord> failures;
-  calendar_.ForEach([&](const FailureCalendar::Entry& e) {
-    const SimTime life = SimTime::Micros(e.at_us) - model_.fleet().deployed_at(e.slot);
-    failures.push_back({kCenturyTimerSiteFail, e.at_us, fail_seq_[e.slot], e.slot,
-                        static_cast<uint64_t>(life.micros()), 0.0});
-  });
-  return timers_.Save(std::move(failures));
 }
 
 std::vector<std::string> CenturyConfig::Validate() const {

@@ -19,8 +19,8 @@
 //
 // Walk blocks: the fleet is split into fixed blocks of kWalkBlockSites
 // consecutive sites. A block holds a CenturyModel over its range with a
-// block-local report, its own fail_at_ column and its own transition
-// calendar. Sites
+// block-local report, whose fleet's deadline column holds each alive
+// unit's failure time, and its own transition calendar. Sites
 // never interact, so the roll-out, every fast-forward span and the final
 // censoring run the blocks on the caller and the spare cores. The visit
 // schedule, the survival table, the controller, the window hooks and the
@@ -39,14 +39,16 @@
 // lookup vs SampleLife's component minimum), so sampled and serial runs
 // agree in distribution, not bit-for-bit.
 //
-// Checkpoints are cut at detailed-window barriers in the serial chunk
-// layout: pending walk state (visits >= barrier, per-site next failures)
-// is synthesized into the serial engine's timer records, so a sampled
-// checkpoint restores into either engine and vice versa (closes the
-// snapshot subsystem's warm-start hook).
+// Checkpoints are cut at detailed-window barriers in the detailed engine's
+// `century` format, which is fleet state: each alive unit's failure is
+// already its deadline, and the visits are pending from the barrier, which
+// a window stops short of. A sampled checkpoint restores into either
+// engine and vice versa; a resumed run walks the visits from the time the
+// file names.
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/century_model.h"
@@ -84,14 +86,17 @@ class SampledCentury {
   }
 
   void Run() {
-    RecordVisitSchedule();
-    const bool resumed = CenturyModel::Resume(
-        models_,
-        [this](const std::vector<TimerRecord>& records, std::string* error) {
-          return TakeCheckpointState(records, error);
-        },
-        report_);
-    if (!resumed) {
+    const std::optional<SimTime> visits_from = CenturyModel::Resume(models_, report_);
+    RecordVisitSchedule(visits_from.value_or(SimTime()));
+    if (visits_from) {
+      // The integral, restored into the first block, goes to interval
+      // form: up to the barrier (a detailed save integrates only to its
+      // last transition), less each block's open intervals' prefixes.
+      const SimTime barrier = sim_.Now();
+      SiteSeconds& restored = models_.front()->alive();
+      restored.AddSpan(restored.last_change, barrier, static_cast<int64_t>(Count().alive));
+      ForEachBlock([barrier](Block& block) { block.ResumeAt(barrier); });
+    } else {
       // Initial roll-out: all sites deployed in year 0, serial-identically.
       const SimTime now = sim_.Now();
       ForEachBlock([now](Block& block) { block.RollOut(now); });
@@ -147,23 +152,23 @@ class SampledCentury {
   static constexpr uint32_t kCalRevive = 1;
   static constexpr uint32_t kCalRefresh = 2;
   static constexpr int64_t kCalBucketUs = 14LL * 24 * 3600 * 1000000;  // 14 days.
-  // While the walk runs a bucket's entry e it prefetches the fleet and
-  // fail_at_ lines of entry e + kWalkPrefetchAhead, so the random misses of
-  // consecutive transitions overlap. 32 measured no better than 16.
+  // While the walk runs a bucket's entry e it prefetches the fleet's
+  // lifecycle and deadline lines of entry e + kWalkPrefetchAhead, so the
+  // random misses of consecutive transitions overlap. 32 measured no
+  // better than 16.
   static constexpr size_t kWalkPrefetchAhead = 16;
 
-  // One walk block: the model over sites [begin, end) with its own report,
-  // fail_at_ column and calendar. Its walk touches nothing outside the
-  // block but the engine's read-only schedule and table, so blocks walk in
-  // parallel. Its window hooks run on the main thread and keep the
-  // engine's window accumulators.
+  // One walk block: the model over sites [begin, end) with its own report
+  // and calendar. Its walk touches nothing outside the block but the
+  // engine's read-only schedule and table, so blocks walk in parallel. Its
+  // window hooks run on the main thread and keep the engine's window
+  // accumulators.
   class Block {
    public:
     Block(SampledCentury& engine, uint32_t begin, uint32_t end, FlightRecorder* recorder)
         : engine_(engine),
           begin_(begin),
           model_(engine.sim_, engine.config_, report_, begin, end, recorder),
-          fail_at_(end - begin, SimTime::Max()),
           calendar_(static_cast<size_t>(engine.config_.horizon.micros() / kCalBucketUs) + 1) {}
 
     CenturyModel& model() { return model_; }
@@ -184,12 +189,13 @@ class SampledCentury {
     void DeploySiteAt(uint32_t idx, SimTime at) {
       model_.DeployAt(idx, at);
       RandomStream site_rng = model_.SiteStream(idx);
-      fail_at_[idx] = at + engine_.life_table_.Sample(site_rng) * model_.LifeScaleAt(at);
+      model_.fleet().set_deadline(
+          idx, at + engine_.life_table_.Sample(site_rng) * model_.LifeScaleAt(at));
       QueueNextTransition(idx, at);
       if (engine_.in_window_) {
         ++engine_.win_open_count_;
         engine_.win_open_start_sum_s_ += at.ToSeconds();
-        if (fail_at_[idx] < engine_.win_w1_) {
+        if (FailAt(idx) < engine_.win_w1_) {
           ArmWindowFailure(idx);
         }
       }
@@ -221,7 +227,7 @@ class SampledCentury {
           if (en.kind != kCalFail || at < w0 || at >= w1) {
             continue;
           }
-          if (model_.fleet().alive(en.idx) && fail_at_[en.idx] == at) {
+          if (model_.fleet().alive(en.idx) && FailAt(en.idx) == at) {
             ArmWindowFailure(en.idx);
           }
         }
@@ -265,7 +271,7 @@ class SampledCentury {
           if (e + kWalkPrefetchAhead < bucket.size()) {
             const uint32_t ahead = bucket[e + kWalkPrefetchAhead].idx;
             model_.fleet().PrefetchLifecycle(ahead);
-            __builtin_prefetch(fail_at_.data() + ahead, 1);
+            model_.fleet().PrefetchDeadline(ahead);
           }
           const CalEntry en = bucket[e];
           const SimTime at = SimTime::Micros(en.at_us);
@@ -273,7 +279,7 @@ class SampledCentury {
             continue;
           }
           if (en.kind == kCalFail) {
-            if (!model_.fleet().alive(en.idx) || fail_at_[en.idx] != at) {
+            if (!model_.fleet().alive(en.idx) || FailAt(en.idx) != at) {
               continue;  // Stale: consumed in a window or superseded.
             }
             SiteFailAt(en.idx, at);
@@ -335,25 +341,13 @@ class SampledCentury {
       }
     }
 
-    // Each alive site's next failure as the serial engine's timer record.
-    void AppendFailureRecords(std::vector<TimerRecord>& records) const {
-      for (uint32_t idx = 0; idx < model_.size(); ++idx) {
-        if (model_.fleet().alive(idx)) {
-          records.push_back({kCenturyTimerSiteFail, fail_at_[idx].micros(), 0, begin_ + idx,
-                             static_cast<uint64_t>(PendingLife(idx).micros()), 0.0});
-        }
-      }
-    }
-
-    void TakeFailure(uint32_t idx, SimTime at) { fail_at_[idx] = at; }
-
-    // Once the restored failures are taken: backs the open intervals'
-    // prefixes out of the block's integral, so the eventual full-interval
-    // close does not double-count them, and rebuilds the calendar from the
-    // restored columns. Alive sites queue their next transition (refresh
-    // or failure) no earlier than the barrier; dead sites queue their
-    // revive at the first visit at or after the barrier (any earlier visit
-    // would have revived them before the snapshot was cut).
+    // Once the fleet is restored: backs the open intervals' prefixes out of
+    // the block's integral, so the eventual full-interval close does not
+    // double-count them, and rebuilds the calendar from the restored
+    // columns. Alive sites queue their next transition (refresh or
+    // failure) no earlier than the barrier; dead sites queue their revive
+    // at their zone's first pending visit (any earlier visit would have
+    // revived them before the snapshot was cut).
     void ResumeAt(SimTime barrier) {
       const DeviceFleet& fleet = model_.fleet();
       for (uint32_t idx = 0; idx < model_.size(); ++idx) {
@@ -413,30 +407,29 @@ class SampledCentury {
         const std::vector<SimTime>& visits = ZoneVisits(idx);
         const auto it = std::lower_bound(visits.begin(), visits.end(),
                                          std::max(from, model_.fleet().deployed_at(idx) + age));
-        if (it != visits.end() && *it <= fail_at_[idx]) {
+        if (it != visits.end() && *it <= FailAt(idx)) {
           CalendarPush(kCalRefresh, idx, *it);
           return;
         }
       }
-      CalendarPush(kCalFail, idx, fail_at_[idx]);
+      CalendarPush(kCalFail, idx, FailAt(idx));
     }
 
-    // The pending unit's sampled life, derived: it was deployed at
-    // deployed_at and fails at fail_at_, both in integer micros.
-    SimTime PendingLife(uint32_t idx) const {
-      return fail_at_[idx] - model_.fleet().deployed_at(idx);
-    }
+    // The alive unit's failure time: its deadline.
+    SimTime FailAt(uint32_t idx) const { return model_.fleet().deadline(idx); }
 
+    // The failure feeds the estimator the unit's sampled life, derived in
+    // integer micros: its deadline minus its deployment time.
     void SiteFailAt(uint32_t idx, SimTime at) {
       CloseAliveInterval(idx, at);
-      model_.SiteFailAt(idx, at, PendingLife(idx));
+      model_.SiteFailAt(idx, at, FailAt(idx) - model_.fleet().deployed_at(idx));
     }
 
     void ArmWindowFailure(uint32_t idx) {
       Scheduler& scheduler = engine_.sim_.scheduler();
       model_.fleet().set_failure_event(
           idx, scheduler.ScheduleAt(
-                   fail_at_[idx],
+                   FailAt(idx),
                    [this, idx] {
                      model_.fleet().set_failure_event(idx, kInvalidEventId);
                      const SimTime at = engine_.sim_.Now();
@@ -459,9 +452,6 @@ class SampledCentury {
     const uint32_t begin_;
     CenturyReport report_;  // Block-local counters and survival observations.
     CenturyModel model_;
-    // Per-site walk column: the pending unit's failure time (valid while
-    // the site is alive). Its life is derived (PendingLife), not stored.
-    std::vector<SimTime> fail_at_;
     std::vector<std::vector<CalEntry>> calendar_;
   };
 
@@ -495,10 +485,11 @@ class SampledCentury {
     return tally;
   }
 
-  // The batch project's full visit schedule, the serial engine's, in time
-  // order.
-  void RecordVisitSchedule() {
-    visits_ = BatchVisits(sim_, config_.batch, config_.horizon);
+  // The batch project's visit schedule, the serial engine's, in time order
+  // from `from` on: every visit a fresh run makes, or those a resumed run's
+  // file left pending.
+  void RecordVisitSchedule(SimTime from) {
+    visits_ = BatchVisits(sim_, config_.batch, config_.horizon, from);
     std::stable_sort(visits_.begin(), visits_.end(),
                      [](const BatchVisit& a, const BatchVisit& b) { return a.at < b.at; });
     zone_visits_.assign(models_.front()->zone_count(), {});
@@ -577,39 +568,11 @@ class SampledCentury {
 
   // --- Checkpoint/restore -------------------------------------------------
 
-  // Pending walk state rendered as the serial engine's timer records:
-  // every visit at or after the barrier, plus each alive site's next
-  // failure. Sorted by time with visits before failures on ties, the same
-  // order the serial engine's table would re-arm them in.
-  std::vector<TimerRecord> SyntheticTimerRecords(SimTime barrier) const {
-    std::vector<TimerRecord> records;
-    const auto first = std::lower_bound(
-        visits_.begin(), visits_.end(), barrier,
-        [](const BatchVisit& v, SimTime t) { return v.at < t; });
-    for (auto it = first; it != visits_.end(); ++it) {
-      records.push_back({kCenturyTimerVisit, it->at.micros(), 0, it->zone, it->cycle, 0.0});
-    }
-    for (const std::unique_ptr<Block>& block : blocks_) {
-      block->AppendFailureRecords(records);
-    }
-    std::stable_sort(records.begin(), records.end(),
-                     [](const TimerRecord& a, const TimerRecord& b) {
-                       if (a.at_us != b.at_us) {
-                         return a.at_us < b.at_us;
-                       }
-                       return a.tag == kCenturyTimerVisit && b.tag != kCenturyTimerVisit;
-                     });
-    for (size_t i = 0; i < records.size(); ++i) {
-      records[i].seq = i;
-    }
-    return records;
-  }
-
-  // Checkpoints use the serial layout: the interval-form integral is
-  // brought fully up to the barrier (the blocks' integrals summed, open
-  // intervals' shares added) and written with last_change == barrier, and
-  // the pending walk state is rendered as the serial engine's timer
-  // records.
+  // Checkpoints use the detailed engine's format: the interval-form
+  // integral is brought fully up to the barrier (the blocks' integrals
+  // summed, open intervals' shares added) and written with last_change ==
+  // barrier. The window stopped short of the barrier, so its visits are
+  // pending.
   void SaveCheckpoint(SimTime barrier) {
     SiteSeconds at_barrier(config_.horizon);
     for (const std::unique_ptr<Block>& block : blocks_) {
@@ -617,35 +580,7 @@ class SampledCentury {
       block->AddOpenIntervals(at_barrier, barrier);
     }
     at_barrier.last_change = barrier;
-    CenturyModel::SaveCheckpoint(models_, barrier, at_barrier, SyntheticTimerRecords(barrier),
-                                 report_);
-  }
-
-  // Called by the model's restore once the clock sits on the barrier.
-  bool TakeCheckpointState(const std::vector<TimerRecord>& records, std::string* error) {
-    // Convert the serial integral, restored into the first block, into
-    // interval form: bring it up to the barrier (a serial save integrates
-    // only to its last transition); each block then backs out its open
-    // intervals' prefixes.
-    const SimTime barrier = sim_.Now();
-    SiteSeconds& restored = models_.front()->alive();
-    restored.AddSpan(restored.last_change, barrier, static_cast<int64_t>(Count().alive));
-
-    // Timer records -> walk columns. Visit records are redundant with the
-    // re-recorded schedule (jitter draws are keyed identically), so only
-    // failure records carry state; the model's restore has checked each
-    // against the fleet, so its life is fail time minus deployment.
-    for (const TimerRecord& r : records) {
-      if (r.tag == kCenturyTimerSiteFail) {
-        blocks_[r.a / kWalkBlockSites]->TakeFailure(static_cast<uint32_t>(r.a % kWalkBlockSites),
-                                                    SimTime::Micros(r.at_us));
-      } else if (r.tag != kCenturyTimerVisit) {
-        *error = "snapshot carries timer tags this driver does not register";
-        return false;
-      }
-    }
-    ForEachBlock([barrier](Block& block) { block.ResumeAt(barrier); });
-    return true;
+    CenturyModel::SaveCheckpoint(models_, barrier, /*visits_from=*/barrier, at_barrier, report_);
   }
 
   Simulation& sim_;

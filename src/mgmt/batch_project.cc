@@ -3,7 +3,7 @@
 namespace centsim {
 
 std::vector<BatchVisit> BatchVisits(const Simulation& sim, const BatchProjectParams& params,
-                                    SimTime horizon) {
+                                    SimTime horizon, SimTime from) {
   RandomStream rng = sim.StreamFor(0x6261746368ULL);
   const SimTime slot = params.cycle_period * (1.0 / params.zone_count);
   std::vector<BatchVisit> visits;
@@ -15,7 +15,7 @@ std::vector<BatchVisit> BatchVisits(const Simulation& sim, const BatchProjectPar
     for (uint32_t zone = 0; zone < params.zone_count; ++zone) {
       const SimTime at = cycle_start + slot * static_cast<double>(zone) +
                          SimTime::Seconds(rng.Uniform(0.0, params.visit_jitter.ToSeconds()));
-      if (at <= horizon) {
+      if (at >= from && at <= horizon) {
         visits.push_back({at, zone, cycle});
       }
     }

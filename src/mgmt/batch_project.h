@@ -36,9 +36,10 @@ struct BatchVisit {
 // period, so at any moment some zone is freshly refreshed and another is
 // due (the paper's pipelining), and each visit is jittered within its slot
 // by one draw from `sim`'s batch stream. A cycle's draws are made for every
-// zone, so the list through a later horizon begins with this one.
+// zone, so the list through a later horizon begins with this one. Only the
+// visits at or after `from` are returned: a resumed run's pending ones.
 std::vector<BatchVisit> BatchVisits(const Simulation& sim, const BatchProjectParams& params,
-                                    SimTime horizon);
+                                    SimTime horizon, SimTime from = SimTime());
 
 }  // namespace centsim
 

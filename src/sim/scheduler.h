@@ -198,10 +198,6 @@ class Scheduler {
     EndProfiledEvent(category, at, timed, t0, timed ? profiler_->NowNs() : 0);
   }
 
-  // Takes a sequence number for an event kept outside the queue, so that a
-  // checkpoint can order it among the queued timers as it was armed.
-  uint64_t TakeSequence() { return next_seq_++; }
-
   // Checkpoint/shard barrier: runs every event at or before `barrier` and
   // leaves the clock exactly there — afterwards no callback is mid-flight
   // and every pending event is strictly later, the quiescent point that
@@ -224,9 +220,9 @@ class Scheduler {
 
   // Restore support: overwrites the clock and counters of an EMPTY
   // scheduler (asserted) so a resumed run continues the saved run's
-  // accounting. Pending timers are re-armed afterwards by the snapshot
-  // layer's typed timer table; they receive fresh (monotonic) sequence
-  // numbers, which preserves their saved relative order.
+  // accounting. The restoring engine re-arms the pending events afterwards
+  // in their saved relative order; they receive fresh (monotonic) sequence
+  // numbers, which preserves it.
   void RestoreClock(SimTime now, uint64_t executed, uint64_t late_schedules);
 
   // The sequence number the NEXT ScheduleAt call will stamp. The snapshot

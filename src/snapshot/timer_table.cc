@@ -28,8 +28,9 @@ bool TimerTable::Cancel(EventId id) {
   return true;
 }
 
-std::vector<TimerRecord> TimerTable::Save(std::vector<TimerRecord> records) const {
-  records.reserve(records.size() + live_);
+std::vector<TimerRecord> TimerTable::Save() const {
+  std::vector<TimerRecord> records;
+  records.reserve(live_);
   for (const Entry& e : entries_) {
     if (e.live) {
       records.push_back(e.rec);

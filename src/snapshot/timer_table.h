@@ -2,11 +2,12 @@
 // are built on.
 //
 // EventFn closures cannot be serialized, so checkpoints do not pickle the
-// scheduler queue. Instead, drivers route every DOMAIN timer (batch-visit,
-// gateway failure/repair, device failure, ...) through this table, which
-// keeps one plain-data TimerRecord — a tag naming the timer's type plus
-// the small integers/doubles needed to rebuild its closure — per pending
-// event. At a quiescent barrier the table IS the scheduler state: Save()
+// scheduler queue. A driver routes each DOMAIN timer its state does not
+// already determine (the serial district's gateway transitions; zone
+// visits follow from the config, unit failures are fleet deadlines)
+// through this table, which keeps one plain-data TimerRecord — a tag
+// naming the timer's type plus the small integers/doubles needed to
+// rebuild its closure — per pending event. At a quiescent barrier Save()
 // returns the live records, and Restore() hands each one to the re-arm
 // callback its layer registered for that tag, which re-creates the closure
 // from domain state and schedules it again.
@@ -107,9 +108,8 @@ class TimerTable {
   // if the event already fired or was cancelled (record already released).
   bool Cancel(EventId id);
 
-  // Live records sorted by (at, seq) — the re-arm order — together with
-  // `records`, the caller's records of events kept outside the table.
-  std::vector<TimerRecord> Save(std::vector<TimerRecord> records = {}) const;
+  // Live records sorted by (at, seq) — the re-arm order.
+  std::vector<TimerRecord> Save() const;
 
   // Re-arms every record through its tag's registered callback, in the
   // given order. Records carrying an unregistered tag are counted (return

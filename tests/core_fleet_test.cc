@@ -797,10 +797,10 @@ TEST(EnginePinTest, CheckpointFilesByteIdentical) {
 
   std::printf("checkpoint pins: %s %s %s %s\n", serial_district.c_str(),
               sharded_district.c_str(), serial_century.c_str(), sampled_century.c_str());
-  EXPECT_EQ(serial_district, "f705bae0be54155b");
-  EXPECT_EQ(sharded_district, "693a80c75d32400a");
-  EXPECT_EQ(serial_century, "eeaa335d76a7ef7e");
-  EXPECT_EQ(sampled_century, "5fcf78b8893d4bd4");
+  EXPECT_EQ(serial_district, "ac7235ccea5c082f");
+  EXPECT_EQ(sharded_district, "4c5b9b031f091f55");
+  EXPECT_EQ(serial_century, "26f835143bd58d2f");
+  EXPECT_EQ(sampled_century, "b089476b4a58f01d");
 }
 
 }  // namespace

@@ -14,9 +14,16 @@
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "src/core/century_model.h"
 #include "src/core/district.h"
+#include "src/core/district_model.h"
 #include "src/core/theseus.h"
+#include "src/mgmt/batch_project.h"
+#include "src/sim/flight_recorder.h"
 #include "src/sim/sampling.h"
 #include "src/sim/thread_pool.h"
 #include "src/sim/time.h"
@@ -90,6 +97,43 @@ CenturyConfig BlocksCentury() {
   cfg.proactive_refresh_age = SimTime::Years(15);
   cfg.life_improvement_per_decade = 1.05;
   return cfg;
+}
+
+// Zone visits on a grid of whole days, with no jitter: 4 zones every 80
+// days, so zone z of cycle c is visited on day 80c + 20z.
+CenturyConfig VisitGridCentury() {
+  CenturyConfig cfg;
+  cfg.seed = 11;
+  cfg.fleet_size = 300;
+  cfg.horizon = SimTime::Days(100);
+  cfg.batch.zone_count = 4;
+  cfg.batch.cycle_period = SimTime::Days(80);
+  cfg.batch.visit_jitter = SimTime();
+  return cfg;
+}
+
+// Windows of 10 days every `period` days, which never converge early.
+SamplingPlan VisitGridSampling(SimTime period) {
+  SamplingPlan plan;
+  plan.mode = SimMode::kSampled;
+  plan.detailed_window = SimTime::Days(10);
+  plan.sample_period = period;
+  plan.min_windows = 100;
+  plan.ci_target = 1e-9;
+  return plan;
+}
+
+// The (time, zone) of every `category` record `recorder` holds, oldest
+// first.
+std::vector<std::pair<SimTime, uint64_t>> Recorded(const FlightRecorder& recorder,
+                                                   std::string_view category) {
+  std::vector<std::pair<SimTime, uint64_t>> out;
+  for (const FlightRecorder::Entry& e : recorder.Snapshot()) {
+    if (e.category != nullptr && category == e.category) {
+      out.emplace_back(e.sim_at, e.arg);
+    }
+  }
+  return out;
 }
 
 std::string Describe(const CenturyConfig& cfg) {
@@ -363,6 +407,57 @@ TEST(CenturySampledTest, SerialCheckpointRestoresIntoSampled) {
   }
 }
 
+// A checkpoint cut on a zone visit's microsecond. A sampled window stops
+// short of its barrier, so a sampled file leaves that visit pending, and
+// the detailed engine resumed from it runs the visit at the barrier:
+// dropping it would leave the zone's dead units dark for a whole cycle.
+TEST(CenturySampledTest, SampledCheckpointOnAVisitLeavesTheVisitToTheSerialEngine) {
+  ScratchDir dir("sampled_ckpt_on_visit");
+  CenturyConfig save_cfg = VisitGridCentury();
+  // Windows [0, 10) and [50, 60) days; the first barrier past day 55 is
+  // day 60, zone 3's visit.
+  save_cfg.sampling = VisitGridSampling(SimTime::Days(50));
+  save_cfg.snapshot.checkpoint_every = SimTime::Days(55);
+  save_cfg.snapshot.checkpoint_dir = dir.path();
+  const CenturyReport saved = RunCenturyScenario(save_cfg);
+  ASSERT_EQ(saved.checkpoints_written, 1u);
+
+  FlightRecorder recorder;
+  CenturyConfig resume_cfg = VisitGridCentury();
+  resume_cfg.snapshot.resume_from = saved.last_checkpoint_path;
+  resume_cfg.control.recorder = &recorder;
+  const CenturyReport restored = RunCenturyScenario(resume_cfg);
+  EXPECT_FALSE(restored.sampled);
+  EXPECT_GT(restored.restore_seconds, 0.0);
+  EXPECT_EQ(Recorded(recorder, kCenturyVisit),
+            (std::vector<std::pair<SimTime, uint64_t>>{
+                {SimTime::Days(60), 3}, {SimTime::Days(80), 0}, {SimTime::Days(100), 1}}));
+}
+
+// The detailed engine runs the visits at its barrier before it cuts the
+// checkpoint, so the sampled engine resumed from that file does not run
+// one again: its first window, [60, 70) days, records none, and its
+// second, [80, 90), records zone 0's.
+TEST(CenturySampledTest, SerialCheckpointOnAVisitIsNotRepeatedBySampled) {
+  ScratchDir dir("serial_ckpt_on_visit");
+  CenturyConfig save_cfg = VisitGridCentury();
+  save_cfg.snapshot.checkpoint_every = SimTime::Days(60);
+  save_cfg.snapshot.checkpoint_dir = dir.path();
+  const CenturyReport saved = RunCenturyScenario(save_cfg);
+  ASSERT_EQ(saved.checkpoints_written, 1u);
+
+  FlightRecorder recorder;
+  CenturyConfig resume_cfg = VisitGridCentury();
+  resume_cfg.sampling = VisitGridSampling(SimTime::Days(20));
+  resume_cfg.snapshot.resume_from = saved.last_checkpoint_path;
+  resume_cfg.control.recorder = &recorder;
+  const CenturyReport restored = RunCenturyScenario(resume_cfg);
+  EXPECT_TRUE(restored.sampled);
+  EXPECT_GT(restored.restore_seconds, 0.0);
+  EXPECT_EQ(Recorded(recorder, kCenturyVisit),
+            (std::vector<std::pair<SimTime, uint64_t>>{{SimTime::Days(80), 0}}));
+}
+
 // --- District: sampled engine ------------------------------------------------
 
 DistrictConfig QuickDistrict() {
@@ -447,6 +542,46 @@ TEST(DistrictSampledTest, SerialCheckpointRestoresIntoSampled) {
   EXPECT_LE(restored.mean_service_availability, 1.0);
   EXPECT_GT(restored.device_failures, 0u);
   EXPECT_EQ(restored.yearly_service.size(), 20u);
+}
+
+// A serial `district` checkpoint cut on a zone visit's microsecond: the
+// serial run made that visit, so the sampled engine resumed from the file
+// makes every later visit, in windows and walks alike, and not that one.
+TEST(DistrictSampledTest, SerialCheckpointOnAVisitIsNotRepeatedBySampled) {
+  ScratchDir dir("district_serial_ckpt_on_visit");
+  const DistrictConfig cfg = QuickDistrict();
+  std::vector<BatchVisit> visits =
+      BatchVisits(Simulation(cfg.seed), DistrictBatches(cfg), cfg.horizon);
+  std::stable_sort(visits.begin(), visits.end(),
+                   [](const BatchVisit& a, const BatchVisit& b) { return a.at < b.at; });
+  // The first visit past half the horizon: the one checkpoint of a run
+  // whose period is its time.
+  const auto barrier_visit = std::find_if(visits.begin(), visits.end(), [&](const BatchVisit& v) {
+    return v.at > cfg.horizon * 0.5;
+  });
+  ASSERT_NE(barrier_visit, visits.end());
+  const SimTime barrier = barrier_visit->at;
+
+  DistrictConfig save_cfg = cfg;
+  save_cfg.snapshot.checkpoint_every = barrier;
+  save_cfg.snapshot.checkpoint_dir = dir.path();
+  const DistrictReport saved = RunDistrictScenario(save_cfg);
+  ASSERT_EQ(saved.checkpoints_written, 1u);
+
+  FlightRecorder recorder;
+  DistrictConfig resume_cfg = cfg;
+  resume_cfg.sampling = QuickSampling();
+  resume_cfg.snapshot.resume_from = saved.last_checkpoint_path;
+  resume_cfg.control.recorder = &recorder;
+  const DistrictReport restored = RunDistrictScenario(resume_cfg);
+  EXPECT_TRUE(restored.sampled);
+  EXPECT_GT(restored.restore_seconds, 0.0);
+  std::vector<std::pair<SimTime, uint64_t>> expected;
+  for (auto it = barrier_visit + 1; it != visits.end(); ++it) {
+    expected.emplace_back(it->at, it->zone);
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(Recorded(recorder, kDistrictVisit), expected);
 }
 
 // --- Validation --------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/core/century_model.h"
+#include "src/core/fleet_codec.h"
 #include "src/sim/profiler.h"
 #include "src/snapshot/snapshot.h"
 
@@ -192,16 +193,24 @@ class CenturyDrainTest : public ::testing::Test {
         kCenturyVisit);
   }
 
-  // The site-failure records of the checkpoint written last.
-  std::vector<TimerRecord> SavedFailures() {
+  // A pending failure of the checkpoint written last: an alive slot's
+  // nonzero deadline in its fleet chunk. (The fixture's sites are deployed
+  // with no failure armed, and their deadlines stay 0.)
+  struct SavedFailure {
+    uint64_t site;
+    int64_t at_us;
+  };
+  std::vector<SavedFailure> SavedFailures() {
     SnapshotReader reader;
     std::string error;
     EXPECT_TRUE(reader.Open(report_.last_checkpoint_path, &error)) << error;
-    ByteReader chunk = reader.Chunk(SnapshotTag('t', 'i', 'm', 'r'));
-    std::vector<TimerRecord> failures;
-    for (const TimerRecord& r : TimerTable::Decode(chunk)) {
-      if (r.tag == kCenturyTimerSiteFail) {
-        failures.push_back(r);
+    ByteReader chunk = reader.Chunk(SnapshotTag('f', 'l', 'e', 't'));
+    std::vector<SavedFailure> failures;
+    const uint64_t slots = chunk.U64();
+    for (uint64_t site = 0; site < slots && chunk.ok(); ++site) {
+      const DeviceFleet::SlotState slot = DecodeFleetSlot(chunk);
+      if (slot.alive != 0 && slot.deadline_us != 0) {
+        failures.push_back({site, slot.deadline_us});
       }
     }
     EXPECT_TRUE(chunk.ok());
@@ -245,11 +254,11 @@ TEST_F(CenturyDrainTest, RefreshedUnitsFailureNeitherRunsNorCountsNorIsSaved) {
   century_.SaveCheckpoint(barrier);
   ASSERT_EQ(report_.checkpoints_written, 1u);
 
-  const std::vector<TimerRecord> saved = SavedFailures();
+  const std::vector<SavedFailure> saved = SavedFailures();
   uint64_t due = report_.total_failures;  // The successors' failures through the stale time.
-  for (const TimerRecord& r : saved) {
-    EXPECT_TRUE(r.a == 0 || r.a == 2) << "site " << r.a;
-    EXPECT_TRUE(alive(static_cast<uint32_t>(r.a)));
+  for (const SavedFailure& r : saved) {
+    EXPECT_TRUE(r.site == 0 || r.site == 2) << "site " << r.site;
+    EXPECT_TRUE(alive(static_cast<uint32_t>(r.site)));
     EXPECT_NE(r.at_us, retired_failure.micros());
     due += r.at_us <= retired_failure.micros() ? 1 : 0;
   }
@@ -279,8 +288,8 @@ TEST_F(CenturyDrainTest, FailureAtTheLimitRunsAndOneMicrosecondLaterWaits) {
   EXPECT_TRUE(alive(1));
   century_.SaveCheckpoint(barrier);
   std::set<uint64_t> saved_sites;
-  for (const TimerRecord& r : SavedFailures()) {
-    saved_sites.insert(r.a);
+  for (const SavedFailure& r : SavedFailures()) {
+    saved_sites.insert(r.site);
   }
   EXPECT_EQ(saved_sites, (std::set<uint64_t>{1, 2, 3}));
 

@@ -19,6 +19,7 @@
 
 #include "src/core/century_model.h"
 #include "src/core/district.h"
+#include "src/core/district_model.h"
 #include "src/core/experiment_api.h"
 #include "src/core/fleet_codec.h"
 #include "src/core/theseus.h"
@@ -708,16 +709,27 @@ TEST(DistrictSnapshotTest, ResumeLatestRecoversAndStructuralMismatchRefused) {
       << "structurally mismatched snapshot was accepted";
 }
 
-// A snapshot whose content is wrong but whose checksums are right: every
-// chunk of `path` copied into a fresh SnapshotWriter, with the fleet
-// chunk's `site` slot saved one gateway more covered than it was (unless
-// `site` is UINT32_MAX), with a `district` integral chunk's leading
-// in-service count one too high, or with the timer chunk's records passed
-// through `edit_timers`.
-std::string ResealEdited(
-    const std::string& path, const std::string& out_path, const std::vector<uint32_t>& tags,
-    uint32_t site, bool bump_in_service = false,
-    const std::function<void(std::vector<TimerRecord>&)>& edit_timers = nullptr) {
+// A snapshot whose content is wrong but whose checksums are right: the
+// chunks `tags` of `path` copied into a fresh SnapshotWriter, each passed
+// through the edits below that apply to it.
+struct Edits {
+  // Each slot of a fleet chunk, by site.
+  std::function<void(uint64_t site, DeviceFleet::SlotState&)> slot = nullptr;
+  // A `district` integral chunk's leading in-service count, one too high.
+  bool bump_in_service = false;
+  // A timer chunk's records.
+  std::function<void(std::vector<TimerRecord>&)> timers = nullptr;
+  // Each gateway of a `district-shard` gateway chunk: its saved up flag and
+  // its cursor's next transition.
+  std::function<void(uint32_t g, uint8_t up, uint8_t& next_is_down, int64_t& next_at_us)> cursor =
+      nullptr;
+  // The barrier a scheduler chunk, or a `district-shard` accumulator
+  // chunk, leads with.
+  std::function<void(int64_t& barrier_us)> barrier = nullptr;
+};
+
+std::string ResealEdited(const std::string& path, const std::string& out_path,
+                         const std::vector<uint32_t>& tags, const Edits& edits = {}) {
   SnapshotReader reader;
   std::string error;
   EXPECT_TRUE(reader.Open(path, &error)) << error;
@@ -725,25 +737,44 @@ std::string ResealEdited(
   for (uint32_t tag : tags) {
     ByteReader in = reader.Chunk(tag);
     ByteWriter out;
-    if (tag == SnapshotTag('f', 'l', 'e', 't')) {
+    if (tag == SnapshotTag('f', 'l', 'e', 't') && edits.slot) {
       const uint64_t slots = in.U64();
       out.U64(slots);
       for (uint64_t d = 0; d < slots; ++d) {
         DeviceFleet::SlotState slot = DecodeFleetSlot(in);
-        if (d == site) {
-          ++slot.covering;
-        }
+        edits.slot(d, slot);
         EncodeFleetSlot(slot, out);
       }
     }
-    if (tag == SnapshotTag('i', 'n', 't', 'g') && bump_in_service) {
+    if (tag == SnapshotTag('i', 'n', 't', 'g') && edits.bump_in_service) {
       out.U64(in.U64() + 1);
     }
-    if (tag == SnapshotTag('t', 'i', 'm', 'r') && edit_timers) {
+    if (tag == SnapshotTag('t', 'i', 'm', 'r') && edits.timers) {
       std::vector<TimerRecord> records = TimerTable::Decode(in);
       EXPECT_TRUE(in.ok());
-      edit_timers(records);
+      edits.timers(records);
       TimerTable::Encode(records, out);
+    }
+    if ((tag == SnapshotTag('s', 'c', 'h', 'd') || tag == SnapshotTag('a', 'c', 'c', 'u')) &&
+        edits.barrier) {
+      int64_t barrier_us = in.I64();
+      edits.barrier(barrier_us);
+      out.I64(barrier_us);
+    }
+    if (tag == SnapshotTag('g', 'w', 'r', 'c') && edits.cursor) {
+      const uint64_t gateways = in.U64();
+      out.U64(gateways);
+      for (uint32_t g = 0; g < gateways; ++g) {
+        const uint8_t up = in.U8();
+        uint8_t next_is_down = in.U8();
+        const uint32_t ordinal = in.U32();
+        int64_t next_at_us = in.I64();
+        edits.cursor(g, up, next_is_down, next_at_us);
+        out.U8(up);
+        out.U8(next_is_down);
+        out.U32(ordinal);
+        out.I64(next_at_us);
+      }
     }
     if (in.remaining() > 0) {
       std::vector<uint8_t> rest(in.remaining());
@@ -755,6 +786,45 @@ std::string ResealEdited(
   EXPECT_GT(writer.Write(out_path, &error), 0u) << error;
   EXPECT_TRUE(ProbeSnapshot(out_path)) << "re-sealed snapshot must pass its checksums";
   return out_path;
+}
+
+// Every chunk of each format (a `district` file of a run without metrics).
+const std::vector<uint32_t> kDistrictChunks = {
+    SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 's', 't'),
+    SnapshotTag('i', 'n', 't', 'g'), SnapshotTag('t', 'i', 'm', 'r'),
+    SnapshotTag('s', 'c', 'h', 'd')};
+const std::vector<uint32_t> kShardChunks = {SnapshotTag('f', 'l', 'e', 't'),
+                                            SnapshotTag('g', 'w', 'r', 'c'),
+                                            SnapshotTag('a', 'c', 'c', 'u')};
+const std::vector<uint32_t> kCenturyChunks = {
+    SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('a', 'l', 'i', 'v'),
+    SnapshotTag('s', 'u', 'r', 'v'), SnapshotTag('s', 'c', 'h', 'd')};
+
+SimTime BarrierOf(const std::string& path) {
+  SnapshotMeta meta;
+  EXPECT_TRUE(ProbeSnapshot(path, &meta));
+  return SimTime::Micros(meta.barrier_us);
+}
+
+// Saves site 137 one operational gateway more covered than it was.
+Edits BumpCovering() {
+  return {.slot = [](uint64_t site, DeviceFleet::SlotState& s) {
+    if (site == 137) {
+      ++s.covering;
+    }
+  }};
+}
+
+// Moves the pending failure of the first alive site at or after 137 to
+// 1 us before `barrier`, and names that site in `*site`.
+Edits ExpireDeadline(SimTime barrier, uint64_t* site) {
+  *site = UINT64_MAX;
+  return {.slot = [barrier, site](uint64_t d, DeviceFleet::SlotState& s) {
+    if (*site == UINT64_MAX && d >= 137 && s.alive != 0) {
+      s.deadline_us = barrier.micros() - 1;
+      *site = d;
+    }
+  }};
 }
 
 // A checkpoint's per-slot `covering` must agree with its own gateway
@@ -781,18 +851,12 @@ TEST(DistrictSnapshotTest, CoveringMismatchRefusedNamingTheSite) {
   const DistrictReport sharded_run = RunDistrictScenario(sharded);
   ASSERT_EQ(sharded_run.checkpoints_written, 1u);
 
-  const uint32_t site = 137;
-  const std::string serial_bad = ResealEdited(
-      serial_run.last_checkpoint_path, dir.path() + "/serial_bad.snap",
-      {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 's', 't'),
-       SnapshotTag('i', 'n', 't', 'g'), SnapshotTag('t', 'i', 'm', 'r'),
-       SnapshotTag('s', 'c', 'h', 'd')},
-      site);
-  const std::string sharded_bad = ResealEdited(
-      sharded_run.last_checkpoint_path, dir.path() + "/sharded_bad.snap",
-      {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 'r', 'c'),
-       SnapshotTag('a', 'c', 'c', 'u')},
-      site);
+  const std::string serial_bad = ResealEdited(serial_run.last_checkpoint_path,
+                                              dir.path() + "/serial_bad.snap", kDistrictChunks,
+                                              BumpCovering());
+  const std::string sharded_bad = ResealEdited(sharded_run.last_checkpoint_path,
+                                               dir.path() + "/sharded_bad.snap", kShardChunks,
+                                               BumpCovering());
 
   DistrictConfig resume_serial = cfg;
   resume_serial.snapshot = SnapshotPlan{};
@@ -805,12 +869,9 @@ TEST(DistrictSnapshotTest, CoveringMismatchRefusedNamingTheSite) {
 
   // The serial format also stores the in-service count the fleet and
   // gateway states imply; a disagreeing one is refused too.
-  resume_serial.snapshot.resume_from = ResealEdited(
-      serial_run.last_checkpoint_path, dir.path() + "/serial_bad_service.snap",
-      {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 's', 't'),
-       SnapshotTag('i', 'n', 't', 'g'), SnapshotTag('t', 'i', 'm', 'r'),
-       SnapshotTag('s', 'c', 'h', 'd')},
-      UINT32_MAX, /*bump_in_service=*/true);
+  resume_serial.snapshot.resume_from =
+      ResealEdited(serial_run.last_checkpoint_path, dir.path() + "/serial_bad_service.snap",
+                   kDistrictChunks, {.bump_in_service = true});
   EXPECT_DEATH(RunDistrictScenario(resume_serial), "in-service count");
 
   // The untouched checkpoints still resume.
@@ -841,8 +902,7 @@ TEST(DistrictSnapshotTest, CheckpointWithoutIntegerChunkRefused) {
   const std::string no_integral = ResealEdited(
       saved.last_checkpoint_path, dir.path() + "/no_integral.snap",
       {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('g', 'w', 's', 't'),
-       SnapshotTag('t', 'i', 'm', 'r'), SnapshotTag('s', 'c', 'h', 'd')},
-      UINT32_MAX);
+       SnapshotTag('t', 'i', 'm', 'r'), SnapshotTag('s', 'c', 'h', 'd')});
 
   DistrictConfig serial = cfg;
   serial.snapshot = SnapshotPlan{};
@@ -857,14 +917,331 @@ TEST(DistrictSnapshotTest, CheckpointWithoutIntegerChunkRefused) {
   }
 }
 
+// An alive slot's deadline is its unit's pending failure, and a run drained
+// to the barrier has none before it. The serial, the sampled and the
+// sharded district readers refuse a file whose alive slot fails 1 us
+// before its barrier, naming the site, and resume the untouched files.
+TEST(DistrictSnapshotTest, DeadlineBeforeTheBarrierRefusedNamingTheSite) {
+  ScratchDir dir("district_deadline_before_barrier");
+  DistrictConfig cfg;
+  cfg.seed = 9;
+  cfg.device_count = 500;
+  cfg.area_km2 = 4.0;
+  cfg.zone_grid = 2;
+  cfg.horizon = SimTime::Years(12);
+  cfg.batch_cycle = SimTime::Years(4);
+  cfg.snapshot.checkpoint_every = SimTime::Years(6);
+
+  DistrictConfig serial_save = cfg;
+  serial_save.snapshot.checkpoint_dir = dir.path() + "/serial";
+  const std::string serial_file = RunDistrictScenario(serial_save).last_checkpoint_path;
+  DistrictConfig sharded_save = serial_save;
+  sharded_save.shard.shards = 2;
+  sharded_save.snapshot.checkpoint_dir = dir.path() + "/sharded";
+  const std::string sharded_file = RunDistrictScenario(sharded_save).last_checkpoint_path;
+  ASSERT_FALSE(serial_file.empty());
+  ASSERT_FALSE(sharded_file.empty());
+
+  uint64_t serial_site = 0;
+  const std::string serial_bad =
+      ResealEdited(serial_file, dir.path() + "/serial_bad.snap", kDistrictChunks,
+                   ExpireDeadline(BarrierOf(serial_file), &serial_site));
+  uint64_t sharded_site = 0;
+  const std::string sharded_bad =
+      ResealEdited(sharded_file, dir.path() + "/sharded_bad.snap", kShardChunks,
+                   ExpireDeadline(BarrierOf(sharded_file), &sharded_site));
+  ASSERT_NE(serial_site, UINT64_MAX);
+  ASSERT_NE(sharded_site, UINT64_MAX);
+
+  DistrictConfig serial = cfg;
+  serial.snapshot = SnapshotPlan{};
+  DistrictConfig sampled = serial;
+  sampled.sampling.mode = SimMode::kSampled;
+  DistrictConfig sharded = serial;
+  sharded.shard.shards = 3;
+  const auto message = [](uint64_t site) {
+    return "site " + std::to_string(site) + " is alive with its pending failure at";
+  };
+  for (DistrictConfig* resume : {&serial, &sampled}) {
+    resume->snapshot.resume_from = serial_bad;
+    EXPECT_DEATH(RunDistrictScenario(*resume), message(serial_site));
+    resume->snapshot.resume_from = serial_file;
+    EXPECT_GT(RunDistrictScenario(*resume).restore_seconds, 0.0);
+  }
+  sharded.snapshot.resume_from = sharded_bad;
+  EXPECT_DEATH(RunDistrictScenario(sharded), message(sharded_site));
+  sharded.snapshot.resume_from = sharded_file;
+  EXPECT_GT(RunDistrictScenario(sharded).restore_seconds, 0.0);
+}
+
+// Every district reader refuses a file whose barrier lies outside the run
+// it would resume, before it does arithmetic with it.
+TEST(DistrictSnapshotTest, BarrierOutsideTheRunRefused) {
+  ScratchDir dir("district_barrier_outside_run");
+  DistrictConfig cfg;
+  cfg.seed = 9;
+  cfg.device_count = 300;
+  cfg.area_km2 = 4.0;
+  cfg.zone_grid = 2;
+  cfg.horizon = SimTime::Years(12);
+  cfg.batch_cycle = SimTime::Years(4);
+  cfg.snapshot.checkpoint_every = SimTime::Years(6);
+  DistrictConfig serial_save = cfg;
+  serial_save.snapshot.checkpoint_dir = dir.path() + "/serial";
+  const std::string serial_file = RunDistrictScenario(serial_save).last_checkpoint_path;
+  DistrictConfig sharded_save = serial_save;
+  sharded_save.shard.shards = 2;
+  sharded_save.snapshot.checkpoint_dir = dir.path() + "/sharded";
+  const std::string sharded_file = RunDistrictScenario(sharded_save).last_checkpoint_path;
+  const Edits past_the_end = {.barrier = [](int64_t& barrier_us) { barrier_us = INT64_MAX; }};
+  const std::string message = "barrier at " + std::to_string(INT64_MAX) + " us is outside the run";
+
+  DistrictConfig serial = cfg;
+  serial.snapshot = SnapshotPlan{};
+  serial.snapshot.resume_from =
+      ResealEdited(serial_file, dir.path() + "/serial_bad.snap", kDistrictChunks, past_the_end);
+  EXPECT_DEATH(RunDistrictScenario(serial), message);
+  DistrictConfig sampled = serial;
+  sampled.sampling.mode = SimMode::kSampled;
+  EXPECT_DEATH(RunDistrictScenario(sampled), message);
+  DistrictConfig sharded = cfg;
+  sharded.snapshot = SnapshotPlan{};
+  sharded.shard.shards = 3;
+  sharded.snapshot.resume_from =
+      ResealEdited(sharded_file, dir.path() + "/sharded_bad.snap", kShardChunks, past_the_end);
+  EXPECT_DEATH(RunDistrictScenario(sharded), message);
+}
+
+// A `district` checkpoint's timer records are its gateways' pending
+// transitions, nothing else: the zone visits follow from the config and
+// the unit failures are deadlines. A file carrying a visit or a device
+// failure record under the tags earlier formats gave them (1 and 4) is
+// refused by both readers.
+TEST(DistrictSnapshotTest, VisitOrDeviceFailureRecordRefused) {
+  ScratchDir dir("district_visit_or_device_record");
+  DistrictConfig cfg;
+  cfg.seed = 9;
+  cfg.device_count = 300;
+  cfg.area_km2 = 4.0;
+  cfg.zone_grid = 2;
+  cfg.horizon = SimTime::Years(12);
+  cfg.batch_cycle = SimTime::Years(4);
+  cfg.snapshot.checkpoint_every = SimTime::Years(6);
+  cfg.snapshot.checkpoint_dir = dir.path();
+  const std::string saved = RunDistrictScenario(cfg).last_checkpoint_path;
+  ASSERT_FALSE(saved.empty());
+  const int64_t after_barrier = BarrierOf(saved).micros() + 1;
+
+  DistrictConfig serial = cfg;
+  serial.snapshot = SnapshotPlan{};
+  DistrictConfig sampled = serial;
+  sampled.sampling.mode = SimMode::kSampled;
+  for (const uint64_t tag : {uint64_t{1}, uint64_t{4}}) {
+    const std::string bad = ResealEdited(
+        saved, dir.path() + "/tag_" + std::to_string(tag) + ".snap", kDistrictChunks,
+        {.timers = [tag, after_barrier](std::vector<TimerRecord>& records) {
+          records.push_back({tag, after_barrier, 0, 0, 0, 0.0});
+        }});
+    for (DistrictConfig* resume : {&serial, &sampled}) {
+      resume->snapshot.resume_from = bad;
+      EXPECT_DEATH(RunDistrictScenario(*resume), "timer tags this driver does not register");
+    }
+  }
+}
+
+// The serial district's gateway records: every reader of the `district`
+// format (serial and sampled, through DistrictModel's restore) refuses one
+// for a gateway outside the plan, two for one gateway or none for another,
+// one that disagrees with its gateway's saved state, and one timed before
+// the barrier, naming the gateway; the sharded reader refuses the same
+// faults in a `district-shard` gateway cursor.
+class DistrictGatewayRecordTest : public ::testing::Test {
+ protected:
+  static DistrictConfig Config() {
+    DistrictConfig cfg;
+    cfg.seed = 9;
+    cfg.device_count = 500;
+    cfg.area_km2 = 4.0;
+    cfg.zone_grid = 2;
+    cfg.horizon = SimTime::Years(12);
+    cfg.batch_cycle = SimTime::Years(4);
+    // A policy field: a long repair leaves gateways down at the barrier.
+    cfg.gateway_repair_delay = SimTime::Years(1);
+    return cfg;
+  }
+
+  static void SetUpTestSuite() {
+    // Per process: ctest runs each test of the suite in its own.
+    dir_ = new ScratchDir("district_gateway_records_" + std::to_string(getpid()));
+    DistrictConfig serial = Config();
+    serial.snapshot.checkpoint_every = SimTime::Years(6);
+    serial.snapshot.checkpoint_dir = dir_->path() + "/serial";
+    serial_file_ = new std::string(RunDistrictScenario(serial).last_checkpoint_path);
+    DistrictConfig sharded = serial;
+    sharded.shard.shards = 2;
+    sharded.snapshot.checkpoint_dir = dir_->path() + "/sharded";
+    sharded_file_ = new std::string(RunDistrictScenario(sharded).last_checkpoint_path);
+  }
+  static void TearDownTestSuite() {
+    delete serial_file_;
+    delete sharded_file_;
+    delete dir_;
+  }
+
+  // The serial file's gateway records, as saved.
+  static std::vector<TimerRecord> Records() {
+    SnapshotReader reader;
+    std::string error;
+    EXPECT_TRUE(reader.Open(*serial_file_, &error)) << error;
+    ByteReader chunk = reader.Chunk(SnapshotTag('t', 'i', 'm', 'r'));
+    return TimerTable::Decode(chunk);
+  }
+  // The first saved record with `tag`: a gateway saved up has its failure
+  // pending, one saved down its repair.
+  static TimerRecord First(uint64_t tag) {
+    for (const TimerRecord& r : Records()) {
+      if (r.tag == tag) {
+        return r;
+      }
+    }
+    ADD_FAILURE() << "no gateway has a pending record with tag " << tag;
+    return {};
+  }
+  static int64_t barrier_us() { return BarrierOf(*serial_file_).micros(); }
+
+  // The serial file with its records passed through `edit` dies in the
+  // serial and the sampled reader with `message`.
+  void ExpectRecordsRefused(const std::function<void(std::vector<TimerRecord>&)>& edit,
+                            const std::string& message) {
+    const std::string bad = ResealEdited(*serial_file_, dir_->path() + "/serial_bad.snap",
+                                         kDistrictChunks, {.timers = edit});
+    DistrictConfig serial = Config();
+    serial.snapshot.resume_from = bad;
+    EXPECT_DEATH(RunDistrictScenario(serial), message);
+    DistrictConfig sampled = serial;
+    sampled.sampling.mode = SimMode::kSampled;
+    EXPECT_DEATH(RunDistrictScenario(sampled), message);
+  }
+
+  // The sharded file with its cursors passed through `edit` dies in the
+  // sharded reader with `message`.
+  void ExpectCursorsRefused(
+      const std::function<void(uint32_t, uint8_t, uint8_t&, int64_t&)>& edit,
+      const std::string& message) {
+    const std::string bad = ResealEdited(*sharded_file_, dir_->path() + "/sharded_bad.snap",
+                                         kShardChunks, {.cursor = edit});
+    DistrictConfig sharded = Config();
+    sharded.shard.shards = 3;
+    sharded.snapshot.resume_from = bad;
+    EXPECT_DEATH(RunDistrictScenario(sharded), message);
+  }
+
+  static ScratchDir* dir_;
+  static std::string* serial_file_;
+  static std::string* sharded_file_;
+};
+
+ScratchDir* DistrictGatewayRecordTest::dir_ = nullptr;
+std::string* DistrictGatewayRecordTest::serial_file_ = nullptr;
+std::string* DistrictGatewayRecordTest::sharded_file_ = nullptr;
+
+TEST_F(DistrictGatewayRecordTest, UntouchedFilesResume) {
+  DistrictConfig serial = Config();
+  serial.snapshot.resume_from = *serial_file_;
+  EXPECT_GT(RunDistrictScenario(serial).restore_seconds, 0.0);
+  DistrictConfig sampled = serial;
+  sampled.sampling.mode = SimMode::kSampled;
+  EXPECT_GT(RunDistrictScenario(sampled).restore_seconds, 0.0);
+  DistrictConfig sharded = Config();
+  sharded.shard.shards = 3;
+  sharded.snapshot.resume_from = *sharded_file_;
+  EXPECT_GT(RunDistrictScenario(sharded).restore_seconds, 0.0);
+}
+
+TEST_F(DistrictGatewayRecordTest, GatewayOutsideThePlanRefused) {
+  ExpectRecordsRefused([](std::vector<TimerRecord>& records) { records.front().a = 1000000; },
+                       "gateway 1000000 has a pending transition but the plan has");
+}
+
+TEST_F(DistrictGatewayRecordTest, SecondRecordForAGatewayRefused) {
+  const uint64_t g = Records().back().a;
+  ExpectRecordsRefused(
+      [](std::vector<TimerRecord>& records) { records.push_back(records.back()); },
+      "gateway " + std::to_string(g) + " has more than one pending transition");
+}
+
+TEST_F(DistrictGatewayRecordTest, GatewayWithoutARecordRefused) {
+  const uint64_t g = Records().back().a;
+  ExpectRecordsRefused([](std::vector<TimerRecord>& records) { records.pop_back(); },
+                       "gateway " + std::to_string(g) + " has no pending transition");
+}
+
+TEST_F(DistrictGatewayRecordTest, FailureRecordForAGatewaySavedDownRefused) {
+  const TimerRecord repair = First(kDistrictTimerGatewayRepair);
+  ASSERT_EQ(repair.tag, kDistrictTimerGatewayRepair);
+  ExpectRecordsRefused(
+      [g = repair.a](std::vector<TimerRecord>& records) {
+        for (TimerRecord& r : records) {
+          if (r.a == g) {
+            r.tag = kDistrictTimerGatewayFail;
+          }
+        }
+      },
+      "gateway " + std::to_string(repair.a) +
+          " was saved down but its next transition is a failure");
+}
+
+TEST_F(DistrictGatewayRecordTest, RepairRecordForAGatewaySavedUpRefused) {
+  const TimerRecord failure = First(kDistrictTimerGatewayFail);
+  ASSERT_EQ(failure.tag, kDistrictTimerGatewayFail);
+  ExpectRecordsRefused(
+      [g = failure.a](std::vector<TimerRecord>& records) {
+        for (TimerRecord& r : records) {
+          if (r.a == g) {
+            r.tag = kDistrictTimerGatewayRepair;
+          }
+        }
+      },
+      "gateway " + std::to_string(failure.a) +
+          " was saved up but its next transition is a repair");
+}
+
+TEST_F(DistrictGatewayRecordTest, RecordBeforeTheBarrierRefused) {
+  const uint64_t g = Records().front().a;
+  ExpectRecordsRefused(
+      [at = barrier_us() - 1](std::vector<TimerRecord>& records) { records.front().at_us = at; },
+      "gateway " + std::to_string(g) + "'s next transition at [0-9]+ us is before the barrier");
+}
+
+TEST_F(DistrictGatewayRecordTest, CursorBeforeTheBarrierRefused) {
+  ExpectCursorsRefused(
+      [at = barrier_us() - 1](uint32_t g, uint8_t, uint8_t&, int64_t& next_at_us) {
+        if (g == 1) {
+          next_at_us = at;
+        }
+      },
+      "gateway 1's next transition at [0-9]+ us is before the barrier");
+}
+
+TEST_F(DistrictGatewayRecordTest, CursorDisagreeingWithTheSavedStateRefused) {
+  ExpectCursorsRefused(
+      [](uint32_t g, uint8_t, uint8_t& next_is_down, int64_t&) {
+        if (g == 1) {
+          next_is_down = next_is_down != 0 ? 0 : 1;
+        }
+      },
+      "gateway 1 was saved (up|down) but its next transition is a");
+}
+
 // --- Restore parity: century -------------------------------------------------
 
-// A `century` checkpoint's pending site failure must name a live site and
-// carry that unit's life (fail time minus deployment time), which the
-// sampled engine derives from the fleet: both readers refuse a record that
-// breaks either, naming the site.
-TEST(CenturySnapshotTest, SiteFailureRecordMustMatchFleet) {
-  ScratchDir dir("century_fail_record_mismatch");
+// A `century` checkpoint holds no timer chunk: an alive slot's deadline is
+// its unit's pending failure, and a run drained to the barrier has none
+// before it. The serial and the sampled reader both refuse a file whose
+// alive slot fails 1 us before its barrier, naming the site, and resume
+// the untouched file.
+TEST(CenturySnapshotTest, DeadlineBeforeTheBarrierRefusedNamingTheSite) {
+  ScratchDir dir("century_deadline_before_barrier");
   CenturyConfig cfg;
   cfg.seed = 20260806;
   cfg.fleet_size = 300;
@@ -872,65 +1249,76 @@ TEST(CenturySnapshotTest, SiteFailureRecordMustMatchFleet) {
   cfg.batch.zone_count = 6;
   cfg.batch.cycle_period = SimTime::Years(5);
   cfg.snapshot.checkpoint_every = SimTime::Years(20);
-  cfg.snapshot.checkpoint_dir = dir.path();
+  cfg.snapshot.checkpoint_dir = dir.path() + "/serial";
   const CenturyReport saved = RunCenturyScenario(cfg);
   ASSERT_EQ(saved.checkpoints_written, 1u);
-  const std::vector<uint32_t> tags = {
-      SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('a', 'l', 'i', 'v'),
-      SnapshotTag('s', 'u', 'r', 'v'), SnapshotTag('t', 'i', 'm', 'r'),
-      SnapshotTag('s', 'c', 'h', 'd')};
+  CenturyConfig sampled_save = cfg;
+  sampled_save.sampling.mode = SimMode::kSampled;
+  sampled_save.snapshot.checkpoint_dir = dir.path() + "/sampled";
+  const CenturyReport sampled_saved = RunCenturyScenario(sampled_save);
+  ASSERT_GE(sampled_saved.checkpoints_written, 1u);
+  for (const std::string& path : {saved.last_checkpoint_path, sampled_saved.last_checkpoint_path}) {
+    SnapshotReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.Open(path, &error)) << error;
+    EXPECT_FALSE(reader.HasChunk(SnapshotTag('t', 'i', 'm', 'r'))) << path;
+  }
 
-  uint64_t off_by_one_site = 0;
-  const std::string bad_life = ResealEdited(
-      saved.last_checkpoint_path, dir.path() + "/bad_life.snap", tags, UINT32_MAX, false,
-      [&](std::vector<TimerRecord>& records) {
-        for (TimerRecord& r : records) {
-          if (r.tag == kCenturyTimerSiteFail) {
-            ++r.b;
-            off_by_one_site = r.a;
-            return;
-          }
-        }
-        ADD_FAILURE() << "checkpoint holds no pending site failure";
-      });
-  // Every live site has exactly one pending failure, so the lowest site no
-  // record names is dead in the fleet chunk.
-  uint64_t dead_site = 0;
-  const std::string bad_site = ResealEdited(
-      saved.last_checkpoint_path, dir.path() + "/bad_site.snap", tags, UINT32_MAX, false,
-      [&](std::vector<TimerRecord>& records) {
-        std::vector<bool> named(cfg.fleet_size, false);
-        for (const TimerRecord& r : records) {
-          if (r.tag == kCenturyTimerSiteFail) {
-            named[r.a] = true;
-          }
-        }
-        while (dead_site < named.size() && named[dead_site]) {
-          ++dead_site;
-        }
-        ASSERT_LT(dead_site, named.size()) << "no site is dead at the barrier";
-        for (TimerRecord& r : records) {
-          if (r.tag == kCenturyTimerSiteFail) {
-            r.a = dead_site;
-            return;
-          }
-        }
-      });
+  uint64_t site = 0;
+  const std::string bad =
+      ResealEdited(saved.last_checkpoint_path, dir.path() + "/bad.snap", kCenturyChunks,
+                   ExpireDeadline(BarrierOf(saved.last_checkpoint_path), &site));
+  ASSERT_NE(site, UINT64_MAX);
 
   CenturyConfig serial = cfg;
   serial.snapshot = SnapshotPlan{};
   CenturyConfig sampled = serial;
   sampled.sampling.mode = SimMode::kSampled;
-  const std::string life_message = "site " + std::to_string(off_by_one_site) + "'s failure";
-  const std::string dead_message = "site " + std::to_string(dead_site) + " has a pending failure";
+  const std::string message = "site " + std::to_string(site) + " is alive with its pending failure at";
   for (CenturyConfig* resume : {&serial, &sampled}) {
-    resume->snapshot.resume_from = bad_life;
-    EXPECT_DEATH(RunCenturyScenario(*resume), life_message);
-    resume->snapshot.resume_from = bad_site;
-    EXPECT_DEATH(RunCenturyScenario(*resume), dead_message);
+    resume->snapshot.resume_from = bad;
+    EXPECT_DEATH(RunCenturyScenario(*resume), message);
     // The untouched checkpoint still resumes.
     resume->snapshot.resume_from = saved.last_checkpoint_path;
     EXPECT_GT(RunCenturyScenario(*resume).restore_seconds, 0.0);
+  }
+}
+
+// Both century readers refuse a file whose barrier lies outside the run it
+// would resume, or whose visits are pending from neither its barrier nor
+// 1 us after it.
+TEST(CenturySnapshotTest, BarrierOutsideTheRunRefused) {
+  ScratchDir dir("century_barrier_outside_run");
+  CenturyConfig cfg;
+  cfg.seed = 3;
+  cfg.fleet_size = 100;
+  cfg.horizon = SimTime::Years(20);
+  cfg.batch.zone_count = 4;
+  cfg.batch.cycle_period = SimTime::Years(5);
+  cfg.snapshot.checkpoint_every = SimTime::Years(10);
+  cfg.snapshot.checkpoint_dir = dir.path();
+  const CenturyReport saved = RunCenturyScenario(cfg);
+  ASSERT_EQ(saved.checkpoints_written, 1u);
+  const std::string past_the_end =
+      ResealEdited(saved.last_checkpoint_path, dir.path() + "/past_the_end.snap", kCenturyChunks,
+                   {.barrier = [](int64_t& barrier_us) { barrier_us = INT64_MAX; }});
+  // The barrier 2 us earlier leaves the file's visits pending from 3 us
+  // after it.
+  const std::string visits_later =
+      ResealEdited(saved.last_checkpoint_path, dir.path() + "/visits_later.snap", kCenturyChunks,
+                   {.barrier = [](int64_t& barrier_us) { barrier_us -= 2; }});
+
+  CenturyConfig serial = cfg;
+  serial.snapshot = SnapshotPlan{};
+  CenturyConfig sampled = serial;
+  sampled.sampling.mode = SimMode::kSampled;
+  for (CenturyConfig* resume : {&serial, &sampled}) {
+    resume->snapshot.resume_from = past_the_end;
+    EXPECT_DEATH(RunCenturyScenario(*resume),
+                 "barrier at " + std::to_string(INT64_MAX) + " us is outside the run");
+    resume->snapshot.resume_from = visits_later;
+    EXPECT_DEATH(RunCenturyScenario(*resume),
+                 "zone visits pending from neither the barrier nor 1 us after it");
   }
 }
 
@@ -953,8 +1341,7 @@ TEST(CenturySnapshotTest, CheckpointWithoutIntegerChunkRefused) {
   const std::string no_integral = ResealEdited(
       saved.last_checkpoint_path, dir.path() + "/no_integral.snap",
       {SnapshotTag('f', 'l', 'e', 't'), SnapshotTag('s', 'u', 'r', 'v'),
-       SnapshotTag('t', 'i', 'm', 'r'), SnapshotTag('s', 'c', 'h', 'd')},
-      UINT32_MAX);
+       SnapshotTag('s', 'c', 'h', 'd')});
 
   CenturyConfig serial = cfg;
   serial.snapshot = SnapshotPlan{};

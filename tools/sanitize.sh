@@ -55,7 +55,17 @@
 # MixingLifecycleOnlyAndEdgeAddsAborts and
 # DistrictAndCenturyFleetsStayUnder64BytesPerSite; and the packed
 # Kaplan-Meier words: KaplanMeierTest.PackedObservationsRoundTrip and
-# TiedFailuresAndCensoringsKeepTheCurve.
+# TiedFailuresAndCensoringsKeepTheCurve. And it covers the checkpoints as
+# fleet state: DistrictGatewayRecordTest feeds every district reader
+# gateway records and cursors that name a gateway outside the plan, twice
+# or not at all, against its saved state or before the barrier (a record
+# for gateway 1,000,000 once read past ServiceCounts' gateway column);
+# DistrictSnapshotTest/CenturySnapshotTest.DeadlineBeforeTheBarrierRefusedNamingTheSite
+# give all five readers an alive slot that fails before its barrier;
+# DistrictSnapshotTest.VisitOrDeviceFailureRecordRefused carries the
+# records earlier formats held; and the three *CheckpointOnAVisit* tests
+# of CenturySampledTest and DistrictSampledTest resume across engines at a
+# barrier that falls on a zone visit.
 #
 # Both trees are built without NDEBUG, so every assert() in src/ runs
 # here. The regular RelWithDebInfo and Release builds compile them out.
